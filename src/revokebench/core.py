@@ -100,7 +100,8 @@ class Signature:
 
     @property
     def wire_size(self) -> int:
-        return len(self.to_bytes())
+        # two u32 length prefixes, then the key id and the mac
+        return 8 + len(self.key_id.encode("utf-8")) + len(self.mac)
 
 
 class KeyStore:
@@ -159,6 +160,9 @@ def verify(message: bytes, signature: Signature, keystore: KeyStore, key_id: str
 # One-way function F: {0,1}^w -> {0,1}^w, default w = 100 bits.
 # ---------------------------------------------------------------------------
 
+_BYTES = tuple(bytes((b,)) for b in range(256))
+
+
 class OneWayFunction:
     """Fixed-width one-way function, realized as a domain-separated hash
     truncated (and bit-masked) to the configured width.
@@ -177,6 +181,9 @@ class OneWayFunction:
         self.width_bytes = (width_bits + 7) // 8
         excess = self.width_bytes * 8 - width_bits
         self._mask = 0xFF >> excess
+        # First output byte by first digest byte, excess high bits cleared.
+        # The mask is 2**k - 1, so b & mask runs through 0..mask repeatedly.
+        self._first = _BYTES[: self._mask + 1] * (256 // (self._mask + 1))
         self.apply_count = 0
 
     def check_width(self, x: bytes) -> bytes:
@@ -194,30 +201,33 @@ class OneWayFunction:
         self.check_width(x)
         self.apply_count += 1
         digest = hashlib.sha256(self._PREFIX + x).digest()
-        out = bytearray(digest[: self.width_bytes])
-        out[0] &= self._mask
-        return bytes(out)
+        return self._first[digest[0]] + digest[1 : self.width_bytes]
 
     def iterate(self, x: bytes, n: int) -> bytes:
         """Apply F n times; iterate(x, 0) == x."""
+        return self.chain(x, n)[-self.width_bytes :]
+
+    def chain(self, x: bytes, n: int) -> bytes:
+        """F^0(x) .. F^n(x) concatenated, width_bytes each.
+
+        One tight loop: the width is checked once, apply_count rises by n.
+        """
         if n < 0:
             raise ValueError("iteration count must be >= 0")
         self.check_width(x)
+        sha256 = hashlib.sha256
         prefix = self._PREFIX
+        first = self._first
         nbytes = self.width_bytes
-        mask = self._mask
+        values = [x]
+        append = values.append
         cur = x
         for _ in range(n):
-            digest = hashlib.sha256(prefix + cur).digest()
-            buf = bytearray(digest[:nbytes])
-            buf[0] &= mask
-            cur = bytes(buf)
+            digest = sha256(prefix + cur).digest()
+            cur = first[digest[0]] + digest[1:nbytes]
+            append(cur)
         self.apply_count += n
-        return cur
-
-
-def iterate_F(f: OneWayFunction, x: bytes, n: int) -> bytes:
-    return f.iterate(x, n)
+        return b"".join(values)
 
 
 # ---------------------------------------------------------------------------

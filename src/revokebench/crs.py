@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Optional
 
 from .core import CrsAnchor, OneWayFunction, pack_u8, pack_u32, pack_u64
 
@@ -47,6 +48,9 @@ class CrsToken:
         return pack_u64(self.serial) + pack_u8(tag) + pack_u32(self.period) + self.value
 
 
+_KIND_BY_TAG = {1: CrsTokenKind.VALID, 0: CrsTokenKind.REVOKED}
+
+
 def token_wire_size(f: OneWayFunction) -> int:
     return 8 + 1 + 4 + f.width_bytes
 
@@ -56,7 +60,9 @@ def parse_token(data: bytes, f: OneWayFunction) -> CrsToken:
     if len(data) != expected:
         raise ValueError(f"token must be exactly {expected} bytes")
     serial = int.from_bytes(data[0:8], "big")
-    kind = CrsTokenKind.VALID if data[8] == 1 else CrsTokenKind.REVOKED
+    kind = _KIND_BY_TAG.get(data[8])
+    if kind is None:
+        raise ValueError(f"unknown token kind byte {data[8]}")
     period = int.from_bytes(data[9:13], "big")
     return CrsToken(serial=serial, kind=kind, period=period, value=data[13:])
 
@@ -67,6 +73,11 @@ class CrsAuthority:
     The whole forward chain is materialized at setup (computing the anchor
     walks it anyway) and kept as one contiguous blob per certificate, so
     issuing the day-i token is a slice, not L-i fresh hash applications.
+
+    Revocations are numbered in the order they arrive. A directory that
+    publishes a period records revocation_count at that moment and later
+    builds any token of that period with issue_token(..., as_of=count), which
+    is the token publish_update would have built then.
     """
 
     def __init__(self, f: OneWayFunction) -> None:
@@ -75,7 +86,7 @@ class CrsAuthority:
         self._secrets: dict[int, CrsSecret] = {}
         self._lifetimes: dict[int, int] = {}
         self._period_length: dict[int, int] = {}
-        self._revoked: set[int] = set()
+        self._revoked: dict[int, int] = {}  # serial -> order of its revocation
 
     def setup(self, serial: int, lifetime_periods: int, period_length: int, rng) -> tuple[CrsAnchor, CrsSecret]:
         """Create the two private seeds for a certificate and publish their anchors."""
@@ -86,20 +97,14 @@ class CrsAuthority:
         f = self.f
         y0 = f.random_value(rng)
         n0 = f.random_value(rng)
-        width = f.width_bytes
-        chain = bytearray((lifetime_periods + 1) * width)
-        chain[0:width] = y0
-        cur = y0
-        for j in range(1, lifetime_periods + 1):
-            cur = f.apply(cur)
-            chain[j * width : (j + 1) * width] = cur
+        chain = f.chain(y0, lifetime_periods)
         secret = CrsSecret(serial=serial, y0=y0, n0=n0)
-        self._chains[serial] = bytes(chain)
+        self._chains[serial] = chain
         self._secrets[serial] = secret
         self._lifetimes[serial] = lifetime_periods
         self._period_length[serial] = period_length
         anchor = CrsAnchor(
-            y=cur,  # F^L(Y0)
+            y=chain[-f.width_bytes :],  # F^L(Y0)
             n=f.apply(n0),
             lifetime_periods=lifetime_periods,
             period_length=period_length,
@@ -109,10 +114,15 @@ class CrsAuthority:
     def revoke(self, serial: int) -> None:
         if serial not in self._secrets:
             raise KeyError(f"serial {serial} unknown to CRS authority")
-        self._revoked.add(serial)
+        self._revoked.setdefault(serial, len(self._revoked))
 
     def is_revoked(self, serial: int) -> bool:
         return serial in self._revoked
+
+    @property
+    def revocation_count(self) -> int:
+        """Revocations so far; the as_of cutoff that freezes today's state."""
+        return len(self._revoked)
 
     def lifetime(self, serial: int) -> int:
         return self._lifetimes[serial]
@@ -122,18 +132,21 @@ class CrsAuthority:
         width = self.f.width_bytes
         return self._chains[serial][j * width : (j + 1) * width]
 
-    def issue_token(self, serial: int, period: int) -> CrsToken:
+    def issue_token(self, serial: int, period: int, as_of: Optional[int] = None) -> CrsToken:
         """Day-i statement: Y_i = F^(L-i)(Y0) while good, N0 once revoked.
 
         Revocation is permanent: every period at or after the revocation
-        publishes the same N0.
+        publishes the same N0. With as_of, only the first as_of revocations
+        count, so a token built late matches one built when revocation_count
+        was as_of.
         """
         if serial not in self._secrets:
             raise KeyError(f"serial {serial} unknown to CRS authority")
         lifetime = self._lifetimes[serial]
         if not 1 <= period <= lifetime:
             raise ValueError(f"period {period} outside 1..{lifetime}")
-        if serial in self._revoked:
+        order = self._revoked.get(serial)
+        if order is not None and (as_of is None or order < as_of):
             return CrsToken(
                 serial=serial,
                 kind=CrsTokenKind.REVOKED,
@@ -152,7 +165,8 @@ class CrsAuthority:
 
         periods maps serial -> that certificate's elapsed-period index;
         entries past their lifetime are dropped (expired certificates get no
-        statements).
+        statements). The simulator's directory does not build the whole
+        update; it builds each fetched token with issue_token(as_of=...).
         """
         out = []
         for serial in sorted(periods):

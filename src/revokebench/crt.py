@@ -91,24 +91,30 @@ class CrtProof:
 
 
 def parse_proof(data: bytes) -> CrtProof:
-    lo = int.from_bytes(data[0:8], "big")
-    hi = int.from_bytes(data[8:16], "big")
-    leaf_index = int.from_bytes(data[16:20], "big")
-    count = data[20]
-    pos = 21
+    """Decode CrtProof.to_bytes(); a truncated or over-long proof raises ValueError."""
+    pos = 0
+
+    def take(n: int) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise ValueError(f"proof truncated: needs {pos + n} bytes, has {len(data)}")
+        pos += n
+        return data[pos - n : pos]
+
+    lo = int.from_bytes(take(8), "big")
+    hi = int.from_bytes(take(8), "big")
+    leaf_index = int.from_bytes(take(4), "big")
+    count = take(1)[0]
     siblings = []
     for _ in range(count):
-        siblings.append((data[pos : pos + 32], data[pos + 32]))
-        pos += 33
-    root = data[pos : pos + 32]
-    issued_at = int.from_bytes(data[pos + 32 : pos + 40], "big")
-    next_update = int.from_bytes(data[pos + 40 : pos + 48], "big")
-    pos += 48
-    key_len = int.from_bytes(data[pos : pos + 4], "big")
-    key_id = data[pos + 4 : pos + 4 + key_len].decode("utf-8")
-    pos += 4 + key_len
-    mac_len = int.from_bytes(data[pos : pos + 4], "big")
-    mac = data[pos + 4 : pos + 4 + mac_len]
+        siblings.append((take(32), take(1)[0]))
+    root = take(32)
+    issued_at = int.from_bytes(take(8), "big")
+    next_update = int.from_bytes(take(8), "big")
+    key_id = take(int.from_bytes(take(4), "big")).decode("utf-8")
+    mac = take(int.from_bytes(take(4), "big"))
+    if pos != len(data):
+        raise ValueError(f"proof has {len(data) - pos} trailing bytes")
     return CrtProof(
         leaf=CrtLeaf(lo, hi),
         leaf_index=leaf_index,

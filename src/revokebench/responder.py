@@ -214,6 +214,13 @@ def accept_cached(
     return keystore.verify(response.signed_payload(), response.signature, response.responder_key_id)
 
 
+_STATUS_FIELD = {status: pack_str(status.value) for status in OcspStatus}
+
+
+def _statement_payload(serial: int, status: OcspStatus, period: bytes) -> bytes:
+    return pack_u64(serial) + _STATUS_FIELD[status] + period
+
+
 @dataclass(frozen=True)
 class SignedStatusStatement:
     """Naive baseline: one signed statement per non-expired certificate per
@@ -226,14 +233,15 @@ class SignedStatusStatement:
     signature: Signature
 
     def signed_payload(self) -> bytes:
-        return pack_u64(self.serial) + pack_str(self.status.value) + pack_u32(self.period_index)
+        return _statement_payload(self.serial, self.status, pack_u32(self.period_index))
 
     def to_bytes(self) -> bytes:
         return self.signed_payload() + self.signature.to_bytes()
 
-    @cached_property
+    @property
     def wire_size(self) -> int:
-        return len(self.to_bytes())
+        # serial, status, period_index, then the signature
+        return 8 + len(_STATUS_FIELD[self.status]) + 4 + self.signature.wire_size
 
 
 def publish_statements(
@@ -243,11 +251,13 @@ def publish_statements(
     keystore: KeyStore,
     key_id: str,
 ) -> list[SignedStatusStatement]:
+    """Sign one statement per non-expired certificate; each payload is
+    encoded once, for its signature."""
+    period = pack_u32(period_index)
     out = []
     for serial in ledger.non_expired_serials(now):
         status = OcspStatus.REVOKED if ledger.is_revoked(serial, now) else OcspStatus.GOOD
-        unsigned = SignedStatusStatement(serial, status, period_index, Signature(key_id, b""))
-        sig = keystore.sign(unsigned.signed_payload(), key_id)
+        sig = keystore.sign(_statement_payload(serial, status, period), key_id)
         out.append(SignedStatusStatement(serial, status, period_index, sig))
     return out
 

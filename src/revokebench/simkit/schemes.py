@@ -8,6 +8,7 @@ moves bytes, counts them, and caches.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
 from .. import crs as crs_mod
@@ -411,6 +412,16 @@ class SegmentedAdapter(SchemeAdapter):
 # ---------------------------------------------------------------------------
 
 class CrsAdapter(SchemeAdapter):
+    """Chain tokens served from a per-period view of the authority.
+
+    A publication records only the period's grid index and the authority's
+    revocation count. The directory then builds a token when a client
+    fetches it, as of that count, so it is the token an eager publish_update
+    would have pushed: a revocation after the publication shows from the
+    next period on. Pushed bytes are still one token per certificate within
+    its lifetime.
+    """
+
     name = "crs"
 
     def __init__(self, sim) -> None:
@@ -419,16 +430,16 @@ class CrsAdapter(SchemeAdapter):
         self.period = self.config.crs_period
         self.lifetime = self.config.crs_lifetime_periods
         self.issue_grid: dict[int, int] = {}
-        self.live: list[int] = []
-        self.tokens: dict[int, crs_mod.CrsToken] = {}
-        self.directory_period = -1
+        self.grids: list[int] = []  # issue grid per certificate, in issue order
+        self.snapshot: Optional[tuple[int, int]] = None  # (grid, revocation count)
         self.token_bytes = crs_mod.token_wire_size(sim.f_ca)
         self.cache: dict[int, dict[int, tuple[crs_mod.CrsToken, int]]] = {}
 
     def anchor_for(self, serial: int, now: int) -> Optional[CrsAnchor]:
         anchor, _ = self.authority.setup(serial, self.lifetime, self.period, self.sim.rng_scheme)
-        self.issue_grid[serial] = now // self.period
-        self.live.append(serial)
+        grid = now // self.period
+        self.issue_grid[serial] = grid
+        self.grids.append(grid)  # issues arrive in time order, so this stays sorted
         return anchor
 
     def on_revoke(self, serial: int, now: int) -> None:
@@ -439,16 +450,16 @@ class CrsAdapter(SchemeAdapter):
 
     def on_publish(self, now: int, tag: str) -> None:
         grid = now // self.period
-        periods = {}
-        for serial in self.live:
-            p = grid - self.issue_grid[serial]
-            if 1 <= p <= self.lifetime:
-                periods[serial] = p
-        tokens = self.authority.publish_update(periods)
-        self.tokens = {t.serial: t for t in tokens}
-        self.directory_period = grid
+        self.snapshot = (grid, self.authority.revocation_count)
+        # certificates with 1 <= grid - issue_grid <= lifetime
+        live = bisect_right(self.grids, grid - 1) - bisect_left(self.grids, grid - self.lifetime)
         self.metrics.note_publication("crs_update")
-        self.ca_push(len(tokens) * self.token_bytes)
+        self.ca_push(live * self.token_bytes)
+
+    def directory_token(self, serial: int) -> crs_mod.CrsToken:
+        """The serial's token in the last published period."""
+        grid, cutoff = self.snapshot
+        return self.authority.issue_token(serial, grid - self.issue_grid[serial], as_of=cutoff)
 
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
         grid = now // self.period
@@ -460,7 +471,7 @@ class CrsAdapter(SchemeAdapter):
         slot = self.cache.setdefault(client, {})
         hit = slot.get(serial)
         if hit is None or hit[1] != grid:
-            token = self.tokens[serial]
+            token = self.directory_token(serial)
             self.dir_fetch(now, self.token_bytes)
             d2c += self.token_bytes
             slot[serial] = (token, grid)

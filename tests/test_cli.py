@@ -161,6 +161,23 @@ class TestCrtCommands:
         )
         assert code == 1
 
+    def test_truncated_proof_is_usage_error(self, workdir, keystore_file, capsys):
+        revoked_file = workdir / "revoked.json"
+        revoked_file.write_text(json.dumps([5, 11]))
+        tree = workdir / "tree.json"
+        invoke("crt-build", "--keystore", keystore_file, "--revoked", revoked_file,
+               "--now", 0, "--out", tree)
+        proof = workdir / "proof.bin"
+        invoke("crt-prove", "--keystore", keystore_file, "--tree", tree,
+               "--serial", 9, "--out", proof)
+        data = proof.read_bytes()
+        for bad in (data[:30], data[:-1], data + b"\x00"):
+            proof.write_bytes(bad)
+            code = invoke("crt-verify", "--keystore", keystore_file, "--proof", proof,
+                          "--serial", 9, "--now", 100)
+            assert code == 2
+            assert capsys.readouterr().err.startswith("error: proof")
+
 
 class TestCrsCommands:
     def test_token_lifecycle_and_stale_rejection(self, workdir, capsys):
@@ -196,6 +213,20 @@ class TestCrsCommands:
         capsys.readouterr()
         assert invoke("crs-verify", "--anchor", anchor, "--token", token, "--period", 5) == 0
         assert capsys.readouterr().out.strip() == "revoked"
+
+    def test_unknown_kind_byte_is_usage_error(self, workdir, capsys):
+        state = workdir / "crs.json"
+        anchor = workdir / "anchor.json"
+        token = workdir / "token.bin"
+        invoke("crs-setup", "--state", state, "--serial", 7, "--periods", 10,
+               "--period-length", DAY, "--anchor-out", anchor, "--seed", 3)
+        invoke("crs-token", "--state", state, "--serial", 7, "--period", 4, "--out", token)
+        data = bytearray(token.read_bytes())
+        data[8] = 2  # neither VALID (1) nor REVOKED (0)
+        token.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert invoke("crs-verify", "--anchor", anchor, "--token", token, "--period", 4) == 2
+        assert "unknown token kind" in capsys.readouterr().err
 
 
 class TestOcspCommand:

@@ -53,6 +53,10 @@ class TestSignatures:
         with pytest.raises(UnknownKeyError):
             keystore.verify(b"x", Signature("nope", b""), "nope")
 
+    def test_wire_size_is_encoded_length(self, keystore):
+        for sig in (keystore.sign(b"x", "ca"), Signature("clé-ü", b"\x01" * 7), Signature("", b"")):
+            assert sig.wire_size == len(sig.to_bytes())
+
     def test_soundness_thousand_flips(self, keystore, rng):
         for _ in range(1000):
             msg = rng.getrandbits(256).to_bytes(32, "big")
@@ -109,6 +113,39 @@ class TestOneWayFunction:
         f = OneWayFunction()
         x = f.random_value(random.Random(seed))
         assert f.iterate(x, a + b) == f.iterate(f.iterate(x, b), a)
+
+
+class TestChain:
+    @pytest.mark.parametrize("width", [8, 100, 160, 256])
+    def test_equals_repeated_apply(self, rng, width):
+        f = OneWayFunction(width)
+        x = f.random_value(rng)
+        expected = [x]
+        for _ in range(40):
+            expected.append(f.apply(expected[-1]))
+        assert f.chain(x, 40) == b"".join(expected)
+        assert f.chain(x, 40)[-f.width_bytes :] == f.iterate(x, 40) == naive_F(x, 40, width)
+
+    def test_zero_steps_is_the_input(self, rng):
+        f = OneWayFunction()
+        x = f.random_value(rng)
+        assert f.chain(x, 0) == x
+        assert f.apply_count == 0
+
+    def test_counts_exactly_n_applications(self, rng):
+        f = OneWayFunction()
+        x = f.random_value(rng)
+        f.chain(x, 365)
+        assert f.apply_count == 365
+
+    def test_bad_width_rejected_without_counting(self):
+        f = OneWayFunction()
+        for bad in (b"\x00" * 12, b"\xff" * 13):
+            with pytest.raises(WidthError):
+                f.chain(bad, 5)
+        with pytest.raises(ValueError):
+            f.chain(b"\x00" * 13, -1)
+        assert f.apply_count == 0
 
 
 class TestCertificates:

@@ -40,6 +40,12 @@ def authority(f):
 
 
 class TestSetup:
+    def test_chain_costs_lifetime_plus_one_applications(self, authority, f, rng):
+        anchor, secret = authority.setup(1, 365, 86400, rng)
+        assert f.apply_count == 365 + 1  # the Y chain, then N = F(N0)
+        assert authority.chain_value(1, 365) == anchor.y
+        assert authority.chain_value(1, 0) == secret.y0
+
     def test_single_period_chain(self, authority, f, rng):
         anchor, secret = authority.setup(1, 1, 86400, rng)
         assert anchor.y == f.apply(secret.y0)
@@ -171,6 +177,43 @@ class TestPublishUpdate:
         assert [t.serial for t in tokens] == [2]
 
 
+class TestAsOf:
+    def test_cutoff_counts_only_earlier_revocations(self, authority, rng):
+        for serial in range(1, 5):
+            authority.setup(serial, 10, 86400, rng)
+        before = authority.revocation_count
+        authority.revoke(2)
+        after_first = authority.revocation_count
+        authority.revoke(4)
+        authority.revoke(2)  # repeating a revocation keeps its place
+        assert (before, after_first, authority.revocation_count) == (0, 1, 2)
+        assert authority.issue_token(2, 3, as_of=before).kind is CrsTokenKind.VALID
+        assert authority.issue_token(2, 3, as_of=after_first).kind is CrsTokenKind.REVOKED
+        assert authority.issue_token(4, 3, as_of=after_first).kind is CrsTokenKind.VALID
+        assert authority.issue_token(4, 3).kind is CrsTokenKind.REVOKED
+        for cutoff in (0, 1, 2, None):
+            assert authority.issue_token(1, 3, as_of=cutoff).kind is CrsTokenKind.VALID
+
+    def test_late_tokens_equal_eager_updates(self, authority, rng):
+        """Oracle: each period's eager publish_update. Tokens built after every
+        revocation has happened, as_of that period's count, must equal it."""
+        serials = list(range(1, 21))
+        for serial in serials:
+            authority.setup(serial, 12, 86400, rng)
+        pending = serials[:]
+        rng.shuffle(pending)
+        snapshots = []
+        for period in range(1, 13):
+            for _ in range(rng.randrange(3)):
+                if pending:
+                    authority.revoke(pending.pop())
+            eager = authority.publish_update({s: period for s in serials})
+            snapshots.append((period, authority.revocation_count, eager))
+        for period, cutoff, eager in snapshots:
+            assert [authority.issue_token(s, period, as_of=cutoff) for s in serials] == eager
+        assert any(t.kind is CrsTokenKind.REVOKED for t in snapshots[-1][2])
+
+
 class TestWire:
     def test_round_trip(self, authority, f, rng):
         authority.setup(1, 10, 86400, rng)
@@ -182,6 +225,16 @@ class TestWire:
     def test_wrong_length_rejected(self, f):
         with pytest.raises(ValueError):
             parse_token(b"\x00" * 10, f)
+
+    def test_kind_bytes(self, authority, f, rng):
+        authority.setup(1, 10, 86400, rng)
+        data = bytearray(authority.issue_token(1, 3).to_bytes())
+        data[8] = 0
+        assert parse_token(bytes(data), f).kind is CrsTokenKind.REVOKED
+        for junk in (2, 0x80, 0xFF):
+            data[8] = junk
+            with pytest.raises(ValueError):
+                parse_token(bytes(data), f)
 
 
 def test_verification_is_pure(authority, f, rng):

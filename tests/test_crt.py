@@ -187,3 +187,12 @@ class TestWire:
         assert crt_verify(parsed, 512, keystore, "ca", 0) == crt_verify(
             proof, 512, keystore, "ca", 0
         )
+
+    def test_every_truncation_and_extension_rejected(self, keystore, rng):
+        tree = build(keystore, sorted(rng.sample(range(1, 1000), 23)))
+        data = crt_prove(tree, 512).to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(ValueError):
+                parse_proof(data[:cut])
+        with pytest.raises(ValueError):
+            parse_proof(data + b"\x00")

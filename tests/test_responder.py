@@ -162,6 +162,15 @@ class TestStatements:
         assert client_checks(3) == "good"
         assert client_checks(2) == "withheld"
 
+    def test_one_encoding_per_statement(self, keystore, ledger):
+        before = keystore.sign_count
+        statements = publish_statements(ledger, 7, 1000, keystore, "ca")
+        assert keystore.sign_count - before == len(statements)
+        assert {s.status for s in statements} == {OcspStatus.GOOD, OcspStatus.REVOKED}
+        for s in statements:
+            assert s.wire_size == len(s.to_bytes())
+            assert verify_statement(s, keystore, "ca", 7)
+
     def test_stale_period_rejected(self, keystore, ledger):
         statements = publish_statements(ledger, 1, 1000, keystore, "ca")
         assert not verify_statement(statements[0], keystore, "ca", expected_period=2)

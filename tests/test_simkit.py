@@ -7,7 +7,7 @@ import pytest
 
 from revokebench.core import DAY, HOUR, OneWayFunction, RevocationRecord
 from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
-from revokebench.crs import token_wire_size
+from revokebench.crs import CrsTokenKind, token_wire_size
 from revokebench.crt import crt_build, crt_prove
 from revokebench.simkit import (
     ConfigError,
@@ -17,9 +17,11 @@ from revokebench.simkit import (
     comparison_csv,
     generate_workload,
     run,
+    run_with_logs,
     schedule_staggered_fetch,
+    Simulation,
 )
-from revokebench.simkit.schemes import _SlidingClient
+from revokebench.simkit.schemes import CrsAdapter, _SlidingClient
 
 
 def cfg(**kwargs):
@@ -289,3 +291,85 @@ class TestSchemesBehave:
         assert report.overlay.get("missed", 0) == 0
         assert report.overlay["catchup_messages"] > 0  # node 7 replayed its gap
         assert report.conservation_delta() == 0
+
+
+class EagerCrsAdapter(CrsAdapter):
+    """Reference directory: every token of the period built at publication."""
+
+    def on_publish(self, now: int, tag: str) -> None:
+        grid = now // self.period
+        tokens = self.authority.publish_update(
+            {serial: grid - g for serial, g in self.issue_grid.items()}
+        )
+        self.tokens = {t.serial: t for t in tokens}
+        self.metrics.note_publication("crs_update")
+        self.ca_push(len(tokens) * self.token_bytes)
+
+    def directory_token(self, serial: int):
+        return self.tokens[serial]
+
+
+def crs_cfg(**kwargs):
+    """Small and revocation-heavy, with new certificates arriving mid-run."""
+    kwargs.setdefault("crs_lifetime_periods", 30)
+    return cfg(
+        scheme=Scheme.CRS,
+        population=40,
+        annual_revocation_fraction=20.0,
+        annual_new_user_fraction=5.0,
+        validation_rate=6.0,
+        **kwargs,
+    )
+
+
+class TestCrsDirectory:
+    def test_fetch_time_tokens_match_eager_reference(self):
+        config = crs_cfg()
+        workload = generate_workload(config)
+        revoked_at = {serial: t for t, serial in workload.revocations}
+        # A revocation after a day's publication, then a validation of that
+        # serial later the same day: the published view must still say valid.
+        assert any(
+            serial in revoked_at
+            and revoked_at[serial] % DAY > 0
+            and revoked_at[serial] < t
+            and revoked_at[serial] // DAY == t // DAY
+            for t, _, serial in workload.validations
+        )
+        lazy, lazy_actions, lazy_decisions = run_with_logs(config)
+        eager, eager_actions, eager_decisions = run_with_logs(
+            config, adapter_factory=EagerCrsAdapter
+        )
+        assert lazy.to_json() == eager.to_json()
+        assert lazy_decisions == eager_decisions
+        assert lazy_actions == eager_actions
+        assert lazy.false_valid > 0 and lazy.false_revocation == 0
+
+    def test_pushed_bytes_skip_certificates_past_their_lifetime(self):
+        config = crs_cfg(n_clients=0, crs_lifetime_periods=3)
+        lazy = run(config)
+        eager = Simulation(config, adapter_factory=EagerCrsAdapter).run()
+        assert lazy.to_json() == eager.to_json()
+        issued = len(generate_workload(config).issues)
+        full = lazy.publications["crs_update"] * issued * token_wire_size(OneWayFunction(100))
+        assert 0 < lazy.bytes_sent["ca_to_directory"] < full
+
+    def test_directory_never_serves_n0_for_a_good_certificate(self):
+        served = []
+
+        class Recording(CrsAdapter):
+            def directory_token(self, serial):
+                token = super().directory_token(serial)
+                served.append((serial, token, self.snapshot[0] * self.period))
+                return token
+
+        sim = Simulation(crs_cfg(), adapter_factory=Recording)
+        sim.run()
+        for serial, token, published_at in served:
+            revoked_at = sim.ledger.revoked_at(serial)
+            if token.kind is CrsTokenKind.REVOKED:
+                assert sim.adapter.authority.is_revoked(serial)
+                assert revoked_at <= published_at
+            else:
+                assert revoked_at is None or revoked_at > published_at
+        assert {token.kind for _, token, _ in served} == set(CrsTokenKind)
