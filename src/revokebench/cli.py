@@ -19,7 +19,7 @@ from . import crs as crs_mod
 from . import crt as crt_mod
 from . import responder as resp_mod
 from . import simkit
-from .core import DAY, HOUR, KeyStore, Ledger, OneWayFunction, ReasonCode, RevocationRecord
+from .core import DAY, HOUR, KeyStore, Ledger, OneWayFunction, ReasonCode
 from .crl import CrlDocument, CrlIssuer, CrlStatus, IssuanceSchedule, check_status
 
 EXIT_OK = 0
@@ -75,10 +75,6 @@ def load_ledger(path: str, keystore: KeyStore, key_id: str) -> Ledger:
     return ledger
 
 
-def _records(ledger: Ledger, now: int) -> list[RevocationRecord]:
-    return ledger.revoked_non_expired(now)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -105,9 +101,9 @@ def cmd_crl_issue(args) -> int:
     )
     issuer = CrlIssuer(ks, args.key, schedule)
     if args.kind == "full":
-        doc = issuer.issue_full(_records(ledger, args.now), args.now)
+        doc = issuer.issue_full(ledger.revoked_non_expired(args.now), args.now)
     else:
-        doc = issuer.issue_sliding_delta(_records(ledger, args.now), args.now)
+        doc = issuer.issue_sliding_delta(ledger.revoked_non_expired(args.now), args.now)
     Path(args.out).write_bytes(doc.to_bytes())
     _write_json(args.out + ".json", doc.to_json_dict())
     print(
@@ -131,7 +127,7 @@ def _load_crs_state(path: str) -> tuple[OneWayFunction, crs_mod.CrsAuthority, di
     authority = crs_mod.CrsAuthority(f)
     for serial_str, entry in data.get("serials", {}).items():
         serial = int(serial_str)
-        rng = _FixedSeeds(bytes.fromhex(entry["y0"]), bytes.fromhex(entry["n0"]), f)
+        rng = _FixedSeeds(bytes.fromhex(entry["y0"]), bytes.fromhex(entry["n0"]))
         authority.setup(serial, entry["lifetime_periods"], entry["period_length"], rng)
         if entry.get("revoked"):
             authority.revoke(serial)
@@ -141,9 +137,8 @@ def _load_crs_state(path: str) -> tuple[OneWayFunction, crs_mod.CrsAuthority, di
 class _FixedSeeds:
     """rng stand-in replaying stored chain seeds when reloading CA state."""
 
-    def __init__(self, y0: bytes, n0: bytes, f: OneWayFunction) -> None:
+    def __init__(self, y0: bytes, n0: bytes) -> None:
         self._values = [y0, n0]
-        self._f = f
 
     def getrandbits(self, bits: int) -> int:
         return int.from_bytes(self._values.pop(0), "big")
@@ -336,21 +331,15 @@ def cmd_sim(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.preset:
-        if args.preset != "paper-tradeoffs":
-            raise InputError(f"unknown preset {args.preset!r}")
-        configs = _tradeoff_preset(args.seed if args.seed is not None else 42)
-        results = simkit.compare(configs)
-        (out_dir / "comparison.csv").write_text(simkit.comparison_csv(results))
-        for config, report in results:
-            (out_dir / f"report_{config.scheme.value}.json").write_text(report.to_json() + "\n")
-        print((out_dir / "comparison.csv").read_text().rstrip())
-        return EXIT_OK
-
-    if args.compare:
-        configs = [simkit.SimConfig.from_json_dict(_read_json(p)) for p in args.compare]
-        if args.seed is not None:
-            configs = [c.with_seed(args.seed) for c in configs]
+    if args.preset or args.compare:
+        if args.preset:
+            if args.preset != "paper-tradeoffs":
+                raise InputError(f"unknown preset {args.preset!r}")
+            configs = _tradeoff_preset(args.seed if args.seed is not None else 42)
+        else:
+            configs = [simkit.SimConfig.from_json_dict(_read_json(p)) for p in args.compare]
+            if args.seed is not None:
+                configs = [c.with_seed(args.seed) for c in configs]
         results = simkit.compare(configs)
         (out_dir / "comparison.csv").write_text(simkit.comparison_csv(results))
         for config, report in results:

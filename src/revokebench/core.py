@@ -13,7 +13,7 @@ import hmac
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 # Serial numbers are unsigned 64-bit integers. 0 and 2**64-1 are reserved as
 # the tree sentinels; real serials live strictly between them.
@@ -127,9 +127,6 @@ class KeyStore:
         """Register a fresh key drawn from the given rng (seedable for tests)."""
         self.register(key_id, rng.getrandbits(256).to_bytes(32, "big"))
 
-    def key_ids(self) -> list[str]:
-        return sorted(self._keys)
-
     def sign(self, message: bytes, key_id: str) -> Signature:
         if key_id not in self._keys:
             raise UnknownKeyError(key_id)
@@ -146,14 +143,6 @@ class KeyStore:
             return False
         expected = hmac.new(self._keys[key_id], message, hashlib.sha256).digest()
         return hmac.compare_digest(expected, signature.mac)
-
-
-def sign(message: bytes, keystore: KeyStore, key_id: str) -> Signature:
-    return keystore.sign(message, key_id)
-
-
-def verify(message: bytes, signature: Signature, keystore: KeyStore, key_id: str) -> bool:
-    return keystore.verify(message, signature, key_id)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +375,3 @@ class Ledger:
         ]
         out.sort(key=lambda r: r.serial)
         return out
-
-
-def sorted_unique_serials(serials: Iterable[int]) -> list[int]:
-    out = sorted(set(serials))
-    for s in out:
-        check_serial(s)
-    return out

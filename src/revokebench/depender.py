@@ -62,9 +62,6 @@ class DependerGraph:
     layers: list[list[int]]
     next_sequence: int = 0
 
-    def live_non_root(self, failed: set[int]) -> list[int]:
-        return [n for n in self.nodes if n != self.root and n not in failed]
-
 
 def build_graph(n: int, k: int, rng) -> DependerGraph:
     """Layered construction: each new node joins the shallowest layer where it

@@ -191,7 +191,6 @@ class Simulation:
                     crs_anchor=anchor,
                 )
                 ledger.add_certificate(cert)
-                adapter.on_issue(serial, t)
             elif kind == "revoke":
                 ledger.revoke(payload, t)
                 self.revoked_count += 1

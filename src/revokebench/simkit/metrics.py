@@ -1,7 +1,10 @@
 """Measurement accumulation and the final report.
 
 Bytes are double-entry: the sending side and the receiving side of every
-message are recorded at their own call sites and must reconcile exactly.
+message are recorded, and must reconcile exactly. Today both sides are
+recorded by the one transport routine, SchemeAdapter.transfer, with the same
+number, so conservation holds by construction; it becomes a real check once
+the encoder's side and the decoder's side are measured apart.
 Request rates are bucketed per interval; peak/mean statistics can exclude a
 configurable warm-up so steady-state claims are not dominated by the cold
 start every scheme shares.

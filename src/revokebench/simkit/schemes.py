@@ -22,6 +22,7 @@ from ..crl import (
     CrlKind,
     CrlStatus,
     IssuanceSchedule,
+    RedirectTable,
     check_status,
     make_redirect_table,
     resolve_segment,
@@ -51,9 +52,6 @@ class SchemeAdapter:
     def anchor_for(self, serial: int, now: int) -> Optional[CrsAnchor]:
         return None
 
-    def on_issue(self, serial: int, now: int) -> None:
-        pass
-
     def on_revoke(self, serial: int, now: int) -> None:
         pass
 
@@ -68,27 +66,47 @@ class SchemeAdapter:
 
     # -- transport helpers ----------------------------------------------------
 
+    def transfer(self, channel: str, nbytes: int) -> None:
+        """The one way bytes move between actors: both sides record them."""
+        self.metrics.note_sent(channel, nbytes)
+        self.metrics.note_received(channel, nbytes)
+
     def ca_push(self, nbytes: int) -> None:
-        self.metrics.note_sent("ca_to_directory", nbytes)
-        self.metrics.note_received("ca_to_directory", nbytes)
+        self.transfer("ca_to_directory", nbytes)
         self.sim.overlay_push(nbytes)
 
-    def dir_fetch(self, now: int, nbytes: int) -> None:
-        """One client request to the directory answered with nbytes."""
+    def dir_fetch(self, now: int, nbytes: int, request: int = REQUEST_BYTES) -> None:
+        """One client request of `request` bytes answered by the directory with nbytes."""
         self.metrics.note_request(now)
-        self.metrics.note_sent("client_to_directory", REQUEST_BYTES)
-        self.metrics.note_received("client_to_directory", REQUEST_BYTES)
-        self.metrics.note_sent("directory_to_client", nbytes)
-        self.metrics.note_received("directory_to_client", nbytes)
+        self.transfer("client_to_directory", request)
+        self.transfer("directory_to_client", nbytes)
+
+    def fetch_doc(self, now: int, doc: CrlDocument | RedirectTable) -> int:
+        """Fetch one signed document from the directory and verify it; returns its size."""
+        self.dir_fetch(now, doc.wire_size)
+        self.metrics.note_sign("client_verify")
+        if isinstance(doc, CrlDocument) and doc.kind is CrlKind.FULL:
+            self.metrics.base_crl_fetches += 1
+        return doc.wire_size
+
+    def current_crl(
+        self, cache: dict[int, CrlDocument], client: int, now: int
+    ) -> tuple[CrlDocument, int]:
+        """The client's cached CRL while it covers `now`, else the adapter's
+        `current` CRL fetched into the cache. Returns the document and the
+        bytes fetched (0 on a cache hit)."""
+        doc = cache.get(client)
+        if doc is not None and doc.covers(now):
+            return doc, 0
+        doc = cache[client] = self.current
+        return doc, self.fetch_doc(now, doc)
 
     def fresh_fetch(self, serial: int, now: int) -> wcr_mod.FreshFetch:
         """Authoritative certificate/status query answered and signed by the CA."""
         cert = self.ledger.certificates[serial]
         nbytes = cert.wire_size + FRESH_STATUS_BYTES
-        self.metrics.note_sent("client_to_ca", REQUEST_BYTES)
-        self.metrics.note_received("client_to_ca", REQUEST_BYTES)
-        self.metrics.note_sent("ca_to_client", nbytes)
-        self.metrics.note_received("ca_to_client", nbytes)
+        self.transfer("client_to_ca", REQUEST_BYTES)
+        self.transfer("ca_to_client", nbytes)
         self.metrics.note_sign("ca_sign")
         self.metrics.note_sign("client_verify")
         revoked = self.ledger.is_revoked(serial, now)
@@ -97,6 +115,15 @@ class SchemeAdapter:
             certificate=None if revoked else cert,
             nbytes=nbytes,
         )
+
+    def fresh_decision(self, client: int, serial: int, now: int) -> bool:
+        """Fetch a fresh certificate, then drop it if revoked or else use it."""
+        fresh = self.fresh_fetch(serial, now)
+        verdict = wcr_mod.ACT_DROP if fresh.revoked else wcr_mod.ACT_USE
+        self.log_actions(
+            client, [(now, serial, wcr_mod.ACT_FRESH, fresh.nbytes), (now, serial, verdict, 0)]
+        )
+        return not fresh.revoked
 
     def log_actions(self, client: int, actions) -> None:
         if self.sim.action_log is not None:
@@ -139,26 +166,14 @@ class FullCrlAdapter(SchemeAdapter):
         self.metrics.note_publication("full_crl")
         self.ca_push(doc.wire_size)
 
-    def _fetch(self, client: int, now: int) -> int:
-        doc = self.current
-        self.dir_fetch(now, doc.wire_size)
-        self.metrics.note_sign("client_verify")
-        self.cache[client] = doc
-        self.metrics.base_crl_fetches += 1
-        return doc.wire_size
-
     def on_fetch(self, client: int, now: int) -> None:
         if self.current is not None:  # nothing published yet -> nothing to prefetch
-            self._fetch(client, now)
+            self.cache[client] = self.current
+            self.fetch_doc(now, self.current)
 
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
-        d2c = 0
-        cached = self.cache.get(client)
-        docs = [cached] if cached is not None else []
-        status = check_status(serial, docs, now, self.keystore, self.ca_key)
-        if status is CrlStatus.STALE_INFORMATION:
-            d2c += self._fetch(client, now)
-            status = check_status(serial, [self.cache[client]], now, self.keystore, self.ca_key)
+        doc, d2c = self.current_crl(self.cache, client, now)
+        status = check_status(serial, [doc], now, self.keystore, self.ca_key)
         return status is not CrlStatus.REVOKED, d2c
 
 
@@ -219,16 +234,11 @@ class DeltaCrlAdapter(SchemeAdapter):
         status = check_status(serial, docs(), now, self.keystore, self.ca_key)
         if status is CrlStatus.STALE_INFORMATION and self.delta is not None:
             slot["delta"] = self.delta
-            self.dir_fetch(now, self.delta.wire_size)
-            self.metrics.note_sign("client_verify")
-            d2c += self.delta.wire_size
+            d2c += self.fetch_doc(now, self.delta)
             status = check_status(serial, docs(), now, self.keystore, self.ca_key)
         if status is CrlStatus.STALE_INFORMATION:
             slot["base"] = self.base
-            self.dir_fetch(now, self.base.wire_size)
-            self.metrics.note_sign("client_verify")
-            self.metrics.base_crl_fetches += 1
-            d2c += self.base.wire_size
+            d2c += self.fetch_doc(now, self.base)
             status = check_status(serial, docs(), now, self.keystore, self.ca_key)
         return status is not CrlStatus.REVOKED, d2c
 
@@ -316,13 +326,6 @@ class SlidingDeltaAdapter(SchemeAdapter):
         self.metrics.note_sign("ca_sign")
         self.ca_push(doc.wire_size)
 
-    def _serve(self, doc: CrlDocument, now: int) -> int:
-        self.dir_fetch(now, doc.wire_size)
-        self.metrics.note_sign("client_verify")
-        if doc.kind is CrlKind.FULL:
-            self.metrics.base_crl_fetches += 1
-        return doc.wire_size
-
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
         state = self.clients.setdefault(client, _SlidingClient())
         d2c = 0
@@ -330,11 +333,11 @@ class SlidingDeltaAdapter(SchemeAdapter):
         if status is CrlStatus.STALE_INFORMATION:
             delta = self.delta if self.delta is not None and self.delta.covers(now) else None
             if delta is not None:
-                d2c += self._serve(delta, now)
+                d2c += self.fetch_doc(now, delta)
                 state.accept(delta)
             status = state.status(serial, now)
             if status is CrlStatus.STALE_INFORMATION:
-                d2c += self._serve(self.base, now)
+                d2c += self.fetch_doc(now, self.base)
                 state.accept(self.base)
                 if delta is not None:
                     state.accept(delta)  # fetched above; chains onto the new base
@@ -388,9 +391,7 @@ class SegmentedAdapter(SchemeAdapter):
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
         d2c = 0
         if client not in self.has_table:
-            self.dir_fetch(now, self.table.wire_size)
-            self.metrics.note_sign("client_verify")
-            d2c += self.table.wire_size
+            d2c += self.fetch_doc(now, self.table)
             self.has_table.add(client)
         seg = resolve_segment(serial, self.table)
         slot = self.cache.setdefault(client, {})
@@ -398,11 +399,8 @@ class SegmentedAdapter(SchemeAdapter):
         docs = [doc] if doc is not None else []
         status = check_status(serial, docs, now, self.keystore, self.ca_key, table=self.table)
         if status is CrlStatus.STALE_INFORMATION:
-            doc = self.segdocs[seg]
-            self.dir_fetch(now, doc.wire_size)
-            self.metrics.note_sign("client_verify")
-            d2c += doc.wire_size
-            slot[seg] = doc
+            doc = slot[seg] = self.segdocs[seg]
+            d2c += self.fetch_doc(now, doc)
             status = check_status(serial, [doc], now, self.keystore, self.ca_key, table=self.table)
         return status is not CrlStatus.REVOKED, d2c
 
@@ -554,24 +552,18 @@ class CrtAdapter(SchemeAdapter):
 # ---------------------------------------------------------------------------
 
 class _WcrServices:
-    """Per-client service endpoints backed by the simulated directory and CA."""
+    """One client's service endpoints backed by the simulated directory and CA."""
 
-    def __init__(self, adapter: "WcrAdapter") -> None:
+    def __init__(self, adapter: "WcrAdapter", client: int) -> None:
         self.adapter = adapter
-        self.cached: Optional[CrlDocument] = None
+        self.client = client
 
     def fetch_fresh_certificate(self, serial: int, now: int) -> wcr_mod.FreshFetch:
         return self.adapter.fresh_fetch(serial, now)
 
     def fetch_latest_crl(self, now: int) -> wcr_mod.CrlFetch:
-        if self.cached is not None and self.cached.covers(now):
-            return wcr_mod.CrlFetch(doc=self.cached, nbytes=0)
-        doc = self.adapter.current
-        self.cached = doc
-        self.adapter.dir_fetch(now, doc.wire_size)
-        self.adapter.metrics.note_sign("client_verify")
-        self.adapter.metrics.base_crl_fetches += 1
-        return wcr_mod.CrlFetch(doc=doc, nbytes=doc.wire_size)
+        doc, nbytes = self.adapter.current_crl(self.adapter.cache, self.client, now)
+        return wcr_mod.CrlFetch(doc=doc, nbytes=nbytes)
 
 
 class WcrAdapter(SchemeAdapter):
@@ -591,7 +583,7 @@ class WcrAdapter(SchemeAdapter):
             window_size=self.config.wcr_window_size,
         )
         self.current: Optional[CrlDocument] = None
-        self.services: dict[int, _WcrServices] = {}
+        self.cache: dict[int, CrlDocument] = {}
         self.states: dict[tuple[int, int], wcr_mod.WcrClientState] = {}
 
     def publish_events(self) -> list[tuple[int, str]]:
@@ -599,19 +591,18 @@ class WcrAdapter(SchemeAdapter):
 
     def on_publish(self, now: int, tag: str) -> None:
         self.current = self.issuer.issue(
-            self.ledger.revocations.values(), now // self.config.base_period, now
+            self.ledger.revoked_non_expired(now), now // self.config.base_period, now
         )
         self.metrics.note_sign("ca_sign")
         self.metrics.note_publication("wcr_crl")
         self.ca_push(self.current.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
-        services = self.services.setdefault(client, _WcrServices(self))
         state = self.states.get(
             (client, serial), wcr_mod.WcrClientState(serial=serial)
         )
         decision, new_state, actions = wcr_mod.wcr_validate(
-            state, now, services, self.client_config
+            state, now, _WcrServices(self, client), self.client_config
         )
         self.states[(client, serial)] = new_state
         self.log_actions(client, actions)
@@ -625,15 +616,7 @@ class AlwaysFreshAdapter(SchemeAdapter):
     name = "always_fresh"
 
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
-        fresh = self.fresh_fetch(serial, now)
-        actions = [(now, serial, wcr_mod.ACT_FRESH, fresh.nbytes)]
-        if fresh.revoked:
-            actions.append((now, serial, wcr_mod.ACT_DROP, 0))
-            self.log_actions(client, actions)
-            return False, 0
-        actions.append((now, serial, wcr_mod.ACT_USE, 0))
-        self.log_actions(client, actions)
-        return True, 0
+        return self.fresh_decision(client, serial, now), 0
 
 
 class PlainCrlBaselineAdapter(SchemeAdapter):
@@ -651,7 +634,7 @@ class PlainCrlBaselineAdapter(SchemeAdapter):
         )
         self.current: Optional[CrlDocument] = None
         self.held: set[tuple[int, int]] = set()
-        self.cached: dict[int, CrlDocument] = {}
+        self.cache: dict[int, CrlDocument] = {}
 
     def publish_events(self) -> list[tuple[int, str]]:
         return _base_grid(self.config.horizon, self.config.base_period)
@@ -663,36 +646,19 @@ class PlainCrlBaselineAdapter(SchemeAdapter):
         self.ca_push(self.current.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
-        actions = []
-        d2c = 0
         if (client, serial) not in self.held:
-            fresh = self.fresh_fetch(serial, now)
-            actions.append((now, serial, wcr_mod.ACT_FRESH, fresh.nbytes))
-            if fresh.revoked:
-                actions.append((now, serial, wcr_mod.ACT_DROP, 0))
-                self.log_actions(client, actions)
-                return False, 0
-            self.held.add((client, serial))
-            actions.append((now, serial, wcr_mod.ACT_USE, 0))
-            self.log_actions(client, actions)
-            return True, 0
-        doc = self.cached.get(client)
-        if doc is None or not doc.covers(now):
-            doc = self.current
-            self.cached[client] = doc
-            self.dir_fetch(now, doc.wire_size)
-            self.metrics.note_sign("client_verify")
-            self.metrics.base_crl_fetches += 1
-            d2c += doc.wire_size
-            actions.append((now, serial, wcr_mod.ACT_CRL, doc.wire_size))
-        if doc.lists(serial):
+            used = self.fresh_decision(client, serial, now)
+            if used:
+                self.held.add((client, serial))
+            return used, 0
+        doc, d2c = self.current_crl(self.cache, client, now)
+        actions = [(now, serial, wcr_mod.ACT_CRL, d2c)] if d2c else []
+        revoked = doc.lists(serial)
+        if revoked:
             self.held.discard((client, serial))
-            actions.append((now, serial, wcr_mod.ACT_DROP, 0))
-            self.log_actions(client, actions)
-            return False, d2c
-        actions.append((now, serial, wcr_mod.ACT_USE, 0))
+        actions.append((now, serial, wcr_mod.ACT_DROP if revoked else wcr_mod.ACT_USE, 0))
         self.log_actions(client, actions)
-        return True, d2c
+        return not revoked, d2c
 
 
 # ---------------------------------------------------------------------------
@@ -730,11 +696,7 @@ class OcspAdapter(SchemeAdapter):
                 return hit.status is not resp_mod.OcspStatus.REVOKED, 0
         request = resp_mod.make_request(serial, now, self.sim.rng_nonce)
         response = self.responder.respond(request)
-        self.metrics.note_request(now)
-        self.metrics.note_sent("client_to_directory", request.wire_size)
-        self.metrics.note_received("client_to_directory", request.wire_size)
-        self.metrics.note_sent("directory_to_client", response.wire_size)
-        self.metrics.note_received("directory_to_client", response.wire_size)
+        self.dir_fetch(now, response.wire_size, request=request.wire_size)
         self.metrics.note_sign("responder_sign")
         if not resp_mod.verify_response(response, request, self.keystore, self.chain):
             raise AssertionError("genuine responder answer failed verification")

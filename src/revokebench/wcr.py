@@ -158,32 +158,22 @@ def wcr_validate(
 ) -> tuple[WcrDecision, WcrClientState, list[Action]]:
     """One pass of the verifier cache algorithm for one certificate.
 
-    No certificate -> fetch fresh and arm both timers. Clean timer running ->
-    use without revalidating. Both timers expired -> fetch fresh again. Clean
-    expired inside the revocation window -> the latest CRL is still
-    guaranteed to list anything missed, so consult it (cached copy if
-    current), drop if listed, otherwise re-arm and use.
+    Clean timer running -> use without revalidating. No certificate, or both
+    timers expired -> fetch fresh and arm both timers. Clean expired inside
+    the revocation window -> the latest CRL is still guaranteed to list
+    anything missed, so consult it (cached copy if current), drop if listed,
+    otherwise re-arm and use.
 
     Fetch failures raise WcrFetchError before any state change.
     """
     actions: list[Action] = []
-    grid = (now // config.crl_period) * config.crl_period
 
-    if state.certificate is None:
-        fresh = services.fetch_fresh_certificate(state.serial, now)
-        actions.append((now, state.serial, ACT_FRESH, fresh.nbytes))
-        if fresh.revoked:
-            actions.append((now, state.serial, ACT_DROP, 0))
-            return WcrDecision.DROP, _dropped(state), actions
-        held = WcrClientState(serial=state.serial, certificate=fresh.certificate)
-        actions.append((now, state.serial, ACT_USE, 0))
-        return WcrDecision.USE, _armed(held, grid, config), actions
-
-    if now < state.clean_deadline:
+    if state.certificate is not None and now < state.clean_deadline:
         actions.append((now, state.serial, ACT_USE, 0))
         return WcrDecision.USE, state, actions
 
-    if now >= state.window_deadline:
+    if state.certificate is None or now >= state.window_deadline:
+        grid = (now // config.crl_period) * config.crl_period
         fresh = services.fetch_fresh_certificate(state.serial, now)
         actions.append((now, state.serial, ACT_FRESH, fresh.nbytes))
         if fresh.revoked:

@@ -1,13 +1,16 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Run with `pytest tests/test_acceptance.py -v -s`. Every simulator report
-produced anywhere in this module is tracked so the cross-cutting criteria
-(byte conservation, no false revocations) quantify over all of them.
+Run with `pytest tests/test_acceptance.py -v -s`. Each criterion's simulator
+runs are made once, in a module-scoped fixture, and the cross-cutting
+criteria (byte conservation, no false revocations) quantify over every one
+of them, whichever tests run and in whatever order.
 """
 
 import math
 import random
 import time
+
+import pytest
 
 from revokebench.core import DAY, HOUR, KeyStore, OneWayFunction
 from revokebench.crs import CrsAuthority, CrsStatus, crs_verify
@@ -16,13 +19,6 @@ from revokebench.depender import build_graph, find_parent_cut, propagate, Propag
 from revokebench.simkit import Scheme, SimConfig, compare, run, wcr_equivalence_logs
 
 MINUTES = 60
-
-_TRACKED = []
-
-
-def track(report):
-    _TRACKED.append(report)
-    return report
 
 
 def ok(n, text):
@@ -99,7 +95,9 @@ def test_criterion_3_crt_proof_size_and_classification():
 
 # -- 4 ----------------------------------------------------------------------
 
-def test_criterion_4_sliding_window_never_refetches_base():
+@pytest.fixture(scope="module")
+def criterion_4_runs():
+    runs = []
     for seed in range(20):
         config = SimConfig(
             seed=seed,
@@ -113,15 +111,22 @@ def test_criterion_4_sliding_window_never_refetches_base():
             delta_period=15 * MINUTES,
             window_length=72 * HOUR,
         )
-        report = track(run(config))
-        assert report.base_crl_fetches == config.n_clients, (seed, report.base_crl_fetches)
+        runs.append((config, run(config)))
+    return runs
+
+
+def test_criterion_4_sliding_window_never_refetches_base(criterion_4_runs):
+    for config, report in criterion_4_runs:
+        assert report.base_crl_fetches == config.n_clients, (config.seed, report.base_crl_fetches)
         assert report.validations > 0
     ok(4, "20 seeds x 90 days: every client downloaded exactly one base CRL")
 
 
 # -- 5 ----------------------------------------------------------------------
 
-def test_criterion_5_over_issuing_flattens_peaks():
+@pytest.fixture(scope="module")
+def criterion_5_runs():
+    runs = []
     for seed in range(10):
         def config(factor):
             return SimConfig(
@@ -137,8 +142,12 @@ def test_criterion_5_over_issuing_flattens_peaks():
             )
 
         (_, single), (_, double) = compare([config(1), config(2)])
-        track(single)
-        track(double)
+        runs.append((seed, single, double))
+    return runs
+
+
+def test_criterion_5_over_issuing_flattens_peaks(criterion_5_runs):
+    for seed, single, double in criterion_5_runs:
         assert double.peak_request_rate < single.peak_request_rate, seed
         spread = abs(double.mean_request_rate - single.mean_request_rate)
         assert spread <= 0.05 * single.mean_request_rate, (seed, spread)
@@ -212,7 +221,8 @@ def test_criterion_7_depender_k_resilience_is_tight():
 
 # -- 8 ----------------------------------------------------------------------
 
-def test_criterion_8_scheme_cost_ordering():
+@pytest.fixture(scope="module")
+def criterion_8_runs():
     base = dict(
         seed=88,
         horizon=260 * DAY,
@@ -230,15 +240,7 @@ def test_criterion_8_scheme_cost_ordering():
         ),
         SimConfig(scheme=Scheme.FULL_CRL, **base),
     ]
-    results = {r.scheme: track(r) for _, r in compare(configs)}
-    for report in results.values():
-        assert report.revocations_total > 500, report.scheme
-        assert report.validations_late > 0, report.scheme
-    crs_b = results["crs"].per_validation_d2c_bytes_late
-    crt_b = results["crt"].per_validation_d2c_bytes_late
-    sld_b = results["sliding_delta"].per_validation_d2c_bytes_late
-    ful_b = results["full_crl"].per_validation_d2c_bytes_late
-    assert crs_b < crt_b < sld_b < ful_b, (crs_b, crt_b, sld_b, ful_b)
+    results = {r.scheme: r for _, r in compare(configs)}
 
     sig_base = dict(base)
     sig_base["horizon"] = 60 * DAY
@@ -248,8 +250,20 @@ def test_criterion_8_scheme_cost_ordering():
             SimConfig(scheme=Scheme.NAIVE_SIGNED_STATUS, **sig_base),
         ]
     )
-    crs_report = track(pair[0][1])
-    naive_report = track(pair[1][1])
+    return results, pair[0][1], pair[1][1]
+
+
+def test_criterion_8_scheme_cost_ordering(criterion_8_runs):
+    results, crs_report, naive_report = criterion_8_runs
+    for report in results.values():
+        assert report.revocations_total > 500, report.scheme
+        assert report.validations_late > 0, report.scheme
+    crs_b = results["crs"].per_validation_d2c_bytes_late
+    crt_b = results["crt"].per_validation_d2c_bytes_late
+    sld_b = results["sliding_delta"].per_validation_d2c_bytes_late
+    ful_b = results["full_crl"].per_validation_d2c_bytes_late
+    assert crs_b < crt_b < sld_b < ful_b, (crs_b, crt_b, sld_b, ful_b)
+
     crs_sigs = crs_report.signature_ops.get("ca_sign", 0)
     naive_sigs = naive_report.signature_ops.get("ca_sign", 0)
     ratio = naive_sigs / max(1, crs_sigs)
@@ -264,7 +278,8 @@ def test_criterion_8_scheme_cost_ordering():
 
 # -- 9 ----------------------------------------------------------------------
 
-def test_criterion_9_determinism_and_conservation():
+@pytest.fixture(scope="module")
+def criterion_9_runs():
     config = SimConfig(
         seed=99,
         horizon=30 * DAY,
@@ -275,21 +290,36 @@ def test_criterion_9_determinism_and_conservation():
         delta_period=HOUR,
         window_length=3 * DAY,
     )
-    first = track(run(config))
-    second = track(run(config))
+    return run(config), run(config)
+
+
+@pytest.fixture(scope="module")
+def tracked(criterion_4_runs, criterion_5_runs, criterion_8_runs, criterion_9_runs):
+    """Every simulator report of this module, made once per module."""
+    reports = [report for _, report in criterion_4_runs]
+    for _, single, double in criterion_5_runs:
+        reports += [single, double]
+    results, crs_report, naive_report = criterion_8_runs
+    reports += [*results.values(), crs_report, naive_report]
+    reports += criterion_9_runs
+    return reports
+
+
+def test_criterion_9_determinism_and_conservation(criterion_9_runs, tracked):
+    first, second = criterion_9_runs
     assert first.to_json().encode() == second.to_json().encode()
-    for report in _TRACKED:
+    for report in tracked:
         assert report.conservation_delta() == 0, report.scheme
         assert report.bytes_sent == report.bytes_received, report.scheme
-    ok(9, f"byte-identical reports; {len(_TRACKED)} tracked runs reconcile to zero")
+    ok(9, f"byte-identical reports; {len(tracked)} tracked runs reconcile to zero")
 
 
 # -- 10 ---------------------------------------------------------------------
 
-def test_criterion_10_no_false_revocations_anywhere():
-    assert _TRACKED, "earlier criteria must have populated the registry"
+def test_criterion_10_no_false_revocations_anywhere(tracked):
+    assert tracked, "the criteria must have produced simulator runs"
     total_false_valid = 0
-    for report in _TRACKED:
+    for report in tracked:
         assert report.false_revocation == 0, report.scheme
         assert sum(report.staleness_hist.values()) == report.false_valid, report.scheme
         total_false_valid += report.false_valid
@@ -298,6 +328,6 @@ def test_criterion_10_no_false_revocations_anywhere():
     assert total_false_valid > 0
     ok(
         10,
-        f"zero false revocations across {len(_TRACKED)} runs; "
+        f"zero false revocations across {len(tracked)} runs; "
         f"{total_false_valid} false-valids all recorded with their ages",
     )

@@ -1,0 +1,191 @@
+"""Golden fence: pinned sha256 of reports, action logs and decision logs.
+
+Each config is small and together they reach every scheme adapter and every
+transport and cache path: over-issued CRLs fetched on a random window,
+irregular extra deltas on both delta schemes, a three-way segmented CRL, a
+CRT run whose pushes cross a depender overlay with a node failure and a
+rejoin, OCSP with cached responses, and WCR at both degenerate corners next
+to its always-fresh and plain-CRL baselines.
+
+A refactor must leave every value unchanged. A deliberate change to what the
+simulator reports updates the values in the same commit and says why.
+
+Every horizon is shorter than cert_lifetime, so no certificate expires within
+a run and the rule that drops expired certificates from a CRL never fires.
+"""
+
+import hashlib
+
+import pytest
+
+from revokebench.core import DAY, HOUR
+from revokebench.simkit import Scheme, SimConfig, run_with_logs, wcr_equivalence_logs
+
+
+def _base(seed: int) -> dict:
+    return dict(
+        seed=seed,
+        horizon=12 * DAY,
+        population=240,
+        n_clients=8,
+        validation_rate=4.0,
+        annual_revocation_fraction=2.0,
+    )
+
+
+CONFIGS = {
+    "full_crl": SimConfig(scheme=Scheme.FULL_CRL, **_base(1)),
+    "full_crl_overissue_window": SimConfig(
+        scheme=Scheme.FULL_CRL,
+        overissue_factor=4,
+        fetch_policy="uniform_random_window",
+        fetch_window=6 * HOUR,
+        **_base(2),
+    ),
+    "delta_crl_extra": SimConfig(
+        scheme=Scheme.DELTA_CRL,
+        delta_period=6 * HOUR,
+        extra_delta_times=(5 * HOUR, 3 * DAY + 7 * HOUR),
+        **_base(3),
+    ),
+    "sliding_delta_extra": SimConfig(
+        scheme=Scheme.SLIDING_DELTA,
+        delta_period=3 * HOUR,
+        window_length=3 * DAY,
+        extra_delta_times=(2 * DAY + HOUR,),
+        **_base(4),
+    ),
+    "segmented_3": SimConfig(scheme=Scheme.SEGMENTED, segments=3, **_base(5)),
+    "crs": SimConfig(scheme=Scheme.CRS, **_base(6)),
+    "crt_overlay": SimConfig(
+        scheme=Scheme.CRT,
+        depender_nodes=12,
+        depender_k=3,
+        node_failures=((2 * DAY, 4),),
+        node_rejoins=((5 * DAY, 4),),
+        **_base(7),
+    ),
+    "wcr": SimConfig(
+        scheme=Scheme.WCR, wcr_window_size=3, wcr_clean_duration=12 * HOUR, **_base(8)
+    ),
+    "ocsp_max_age": SimConfig(scheme=Scheme.OCSP, ocsp_max_age=6 * HOUR, **_base(9)),
+    "naive_signed_status": SimConfig(scheme=Scheme.NAIVE_SIGNED_STATUS, **_base(10)),
+    "wcr_zero_timers": SimConfig(
+        scheme=Scheme.WCR, wcr_window_size=1, wcr_clean_duration=0, **_base(11)
+    ),
+    "wcr_infinite_window": SimConfig(
+        scheme=Scheme.WCR, wcr_window_size=None, wcr_clean_duration=DAY, **_base(12)
+    ),
+}
+
+# name -> (report.to_json(), action log, decision log)
+GOLDEN = {
+    "full_crl": (
+        "12c27d145f6f327bd14606c796078daf5784eaf405c1966f70fa2ab9b0b847f1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bdb622cf15105e57b64d185bd6c8d8ae2a8eabfa558c2b3a352d8ab2663fca95",
+    ),
+    "full_crl_overissue_window": (
+        "e97e30d7fc6257c707f06a9c1fac704dca32ede299012d326a7243ba0b17f1e6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "f4258a5ea7d53c5f7dc55ca808dcfca82c2394e968a343f728544165191d8e0e",
+    ),
+    "delta_crl_extra": (
+        "f230590094a68baec2d01ea8ffff40f3927a5cae8d9f38fe863f4b44379094a7",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "2f1514f4e44d82d22165b83d3da9bf4eadacdc42fec791b8f046a84e49a5e665",
+    ),
+    "sliding_delta_extra": (
+        "118452b93b9bc4385a62d50ad95631bf4b0aa119a6a87d19c5727519412d56b6",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "130cae5097cba72f5bb007eb69bff01c1b8656c4c2b916e54e78fba071d88bb6",
+    ),
+    "segmented_3": (
+        "ec8b07b9719fdd39899f0dd5016a9cdc4c59b93c079cda5bc76094b228a87c12",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6ce1c8f7cfd10268567471a1e7e2102f36d7184b8aa5414466cf633537a3f009",
+    ),
+    "crs": (
+        "13fd0ffe6bee0faa917dbd8e49df135c2fd8eb824aad44d5c63e9e20e43d3ed8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "8ccc63abbe616d73ecae8fe02013a5a9541568399cdb646a815b7d5792f513db",
+    ),
+    "crt_overlay": (
+        "542ff398da90a703a4a1791b6f9a2b482cebdfa2857a9f1204186afb5904e544",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "7caa0c2bc3586960f55b83b82ff92afa6b393975550bf166744c1d1c29f3a413",
+    ),
+    "wcr": (
+        "95ff45653ec8a145274a7d4b38b62dbe91bb3e3cfd9347b5347b4a01f53158cb",
+        "b14412ac5561bc06f5f6a9d0b59f86b4e1476e132ccd5034a2f40597b7ace223",
+        "4bbedc736d6629e1e64198dc3782dbbaad84c3bc0bcca8d450cd66ef56a3821e",
+    ),
+    "ocsp_max_age": (
+        "5d6bbe35c8b9878c851e48440dcf705fc923650ee15e3b8cb7796b3c0b3b9bf4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "176eb8c6dce331fe00f1d5f43d2333d5b8d89d0f60b367fe7f88a613094df077",
+    ),
+    "naive_signed_status": (
+        "c64dfed02f7cc5f62bd1763defe3771406569b756a799c5ba1a69a08adc3389a",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "947a03a8161dce2cdeda4144afc3afb6d98b50dec27ee84fcafc9fe7fe6bd821",
+    ),
+    "wcr_zero_timers": (
+        "f5acbf4016274bcf6a69ba3358ea79805ccf47d039c98e2c50b4413f1eb42808",
+        "1d6c38d672df1080d105b0a0bae7b5b82b00ab3b6a09d988e8031fe22afaf1db",
+        "3c8c45b265ac35af1cfbf80bb2afce88a3adadbcdae800edaf162fc266dfe850",
+    ),
+    "wcr_infinite_window": (
+        "4a550ad63ce2523b3c44fe8ba27e6a57aed7d523a39fea813ba8ecdd3b692ca2",
+        "1821743bc2073608bf0401e4eff5fc1b033c4fc96504eaa698bbe8190a8ecd9f",
+        "0249be2e6787568bf7ef6e0a56122c833407935eb21959a1b91eff3710fc7b60",
+    ),
+}
+
+# (WCR config, baseline) -> (action log, decision log)
+GOLDEN_BASELINES = {
+    ("wcr_zero_timers", "always_fresh"): (
+        "1d6c38d672df1080d105b0a0bae7b5b82b00ab3b6a09d988e8031fe22afaf1db",
+        "3c8c45b265ac35af1cfbf80bb2afce88a3adadbcdae800edaf162fc266dfe850",
+    ),
+    ("wcr_zero_timers", "plain_crl"): (
+        "9375e1413d8d3ae78ec708e4fc99f8f01ae68f7254587ec05fb46cddfd75e529",
+        "3c8c45b265ac35af1cfbf80bb2afce88a3adadbcdae800edaf162fc266dfe850",
+    ),
+    ("wcr_infinite_window", "always_fresh"): (
+        "82afb547695f87806f2d4c6568f27da21b31dcc7f824b56178e7517b74957716",
+        "0249be2e6787568bf7ef6e0a56122c833407935eb21959a1b91eff3710fc7b60",
+    ),
+    ("wcr_infinite_window", "plain_crl"): (
+        "fd0e5723a3911fcd4e7039aa5e633b9bb532c999ad777fc4d562fc39b261680f",
+        "0249be2e6787568bf7ef6e0a56122c833407935eb21959a1b91eff3710fc7b60",
+    ),
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_every_config_stays_inside_one_certificate_lifetime():
+    for config in CONFIGS.values():
+        assert config.horizon < config.cert_lifetime
+
+
+def test_every_scheme_is_covered():
+    assert {c.scheme for c in CONFIGS.values()} == set(Scheme)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_report_and_logs_match_golden(name):
+    report, actions, decisions = run_with_logs(CONFIGS[name])
+    got = (_sha(report.to_json()), _sha("\n".join(actions)), _sha("\n".join(decisions)))
+    assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name,baseline", sorted(GOLDEN_BASELINES))
+def test_wcr_baseline_logs_match_golden(name, baseline):
+    actions, decisions = wcr_equivalence_logs(CONFIGS[name])[baseline]
+    assert (_sha("\n".join(actions)), _sha("\n".join(decisions))) == GOLDEN_BASELINES[
+        (name, baseline)
+    ]

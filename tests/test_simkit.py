@@ -21,7 +21,12 @@ from revokebench.simkit import (
     schedule_staggered_fetch,
     Simulation,
 )
-from revokebench.simkit.schemes import CrsAdapter, _SlidingClient
+from revokebench.simkit.schemes import (
+    CrsAdapter,
+    PlainCrlBaselineAdapter,
+    WcrAdapter,
+    _SlidingClient,
+)
 
 
 def cfg(**kwargs):
@@ -291,6 +296,45 @@ class TestSchemesBehave:
         assert report.overlay.get("missed", 0) == 0
         assert report.overlay["catchup_messages"] > 0  # node 7 replayed its gap
         assert report.conservation_delta() == 0
+
+
+def published_crls(config, adapter_cls):
+    """Every CRL the adapter publishes in a run, and the run's ledger."""
+    docs = []
+
+    class Recording(adapter_cls):
+        def on_publish(self, now, tag):
+            super().on_publish(now, tag)
+            docs.append(self.current)
+
+    sim = Simulation(config, adapter_factory=Recording)
+    sim.run()
+    return docs, sim.ledger
+
+
+class TestWcrPublication:
+    def test_infinite_window_lists_what_a_plain_crl_lists(self):
+        config = cfg(
+            seed=3,
+            horizon=40 * DAY,
+            cert_lifetime=10 * DAY,
+            annual_revocation_fraction=5.0,
+            scheme=Scheme.WCR,
+            wcr_window_size=None,
+        )
+        wcr_docs, ledger = published_crls(config, WcrAdapter)
+        plain_docs, _ = published_crls(config, PlainCrlBaselineAdapter)
+        assert [(d.this_update, d.entries) for d in wcr_docs] == [
+            (d.this_update, d.entries) for d in plain_docs
+        ]
+        for doc in wcr_docs:
+            for serial, _ in doc.entries:
+                assert doc.this_update < ledger.certificates[serial].not_after, serial
+        # the run must revoke certificates that then expire, or nothing is tested
+        expired = [
+            s for s in ledger.revocations if ledger.certificates[s].not_after <= config.horizon
+        ]
+        assert expired
 
 
 class EagerCrsAdapter(CrsAdapter):
