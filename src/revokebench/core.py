@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import struct
+from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
@@ -62,16 +63,9 @@ def check_time(t: int) -> int:
 # and hashing.
 # ---------------------------------------------------------------------------
 
-def pack_u8(v: int) -> bytes:
-    return struct.pack(">B", v)
-
-
-def pack_u32(v: int) -> bytes:
-    return struct.pack(">I", v)
-
-
-def pack_u64(v: int) -> bytes:
-    return struct.pack(">Q", v)
+pack_u8 = struct.Struct(">B").pack
+pack_u32 = struct.Struct(">I").pack
+pack_u64 = struct.Struct(">Q").pack
 
 
 def pack_bytes(b: bytes) -> bytes:
@@ -104,6 +98,11 @@ class Signature:
         return 8 + len(self.key_id.encode("utf-8")) + len(self.mac)
 
 
+_HMAC_BLOCK = 64  # SHA-256 block size in bytes
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+
+
 class KeyStore:
     """Deterministic keyed-MAC signer behind the workbench signature contract.
 
@@ -111,38 +110,60 @@ class KeyStore:
     keyed hash stands in for an asymmetric algorithm; the contract (sign /
     verify / per-key identity) allows swapping one in later. Sign and verify
     call counts are kept for the simulator's CPU proxy.
+
+    The MAC is HMAC-SHA256 (RFC 2104). register hashes the padded key's
+    inner and outer blocks once, and each MAC continues copies of those two
+    SHA-256 states, so the bytes equal hmac.new(secret, message, sha256).
     """
 
     MAC_BYTES = 32
 
     def __init__(self) -> None:
-        self._keys: dict[str, bytes] = {}
+        # key id -> (inner, outer) SHA-256 states after one key block each
+        self._keys: dict[str, tuple] = {}
         self.sign_count = 0
         self.verify_count = 0
 
     def register(self, key_id: str, secret: bytes) -> None:
-        self._keys[key_id] = bytes(secret)
+        key = bytes(secret)
+        if len(key) > _HMAC_BLOCK:
+            key = hashlib.sha256(key).digest()
+        key = key.ljust(_HMAC_BLOCK, b"\x00")
+        self._keys[key_id] = (
+            hashlib.sha256(key.translate(_IPAD)),
+            hashlib.sha256(key.translate(_OPAD)),
+        )
 
     def generate(self, key_id: str, rng) -> None:
         """Register a fresh key drawn from the given rng (seedable for tests)."""
         self.register(key_id, rng.getrandbits(256).to_bytes(32, "big"))
 
-    def sign(self, message: bytes, key_id: str) -> Signature:
-        if key_id not in self._keys:
+    def _pads(self, key_id: str) -> tuple:
+        pads = self._keys.get(key_id)
+        if pads is None:
             raise UnknownKeyError(key_id)
+        return pads
+
+    @staticmethod
+    def _mac(pads: tuple, message: bytes) -> bytes:
+        inner = pads[0].copy()
+        inner.update(message)
+        outer = pads[1].copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    def sign(self, message: bytes, key_id: str) -> Signature:
+        pads = self._pads(key_id)
         self.sign_count += 1
-        mac = hmac.new(self._keys[key_id], message, hashlib.sha256).digest()
-        return Signature(key_id=key_id, mac=mac)
+        return Signature(key_id=key_id, mac=self._mac(pads, message))
 
     def verify(self, message: bytes, signature: Signature, key_id: str) -> bool:
         """True iff signature was produced over message under exactly key_id."""
-        if key_id not in self._keys:
-            raise UnknownKeyError(key_id)
+        pads = self._pads(key_id)
         self.verify_count += 1
         if signature.key_id != key_id:
             return False
-        expected = hmac.new(self._keys[key_id], message, hashlib.sha256).digest()
-        return hmac.compare_digest(expected, signature.mac)
+        return hmac.compare_digest(self._mac(pads, message), signature.mac)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +262,34 @@ class CrsAnchor:
         )
 
 
+def _check_certificate_fields(serial: int, not_before: int, not_after: int) -> None:
+    check_serial(serial)
+    if not not_before < not_after:
+        raise ValueError("certificate validity window is empty")
+
+
+_pack_window = struct.Struct(">QQ").pack
+
+
+def _certificate_payload(
+    serial: int,
+    subject: str,
+    not_before: int,
+    not_after: int,
+    crs_anchor: Optional[CrsAnchor],
+    segment_id: Optional[str],
+) -> bytes:
+    """The bytes a certificate's issuer signature covers, in field order."""
+    anchor = b"\x00" if crs_anchor is None else b"\x01" + crs_anchor.to_bytes()
+    return (
+        pack_u64(serial)
+        + pack_str(subject)
+        + _pack_window(not_before, not_after)
+        + anchor
+        + pack_opt_str(segment_id)
+    )
+
+
 @dataclass(frozen=True)
 class Certificate:
     serial: int
@@ -252,19 +301,16 @@ class Certificate:
     segment_id: Optional[str] = None
 
     def __post_init__(self) -> None:
-        check_serial(self.serial)
-        if not self.not_before < self.not_after:
-            raise ValueError("certificate validity window is empty")
+        _check_certificate_fields(self.serial, self.not_before, self.not_after)
 
     def signed_payload(self) -> bytes:
-        anchor = b"\x00" if self.crs_anchor is None else b"\x01" + self.crs_anchor.to_bytes()
-        return (
-            pack_u64(self.serial)
-            + pack_str(self.subject)
-            + pack_u64(self.not_before)
-            + pack_u64(self.not_after)
-            + anchor
-            + pack_opt_str(self.segment_id)
+        return _certificate_payload(
+            self.serial,
+            self.subject,
+            self.not_before,
+            self.not_after,
+            self.crs_anchor,
+            self.segment_id,
         )
 
     def to_bytes(self) -> bytes:
@@ -288,23 +334,18 @@ def make_certificate(
     crs_anchor: Optional[CrsAnchor] = None,
     segment_id: Optional[str] = None,
 ) -> Certificate:
-    """Build and sign a certificate in one step (signature covers all other fields)."""
-    unsigned = Certificate(
-        serial=serial,
-        subject=subject,
-        not_before=not_before,
-        not_after=not_after,
-        issuer_signature=Signature(key_id=key_id, mac=b""),
-        crs_anchor=crs_anchor,
-        segment_id=segment_id,
-    )
-    sig = keystore.sign(unsigned.signed_payload(), key_id)
+    """Build and sign a certificate in one step (signature covers all other fields).
+
+    The fields are checked before signing, so a bad input signs nothing.
+    """
+    _check_certificate_fields(serial, not_before, not_after)
+    payload = _certificate_payload(serial, subject, not_before, not_after, crs_anchor, segment_id)
     return Certificate(
         serial=serial,
         subject=subject,
         not_before=not_before,
         not_after=not_after,
-        issuer_signature=sig,
+        issuer_signature=keystore.sign(payload, key_id),
         crs_anchor=crs_anchor,
         segment_id=segment_id,
     )
@@ -334,6 +375,8 @@ class Ledger:
     def __init__(self) -> None:
         self.certificates: dict[int, Certificate] = {}
         self.revocations: dict[int, RevocationRecord] = {}
+        # (serial, revoked_at, not_after, record), ascending by serial
+        self._revoked_by_serial: list[tuple[int, int, int, RevocationRecord]] = []
 
     def add_certificate(self, cert: Certificate) -> None:
         if cert.serial in self.certificates:
@@ -350,6 +393,8 @@ class Ledger:
             raise ValueError("revocation instant outside certificate validity window")
         record = RevocationRecord(serial=serial, revoked_at=revoked_at, reason=reason)
         self.revocations[serial] = record
+        # serials are unique here, so tuples never compare past the serial
+        insort(self._revoked_by_serial, (serial, revoked_at, cert.not_after, record))
         return record
 
     def is_issued(self, serial: int) -> bool:
@@ -367,11 +412,5 @@ class Ledger:
         return sorted(s for s, c in self.certificates.items() if now < c.not_after)
 
     def revoked_non_expired(self, now: int) -> list[RevocationRecord]:
-        """Records for certificates revoked by `now` and not yet expired."""
-        out = [
-            r
-            for r in self.revocations.values()
-            if r.revoked_at <= now and now < self.certificates[r.serial].not_after
-        ]
-        out.sort(key=lambda r: r.serial)
-        return out
+        """Records for certificates revoked by `now` and not yet expired, by serial."""
+        return [r for _, at, end, r in self._revoked_by_serial if at <= now < end]

@@ -5,9 +5,11 @@ check over a document cache.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -81,8 +83,8 @@ class CrlDocument:
             pack_opt_u64(self.window_start),
             pack_opt_str(self.segment_id),
             pack_u32(len(self.entries)),
+            struct.pack(f">{2 * len(self.entries)}Q", *chain.from_iterable(self.entries)),
         ]
-        parts.extend(pack_u64(s) + pack_u64(t) for s, t in self.entries)
         return b"".join(parts)
 
     def signed_payload(self) -> bytes:

@@ -128,6 +128,16 @@ class SimConfig:
             raise ConfigError("fetch_window must be >= 0")
         if self.crs_period <= 0 or self.crs_lifetime_periods < 1:
             raise ConfigError("crs period/lifetime must be positive")
+        # The initial population is issued at time 0 and validations pick any
+        # issued certificate, expired ones too, so a validation before the
+        # horizon can claim period (horizon - 1) // crs_period whatever
+        # cert_lifetime is. The chain must reach that period.
+        last_period = (self.horizon - 1) // self.crs_period
+        if self.scheme is Scheme.CRS and self.n_clients and last_period > self.crs_lifetime_periods:
+            raise ConfigError(
+                f"crs chain of {self.crs_lifetime_periods} periods is shorter than the "
+                f"horizon: validations can claim period {last_period}"
+            )
         if self.wcr_window_size is not None and self.wcr_window_size < 1:
             raise ConfigError("wcr window size must be >= 1 or None (infinity)")
         if self.extra_delta_times and self.scheme not in (

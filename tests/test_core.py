@@ -1,7 +1,9 @@
 """Core primitives: signatures, the one-way function, certificates, ledger."""
 
 import hashlib
+import hmac
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,15 @@ from hypothesis import strategies as st
 
 from revokebench.core import (
     Certificate,
+    CrsAnchor,
+    KeyStore,
     Ledger,
     OneWayFunction,
     ReasonCode,
     Signature,
     UnknownKeyError,
     WidthError,
+    SERIAL_MAX,
     check_time,
     make_certificate,
     verify_certificate,
@@ -65,6 +70,49 @@ class TestSignatures:
             bit = 1 << rng.randrange(8)
             flipped = msg[:pos] + bytes([msg[pos] ^ bit]) + msg[pos + 1 :]
             assert not keystore.verify(flipped, sig, "ca")
+
+
+class TestMacReference:
+    """KeyStore MACs are the standard library's HMAC-SHA256 bytes."""
+
+    @settings(max_examples=60)
+    @given(
+        secret=st.sampled_from([0, 1, 32, 64, 65, 200]).flatmap(
+            lambda n: st.binary(min_size=n, max_size=n)
+        ),
+        message=st.one_of(st.binary(max_size=80), st.binary(min_size=1000, max_size=5000)),
+    )
+    def test_equals_stdlib_hmac(self, secret, message):
+        ks = KeyStore()
+        ks.register("k", secret)
+        sig = ks.sign(message, "k")
+        assert sig.mac == hmac.new(secret, message, hashlib.sha256).digest()
+        assert ks.verify(message, sig, "k")
+
+    def test_register_replaces_the_key(self):
+        ks = KeyStore()
+        ks.register("k", b"first")
+        old = ks.sign(b"msg", "k")
+        ks.register("k", b"second")
+        assert ks.sign(b"msg", "k").mac == hmac.new(b"second", b"msg", hashlib.sha256).digest()
+        assert not ks.verify(b"msg", old, "k")
+
+    def test_flipped_mac_bit_and_wrong_key_id_rejected(self, keystore):
+        sig = keystore.sign(b"payload", "ca")
+        for pos in range(len(sig.mac)):
+            for bit in range(8):
+                mac = bytearray(sig.mac)
+                mac[pos] ^= 1 << bit
+                assert not keystore.verify(b"payload", Signature("ca", bytes(mac)), "ca")
+        assert not keystore.verify(b"payload", Signature("other", sig.mac), "ca")
+        assert not keystore.verify(b"payload", sig, "other")
+
+    def test_counters_rise_by_one_per_call(self, keystore):
+        for n in range(1, 4):
+            sig = keystore.sign(b"m" * n, "ca")
+            assert (keystore.sign_count, keystore.verify_count) == (n, n - 1)
+            keystore.verify(b"m" * n, sig, "other")
+            assert (keystore.sign_count, keystore.verify_count) == (n, n)
 
 
 class TestOneWayFunction:
@@ -169,6 +217,102 @@ class TestCertificates:
         a = make_certificate(5, "alice", 0, 100, keystore, "ca")
         b = make_certificate(5, "alice", 0, 100, keystore, "ca")
         assert a.to_bytes() == b.to_bytes()
+
+
+def reference_certificate_payload(cert: Certificate) -> bytes:
+    """Per-field encoding of the signed certificate fields, spelled out."""
+
+    def u32(v):
+        return struct.pack(">I", v)
+
+    def u64(v):
+        return struct.pack(">Q", v)
+
+    def text(s):
+        b = s.encode("utf-8")
+        return u32(len(b)) + b
+
+    out = u64(cert.serial) + text(cert.subject) + u64(cert.not_before) + u64(cert.not_after)
+    a = cert.crs_anchor
+    if a is None:
+        out += b"\x00"
+    else:
+        out += b"\x01" + u32(len(a.y)) + a.y + u32(len(a.n)) + a.n
+        out += u32(a.lifetime_periods) + u64(a.period_length)
+    return out + (b"\x00" if cert.segment_id is None else b"\x01" + text(cert.segment_id))
+
+
+class TestCertificateEncoding:
+    @pytest.mark.parametrize("with_anchor", [False, True])
+    @pytest.mark.parametrize("segment_id", [None, "", "seg-ü3"])
+    def test_signed_payload_is_pinned(self, keystore, with_anchor, segment_id):
+        anchor = CrsAnchor(y=b"\x01" * 13, n=b"\x02" * 13, lifetime_periods=365, period_length=86_400)
+        cert = make_certificate(
+            SERIAL_MAX,
+            "subject-ü",
+            2**40,
+            2**64 - 1,
+            keystore,
+            "ca",
+            crs_anchor=anchor if with_anchor else None,
+            segment_id=segment_id,
+        )
+        assert cert.signed_payload() == reference_certificate_payload(cert)
+        assert cert.issuer_signature == keystore.sign(reference_certificate_payload(cert), "ca")
+        assert cert.to_bytes() == cert.signed_payload() + cert.issuer_signature.to_bytes()
+
+    @pytest.mark.parametrize(
+        "serial,not_before,not_after",
+        [(-1, 0, 100), (2**64, 0, 100), (5, 100, 100), (5, 100, 50)],
+    )
+    def test_bad_fields_raise_before_signing(self, keystore, serial, not_before, not_after):
+        with pytest.raises(ValueError):
+            make_certificate(serial, "alice", not_before, not_after, keystore, "ca")
+        assert keystore.sign_count == 0
+
+
+class TestRevocationIndex:
+    """revoked_non_expired against a scan-filter-sort over the ledger's dicts."""
+
+    @staticmethod
+    def brute_force(ledger, now):
+        out = [
+            r
+            for r in ledger.revocations.values()
+            if r.revoked_at <= now < ledger.certificates[r.serial].not_after
+        ]
+        return sorted(out, key=lambda r: r.serial)
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_matches_brute_force(self, data):
+        ks = KeyStore()
+        ks.register("ca", b"key")
+        ledger = Ledger()
+        serials = data.draw(
+            st.lists(st.integers(min_value=1, max_value=SERIAL_MAX - 1), unique=True, max_size=25)
+        )
+        for serial in serials:
+            not_before = data.draw(st.integers(min_value=0, max_value=500))
+            lifetime = data.draw(st.integers(min_value=1, max_value=500))
+            ledger.add_certificate(
+                make_certificate(serial, "s", not_before, not_before + lifetime, ks, "ca")
+            )
+        # revocations arrive in a drawn order, not in serial order
+        for serial in data.draw(st.permutations(serials)):
+            if not data.draw(st.booleans()):
+                continue
+            cert = ledger.certificates[serial]
+            at = data.draw(st.integers(min_value=cert.not_before, max_value=cert.not_after - 1))
+            ledger.revoke(serial, at)
+            assert ledger.revoked_non_expired(at) == self.brute_force(ledger, at)
+        instants = {0}
+        for serial, record in ledger.revocations.items():
+            end = ledger.certificates[serial].not_after
+            for t in (record.revoked_at, end):
+                instants.update((t - 1, t, t + 1))
+        for now in sorted(instants):
+            assert ledger.revoked_non_expired(now) == self.brute_force(ledger, now)
 
 
 class TestLedger:

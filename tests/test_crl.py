@@ -1,12 +1,13 @@
 """CRL family: issuance, deltas, sliding windows, segments, status checks."""
 
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revokebench.core import DAY, HOUR, KeyStore, RevocationRecord
+from revokebench.core import DAY, HOUR, SERIAL_MAX, KeyStore, RevocationRecord, Signature
 from revokebench.crl import (
     CrlDocument,
     CrlIssuer,
@@ -337,6 +338,47 @@ class TestProperties:
         again = CrlDocument.from_json_dict(doc.to_json_dict())
         assert again == doc
         assert again.to_bytes() == doc.to_bytes()
+
+
+def reference_crl_payload(doc: CrlDocument) -> bytes:
+    """Per-entry encoding of the signed CRL fields, spelled out."""
+
+    def u64(v):
+        return struct.pack(">Q", v)
+
+    def text(s):
+        b = s.encode("utf-8")
+        return struct.pack(">I", len(b)) + b
+
+    out = text(doc.issuer) + text(doc.kind.value) + u64(doc.this_update) + u64(doc.next_update)
+    out += b"\x00" if doc.window_start is None else b"\x01" + u64(doc.window_start)
+    out += b"\x00" if doc.segment_id is None else b"\x01" + text(doc.segment_id)
+    out += struct.pack(">I", len(doc.entries))
+    for serial, revoked_at in doc.entries:
+        out += u64(serial) + u64(revoked_at)
+    return out
+
+
+class TestCrlEncoding:
+    @pytest.mark.parametrize("n", [0, 1, 2, 500])
+    @pytest.mark.parametrize(
+        "kind,window_start,segment_id",
+        [(CrlKind.FULL, None, None), (CrlKind.DELTA, 7, None), (CrlKind.SEGMENT, None, "seg-2")],
+    )
+    def test_signed_payload_is_pinned(self, n, kind, window_start, segment_id):
+        serials = [1 + 3 * i for i in range(n - 1)] + [SERIAL_MAX - 1] if n else []
+        doc = CrlDocument(
+            issuer="ca-ü",
+            kind=kind,
+            this_update=10,
+            next_update=2**64 - 1,
+            entries=tuple((s, 7 + s % 1000) for s in serials),
+            signature=Signature("ca", b"\x00" * 32),
+            window_start=window_start,
+            segment_id=segment_id,
+        )
+        assert doc.signed_payload() == reference_crl_payload(doc)
+        assert doc.wire_size == len(reference_crl_payload(doc)) + doc.signature.wire_size
 
 
 def test_schedule_validation():

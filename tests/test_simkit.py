@@ -417,3 +417,41 @@ class TestCrsDirectory:
             else:
                 assert revoked_at is None or revoked_at > published_at
         assert {token.kind for _, token, _ in served} == set(CrsTokenKind)
+
+
+class TestCrsChainCoverage:
+    """A chain of n periods serves validations up to period n; the anchor is period 0."""
+
+    def test_short_chain_is_rejected(self):
+        with pytest.raises(ConfigError):
+            SimConfig(
+                seed=1,
+                horizon=10 * DAY,
+                population=50,
+                scheme=Scheme.CRS,
+                n_clients=5,
+                crs_lifetime_periods=3,
+            )
+
+    def test_one_period_short_is_rejected(self):
+        with pytest.raises(ConfigError):
+            crs_cfg(horizon=4 * DAY, crs_lifetime_periods=2)
+        with pytest.raises(ConfigError):
+            crs_cfg(horizon=4 * DAY + 1, crs_lifetime_periods=3)
+
+    def test_short_certificate_lifetime_does_not_cover_for_the_chain(self):
+        # Validations pick expired certificates too, so they claim late periods.
+        with pytest.raises(ConfigError):
+            crs_cfg(horizon=10 * DAY, crs_lifetime_periods=3, cert_lifetime=3 * DAY)
+
+    def test_exactly_enough_runs_to_the_last_period(self):
+        config = crs_cfg(horizon=4 * DAY, crs_lifetime_periods=3)
+        workload = generate_workload(config)
+        issued_at = {serial: t for t, serial in workload.issues}
+        claimed = {t // DAY - issued_at[serial] // DAY for t, _, serial in workload.validations}
+        assert max(claimed) == 3
+        report = run(config)
+        assert report.false_revocation == 0
+
+    def test_zero_clients_are_never_rejected(self):
+        run(crs_cfg(n_clients=0, crs_lifetime_periods=1))
