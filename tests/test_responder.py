@@ -1,6 +1,8 @@
 """Online responder: signed nonce-bound responses, cached acceptance, the
 naive per-certificate statement baseline, and key rotation."""
 
+import struct
+
 import pytest
 
 from revokebench.core import Ledger, make_certificate
@@ -109,6 +111,42 @@ class TestRespond:
 
     def test_chain_signed_by_ca(self, keystore, chain):
         assert verify_key_chain(chain, keystore, "ca")
+
+
+def reference_response_payload(response: StatusResponse) -> bytes:
+    """Per-field encoding of the signed response fields, spelled out."""
+
+    def text(b):
+        return struct.pack(">I", len(b)) + b
+
+    return (
+        struct.pack(">Q", response.serial)
+        + text(response.status.value.encode("utf-8"))
+        + struct.pack(">Q", response.produced_at)
+        + text(response.nonce)
+        + text(response.responder_key_id.encode("utf-8"))
+    )
+
+
+class TestResponseEncoding:
+    @pytest.mark.parametrize("serial,at", [(2, 600), (3, 600), (999, 600), (3, 20_000)])
+    def test_payload_is_pinned(self, ocsp, keystore, rng, serial, at):
+        response = ocsp.respond(make_request(serial, at, rng))
+        assert response.signed_payload() == reference_response_payload(response)
+        assert keystore.verify(
+            reference_response_payload(response), response.signature, response.responder_key_id
+        )
+
+    @pytest.mark.parametrize("serial,at", [(2, 600), (3, 600), (999, 600), (3, 20_000)])
+    def test_wire_size_is_the_encoding_length(self, ocsp, rng, serial, at):
+        response = ocsp.respond(make_request(serial, at, rng))
+        assert response.wire_size == len(response.to_bytes())
+
+    def test_one_signature_per_respond(self, ocsp, keystore, rng):
+        for i in range(1, 6):
+            before = keystore.sign_count
+            ocsp.respond(make_request(i, 600 + i, rng))
+            assert keystore.sign_count - before == 1
 
 
 class TestAcceptCached:

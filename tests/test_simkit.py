@@ -1,11 +1,12 @@
 """Simulator: determinism, conservation, workload pairing, fetch policies,
 and the closed-form byte accounting the comparisons rest on."""
 
+import dataclasses
 import random
 
 import pytest
 
-from revokebench.core import DAY, HOUR, OneWayFunction, RevocationRecord
+from revokebench.core import DAY, HOUR, OneWayFunction, RevocationRecord, Signature
 from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
 from revokebench.crs import CrsTokenKind, token_wire_size
 from revokebench.crt import crt_build, crt_prove
@@ -23,7 +24,11 @@ from revokebench.simkit import (
 )
 from revokebench.simkit.schemes import (
     CrsAdapter,
+    DeltaCrlAdapter,
+    FullCrlAdapter,
     PlainCrlBaselineAdapter,
+    SegmentedAdapter,
+    SlidingDeltaAdapter,
     WcrAdapter,
     _SlidingClient,
 )
@@ -455,3 +460,99 @@ class TestCrsChainCoverage:
 
     def test_zero_clients_are_never_rejected(self):
         run(crs_cfg(n_clients=0, crs_lifetime_periods=1))
+
+
+CRL_FAMILY = {
+    "full_crl": {"scheme": Scheme.FULL_CRL},
+    "full_crl_prefetch": {
+        "scheme": Scheme.FULL_CRL,
+        "base_period": 2 * DAY,
+        "overissue_factor": 2,
+        "fetch_policy": "uniform_random_window",
+        "fetch_window": 16 * HOUR,
+    },
+    "delta_crl": {"scheme": Scheme.DELTA_CRL, "delta_period": 6 * HOUR},
+    "sliding_delta": {
+        "scheme": Scheme.SLIDING_DELTA,
+        "delta_period": HOUR,
+        "window_length": 2 * DAY,
+    },
+    "segmented": {"scheme": Scheme.SEGMENTED, "segments": 4},
+    "wcr": {"scheme": Scheme.WCR, "wcr_window_size": 3, "wcr_clean_duration": 6 * HOUR},
+}
+
+
+def flip_bit(doc):
+    """doc with one bit of its signature flipped."""
+    mac = bytearray(doc.signature.mac)
+    mac[0] ^= 1
+    return dataclasses.replace(doc, signature=Signature(doc.signature.key_id, bytes(mac)))
+
+
+def serving_flipped(adapter_cls, tag, attr):
+    """adapter_cls whose directory serves every document its `tag`
+    publications put in `attr` with one bit flipped."""
+
+    class Tampered(adapter_cls):
+        def on_publish(self, now, published):
+            super().on_publish(now, published)
+            if published == tag:
+                doc = getattr(self, attr)
+                if isinstance(doc, dict):
+                    setattr(self, attr, {k: flip_bit(d) for k, d in doc.items()})
+                else:
+                    setattr(self, attr, flip_bit(doc))
+
+    return Tampered
+
+
+class FlippedTableAdapter(SegmentedAdapter):
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.table = flip_bit(self.table)
+
+
+class TestVerifyOnArrival:
+    """Clients verify each signed document once, when it arrives."""
+
+    @pytest.mark.parametrize(
+        "name", ["full_crl", "full_crl_prefetch", "delta_crl", "sliding_delta", "segmented"]
+    )
+    def test_reported_verifications_are_the_work_done(self, name):
+        sim = Simulation(cfg(**CRL_FAMILY[name]))
+        report = sim.run()
+        assert report.signature_ops["client_verify"] > 0
+        assert sim.keystore.verify_count == report.signature_ops["client_verify"]
+
+    @pytest.mark.parametrize(
+        "name,factory",
+        [
+            ("full_crl", serving_flipped(FullCrlAdapter, "base", "current")),
+            ("full_crl_prefetch", serving_flipped(FullCrlAdapter, "base", "current")),
+            ("delta_crl", serving_flipped(DeltaCrlAdapter, "base", "base")),
+            ("delta_crl", serving_flipped(DeltaCrlAdapter, "delta", "delta")),
+            ("sliding_delta", serving_flipped(SlidingDeltaAdapter, "base", "base")),
+            ("sliding_delta", serving_flipped(SlidingDeltaAdapter, "delta", "delta")),
+            ("segmented", serving_flipped(SegmentedAdapter, "base", "segdocs")),
+            ("segmented", FlippedTableAdapter),
+            ("wcr", serving_flipped(WcrAdapter, "base", "current")),
+            ("wcr", serving_flipped(PlainCrlBaselineAdapter, "base", "current")),
+        ],
+        ids=[
+            "full_crl",
+            "full_crl_prefetch",
+            "delta_crl-base",
+            "delta_crl-delta",
+            "sliding_delta-base",
+            "sliding_delta-delta",
+            "segmented-segment",
+            "segmented-table",
+            "wcr",
+            "plain_crl",
+        ],
+    )
+    def test_tampered_document_raises_at_fetch(self, name, factory):
+        sim = Simulation(cfg(**CRL_FAMILY[name]), adapter_factory=factory)
+        with pytest.raises(AssertionError, match="failed verification") as excinfo:
+            sim.run()
+        assert excinfo.traceback[-1].name == "fetch_doc"
