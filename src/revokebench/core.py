@@ -183,6 +183,8 @@ class OneWayFunction:
     """
 
     _PREFIX = b"owf:"
+    # SHA-256 state after the prefix; each application continues a copy.
+    _STATE = hashlib.sha256(_PREFIX)
 
     def __init__(self, width_bits: int = 100) -> None:
         if width_bits < 8 or width_bits > 256:
@@ -208,36 +210,36 @@ class OneWayFunction:
         return rng.getrandbits(self.width_bits).to_bytes(self.width_bytes, "big")
 
     def apply(self, x: bytes) -> bytes:
-        self.check_width(x)
-        self.apply_count += 1
-        digest = hashlib.sha256(self._PREFIX + x).digest()
-        return self._first[digest[0]] + digest[1 : self.width_bytes]
+        return self.iterate(x, 1)
 
     def iterate(self, x: bytes, n: int) -> bytes:
         """Apply F n times; iterate(x, 0) == x."""
-        return self.chain(x, n)[-self.width_bytes :]
+        cur = x
+        for cur in self._walk(x, n):
+            pass
+        return cur
 
     def chain(self, x: bytes, n: int) -> bytes:
-        """F^0(x) .. F^n(x) concatenated, width_bytes each.
+        """F^0(x) .. F^n(x) concatenated, width_bytes each."""
+        return b"".join([x, *self._walk(x, n)])
 
-        One tight loop: the width is checked once, apply_count rises by n.
-        """
+    def _walk(self, x: bytes, n: int):
+        """Yield F^1(x) .. F^n(x) from one tight loop: n and the width are
+        checked once (before anything is yielded), apply_count rises by n."""
         if n < 0:
             raise ValueError("iteration count must be >= 0")
         self.check_width(x)
-        sha256 = hashlib.sha256
-        prefix = self._PREFIX
+        state = self._STATE
         first = self._first
         nbytes = self.width_bytes
-        values = [x]
-        append = values.append
         cur = x
         for _ in range(n):
-            digest = sha256(prefix + cur).digest()
+            h = state.copy()
+            h.update(cur)
+            digest = h.digest()
             cur = first[digest[0]] + digest[1:nbytes]
-            append(cur)
+            yield cur
         self.apply_count += n
-        return b"".join(values)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +320,14 @@ class Certificate:
 
     @property
     def wire_size(self) -> int:
-        return len(self.to_bytes())
+        # serial, length-prefixed subject, window, optional anchor and
+        # segment id (a presence byte each), then the issuer signature
+        size = 8 + 4 + len(self.subject.encode("utf-8")) + 16 + 1 + 1
+        if self.crs_anchor is not None:
+            size += 8 + len(self.crs_anchor.y) + len(self.crs_anchor.n) + 4 + 8
+        if self.segment_id is not None:
+            size += 4 + len(self.segment_id.encode("utf-8"))
+        return size + self.issuer_signature.wire_size
 
     def is_valid_at(self, now: int) -> bool:
         return self.not_before <= now < self.not_after

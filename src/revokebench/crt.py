@@ -10,6 +10,7 @@ proves validity. Sentinel endpoints make the empty set representable.
 from __future__ import annotations
 
 import hashlib
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -23,6 +24,10 @@ SENTINEL_HI = 2**64 - 1
 
 _LEAF_TAG = b"\x00crt-leaf"
 _NODE_TAG = b"\x01crt-node"
+# SHA-256 states after each domain tag; every hash continues a copy.
+_LEAF_STATE = hashlib.sha256(_LEAF_TAG)
+_NODE_STATE = hashlib.sha256(_NODE_TAG)
+_pack_leaf = struct.Struct(">QQ").pack
 
 SIDE_LEFT = 0  # sibling sits to the left of the running hash
 SIDE_RIGHT = 1
@@ -48,15 +53,19 @@ class CrtLeaf:
         return self.lo <= serial <= self.hi
 
     def to_bytes(self) -> bytes:
-        return pack_u64(self.lo) + pack_u64(self.hi)
+        return _pack_leaf(self.lo, self.hi)
 
 
 def leaf_hash(leaf: CrtLeaf) -> bytes:
-    return hashlib.sha256(_LEAF_TAG + leaf.to_bytes()).digest()
+    h = _LEAF_STATE.copy()
+    h.update(_pack_leaf(leaf.lo, leaf.hi))
+    return h.digest()
 
 
 def node_hash(left: bytes, right: bytes) -> bytes:
-    return hashlib.sha256(_NODE_TAG + left + right).digest()
+    h = _NODE_STATE.copy()
+    h.update(left + right)
+    return h.digest()
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,11 @@ class SignedRoot:
 
     def to_bytes(self) -> bytes:
         return self.signed_payload() + self.signature.to_bytes()
+
+    @property
+    def wire_size(self) -> int:
+        # root, issued_at, next_update, then the signature
+        return len(self.root) + 16 + self.signature.wire_size
 
 
 @dataclass(frozen=True)
@@ -88,7 +102,9 @@ class CrtProof:
 
     @cached_property
     def wire_size(self) -> int:
-        return len(self.to_bytes())
+        # leaf, index, sibling count, (hash, side) per sibling, signed root
+        siblings = sum(len(h) + 1 for h, _ in self.siblings)
+        return 16 + 4 + 1 + siblings + self.signed_root.wire_size
 
 
 def parse_proof(data: bytes) -> CrtProof:
@@ -237,10 +253,14 @@ def crt_update(
 ) -> tuple[CrtTree, CrtUpdateStats]:
     """New snapshot after adding fresh revocations and dropping expired ones.
 
-    The result is structurally identical to crt_build over the final set;
-    every hash already present anywhere in the old tree is reused, and only
-    genuinely new node inputs are recomputed (the reported counts are what
-    the simulator compares across schemes).
+    The result is structurally identical to crt_build over the final set.
+    Every old leaf hash is reused, and so is every internal node whose child
+    pair also occurs in the old tree; the rest is recomputed and counted (the
+    counts are what the simulator compares across schemes). Leaf positions
+    are not stable: one insert or removal shifts every later leaf, which
+    re-pairs the nodes to its right. A tail insert recomputes only its path,
+    but 30 random inserts into 100k revoked serials recompute about two
+    thirds of the 100k internal nodes (62k to 74k in four draws).
     """
     current = set(tree.serials)
     add = set(add)

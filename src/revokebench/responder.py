@@ -86,17 +86,7 @@ class StatusResponse:
 
     @property
     def wire_size(self) -> int:
-        # serial, status, produced_at, length-prefixed nonce and key id, signature
-        return (
-            8
-            + len(_STATUS_FIELD[self.status])
-            + 8
-            + 4
-            + len(self.nonce)
-            + 4
-            + len(self.responder_key_id.encode("utf-8"))
-            + self.signature.wire_size
-        )
+        return len(self._payload) + self.signature.wire_size
 
 
 @dataclass(frozen=True)
@@ -179,7 +169,7 @@ class OcspResponder:
         self.signatures_made += 1
         status = self.status_of(request.serial, produced_at)
         payload = _response_payload(request.serial, status, produced_at, request.nonce, key_id)
-        return StatusResponse(
+        response = StatusResponse(
             serial=request.serial,
             status=status,
             produced_at=produced_at,
@@ -187,6 +177,10 @@ class OcspResponder:
             responder_key_id=key_id,
             signature=self.keystore.sign(payload, key_id),
         )
+        # Cache the bytes just signed on this object only; a dataclasses.replace
+        # copy encodes its own fields again, so altered fields fail to verify.
+        response.__dict__["_payload"] = payload
+        return response
 
     def handle_raw(self, data: bytes, now: int) -> Optional[StatusResponse]:
         if len(data) != 8 + NONCE_BYTES + 8:

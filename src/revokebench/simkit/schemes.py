@@ -501,6 +501,9 @@ class CrtAdapter(SchemeAdapter):
         super().__init__(sim)
         self.tree: Optional[crt_mod.CrtTree] = None
         self.cache: dict[int, dict[int, crt_mod.CrtProof]] = {}
+        # leaf index -> the directory's proof on the current tree, built on
+        # first request and shared by every client asking for that leaf
+        self.proofs: dict[int, crt_mod.CrtProof] = {}
 
     def publish_events(self) -> list[tuple[int, str]]:
         return _base_grid(self.config.horizon, self.config.base_period)
@@ -530,6 +533,7 @@ class CrtAdapter(SchemeAdapter):
             self.metrics.crt_recomputed_hashes += stats.recomputed_internal
             self.metrics.note_hash("ca_tree", stats.recomputed_internal + stats.recomputed_leaves)
             pushed = stats.recomputed_leaves * 16 + stats.recomputed_internal * 32 + root_block
+        self.proofs.clear()
         self.metrics.note_sign("ca_sign")
         self.metrics.note_publication("crt_root")
         self.ca_push(pushed)
@@ -539,7 +543,10 @@ class CrtAdapter(SchemeAdapter):
         slot = self.cache.setdefault(client, {})
         proof = slot.get(serial)
         if proof is None or now >= proof.signed_root.next_update:
-            proof = crt_mod.crt_prove(self.tree, serial)
+            index = self.tree.leaf_for(serial)
+            proof = self.proofs.get(index)
+            if proof is None:
+                proof = self.proofs[index] = crt_mod.crt_prove(self.tree, serial)
             self.dir_fetch(now, proof.wire_size)
             d2c += proof.wire_size
             slot[serial] = proof
@@ -702,14 +709,15 @@ class OcspAdapter(SchemeAdapter):
                 return hit.status is not resp_mod.OcspStatus.REVOKED, 0
         request = resp_mod.make_request(serial, now, self.sim.rng_nonce)
         response = self.responder.respond(request)
-        self.dir_fetch(now, response.wire_size, request=request.wire_size)
+        nbytes = response.wire_size
+        self.dir_fetch(now, nbytes, request=request.wire_size)
         self.metrics.note_sign("responder_sign")
         if not resp_mod.verify_response(response, request, self.keystore, self.chain):
             raise AssertionError("genuine responder answer failed verification")
         self.metrics.note_sign("client_verify")
         if self.config.ocsp_max_age > 0:
             self.cached[(client, serial)] = response
-        return response.status is not resp_mod.OcspStatus.REVOKED, response.wire_size
+        return response.status is not resp_mod.OcspStatus.REVOKED, nbytes
 
 
 class NaiveStatusAdapter(SchemeAdapter):

@@ -196,6 +196,55 @@ class TestChain:
         assert f.apply_count == 0
 
 
+def reference_F(x: bytes, width_bits: int) -> bytes:
+    """One application, from a fresh hashlib call over the prefixed input."""
+    width_bytes = (width_bits + 7) // 8
+    digest = hashlib.sha256(b"owf:" + x).digest()
+    return bytes([digest[0] & (0xFF >> (width_bytes * 8 - width_bits))]) + digest[1:width_bytes]
+
+
+class TestOwfReference:
+    """apply, chain and iterate continue a copy of a prefix-seeded SHA-256
+    state; each must equal a fresh hashlib.sha256(b"owf:" + x) per step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        width=st.integers(min_value=8, max_value=256),
+        seed=st.integers(min_value=0, max_value=2**32),
+        n=st.integers(min_value=0, max_value=40),
+    )
+    def test_apply_chain_iterate(self, width, seed, n):
+        f = OneWayFunction(width)
+        x = f.random_value(random.Random(seed))
+        expected = [x]
+        for _ in range(n):
+            expected.append(reference_F(expected[-1], width))
+
+        assert f.apply(x) == reference_F(x, width)
+        assert f.apply_count == 1
+        assert f.chain(x, n) == b"".join(expected)
+        assert f.apply_count == 1 + n
+        assert f.iterate(x, n) == expected[-1]
+        assert f.apply_count == 1 + 2 * n
+
+    def test_iterate_rejects_before_counting(self):
+        f = OneWayFunction()
+        for bad in (b"\x00" * 12, b"\xff" * 13):
+            with pytest.raises(WidthError):
+                f.iterate(bad, 5)
+        with pytest.raises(ValueError):
+            f.iterate(b"\x00" * 13, -1)
+        assert f.apply_count == 0
+
+    def test_instances_do_not_share_state(self, rng):
+        a, b = OneWayFunction(100), OneWayFunction(64)
+        x, y = a.random_value(rng), b.random_value(rng)
+        for _ in range(3):
+            assert a.apply(x) == reference_F(x, 100)
+            assert b.iterate(y, 2) == reference_F(reference_F(y, 64), 64)
+        assert (a.apply_count, b.apply_count) == (3, 6)
+
+
 class TestCertificates:
     def test_signature_covers_all_fields(self, keystore):
         cert = make_certificate(5, "alice", 0, 100, keystore, "ca")
@@ -260,6 +309,19 @@ class TestCertificateEncoding:
         assert cert.signed_payload() == reference_certificate_payload(cert)
         assert cert.issuer_signature == keystore.sign(reference_certificate_payload(cert), "ca")
         assert cert.to_bytes() == cert.signed_payload() + cert.issuer_signature.to_bytes()
+
+    @pytest.mark.parametrize("anchor_bytes", [None, (13, 13), (1, 32)])
+    @pytest.mark.parametrize("segment_id", [None, "", "seg-ü3"])
+    @pytest.mark.parametrize("subject", ["", "alice", "subject-ü", "証明書-🔑"])
+    def test_wire_size_is_the_encoding_length(self, keystore, anchor_bytes, segment_id, subject):
+        anchor = None
+        if anchor_bytes is not None:
+            y_len, n_len = anchor_bytes
+            anchor = CrsAnchor(y=b"\x01" * y_len, n=b"\x02" * n_len, lifetime_periods=3, period_length=9)
+        cert = make_certificate(
+            7, subject, 0, 100, keystore, "ca", crs_anchor=anchor, segment_id=segment_id
+        )
+        assert cert.wire_size == len(cert.to_bytes())
 
     @pytest.mark.parametrize(
         "serial,not_before,not_after",

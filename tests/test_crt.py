@@ -1,8 +1,10 @@
 """Revocation trees: range leaves, proofs, verification, incremental updates."""
 
+import dataclasses
+import hashlib
 import math
-
 import random
+import struct
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,10 +19,13 @@ from revokebench.crt import (
     CrtLeaf,
     CrtProof,
     CrtVerdict,
+    SignedRoot,
     crt_build,
     crt_prove,
     crt_update,
     crt_verify,
+    leaf_hash,
+    node_hash,
     parse_proof,
 )
 
@@ -226,3 +231,114 @@ class TestLeafFor:
         for serial in (SENTINEL_LO, SENTINEL_HI):
             with pytest.raises(ValueError):
                 tree.leaf_for(serial)
+
+
+def reference_leaf_hash(lo: int, hi: int) -> bytes:
+    return hashlib.sha256(b"\x00crt-leaf" + struct.pack(">Q", lo) + struct.pack(">Q", hi)).digest()
+
+
+def reference_node_hash(left: bytes, right: bytes) -> bytes:
+    return hashlib.sha256(b"\x01crt-node" + left + right).digest()
+
+
+class TestHashReference:
+    """The tag-seeded hash states against a from-scratch hashlib call."""
+
+    @settings(max_examples=200)
+    @given(
+        lo=st.integers(SENTINEL_LO, SENTINEL_HI - 1),
+        gap=st.integers(1, SENTINEL_HI),
+    )
+    @example(lo=SENTINEL_LO, gap=SENTINEL_HI)
+    def test_leaf_hash(self, lo, gap):
+        hi = min(lo + gap, SENTINEL_HI)
+        assert leaf_hash(CrtLeaf(lo, hi)) == reference_leaf_hash(lo, hi)
+        assert CrtLeaf(lo, hi).to_bytes() == struct.pack(">QQ", lo, hi)
+
+    @settings(max_examples=200)
+    @given(left=st.binary(max_size=80), right=st.binary(max_size=80))
+    @example(left=b"", right=b"")
+    def test_node_hash(self, left, right):
+        assert node_hash(left, right) == reference_node_hash(left, right)
+        # repeated calls do not disturb the shared seeded state
+        assert node_hash(left, right) == reference_node_hash(left, right)
+
+    def test_verify_path_equals_reference_fold(self, keystore, rng):
+        tree = build(keystore, sorted(rng.sample(range(1, 10_000), 300)))
+        for serial in rng.sample(range(1, 10_000), 50):
+            proof = crt_prove(tree, serial)
+            cur = reference_leaf_hash(proof.leaf.lo, proof.leaf.hi)
+            for sib, side in proof.siblings:
+                cur = reference_node_hash(sib, cur) if side == SIDE_LEFT else reference_node_hash(cur, sib)
+            assert cur == tree.root
+            assert crt_verify(proof, serial, keystore, "ca", 0) in (
+                CrtVerdict.VALID,
+                CrtVerdict.REVOKED,
+            )
+
+
+class TestProofWireSize:
+    @pytest.mark.parametrize("revoked_count", [0, 1, 2, 3, 4, 5, 6, 10, 22])
+    def test_small_trees_with_promoted_nodes(self, keystore, revoked_count):
+        revoked = list(range(10, 10 + 10 * revoked_count, 10))
+        tree = build(keystore, revoked)
+        for serial in range(1, 12 + 10 * revoked_count):
+            proof = crt_prove(tree, serial)
+            assert proof.wire_size == len(proof.to_bytes())
+            assert proof.signed_root.wire_size == len(proof.signed_root.to_bytes())
+
+    def test_single_leaf_tree_has_no_siblings(self, keystore):
+        proof = crt_prove(build(keystore, []), 7)
+        assert proof.siblings == ()
+        assert proof.wire_size == len(proof.to_bytes()) == 16 + 4 + 1 + len(
+            proof.signed_root.to_bytes()
+        )
+
+    def test_depths_up_to_17(self, keystore):
+        """2**16 + 1 leaves: every leaf but the last has 17 siblings; the
+        last is promoted up to the top level and has one."""
+        tree = build(keystore, range(1, 2**16 + 1))
+        assert len(tree.levels) == 18
+        counts = set()
+        for serial in (1, 2, 3, 2**15 + 7, 2**16 - 1, 2**16, 2**16 + 5):
+            proof = crt_prove(tree, serial)
+            counts.add(len(proof.siblings))
+            assert proof.wire_size == len(proof.to_bytes())
+        assert counts == {1, 17}
+
+
+class TestTamperRejection:
+    def proof(self, keystore):
+        tree = build(keystore, [5, 9, 12, 40, 77])
+        return crt_prove(tree, 20)
+
+    def test_flipped_sibling_side(self, keystore):
+        proof = self.proof(keystore)
+        for i, (sib, side) in enumerate(proof.siblings):
+            siblings = list(proof.siblings)
+            siblings[i] = (sib, 1 - side)
+            bad = dataclasses.replace(proof, siblings=tuple(siblings))
+            assert crt_verify(bad, 20, keystore, "ca", 0) is CrtVerdict.PROOF_INVALID
+
+    def test_flipped_leaf_endpoint(self, keystore):
+        proof = self.proof(keystore)
+        assert proof.leaf == CrtLeaf(12, 40)
+        for leaf in (CrtLeaf(11, 40), CrtLeaf(13, 40), CrtLeaf(12, 39), CrtLeaf(12, 41)):
+            bad = dataclasses.replace(proof, leaf=leaf)
+            assert crt_verify(bad, 20, keystore, "ca", 0) is CrtVerdict.PROOF_INVALID
+
+    def test_wrong_root(self, keystore):
+        proof = self.proof(keystore)
+        root = proof.signed_root.root
+        for i in (0, 15, 31):
+            flipped = root[:i] + bytes([root[i] ^ 0x80]) + root[i + 1 :]
+            bad = dataclasses.replace(
+                proof, signed_root=dataclasses.replace(proof.signed_root, root=flipped)
+            )
+            assert crt_verify(bad, 20, keystore, "ca", 0) is CrtVerdict.PROOF_INVALID
+        # a correctly signed root over another tree
+        other = build(keystore, [5, 9, 12, 40, 78]).signed_root
+        assert isinstance(other, SignedRoot) and other.root != root
+        bad = dataclasses.replace(proof, signed_root=other)
+        assert crt_verify(bad, 20, keystore, "ca", 0) is CrtVerdict.PROOF_INVALID
+        assert crt_verify(proof, 20, keystore, "ca", 0) is CrtVerdict.VALID

@@ -1,6 +1,7 @@
 """Online responder: signed nonce-bound responses, cached acceptance, the
 naive per-certificate statement baseline, and key rotation."""
 
+import dataclasses
 import struct
 
 import pytest
@@ -10,6 +11,7 @@ from revokebench.responder import (
     OcspResponder,
     OcspStatus,
     ResponderKey,
+    StatusRequest,
     StatusResponse,
     accept_cached,
     make_key_chain,
@@ -147,6 +149,40 @@ class TestResponseEncoding:
             before = keystore.sign_count
             ocsp.respond(make_request(i, 600 + i, rng))
             assert keystore.sign_count - before == 1
+
+
+class TestReplacedResponse:
+    """respond hands its signed payload to the response it returns. A copy
+    with altered fields must encode those fields again and so fail."""
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"status": OcspStatus.GOOD},
+            {"status": OcspStatus.UNKNOWN},
+            {"serial": 3},
+            {"nonce": b"\x07" * 16},
+            {"produced_at": 601},
+            {"serial": 3, "nonce": b"\x07" * 16},
+        ],
+    )
+    def test_altered_fields_fail_verification(self, ocsp, keystore, chain, rng, changes):
+        request = make_request(2, 600, rng)
+        response = ocsp.respond(request)
+        assert verify_response(response, request, keystore, chain)
+        altered = dataclasses.replace(response, **changes)
+        assert altered.signed_payload() == reference_response_payload(altered)
+        assert altered.signed_payload() != response.signed_payload()
+        assert altered.wire_size == len(altered.to_bytes())
+        # a request the altered response echoes, so only the MAC can reject it
+        echoed = StatusRequest(serial=altered.serial, nonce=altered.nonce, sent_at=600)
+        assert not verify_response(altered, echoed, keystore, chain)
+        assert not accept_cached(altered, 10_000, 700, keystore, chain)
+
+    def test_unchanged_replace_still_verifies(self, ocsp, keystore, chain, rng):
+        request = make_request(2, 600, rng)
+        copy = dataclasses.replace(ocsp.respond(request))
+        assert verify_response(copy, request, keystore, chain)
 
 
 class TestAcceptCached:

@@ -6,10 +6,11 @@ import random
 
 import pytest
 
-from revokebench.core import DAY, HOUR, OneWayFunction, RevocationRecord, Signature
+from revokebench import crt as crt_mod
+from revokebench.core import DAY, HOUR, OneWayFunction, RevocationRecord, Signature, make_certificate
 from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
 from revokebench.crs import CrsTokenKind, token_wire_size
-from revokebench.crt import crt_build, crt_prove
+from revokebench.crt import CrtLeaf, CrtVerdict, crt_build, crt_prove, crt_verify
 from revokebench.simkit import (
     ConfigError,
     Scheme,
@@ -24,6 +25,7 @@ from revokebench.simkit import (
 )
 from revokebench.simkit.schemes import (
     CrsAdapter,
+    CrtAdapter,
     DeltaCrlAdapter,
     FullCrlAdapter,
     PlainCrlBaselineAdapter,
@@ -556,3 +558,89 @@ class TestVerifyOnArrival:
         with pytest.raises(AssertionError, match="failed verification") as excinfo:
             sim.run()
         assert excinfo.traceback[-1].name == "fetch_doc"
+
+
+class PerFetchCrtAdapter(CrtAdapter):
+    """Reference directory: a new proof for every fetch, nothing shared."""
+
+    def validate(self, client: int, serial: int, now: int):
+        self.proofs.clear()
+        return super().validate(client, serial, now)
+
+
+def counting_prove(monkeypatch):
+    """Patch crt_prove to record (root, leaf index) per call."""
+    calls = []
+    original = crt_mod.crt_prove
+
+    def prove(tree, serial):
+        proof = original(tree, serial)
+        calls.append((tree.root, proof.leaf_index))
+        return proof
+
+    monkeypatch.setattr(crt_mod, "crt_prove", prove)
+    return calls
+
+
+class TestCrtProofSharing:
+    """The CRT directory builds one proof per leaf per tree and serves it to
+    every client that asks for that leaf."""
+
+    def test_reports_and_logs_equal_the_per_fetch_reference(self, monkeypatch):
+        config = cfg(
+            scheme=Scheme.CRT,
+            annual_revocation_fraction=5.0,
+            validation_rate=12.0,
+            depender_nodes=8,
+            depender_k=2,
+        )
+        calls = counting_prove(monkeypatch)
+        shared = run_with_logs(config)
+        shared_calls = list(calls)
+        calls.clear()
+        reference = run_with_logs(config, adapter_factory=PerFetchCrtAdapter)
+        assert shared[0].to_json() == reference[0].to_json()
+        assert shared[1] == reference[1]
+        assert shared[2] == reference[2]
+        assert len(set(shared_calls)) == len(shared_calls)  # once per leaf per tree
+        assert set(shared_calls) == set(calls)
+        assert len(shared_calls) < len(calls)
+
+    def test_one_gap_one_proof_until_a_publication_splits_it(self):
+        sim = Simulation(cfg(scheme=Scheme.CRT, population=0))
+        adapter = sim.adapter
+        for serial in (10, 20, 30, 40):
+            sim.ledger.add_certificate(
+                make_certificate(serial, f"s{serial}", 0, 100 * DAY, sim.keystore, sim.ca_key)
+            )
+        sim.ledger.revoke(10, 0)
+        sim.ledger.revoke(40, 0)
+        adapter.on_publish(0, "base")
+        first_root = adapter.tree.signed_root
+
+        used, nbytes = adapter.validate(0, 20, HOUR)
+        assert used and nbytes > 0
+        assert adapter.validate(1, 30, HOUR) == (True, nbytes)
+        assert adapter.validate(1, 20, HOUR) == (True, nbytes)  # each client pays its fetch
+        old = adapter.cache[0][20]
+        assert old is adapter.cache[1][30] is adapter.cache[1][20]
+        assert old.leaf == CrtLeaf(10, 40) and old.signed_root == first_root
+
+        sim.ledger.revoke(30, 2 * HOUR)
+        adapter.on_publish(DAY, "base")
+        new_root = adapter.tree.signed_root
+        assert new_root != first_root and new_root.issued_at == DAY
+
+        assert adapter.validate(0, 20, DAY + HOUR)[0] is True
+        assert adapter.validate(1, 30, DAY + HOUR)[0] is False
+        good, bad = adapter.cache[0][20], adapter.cache[1][30]
+        assert good.signed_root == bad.signed_root == new_root
+        assert good.leaf == CrtLeaf(10, 30) and bad.leaf == CrtLeaf(30, 40)
+        assert crt_verify(bad, 30, sim.keystore, sim.ca_key, DAY + HOUR) is CrtVerdict.REVOKED
+
+        # cross-tree soundness: neither proof verifies under the other root
+        for proof, root in ((old, new_root), (good, first_root), (bad, first_root)):
+            grafted = dataclasses.replace(proof, signed_root=root)
+            for serial in (20, 30):
+                verdict = crt_verify(grafted, serial, sim.keystore, sim.ca_key, HOUR)
+                assert verdict is CrtVerdict.PROOF_INVALID
