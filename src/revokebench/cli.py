@@ -27,7 +27,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Malformed input file or inconsistent arguments."""
 
 
@@ -474,10 +474,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError, simkit.ConfigError) as exc:
+    except (ValueError, KeyError, OSError) as exc:  # InputError and ConfigError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -108,8 +108,8 @@ class KeyStore:
 
     The schemes only care about signature sizes and operation counts, so a
     keyed hash stands in for an asymmetric algorithm; the contract (sign /
-    verify / per-key identity) allows swapping one in later. Sign and verify
-    call counts are kept for the simulator's CPU proxy.
+    verify / per-key identity) allows swapping one in later. Each sign and
+    verify is counted in `counts` under (op, the `phase` its caller set).
 
     The MAC is HMAC-SHA256 (RFC 2104). register hashes the padded key's
     inner and outer blocks once, and each MAC continues copies of those two
@@ -121,8 +121,16 @@ class KeyStore:
     def __init__(self) -> None:
         # key id -> (inner, outer) SHA-256 states after one key block each
         self._keys: dict[str, tuple] = {}
-        self.sign_count = 0
-        self.verify_count = 0
+        self.phase: Optional[str] = None
+        self.counts: dict[tuple[str, Optional[str]], int] = {}
+
+    @property
+    def sign_count(self) -> int:
+        return sum(n for (op, _), n in self.counts.items() if op == "sign")
+
+    @property
+    def verify_count(self) -> int:
+        return sum(n for (op, _), n in self.counts.items() if op == "verify")
 
     def register(self, key_id: str, secret: bytes) -> None:
         key = bytes(secret)
@@ -154,13 +162,15 @@ class KeyStore:
 
     def sign(self, message: bytes, key_id: str) -> Signature:
         pads = self._pads(key_id)
-        self.sign_count += 1
+        key = ("sign", self.phase)
+        self.counts[key] = self.counts.get(key, 0) + 1
         return Signature(key_id=key_id, mac=self._mac(pads, message))
 
     def verify(self, message: bytes, signature: Signature, key_id: str) -> bool:
         """True iff signature was produced over message under exactly key_id."""
         pads = self._pads(key_id)
-        self.verify_count += 1
+        key = ("verify", self.phase)
+        self.counts[key] = self.counts.get(key, 0) + 1
         if signature.key_id != key_id:
             return False
         return hmac.compare_digest(self._mac(pads, message), signature.mac)

@@ -150,7 +150,6 @@ class OcspResponder:
         self.chain = chain
         self.ledger = ledger
         self.requests_served = 0
-        self.signatures_made = 0
         self.malformed_dropped = 0
 
     def status_of(self, serial: int, at: int) -> OcspStatus:
@@ -166,7 +165,6 @@ class OcspResponder:
         produced_at = request.sent_at if now is None else now
         key_id = self.chain.current_key(produced_at)
         self.requests_served += 1
-        self.signatures_made += 1
         status = self.status_of(request.serial, produced_at)
         payload = _response_payload(request.serial, status, produced_at, request.nonce, key_id)
         response = StatusResponse(

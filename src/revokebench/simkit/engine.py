@@ -28,6 +28,16 @@ EVENT_ORDER = {
     "node_rejoin": 6,
 }
 
+# (KeyStore op, phase) -> signature_ops key; the phase is "setup", then the event kind
+SIGNATURE_KEYS = {
+    ("sign", "setup"): "ca_setup",
+    ("sign", "issue_certificate"): "ca_issue",
+    ("sign", "publish"): "ca_sign",
+    ("sign", "validate"): "responder_sign",
+    ("verify", "validate"): "client_verify",
+    ("verify", "fetch"): "client_verify",
+}
+
 
 def schedule_staggered_fetch(
     clients,
@@ -90,6 +100,7 @@ class Simulation:
         self.action_log: Optional[list[str]] = [] if keep_logs else None
         self.decision_log: Optional[list[str]] = [] if keep_logs else None
         self.revoked_count = 0
+        self.keystore.phase = "setup"
         self.adapter = (adapter_factory or ADAPTERS[config.scheme])(self)
 
         self.overlay: Optional[dep_mod.DependerGraph] = None
@@ -178,6 +189,7 @@ class Simulation:
 
         while events:
             t, _, _, kind, payload = heapq.heappop(events)
+            self.keystore.phase = kind
             if kind == "issue_certificate":
                 serial = payload
                 anchor = adapter.anchor_for(serial, t)
@@ -215,6 +227,9 @@ class Simulation:
             elif kind == "node_rejoin":
                 self._overlay_rejoin(payload)
 
+        for pair, n in self.keystore.counts.items():
+            key = SIGNATURE_KEYS[pair]  # a pair missing from the table raises
+            metrics.signature_ops[key] = metrics.signature_ops.get(key, 0) + n
         metrics.note_hash("ca_chain", self.f_ca.apply_count)
         metrics.note_hash("client_chain", self.f_client.apply_count)
         return metrics.finalize()

@@ -5,6 +5,8 @@ message are recorded, and must reconcile exactly. Today both sides are
 recorded by the one transport routine, SchemeAdapter.transfer, with the same
 number, so conservation holds by construction; it becomes a real check once
 the encoder's side and the decoder's side are measured apart.
+Signatures are not noted here: at the end of a run the engine fills
+signature_ops from the KeyStore's own per-phase counts.
 Request rates are bucketed per interval; peak/mean statistics can exclude a
 configurable warm-up so steady-state claims are not dominated by the cold
 start every scheme shares.
@@ -141,9 +143,6 @@ class Metrics:
         self.requests_per_interval[idx] += 1
 
     # -- operations --------------------------------------------------------
-
-    def note_sign(self, actor: str, n: int = 1) -> None:
-        self.signature_ops[actor] = self.signature_ops.get(actor, 0) + n
 
     def note_hash(self, actor: str, n: int) -> None:
         if n:

@@ -3,7 +3,8 @@
 Each adapter owns the CA-side publishing schedule, the directory's stored
 artifacts, and the per-client cache policy for one scheme. All status logic
 is delegated to the scheme modules' public operations; the adapter only
-moves bytes, counts them, and caches.
+moves bytes, records them, and caches. Signatures are counted by the
+KeyStore under the phase the engine names, never here.
 """
 
 from __future__ import annotations
@@ -90,7 +91,6 @@ class SchemeAdapter:
         self.dir_fetch(now, doc.wire_size)
         if not self.keystore.verify(doc.signed_payload(), doc.signature, self.ca_key):
             raise AssertionError("genuine document failed verification")
-        self.metrics.note_sign("client_verify")
         if isinstance(doc, CrlDocument) and doc.kind is CrlKind.FULL:
             self.metrics.base_crl_fetches += 1
         return doc.wire_size
@@ -108,13 +108,12 @@ class SchemeAdapter:
         return doc, self.fetch_doc(now, doc)
 
     def fresh_fetch(self, serial: int, now: int) -> wcr_mod.FreshFetch:
-        """Authoritative certificate/status query answered and signed by the CA."""
+        """Authoritative status query to the CA: the certificate as issued, unless
+        revoked. Its signature is the one counted under ca_issue."""
         cert = self.ledger.certificates[serial]
         nbytes = cert.wire_size + FRESH_STATUS_BYTES
         self.transfer("client_to_ca", REQUEST_BYTES)
         self.transfer("ca_to_client", nbytes)
-        self.metrics.note_sign("ca_sign")
-        self.metrics.note_sign("client_verify")
         revoked = self.ledger.is_revoked(serial, now)
         return wcr_mod.FreshFetch(
             revoked=revoked,
@@ -168,7 +167,6 @@ class FullCrlAdapter(SchemeAdapter):
     def on_publish(self, now: int, tag: str) -> None:
         doc = self.issuer.issue_full(self.ledger.revoked_non_expired(now), now)
         self.current = doc
-        self.metrics.note_sign("ca_sign")
         self.metrics.note_publication("full_crl")
         self.ca_push(doc.wire_size)
 
@@ -227,7 +225,6 @@ class DeltaCrlAdapter(SchemeAdapter):
             self.delta = self.issuer.issue_delta(since, self.base, now)
             doc = self.delta
             self.metrics.note_publication("delta_crl")
-        self.metrics.note_sign("ca_sign")
         self.ca_push(doc.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
@@ -329,7 +326,6 @@ class SlidingDeltaAdapter(SchemeAdapter):
             self.delta = self.issuer.issue_sliding_delta(records, now)
             doc = self.delta
             self.metrics.note_publication("sliding_delta")
-        self.metrics.note_sign("ca_sign")
         self.ca_push(doc.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
@@ -387,7 +383,6 @@ class SegmentedAdapter(SchemeAdapter):
     def on_publish(self, now: int, tag: str) -> None:
         docs = self.issuer.segment(self.ledger.revoked_non_expired(now), self.table, now)
         self.segdocs = {d.segment_id: d for d in docs}
-        self.metrics.note_sign("ca_sign", len(docs))
         self.metrics.note_publication("segment_crl", len(docs))
         self.ca_push(sum(d.wire_size for d in docs))
         if now == 0:
@@ -510,14 +505,13 @@ class CrtAdapter(SchemeAdapter):
 
     def on_publish(self, now: int, tag: str) -> None:
         revoked = [r.serial for r in self.ledger.revoked_non_expired(now)]
-        root_block = 32 + 8 + 8 + 40
         if self.tree is None:
             self.tree = crt_mod.crt_build(
                 revoked, now, self.config.base_period, self.keystore, self.ca_key
             )
             nodes = sum(len(level) for level in self.tree.levels[1:])
             self.metrics.note_hash("ca_tree", nodes + len(self.tree.leaves))
-            pushed = len(self.tree.leaves) * 16 + nodes * 32 + root_block
+            pushed = len(self.tree.leaves) * 16 + nodes * 32
         else:
             have = set(self.tree.serials)
             want = set(revoked)
@@ -532,11 +526,10 @@ class CrtAdapter(SchemeAdapter):
             )
             self.metrics.crt_recomputed_hashes += stats.recomputed_internal
             self.metrics.note_hash("ca_tree", stats.recomputed_internal + stats.recomputed_leaves)
-            pushed = stats.recomputed_leaves * 16 + stats.recomputed_internal * 32 + root_block
+            pushed = stats.recomputed_leaves * 16 + stats.recomputed_internal * 32
         self.proofs.clear()
-        self.metrics.note_sign("ca_sign")
         self.metrics.note_publication("crt_root")
-        self.ca_push(pushed)
+        self.ca_push(pushed + self.tree.signed_root.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
         d2c = 0
@@ -551,7 +544,6 @@ class CrtAdapter(SchemeAdapter):
             d2c += proof.wire_size
             slot[serial] = proof
         verdict = crt_mod.crt_verify(proof, serial, self.keystore, self.ca_key, now)
-        self.metrics.note_sign("client_verify")
         self.metrics.note_hash("client_tree", len(proof.siblings) + 1)
         if verdict is crt_mod.CrtVerdict.REVOKED:
             return False, d2c
@@ -606,7 +598,6 @@ class WcrAdapter(SchemeAdapter):
         self.current = self.issuer.issue(
             self.ledger.revoked_non_expired(now), now // self.config.base_period, now
         )
-        self.metrics.note_sign("ca_sign")
         self.metrics.note_publication("wcr_crl")
         self.ca_push(self.current.wire_size)
 
@@ -654,7 +645,6 @@ class PlainCrlBaselineAdapter(SchemeAdapter):
 
     def on_publish(self, now: int, tag: str) -> None:
         self.current = self.issuer.issue_full(self.ledger.revoked_non_expired(now), now)
-        self.metrics.note_sign("ca_sign")
         self.metrics.note_publication("full_crl")
         self.ca_push(self.current.wire_size)
 
@@ -711,10 +701,8 @@ class OcspAdapter(SchemeAdapter):
         response = self.responder.respond(request)
         nbytes = response.wire_size
         self.dir_fetch(now, nbytes, request=request.wire_size)
-        self.metrics.note_sign("responder_sign")
         if not resp_mod.verify_response(response, request, self.keystore, self.chain):
             raise AssertionError("genuine responder answer failed verification")
-        self.metrics.note_sign("client_verify")
         if self.config.ocsp_max_age > 0:
             self.cached[(client, serial)] = response
         return response.status is not resp_mod.OcspStatus.REVOKED, nbytes
@@ -740,7 +728,6 @@ class NaiveStatusAdapter(SchemeAdapter):
         )
         self.statements = {s.serial: s for s in statements}
         self.directory_period = period
-        self.metrics.note_sign("ca_sign", len(statements))
         self.metrics.note_publication("status_statements", len(statements))
         self.ca_push(sum(s.wire_size for s in statements))
 
@@ -762,7 +749,6 @@ class NaiveStatusAdapter(SchemeAdapter):
             statement = hit[0]
         if not resp_mod.verify_statement(statement, self.keystore, self.ca_key, period):
             raise AssertionError("genuine statement failed verification")
-        self.metrics.note_sign("client_verify")
         return statement.status is not resp_mod.OcspStatus.REVOKED, d2c
 
 

@@ -81,62 +81,62 @@ CONFIGS = {
 # name -> (report.to_json(), action log, decision log)
 GOLDEN = {
     "full_crl": (
-        "12c27d145f6f327bd14606c796078daf5784eaf405c1966f70fa2ab9b0b847f1",
+        "0b1ec75514413056071df680038f9aa47ee381e773459d5debdd14ca147045e7",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "bdb622cf15105e57b64d185bd6c8d8ae2a8eabfa558c2b3a352d8ab2663fca95",
     ),
     "full_crl_overissue_window": (
-        "e97e30d7fc6257c707f06a9c1fac704dca32ede299012d326a7243ba0b17f1e6",
+        "8c65c33b3c0c413aa71f9a78dc74f5161d11f3bc80831ab72b578a515932e7e3",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "f4258a5ea7d53c5f7dc55ca808dcfca82c2394e968a343f728544165191d8e0e",
     ),
     "delta_crl_extra": (
-        "f230590094a68baec2d01ea8ffff40f3927a5cae8d9f38fe863f4b44379094a7",
+        "5219ae27e3a5a3dc45f25373dcf5f8aa07460b594bdccd93d2577b4fd237ea20",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "2f1514f4e44d82d22165b83d3da9bf4eadacdc42fec791b8f046a84e49a5e665",
     ),
     "sliding_delta_extra": (
-        "118452b93b9bc4385a62d50ad95631bf4b0aa119a6a87d19c5727519412d56b6",
+        "76269604e2ab51d561e7e7e23876fd92a7691cdcc61096813211871516b6102b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "130cae5097cba72f5bb007eb69bff01c1b8656c4c2b916e54e78fba071d88bb6",
     ),
     "segmented_3": (
-        "ec8b07b9719fdd39899f0dd5016a9cdc4c59b93c079cda5bc76094b228a87c12",
+        "5cd182915140c50704a5cef40fe3efa60ba50879413515aea70a28ce1eb090d9",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "6ce1c8f7cfd10268567471a1e7e2102f36d7184b8aa5414466cf633537a3f009",
     ),
     "crs": (
-        "13fd0ffe6bee0faa917dbd8e49df135c2fd8eb824aad44d5c63e9e20e43d3ed8",
+        "459dbfb859e6d579a5c4b5ff3a4153b652e2b50ab7008740d726f05dd94e0ba2",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "8ccc63abbe616d73ecae8fe02013a5a9541568399cdb646a815b7d5792f513db",
     ),
     "crt_overlay": (
-        "542ff398da90a703a4a1791b6f9a2b482cebdfa2857a9f1204186afb5904e544",
+        "1a866a9df9646990757315a28a1b760af36418a22d619959cd810a698a6a6a0b",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "7caa0c2bc3586960f55b83b82ff92afa6b393975550bf166744c1d1c29f3a413",
     ),
     "wcr": (
-        "95ff45653ec8a145274a7d4b38b62dbe91bb3e3cfd9347b5347b4a01f53158cb",
+        "f0c876a2cf8e3d00b1fcc80734391850ef02a7146a7790500fe86bc413b6ca8e",
         "b14412ac5561bc06f5f6a9d0b59f86b4e1476e132ccd5034a2f40597b7ace223",
         "4bbedc736d6629e1e64198dc3782dbbaad84c3bc0bcca8d450cd66ef56a3821e",
     ),
     "ocsp_max_age": (
-        "5d6bbe35c8b9878c851e48440dcf705fc923650ee15e3b8cb7796b3c0b3b9bf4",
+        "067d7fb3dab1d440e01844c0a449e86c44c1bc49e88d41f252d69f61a7fe0dab",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "176eb8c6dce331fe00f1d5f43d2333d5b8d89d0f60b367fe7f88a613094df077",
     ),
     "naive_signed_status": (
-        "c64dfed02f7cc5f62bd1763defe3771406569b756a799c5ba1a69a08adc3389a",
+        "11a3f27db74216fbc717d401927c50a80d56ac4f6b99f2a310a881d7d02f65bb",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "947a03a8161dce2cdeda4144afc3afb6d98b50dec27ee84fcafc9fe7fe6bd821",
     ),
     "wcr_zero_timers": (
-        "f5acbf4016274bcf6a69ba3358ea79805ccf47d039c98e2c50b4413f1eb42808",
+        "1d219d32836c27ac6dff8cde15ef9b104ecb03aa21714bbccdf34eed28198370",
         "1d6c38d672df1080d105b0a0bae7b5b82b00ab3b6a09d988e8031fe22afaf1db",
         "3c8c45b265ac35af1cfbf80bb2afce88a3adadbcdae800edaf162fc266dfe850",
     ),
     "wcr_infinite_window": (
-        "4a550ad63ce2523b3c44fe8ba27e6a57aed7d523a39fea813ba8ecdd3b692ca2",
+        "da2704e282cd08d25afd16339fb76ff979071fa1cb47f58525ccf2998c830e24",
         "1821743bc2073608bf0401e4eff5fc1b033c4fc96504eaa698bbe8190a8ecd9f",
         "0249be2e6787568bf7ef6e0a56122c833407935eb21959a1b91eff3710fc7b60",
     ),

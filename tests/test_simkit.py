@@ -24,6 +24,7 @@ from revokebench.simkit import (
     Simulation,
 )
 from revokebench.simkit.schemes import (
+    AlwaysFreshAdapter,
     CrsAdapter,
     CrtAdapter,
     DeltaCrlAdapter,
@@ -119,6 +120,21 @@ class TestComparisons:
         ratio = large.bytes_sent["ca_to_directory"] / small.bytes_sent["ca_to_directory"]
         assert 3.0 < ratio < 5.0  # ~4x population -> ~4x update bytes
         assert abs(large.per_validation_d2c_bytes - small.per_validation_d2c_bytes) < 2.0
+
+    def test_crt_first_publication_bytes_are_the_encodings(self):
+        """Oracle: the first CRT push carries every leaf, every internal node
+        and the signed root as SignedRoot.to_bytes encodes it."""
+        sim = Simulation(cfg(scheme=Scheme.CRT))
+        for serial in range(1, 9):
+            cert = make_certificate(serial, f"s{serial}", 0, 30 * DAY, sim.keystore, sim.ca_key)
+            sim.ledger.add_certificate(cert)
+        for serial in (2, 3, 7):
+            sim.ledger.revoke(serial, 0)
+        sim.adapter.on_publish(HOUR, "base")
+        tree = sim.adapter.tree
+        nodes = sum(len(level) for level in tree.levels[1:])
+        expected = 16 * len(tree.leaves) + 32 * nodes + len(tree.signed_root.to_bytes())
+        assert sim.metrics.bytes_sent["ca_to_directory"] == expected
 
     def test_proof_bytes_log_vs_list_bytes_linear(self, keystore, rng):
         """Oracle: closed-form wire accounting. Tree proofs grow ~log in the
@@ -514,17 +530,61 @@ class FlippedTableAdapter(SegmentedAdapter):
         self.table = flip_bit(self.table)
 
 
+# name -> (config fields, adapter factory): every scheme, both OCSP modes,
+# and WCR next to its two baselines
+COUNTED = {
+    **{
+        name: (CRL_FAMILY[name], None)
+        for name in ("full_crl", "full_crl_prefetch", "delta_crl", "sliding_delta", "segmented")
+    },
+    "crs": ({"scheme": Scheme.CRS, "crs_lifetime_periods": 30}, None),
+    "crt": ({"scheme": Scheme.CRT}, None),
+    "ocsp_nonce": ({"scheme": Scheme.OCSP}, None),
+    "ocsp_cached": (
+        {
+            "scheme": Scheme.OCSP,
+            "population": 20,
+            "n_clients": 4,
+            "validation_rate": 16.0,
+            "ocsp_max_age": 12 * HOUR,
+        },
+        None,
+    ),
+    "naive_signed_status": ({"scheme": Scheme.NAIVE_SIGNED_STATUS}, None),
+    "wcr": (CRL_FAMILY["wcr"], WcrAdapter),
+    "always_fresh": (CRL_FAMILY["wcr"], AlwaysFreshAdapter),
+    "plain_crl": (CRL_FAMILY["wcr"], PlainCrlBaselineAdapter),
+}
+
+# Clients that never verify a signature: CRS checks hash chains, and an
+# always-fresh client trusts the certificate the CA hands it.
+SILENT_CLIENTS = {"crs", "always_fresh"}
+
+
 class TestVerifyOnArrival:
     """Clients verify each signed document once, when it arrives."""
 
-    @pytest.mark.parametrize(
-        "name", ["full_crl", "full_crl_prefetch", "delta_crl", "sliding_delta", "segmented"]
-    )
+    @pytest.mark.parametrize("name", list(COUNTED))
     def test_reported_verifications_are_the_work_done(self, name):
-        sim = Simulation(cfg(**CRL_FAMILY[name]))
-        report = sim.run()
-        assert report.signature_ops["client_verify"] > 0
-        assert sim.keystore.verify_count == report.signature_ops["client_verify"]
+        """Oracle: the KeyStore's own sign and verify counts."""
+        fields, factory = COUNTED[name]
+        sim = Simulation(cfg(**fields), adapter_factory=factory)
+        ops = sim.run().signature_ops
+        verified = ops.get("client_verify", 0)
+        assert (verified > 0) == (name not in SILENT_CLIENTS)
+        assert sim.keystore.verify_count == verified
+        signed = ("ca_setup", "ca_issue", "ca_sign", "responder_sign")
+        assert sim.keystore.sign_count == sum(ops.get(k, 0) for k in signed)
+        assert ops["ca_issue"] == len(sim.ledger.certificates)
+
+    def test_signature_in_a_phase_without_report_key_raises(self):
+        class RevokeSigning(FullCrlAdapter):
+            def on_revoke(self, serial, now):
+                self.keystore.sign(b"unreported", self.ca_key)
+
+        sim = Simulation(cfg(annual_revocation_fraction=5.0), adapter_factory=RevokeSigning)
+        with pytest.raises(KeyError, match="revoke"):
+            sim.run()
 
     @pytest.mark.parametrize(
         "name,factory",
