@@ -6,7 +6,7 @@ check over a document cache.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -260,17 +260,11 @@ class CrlIssuer:
             entries=tuple(sorted(entries)),
             signature=Signature(self.key_id, b""),
         )
-        sig = self.keystore.sign(doc.signed_payload(), self.key_id)
-        return CrlDocument(
-            issuer=doc.issuer,
-            kind=doc.kind,
-            this_update=doc.this_update,
-            next_update=doc.next_update,
-            window_start=doc.window_start,
-            segment_id=doc.segment_id,
-            entries=doc.entries,
-            signature=sig,
-        )
+        payload = doc.signed_payload()
+        signed = replace(doc, signature=self.keystore.sign(payload, self.key_id))
+        # Seed the copy with the bytes just signed instead of encoding them again.
+        signed.__dict__["_payload"] = payload
+        return signed
 
     def issue_full(
         self,

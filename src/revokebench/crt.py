@@ -243,7 +243,7 @@ class CrtUpdateStats:
 
 
 def crt_update(
-    tree: CrtTree,
+    tree: Optional[CrtTree],
     add: Iterable[int],
     remove_expired: Iterable[int],
     now: int,
@@ -254,6 +254,7 @@ def crt_update(
     """New snapshot after adding fresh revocations and dropping expired ones.
 
     The result is structurally identical to crt_build over the final set.
+    tree=None stands for the empty set, so a first build is an update too.
     Every old leaf hash is reused, and so is every internal node whose child
     pair also occurs in the old tree; the rest is recomputed and counted (the
     counts are what the simulator compares across schemes). Leaf positions
@@ -262,7 +263,7 @@ def crt_update(
     but 30 random inserts into 100k revoked serials recompute about two
     thirds of the 100k internal nodes (62k to 74k in four draws).
     """
-    current = set(tree.serials)
+    current = set(tree.serials) if tree is not None else set()
     add = set(add)
     remove = set(remove_expired)
     if add & current:
@@ -271,11 +272,13 @@ def crt_update(
         raise ValueError(f"not currently revoked: {sorted(remove - current)}")
     serials = sorted((current | add) - remove)
 
-    old_leaf_memo = {leaf: h for leaf, h in zip(tree.leaves, tree.levels[0])}
+    old_leaf_memo: dict[CrtLeaf, bytes] = {}
     node_memo: dict[bytes, bytes] = {}
-    for level, parent in zip(tree.levels, tree.levels[1:]):
-        for i in range(0, len(level) - 1, 2):
-            node_memo[level[i] + level[i + 1]] = parent[i // 2]
+    if tree is not None:
+        old_leaf_memo = dict(zip(tree.leaves, tree.levels[0]))
+        for level, parent in zip(tree.levels, tree.levels[1:]):
+            for i in range(0, len(level) - 1, 2):
+                node_memo[level[i] + level[i + 1]] = parent[i // 2]
 
     leaves = _leaves_for(serials)
     new_leaf_hashes = []

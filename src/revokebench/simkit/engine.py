@@ -186,6 +186,7 @@ class Simulation:
         adapter = self.adapter
         ledger = self.ledger
         metrics = self.metrics
+        received = metrics.bytes_received
 
         while events:
             t, _, _, kind, payload = heapq.heappop(events)
@@ -213,10 +214,11 @@ class Simulation:
                     adapter.on_publish(t, payload)
             elif kind == "validate":
                 client, serial = payload
-                used, d2c = adapter.validate(client, serial, t)
-                metrics.note_validation(
-                    t, used, ledger.revoked_at(serial), d2c, self.revoked_count
-                )
+                # a validation's bytes are what the transport moved during it
+                before = received["directory_to_client"]
+                used = adapter.validate(client, serial, t)
+                d2c = received["directory_to_client"] - before
+                metrics.note_validation(t, used, ledger.revoked_at(serial), d2c, self.revoked_count)
                 if self.decision_log is not None:
                     verdict = "use" if used else "drop"
                     self.decision_log.append(f"{t},{client},{serial},{verdict}")

@@ -5,6 +5,9 @@ message are recorded, and must reconcile exactly. Today both sides are
 recorded by the one transport routine, SchemeAdapter.transfer, with the same
 number, so conservation holds by construction; it becomes a real check once
 the encoder's side and the decoder's side are measured apart.
+Scheme adapters count nothing themselves. Publications are noted by the
+transport's CA push, and a validation's directory->client bytes are the
+change the engine reads off bytes_received around the adapter's call.
 Signatures are not noted here: at the end of a run the engine fills
 signature_ops from the KeyStore's own per-phase counts.
 Request rates are bucketed per interval; peak/mean statistics can exclude a

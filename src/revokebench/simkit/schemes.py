@@ -3,8 +3,10 @@
 Each adapter owns the CA-side publishing schedule, the directory's stored
 artifacts, and the per-client cache policy for one scheme. All status logic
 is delegated to the scheme modules' public operations; the adapter only
-moves bytes, records them, and caches. Signatures are counted by the
-KeyStore under the phase the engine names, never here.
+moves bytes through the transport helpers and caches. Adapters count
+nothing themselves: the transport records every byte and publication, the
+engine reads a validation's directory->client bytes off the transport, and
+signatures are counted by the KeyStore under the phase the engine names.
 """
 
 from __future__ import annotations
@@ -65,7 +67,8 @@ class SchemeAdapter:
     def on_fetch(self, client: int, now: int) -> None:
         pass
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
+    def validate(self, client: int, serial: int, now: int) -> bool:
+        """The client's decision: True to use the certificate."""
         raise NotImplementedError
 
     # -- transport helpers ----------------------------------------------------
@@ -75,7 +78,9 @@ class SchemeAdapter:
         self.metrics.note_sent(channel, nbytes)
         self.metrics.note_received(channel, nbytes)
 
-    def ca_push(self, nbytes: int) -> None:
+    def ca_push(self, kind: str, nbytes: int, count: int = 1) -> None:
+        """Publish `count` documents of one kind, nbytes in all, to the directory."""
+        self.metrics.note_publication(kind, count)
         self.transfer("ca_to_directory", nbytes)
         self.sim.overlay_push(nbytes)
 
@@ -85,27 +90,27 @@ class SchemeAdapter:
         self.transfer("client_to_directory", request)
         self.transfer("directory_to_client", nbytes)
 
-    def fetch_doc(self, now: int, doc: CrlDocument | RedirectTable) -> int:
+    def fetch_doc(self, now: int, doc: CrlDocument | RedirectTable) -> None:
         """Fetch one signed document from the directory and verify it under
-        the CA key; returns its size. A client caches only what passed here."""
+        the CA key. A client caches only what passed here."""
         self.dir_fetch(now, doc.wire_size)
         if not self.keystore.verify(doc.signed_payload(), doc.signature, self.ca_key):
             raise AssertionError("genuine document failed verification")
         if isinstance(doc, CrlDocument) and doc.kind is CrlKind.FULL:
             self.metrics.base_crl_fetches += 1
-        return doc.wire_size
 
     def current_crl(
         self, cache: dict[int, CrlDocument], client: int, now: int
     ) -> tuple[CrlDocument, int]:
         """The client's cached CRL while it covers `now`, else the adapter's
         `current` CRL fetched into the cache. Returns the document and the
-        bytes fetched (0 on a cache hit)."""
+        bytes fetched (0 on a cache hit), which only action logs read."""
         doc = cache.get(client)
         if doc is not None and doc.covers(now):
             return doc, 0
         doc = cache[client] = self.current
-        return doc, self.fetch_doc(now, doc)
+        self.fetch_doc(now, doc)
+        return doc, doc.wire_size
 
     def fresh_fetch(self, serial: int, now: int) -> wcr_mod.FreshFetch:
         """Authoritative status query to the CA: the certificate as issued, unless
@@ -167,18 +172,16 @@ class FullCrlAdapter(SchemeAdapter):
     def on_publish(self, now: int, tag: str) -> None:
         doc = self.issuer.issue_full(self.ledger.revoked_non_expired(now), now)
         self.current = doc
-        self.metrics.note_publication("full_crl")
-        self.ca_push(doc.wire_size)
+        self.ca_push("full_crl", doc.wire_size)
 
     def on_fetch(self, client: int, now: int) -> None:
         if self.current is not None:  # nothing published yet -> nothing to prefetch
             self.cache[client] = self.current
             self.fetch_doc(now, self.current)
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
-        doc, d2c = self.current_crl(self.cache, client, now)
-        status = check_status(serial, [doc], now)
-        return status is not CrlStatus.REVOKED, d2c
+    def validate(self, client: int, serial: int, now: int) -> bool:
+        doc, _ = self.current_crl(self.cache, client, now)
+        return check_status(serial, [doc], now) is not CrlStatus.REVOKED
 
 
 class DeltaCrlAdapter(SchemeAdapter):
@@ -214,8 +217,7 @@ class DeltaCrlAdapter(SchemeAdapter):
         if tag == "base":
             self.base = self.issuer.issue_full(self.ledger.revoked_non_expired(now), now)
             self.delta = None
-            doc = self.base
-            self.metrics.note_publication("base_crl")
+            self.ca_push("base_crl", self.base.wire_size)
         else:
             since = [
                 r
@@ -223,13 +225,10 @@ class DeltaCrlAdapter(SchemeAdapter):
                 if r.revoked_at > self.base.this_update
             ]
             self.delta = self.issuer.issue_delta(since, self.base, now)
-            doc = self.delta
-            self.metrics.note_publication("delta_crl")
-        self.ca_push(doc.wire_size)
+            self.ca_push("delta_crl", self.delta.wire_size)
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
+    def validate(self, client: int, serial: int, now: int) -> bool:
         slot = self.cache.setdefault(client, {"base": None, "delta": None})
-        d2c = 0
 
         def docs() -> list[CrlDocument]:
             return [d for d in (slot["base"], slot["delta"]) if d is not None]
@@ -237,13 +236,13 @@ class DeltaCrlAdapter(SchemeAdapter):
         status = check_status(serial, docs(), now)
         if status is CrlStatus.STALE_INFORMATION and self.delta is not None:
             slot["delta"] = self.delta
-            d2c += self.fetch_doc(now, self.delta)
+            self.fetch_doc(now, self.delta)
             status = check_status(serial, docs(), now)
         if status is CrlStatus.STALE_INFORMATION:
             slot["base"] = self.base
-            d2c += self.fetch_doc(now, self.base)
+            self.fetch_doc(now, self.base)
             status = check_status(serial, docs(), now)
-        return status is not CrlStatus.REVOKED, d2c
+        return status is not CrlStatus.REVOKED
 
 
 class _SlidingClient:
@@ -320,31 +319,27 @@ class SlidingDeltaAdapter(SchemeAdapter):
         records = self.ledger.revoked_non_expired(now)
         if tag == "base":
             self.base = self.issuer.issue_full(records, now)
-            doc = self.base
-            self.metrics.note_publication("base_crl")
+            self.ca_push("base_crl", self.base.wire_size)
         else:
             self.delta = self.issuer.issue_sliding_delta(records, now)
-            doc = self.delta
-            self.metrics.note_publication("sliding_delta")
-        self.ca_push(doc.wire_size)
+            self.ca_push("sliding_delta", self.delta.wire_size)
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
+    def validate(self, client: int, serial: int, now: int) -> bool:
         state = self.clients.setdefault(client, _SlidingClient())
-        d2c = 0
         status = state.status(serial, now)
         if status is CrlStatus.STALE_INFORMATION:
             delta = self.delta if self.delta is not None and self.delta.covers(now) else None
             if delta is not None:
-                d2c += self.fetch_doc(now, delta)
+                self.fetch_doc(now, delta)
                 state.accept(delta)
             status = state.status(serial, now)
             if status is CrlStatus.STALE_INFORMATION:
-                d2c += self.fetch_doc(now, self.base)
+                self.fetch_doc(now, self.base)
                 state.accept(self.base)
                 if delta is not None:
                     state.accept(delta)  # fetched above; chains onto the new base
                 status = state.status(serial, now)
-        return status is not CrlStatus.REVOKED, d2c
+        return status is not CrlStatus.REVOKED
 
 
 class SegmentedAdapter(SchemeAdapter):
@@ -383,16 +378,13 @@ class SegmentedAdapter(SchemeAdapter):
     def on_publish(self, now: int, tag: str) -> None:
         docs = self.issuer.segment(self.ledger.revoked_non_expired(now), self.table, now)
         self.segdocs = {d.segment_id: d for d in docs}
-        self.metrics.note_publication("segment_crl", len(docs))
-        self.ca_push(sum(d.wire_size for d in docs))
+        self.ca_push("segment_crl", sum(d.wire_size for d in docs), len(docs))
         if now == 0:
-            self.ca_push(self.table.wire_size)
-            self.metrics.note_publication("redirect_table")
+            self.ca_push("redirect_table", self.table.wire_size)
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
-        d2c = 0
+    def validate(self, client: int, serial: int, now: int) -> bool:
         if client not in self.has_table:
-            d2c += self.fetch_doc(now, self.table)
+            self.fetch_doc(now, self.table)
             self.has_table.add(client)
         seg = resolve_segment(serial, self.table)
         slot = self.cache.setdefault(client, {})
@@ -401,9 +393,9 @@ class SegmentedAdapter(SchemeAdapter):
         status = check_status(serial, docs, now, table=self.table)
         if status is CrlStatus.STALE_INFORMATION:
             doc = slot[seg] = self.segdocs[seg]
-            d2c += self.fetch_doc(now, doc)
+            self.fetch_doc(now, doc)
             status = check_status(serial, [doc], now, table=self.table)
-        return status is not CrlStatus.REVOKED, d2c
+        return status is not CrlStatus.REVOKED
 
 
 # ---------------------------------------------------------------------------
@@ -452,36 +444,33 @@ class CrsAdapter(SchemeAdapter):
         self.snapshot = (grid, self.authority.revocation_count)
         # certificates with 1 <= grid - issue_grid <= lifetime
         live = bisect_right(self.grids, grid - 1) - bisect_left(self.grids, grid - self.lifetime)
-        self.metrics.note_publication("crs_update")
-        self.ca_push(live * self.token_bytes)
+        self.ca_push("crs_update", live * self.token_bytes)
 
     def directory_token(self, serial: int) -> crs_mod.CrsToken:
         """The serial's token in the last published period."""
         grid, cutoff = self.snapshot
         return self.authority.issue_token(serial, grid - self.issue_grid[serial], as_of=cutoff)
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
+    def validate(self, client: int, serial: int, now: int) -> bool:
         grid = now // self.period
         claimed = grid - self.issue_grid[serial]
         if claimed == 0:
             # The anchor inside the certificate is the period-0 statement.
-            return True, 0
-        d2c = 0
+            return True
         slot = self.cache.setdefault(client, {})
         hit = slot.get(serial)
         if hit is None or hit[1] != grid:
             token = self.directory_token(serial)
             self.dir_fetch(now, self.token_bytes)
-            d2c += self.token_bytes
             slot[serial] = (token, grid)
         else:
             token = hit[0]
         anchor = self.ledger.certificates[serial].crs_anchor
         result = crs_mod.crs_verify(token, anchor, claimed, self.sim.f_client)
         if result is crs_mod.CrsStatus.REVOKED:
-            return False, d2c
+            return False
         if result is crs_mod.CrsStatus.VALID_AT_PERIOD:
-            return True, d2c
+            return True
         raise AssertionError(f"genuine token failed verification for serial {serial}")
 
 
@@ -504,35 +493,24 @@ class CrtAdapter(SchemeAdapter):
         return _base_grid(self.config.horizon, self.config.base_period)
 
     def on_publish(self, now: int, tag: str) -> None:
-        revoked = [r.serial for r in self.ledger.revoked_non_expired(now)]
-        if self.tree is None:
-            self.tree = crt_mod.crt_build(
-                revoked, now, self.config.base_period, self.keystore, self.ca_key
-            )
-            nodes = sum(len(level) for level in self.tree.levels[1:])
-            self.metrics.note_hash("ca_tree", nodes + len(self.tree.leaves))
-            pushed = len(self.tree.leaves) * 16 + nodes * 32
-        else:
-            have = set(self.tree.serials)
-            want = set(revoked)
-            self.tree, stats = crt_mod.crt_update(
-                self.tree,
-                sorted(want - have),
-                sorted(have - want),
-                now,
-                self.config.base_period,
-                self.keystore,
-                self.ca_key,
-            )
-            self.metrics.crt_recomputed_hashes += stats.recomputed_internal
-            self.metrics.note_hash("ca_tree", stats.recomputed_internal + stats.recomputed_leaves)
-            pushed = stats.recomputed_leaves * 16 + stats.recomputed_internal * 32
+        want = {r.serial for r in self.ledger.revoked_non_expired(now)}
+        have = set(self.tree.serials) if self.tree is not None else set()
+        self.tree, stats = crt_mod.crt_update(
+            self.tree,
+            sorted(want - have),
+            sorted(have - want),
+            now,
+            self.config.base_period,
+            self.keystore,
+            self.ca_key,
+        )
+        self.metrics.crt_recomputed_hashes += stats.recomputed_internal
+        self.metrics.note_hash("ca_tree", stats.recomputed_internal + stats.recomputed_leaves)
+        pushed = stats.recomputed_leaves * 16 + stats.recomputed_internal * 32
         self.proofs.clear()
-        self.metrics.note_publication("crt_root")
-        self.ca_push(pushed + self.tree.signed_root.wire_size)
+        self.ca_push("crt_root", pushed + self.tree.signed_root.wire_size)
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
-        d2c = 0
+    def validate(self, client: int, serial: int, now: int) -> bool:
         slot = self.cache.setdefault(client, {})
         proof = slot.get(serial)
         if proof is None or now >= proof.signed_root.next_update:
@@ -541,14 +519,13 @@ class CrtAdapter(SchemeAdapter):
             if proof is None:
                 proof = self.proofs[index] = crt_mod.crt_prove(self.tree, serial)
             self.dir_fetch(now, proof.wire_size)
-            d2c += proof.wire_size
             slot[serial] = proof
         verdict = crt_mod.crt_verify(proof, serial, self.keystore, self.ca_key, now)
         self.metrics.note_hash("client_tree", len(proof.siblings) + 1)
         if verdict is crt_mod.CrtVerdict.REVOKED:
-            return False, d2c
+            return False
         if verdict is crt_mod.CrtVerdict.VALID:
-            return True, d2c
+            return True
         raise AssertionError(f"genuine proof failed verification for serial {serial}")
 
 
@@ -598,10 +575,9 @@ class WcrAdapter(SchemeAdapter):
         self.current = self.issuer.issue(
             self.ledger.revoked_non_expired(now), now // self.config.base_period, now
         )
-        self.metrics.note_publication("wcr_crl")
-        self.ca_push(self.current.wire_size)
+        self.ca_push("wcr_crl", self.current.wire_size)
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
+    def validate(self, client: int, serial: int, now: int) -> bool:
         state = self.states.get(
             (client, serial), wcr_mod.WcrClientState(serial=serial)
         )
@@ -610,8 +586,7 @@ class WcrAdapter(SchemeAdapter):
         )
         self.states[(client, serial)] = new_state
         self.log_actions(client, actions)
-        d2c = sum(n for _, _, act, n in actions if act == wcr_mod.ACT_CRL)
-        return decision is wcr_mod.WcrDecision.USE, d2c
+        return decision is wcr_mod.WcrDecision.USE
 
 
 class AlwaysFreshAdapter(SchemeAdapter):
@@ -619,8 +594,8 @@ class AlwaysFreshAdapter(SchemeAdapter):
 
     name = "always_fresh"
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
-        return self.fresh_decision(client, serial, now), 0
+    def validate(self, client: int, serial: int, now: int) -> bool:
+        return self.fresh_decision(client, serial, now)
 
 
 class PlainCrlBaselineAdapter(SchemeAdapter):
@@ -645,23 +620,22 @@ class PlainCrlBaselineAdapter(SchemeAdapter):
 
     def on_publish(self, now: int, tag: str) -> None:
         self.current = self.issuer.issue_full(self.ledger.revoked_non_expired(now), now)
-        self.metrics.note_publication("full_crl")
-        self.ca_push(self.current.wire_size)
+        self.ca_push("full_crl", self.current.wire_size)
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
+    def validate(self, client: int, serial: int, now: int) -> bool:
         if (client, serial) not in self.held:
             used = self.fresh_decision(client, serial, now)
             if used:
                 self.held.add((client, serial))
-            return used, 0
-        doc, d2c = self.current_crl(self.cache, client, now)
-        actions = [(now, serial, wcr_mod.ACT_CRL, d2c)] if d2c else []
+            return used
+        doc, nbytes = self.current_crl(self.cache, client, now)
+        actions = [(now, serial, wcr_mod.ACT_CRL, nbytes)] if nbytes else []
         revoked = doc.lists(serial)
         if revoked:
             self.held.discard((client, serial))
         actions.append((now, serial, wcr_mod.ACT_DROP if revoked else wcr_mod.ACT_USE, 0))
         self.log_actions(client, actions)
-        return not revoked, d2c
+        return not revoked
 
 
 # ---------------------------------------------------------------------------
@@ -690,22 +664,21 @@ class OcspAdapter(SchemeAdapter):
         self.responder = resp_mod.OcspResponder(self.keystore, self.chain, self.ledger)
         self.cached: dict[tuple[int, int], resp_mod.StatusResponse] = {}
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
+    def validate(self, client: int, serial: int, now: int) -> bool:
         if self.config.ocsp_max_age > 0:
             hit = self.cached.get((client, serial))
             if hit is not None and resp_mod.accept_cached(
                 hit, self.config.ocsp_max_age, now, self.keystore, self.chain
             ):
-                return hit.status is not resp_mod.OcspStatus.REVOKED, 0
+                return hit.status is not resp_mod.OcspStatus.REVOKED
         request = resp_mod.make_request(serial, now, self.sim.rng_nonce)
         response = self.responder.respond(request)
-        nbytes = response.wire_size
-        self.dir_fetch(now, nbytes, request=request.wire_size)
+        self.dir_fetch(now, response.wire_size, request=request.wire_size)
         if not resp_mod.verify_response(response, request, self.keystore, self.chain):
             raise AssertionError("genuine responder answer failed verification")
         if self.config.ocsp_max_age > 0:
             self.cached[(client, serial)] = response
-        return response.status is not resp_mod.OcspStatus.REVOKED, nbytes
+        return response.status is not resp_mod.OcspStatus.REVOKED
 
 
 class NaiveStatusAdapter(SchemeAdapter):
@@ -728,28 +701,25 @@ class NaiveStatusAdapter(SchemeAdapter):
         )
         self.statements = {s.serial: s for s in statements}
         self.directory_period = period
-        self.metrics.note_publication("status_statements", len(statements))
-        self.ca_push(sum(s.wire_size for s in statements))
+        self.ca_push("status_statements", sum(s.wire_size for s in statements), len(statements))
 
-    def validate(self, client: int, serial: int, now: int) -> tuple[bool, int]:
+    def validate(self, client: int, serial: int, now: int) -> bool:
         period = now // self.period
         if period == 0 or self.directory_period < 0:
-            return True, 0  # issuance itself is the period-0 statement
-        d2c = 0
+            return True  # issuance itself is the period-0 statement
         slot = self.cache.setdefault(client, {})
         hit = slot.get(serial)
         if hit is None or hit[1] != self.directory_period:
             statement = self.statements.get(serial)
             if statement is None:
-                return True, 0  # issued since the last update; covered by issuance
+                return True  # issued since the last update; covered by issuance
             self.dir_fetch(now, statement.wire_size)
-            d2c += statement.wire_size
             slot[serial] = (statement, self.directory_period)
         else:
             statement = hit[0]
         if not resp_mod.verify_statement(statement, self.keystore, self.ca_key, period):
             raise AssertionError("genuine statement failed verification")
-        return statement.status is not resp_mod.OcspStatus.REVOKED, d2c
+        return statement.status is not resp_mod.OcspStatus.REVOKED
 
 
 ADAPTERS = {

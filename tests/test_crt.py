@@ -173,9 +173,11 @@ class TestUpdate:
             crt_update(tree, [], [7], 0, 86400, keystore, "ca")
 
     def test_random_sequences_match_rebuild(self, keystore, rng):
-        """Oracle: rebuild from scratch after every update."""
+        """Oracle: rebuild from scratch after every update, the first update
+        being from the empty set (tree=None)."""
         current = set(rng.sample(range(1, 2000), 50))
-        tree = build(keystore, current)
+        tree, _ = crt_update(None, sorted(current), [], 0, 86400, keystore, "ca")
+        assert tree == build(keystore, current)
         for _ in range(15):
             add = set(rng.sample([s for s in range(1, 2000) if s not in current],
                                  rng.randrange(0, 8)))

@@ -3,6 +3,7 @@ and the closed-form byte accounting the comparisons rest on."""
 
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 
@@ -369,8 +370,7 @@ class EagerCrsAdapter(CrsAdapter):
             {serial: grid - g for serial, g in self.issue_grid.items()}
         )
         self.tokens = {t.serial: t for t in tokens}
-        self.metrics.note_publication("crs_update")
-        self.ca_push(len(tokens) * self.token_bytes)
+        self.ca_push("crs_update", len(tokens) * self.token_bytes)
 
     def directory_token(self, serial: int):
         return self.tokens[serial]
@@ -620,6 +620,67 @@ class TestVerifyOnArrival:
         assert excinfo.traceback[-1].name == "fetch_doc"
 
 
+# KeyStore phase -> the hash_ops key of the CRT hashes computed in it
+TREE_HASH_KEYS = {"publish": "ca_tree", "validate": "client_tree"}
+
+
+def count_tree_hashes(monkeypatch, keystore):
+    """Patch the CRT hash primitives to count their calls by
+    (hash_ops key of the keystore's phase, primitive name)."""
+    done = Counter()
+
+    def counting(name):
+        original = getattr(crt_mod, name)
+
+        def counted(*args):
+            done[TREE_HASH_KEYS[keystore.phase], name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in ("leaf_hash", "node_hash"):
+        monkeypatch.setattr(crt_mod, name, counting(name))
+    return done
+
+
+class TestHashCounts:
+    """Reported hash_ops equal the hashes the primitives computed."""
+
+    @pytest.mark.parametrize("name", list(COUNTED))
+    def test_reported_hashes_are_the_work_done(self, name, monkeypatch):
+        """Oracle: calls of the CRT hash primitives and the one-way
+        functions' own application counts."""
+        fields, factory = COUNTED[name]
+        sim = Simulation(cfg(**fields), adapter_factory=factory)
+        done = count_tree_hashes(monkeypatch, sim.keystore)
+        ops = sim.run().hash_ops
+        expected = Counter(ca_chain=sim.f_ca.apply_count, client_chain=sim.f_client.apply_count)
+        for (key, _), n in done.items():
+            expected[key] += n
+        assert ops == {k: n for k, n in expected.items() if n}
+        assert bool(done) == (name == "crt")
+        assert bool(sim.f_ca.apply_count and sim.f_client.apply_count) == (name == "crs")
+
+    @pytest.mark.parametrize("n_revoked", [2, 4, 5, 100])
+    def test_crt_first_publication_counts_only_computed_hashes(self, n_revoked, monkeypatch):
+        """A first build promotes odd nodes unhashed: they are neither counted
+        under ca_tree nor pushed to the directory."""
+        sim = Simulation(cfg(scheme=Scheme.CRT, population=0))
+        for serial in range(1, n_revoked + 1):
+            cert = make_certificate(serial, f"s{serial}", 0, 30 * DAY, sim.keystore, sim.ca_key)
+            sim.ledger.add_certificate(cert)
+            sim.ledger.revoke(serial, 0)
+        done = count_tree_hashes(monkeypatch, sim.keystore)
+        sim.keystore.phase = "publish"
+        sim.adapter.on_publish(HOUR, "base")
+        leaves, nodes = done["ca_tree", "leaf_hash"], done["ca_tree", "node_hash"]
+        assert leaves == n_revoked + 1
+        assert sim.metrics.hash_ops == {"ca_tree": leaves + nodes}
+        root = len(sim.adapter.tree.signed_root.to_bytes())
+        assert sim.metrics.bytes_sent["ca_to_directory"] == 16 * leaves + 32 * nodes + root
+        assert sim.metrics.publications == {"crt_root": 1}
+
+
 class PerFetchCrtAdapter(CrtAdapter):
     """Reference directory: a new proof for every fetch, nothing shared."""
 
@@ -678,10 +739,13 @@ class TestCrtProofSharing:
         adapter.on_publish(0, "base")
         first_root = adapter.tree.signed_root
 
-        used, nbytes = adapter.validate(0, 20, HOUR)
-        assert used and nbytes > 0
-        assert adapter.validate(1, 30, HOUR) == (True, nbytes)
-        assert adapter.validate(1, 20, HOUR) == (True, nbytes)  # each client pays its fetch
+        received = sim.metrics.bytes_received
+        assert adapter.validate(0, 20, HOUR) is True
+        nbytes = received["directory_to_client"]
+        assert nbytes > 0
+        assert adapter.validate(1, 30, HOUR) is True
+        assert adapter.validate(1, 20, HOUR) is True
+        assert received["directory_to_client"] == 3 * nbytes  # each client pays its fetch
         old = adapter.cache[0][20]
         assert old is adapter.cache[1][30] is adapter.cache[1][20]
         assert old.leaf == CrtLeaf(10, 40) and old.signed_root == first_root
@@ -691,8 +755,8 @@ class TestCrtProofSharing:
         new_root = adapter.tree.signed_root
         assert new_root != first_root and new_root.issued_at == DAY
 
-        assert adapter.validate(0, 20, DAY + HOUR)[0] is True
-        assert adapter.validate(1, 30, DAY + HOUR)[0] is False
+        assert adapter.validate(0, 20, DAY + HOUR) is True
+        assert adapter.validate(1, 30, DAY + HOUR) is False
         good, bad = adapter.cache[0][20], adapter.cache[1][30]
         assert good.signed_root == bad.signed_root == new_root
         assert good.leaf == CrtLeaf(10, 30) and bad.leaf == CrtLeaf(30, 40)
