@@ -203,6 +203,10 @@ def _build_levels(
 
 
 def _leaves_for(serials: list[int]) -> list[CrtLeaf]:
+    """Gap leaves over sorted serials, each strictly between the sentinels."""
+    for s in (serials[0], serials[-1]) if serials else ():
+        if not SENTINEL_LO < s < SENTINEL_HI:
+            raise ValueError(f"serial {s} collides with a sentinel endpoint")
     bounds = [SENTINEL_LO] + serials + [SENTINEL_HI]
     return [CrtLeaf(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -221,9 +225,6 @@ def crt_build(
 ) -> CrtTree:
     """Tree over the sentinel-bounded gaps between consecutive revoked serials."""
     serials = sorted(set(revoked))
-    for s in serials:
-        if not SENTINEL_LO < s < SENTINEL_HI:
-            raise ValueError(f"serial {s} collides with a sentinel endpoint")
     leaves = _leaves_for(serials)
     levels = _build_levels([leaf_hash(lf) for lf in leaves])
     return CrtTree(

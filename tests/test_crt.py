@@ -57,6 +57,14 @@ class TestBuild:
         with pytest.raises(ValueError):
             build(keystore, [SENTINEL_HI])
 
+    def test_sentinel_serials_rejected_by_update(self, keystore):
+        """Both build paths reject them: from the empty set and by adding."""
+        for serial in (SENTINEL_LO, SENTINEL_HI):
+            with pytest.raises(ValueError):
+                crt_update(None, [serial], [], 0, 86400, keystore, "ca")
+            with pytest.raises(ValueError):
+                crt_update(build(keystore, [5]), [serial], [], 0, 86400, keystore, "ca")
+
 
 class TestPaperExample:
     """Eight leaves; the query answered by leaf L2 needs exactly the level-0
