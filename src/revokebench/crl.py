@@ -315,12 +315,11 @@ class CrlIssuer:
         self,
         all_records: Iterable[RevocationRecord],
         now: int,
-        window_length: Optional[int] = None,
     ) -> CrlDocument:
         """Delta over a fixed trailing window: revocations in (now - W, now]."""
-        window = self.schedule.window_length if window_length is None else window_length
-        if window is None or window <= 0:
-            raise ValueError("sliding delta requires a positive window_length")
+        window = self.schedule.window_length
+        if window is None:
+            raise ValueError("sliding delta requires a window_length")
         if self.schedule.delta_period is None:
             raise ValueError("schedule has no delta_period")
         # A window reaching past epoch 0 covers all history, bound inclusive.

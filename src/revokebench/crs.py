@@ -85,7 +85,6 @@ class CrsAuthority:
         self._chains: dict[int, bytes] = {}  # chain[j] = F^j(Y0), j = 0..L
         self._secrets: dict[int, CrsSecret] = {}
         self._lifetimes: dict[int, int] = {}
-        self._period_length: dict[int, int] = {}
         self._revoked: dict[int, int] = {}  # serial -> order of its revocation
 
     def setup(self, serial: int, lifetime_periods: int, period_length: int, rng) -> tuple[CrsAnchor, CrsSecret]:
@@ -102,7 +101,6 @@ class CrsAuthority:
         self._chains[serial] = chain
         self._secrets[serial] = secret
         self._lifetimes[serial] = lifetime_periods
-        self._period_length[serial] = period_length
         anchor = CrsAnchor(
             y=chain[-f.width_bytes :],  # F^L(Y0)
             n=f.apply(n0),

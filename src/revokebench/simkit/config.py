@@ -12,6 +12,7 @@ from enum import Enum
 from typing import Optional
 
 from ..core import DAY, HOUR
+from ..crl import IssuanceSchedule
 
 
 class Scheme(Enum):
@@ -109,17 +110,18 @@ class SimConfig:
             raise ConfigError(f"unknown validation pattern {self.validation_pattern!r}")
         if self.validation_pattern == "fixed_gap" and self.validation_gap <= 0:
             raise ConfigError("fixed_gap pattern needs a positive validation_gap")
-        if self.interval <= 0 or self.base_period <= 0:
-            raise ConfigError("interval and base_period must be positive")
-        if self.scheme in (Scheme.DELTA_CRL, Scheme.SLIDING_DELTA) and not self.delta_period:
+        if self.interval <= 0:
+            raise ConfigError("interval must be positive")
+        if self.stat_warmup < 0:
+            raise ConfigError("stat_warmup must be >= 0")
+        try:
+            self.schedule
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.scheme in (Scheme.DELTA_CRL, Scheme.SLIDING_DELTA) and self.delta_period is None:
             raise ConfigError(f"{self.scheme.value} requires delta_period")
-        if self.delta_period and self.base_period % self.delta_period:
-            raise ConfigError("delta_period must evenly divide base_period")
-        if self.scheme is Scheme.SLIDING_DELTA:
-            if not self.window_length or self.window_length < self.base_period:
-                raise ConfigError("sliding window must be at least base_period")
-        if self.overissue_factor < 1 or self.base_period % self.overissue_factor:
-            raise ConfigError("overissue_factor must divide base_period")
+        if self.scheme is Scheme.SLIDING_DELTA and self.window_length is None:
+            raise ConfigError("sliding_delta requires window_length")
         if self.scheme is Scheme.SEGMENTED and self.segments < 1:
             raise ConfigError("segmented scheme needs at least one segment")
         if self.fetch_policy not in ("at_expiry", "uniform_random_window"):
@@ -145,6 +147,22 @@ class SimConfig:
             Scheme.SLIDING_DELTA,
         ):
             raise ConfigError("extra_delta_times applies only to delta schemes")
+        if self.ocsp_key_lifetime <= 0:
+            raise ConfigError("ocsp_key_lifetime must be positive")
+        # Node 0 is the overlay's root, which never fails.
+        for _, node in self.node_failures + self.node_rejoins:
+            if not 1 <= node < self.depender_nodes:
+                raise ConfigError(f"node {node} is not in 1 <= id < {self.depender_nodes}")
+
+    @property
+    def schedule(self) -> IssuanceSchedule:
+        """The CRL publishing schedule, the one place its rules are checked."""
+        return IssuanceSchedule(
+            base_period=self.base_period,
+            delta_period=self.delta_period,
+            overissue_factor=self.overissue_factor,
+            window_length=self.window_length,
+        )
 
     def workload_key(self) -> tuple:
         return tuple(getattr(self, name) for name in WORKLOAD_FIELDS)

@@ -3,12 +3,13 @@
 Events are processed in (time, kind order, insertion order); the kind order
 puts issuance before revocation before publication before validation at any
 shared instant, so a document published at t already reflects a revocation
-at t and a validation at t sees the document.
+at t and a validation at t sees the document. Every event is known before
+the run starts and none is scheduled during it, so the events are sorted
+once and popped in order.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Callable, Optional
 
 from .. import depender as dep_mod
@@ -99,7 +100,6 @@ class Simulation:
         self.workload = generate_workload(config)
         self.action_log: Optional[list[str]] = [] if keep_logs else None
         self.decision_log: Optional[list[str]] = [] if keep_logs else None
-        self.revoked_count = 0
         self.keystore.phase = "setup"
         self.adapter = (adapter_factory or ADAPTERS[config.scheme])(self)
 
@@ -113,7 +113,7 @@ class Simulation:
 
     # -- overlay -------------------------------------------------------------
 
-    def overlay_push(self, nbytes: int) -> None:
+    def overlay_push(self) -> None:
         if self.overlay is None:
             return
         message = dep_mod.PropagationMessage(
@@ -129,13 +129,7 @@ class Simulation:
         ov["forwards"] = ov.get("forwards", 0) + sum(report.forwards.values())
         ov["missed"] = ov.get("missed", 0) + len(report.missed(self.overlay_failed))
 
-    def _overlay_fail(self, node: int) -> None:
-        if self.overlay is not None and node != self.overlay.root:
-            self.overlay_failed.add(node)
-
     def _overlay_rejoin(self, node: int) -> None:
-        if self.overlay is None:
-            return
         self.overlay_failed.discard(node)
         ov = self.metrics.overlay
         try:
@@ -182,14 +176,16 @@ class Simulation:
         for t, node in config.node_rejoins:
             push(t, "node_rejoin", node)
 
-        heapq.heapify(events)
+        # sorted in reverse so that each pop from the end is the next event
+        # and drops the list's hold on it
+        events.sort(reverse=True)
         adapter = self.adapter
         ledger = self.ledger
         metrics = self.metrics
         received = metrics.bytes_received
 
         while events:
-            t, _, _, kind, payload = heapq.heappop(events)
+            t, _, _, kind, payload = events.pop()
             self.keystore.phase = kind
             if kind == "issue_certificate":
                 serial = payload
@@ -206,7 +202,6 @@ class Simulation:
                 ledger.add_certificate(cert)
             elif kind == "revoke":
                 ledger.revoke(payload, t)
-                self.revoked_count += 1
                 metrics.revocations_total += 1
                 adapter.on_revoke(payload, t)
             elif kind == "publish":
@@ -218,14 +213,14 @@ class Simulation:
                 before = received["directory_to_client"]
                 used = adapter.validate(client, serial, t)
                 d2c = received["directory_to_client"] - before
-                metrics.note_validation(t, used, ledger.revoked_at(serial), d2c, self.revoked_count)
+                metrics.note_validation(t, used, ledger.revoked_at(serial), d2c)
                 if self.decision_log is not None:
                     verdict = "use" if used else "drop"
                     self.decision_log.append(f"{t},{client},{serial},{verdict}")
             elif kind == "fetch":
                 adapter.on_fetch(payload, t)
             elif kind == "node_fail":
-                self._overlay_fail(payload)
+                self.overlay_failed.add(payload)
             elif kind == "node_rejoin":
                 self._overlay_rejoin(payload)
 

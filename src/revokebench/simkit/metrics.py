@@ -1,5 +1,9 @@
 """Measurement accumulation and the final report.
 
+Each report field is declared once, with its starting value, in
+MetricsReport. Metrics is a MetricsReport that also carries the few sums
+that are not reported, and finalize() copies the reported fields out.
+
 Bytes are double-entry: the sending side and the receiving side of every
 message are recorded, and must reconcile exactly. Today both sides are
 recorded by the one transport routine, SchemeAdapter.transfer, with the same
@@ -18,7 +22,8 @@ start every scheme shares.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from copy import copy
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 CHANNELS = (
@@ -32,6 +37,12 @@ CHANNELS = (
 
 @dataclass
 class MetricsReport:
+    """Every reported field, declared once with its starting value.
+
+    Metrics accumulates into these same fields, and finalize() copies them
+    into a fresh MetricsReport, so a field is added or renamed in one place.
+    """
+
     scheme: str
     seed: int
     horizon: int
@@ -40,30 +51,30 @@ class MetricsReport:
     interval: int
     stat_warmup: int
 
-    requests_per_interval: list[int]
-    peak_request_rate: int
-    mean_request_rate: float
+    requests_per_interval: list[int] = field(default_factory=list)
+    peak_request_rate: int = 0
+    mean_request_rate: float = 0.0
 
-    bytes_sent: dict[str, int]
-    bytes_received: dict[str, int]
+    bytes_sent: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CHANNELS, 0))
+    bytes_received: dict[str, int] = field(default_factory=lambda: dict.fromkeys(CHANNELS, 0))
 
-    validations: int
-    validations_late: int
-    revocations_total: int
-    per_validation_d2c_bytes: float
-    per_validation_d2c_bytes_late: float
+    validations: int = 0
+    validations_late: int = 0
+    revocations_total: int = 0
+    per_validation_d2c_bytes: float = 0.0
+    per_validation_d2c_bytes_late: float = 0.0
 
-    signature_ops: dict[str, int]
-    hash_ops: dict[str, int]
-    publications: dict[str, int]
-    base_crl_fetches: int
-    crt_recomputed_hashes: int
+    signature_ops: dict[str, int] = field(default_factory=dict)
+    hash_ops: dict[str, int] = field(default_factory=dict)
+    publications: dict[str, int] = field(default_factory=dict)
+    base_crl_fetches: int = 0
+    crt_recomputed_hashes: int = 0
 
-    staleness_hist: dict[str, int]
-    false_valid: int
-    false_revocation: int
+    staleness_hist: dict[str, int] = field(default_factory=dict)
+    false_valid: int = 0
+    false_revocation: int = 0
 
-    overlay: dict[str, int]
+    overlay: dict[str, int] = field(default_factory=dict)
 
     def conservation_delta(self) -> int:
         return sum(
@@ -99,39 +110,19 @@ class MetricsReport:
         ]
 
 
-class Metrics:
-    """Mutable accumulator; finalize() freezes it into a MetricsReport."""
+@dataclass
+class Metrics(MetricsReport):
+    """Mutable accumulator over the report's own fields; finalize() freezes
+    it into a MetricsReport. Only the fields below are not reported. The
+    starting size of requests_per_interval depends on horizon and interval,
+    so __post_init__ sizes it."""
 
-    def __init__(self, scheme: str, seed: int, horizon: int, population: int,
-                 n_clients: int, interval: int, stat_warmup: int,
-                 late_revoked_threshold: int) -> None:
-        self.scheme = scheme
-        self.seed = seed
-        self.horizon = horizon
-        self.population = population
-        self.n_clients = n_clients
-        self.interval = interval
-        self.stat_warmup = stat_warmup
-        self.late_revoked_threshold = late_revoked_threshold
+    late_revoked_threshold: int = 0
+    d2c_bytes_at_validation: int = 0
+    d2c_bytes_at_validation_late: int = 0
 
-        n_intervals = -(-horizon // interval)
-        self.requests_per_interval = [0] * n_intervals
-        self.bytes_sent = {ch: 0 for ch in CHANNELS}
-        self.bytes_received = {ch: 0 for ch in CHANNELS}
-        self.validations = 0
-        self.validations_late = 0
-        self.revocations_total = 0
-        self.d2c_bytes_at_validation = 0
-        self.d2c_bytes_at_validation_late = 0
-        self.signature_ops: dict[str, int] = {}
-        self.hash_ops: dict[str, int] = {}
-        self.publications: dict[str, int] = {}
-        self.base_crl_fetches = 0
-        self.crt_recomputed_hashes = 0
-        self.staleness_hist: dict[str, int] = {}
-        self.false_valid = 0
-        self.false_revocation = 0
-        self.overlay: dict[str, int] = {}
+    def __post_init__(self) -> None:
+        self.requests_per_interval = [0] * -(-self.horizon // self.interval)
 
     # -- transport ---------------------------------------------------------
 
@@ -162,7 +153,6 @@ class Metrics:
         used: bool,
         truth_revoked_at: Optional[int],
         d2c_bytes: int,
-        revoked_count: int,
     ) -> None:
         """Compare a client decision against the ledger at the same instant.
 
@@ -172,7 +162,7 @@ class Metrics:
         """
         self.validations += 1
         self.d2c_bytes_at_validation += d2c_bytes
-        late = revoked_count > self.late_revoked_threshold
+        late = self.revocations_total > self.late_revoked_threshold
         if late:
             self.validations_late += 1
             self.d2c_bytes_at_validation_late += d2c_bytes
@@ -190,37 +180,12 @@ class Metrics:
     def finalize(self) -> MetricsReport:
         first = min(self.stat_warmup // self.interval, len(self.requests_per_interval))
         window = self.requests_per_interval[first:] or [0]
-        return MetricsReport(
-            scheme=self.scheme,
-            seed=self.seed,
-            horizon=self.horizon,
-            population=self.population,
-            n_clients=self.n_clients,
-            interval=self.interval,
-            stat_warmup=self.stat_warmup,
-            requests_per_interval=list(self.requests_per_interval),
-            peak_request_rate=max(window),
-            mean_request_rate=sum(window) / len(window),
-            bytes_sent=dict(sorted(self.bytes_sent.items())),
-            bytes_received=dict(sorted(self.bytes_received.items())),
-            validations=self.validations,
-            validations_late=self.validations_late,
-            revocations_total=self.revocations_total,
-            per_validation_d2c_bytes=(
-                self.d2c_bytes_at_validation / self.validations if self.validations else 0.0
-            ),
-            per_validation_d2c_bytes_late=(
+        self.peak_request_rate = max(window)
+        self.mean_request_rate = sum(window) / len(window)
+        if self.validations:
+            self.per_validation_d2c_bytes = self.d2c_bytes_at_validation / self.validations
+        if self.validations_late:
+            self.per_validation_d2c_bytes_late = (
                 self.d2c_bytes_at_validation_late / self.validations_late
-                if self.validations_late
-                else 0.0
-            ),
-            signature_ops=dict(sorted(self.signature_ops.items())),
-            hash_ops=dict(sorted(self.hash_ops.items())),
-            publications=dict(sorted(self.publications.items())),
-            base_crl_fetches=self.base_crl_fetches,
-            crt_recomputed_hashes=self.crt_recomputed_hashes,
-            staleness_hist=dict(sorted(self.staleness_hist.items())),
-            false_valid=self.false_valid,
-            false_revocation=self.false_revocation,
-            overlay=dict(sorted(self.overlay.items())),
-        )
+            )
+        return MetricsReport(**{f.name: copy(getattr(self, f.name)) for f in fields(MetricsReport)})

@@ -24,7 +24,6 @@ from ..crl import (
     CrlIssuer,
     CrlKind,
     CrlStatus,
-    IssuanceSchedule,
     RedirectTable,
     make_redirect_table,
     resolve_segment,
@@ -82,7 +81,7 @@ class SchemeAdapter:
         """Publish `count` documents of one kind, nbytes in all, to the directory."""
         self.metrics.note_publication(kind, count)
         self.transfer("ca_to_directory", nbytes)
-        self.sim.overlay_push(nbytes)
+        self.sim.overlay_push()
 
     def dir_fetch(self, now: int, nbytes: int, request: int = REQUEST_BYTES) -> None:
         """One client request of `request` bytes answered by the directory with nbytes."""
@@ -154,19 +153,12 @@ class FullCrlAdapter(SchemeAdapter):
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
-        self.issuer = CrlIssuer(
-            self.keystore,
-            self.ca_key,
-            IssuanceSchedule(
-                base_period=self.config.base_period,
-                overissue_factor=self.config.overissue_factor,
-            ),
-        )
+        self.issuer = CrlIssuer(self.keystore, self.ca_key, self.config.schedule)
         self.current: Optional[CrlDocument] = None
         self.cache: dict[int, CrlDocument] = {}
 
     def publish_events(self) -> list[tuple[int, str]]:
-        step = self.config.base_period // self.config.overissue_factor
+        step = self.issuer.schedule.release_interval
         return [(t, "base") for t in range(0, self.config.horizon, step)]
 
     def on_publish(self, now: int, tag: str) -> None:
@@ -189,14 +181,7 @@ class DeltaCrlAdapter(SchemeAdapter):
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
-        self.issuer = CrlIssuer(
-            self.keystore,
-            self.ca_key,
-            IssuanceSchedule(
-                base_period=self.config.base_period,
-                delta_period=self.config.delta_period,
-            ),
-        )
+        self.issuer = CrlIssuer(self.keystore, self.ca_key, self.config.schedule)
         self.base: Optional[CrlDocument] = None
         self.delta: Optional[CrlDocument] = None
         self.cache: dict[int, dict[str, Optional[CrlDocument]]] = {}
@@ -293,15 +278,7 @@ class SlidingDeltaAdapter(SchemeAdapter):
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
-        self.issuer = CrlIssuer(
-            self.keystore,
-            self.ca_key,
-            IssuanceSchedule(
-                base_period=self.config.base_period,
-                delta_period=self.config.delta_period,
-                window_length=self.config.window_length,
-            ),
-        )
+        self.issuer = CrlIssuer(self.keystore, self.ca_key, self.config.schedule)
         self.base: Optional[CrlDocument] = None
         self.delta: Optional[CrlDocument] = None
         self.clients: dict[int, _SlidingClient] = {}
@@ -347,11 +324,7 @@ class SegmentedAdapter(SchemeAdapter):
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
-        self.issuer = CrlIssuer(
-            self.keystore,
-            self.ca_key,
-            IssuanceSchedule(base_period=self.config.base_period),
-        )
+        self.issuer = CrlIssuer(self.keystore, self.ca_key, self.config.schedule)
         self.table = make_redirect_table(
             1, self._ranges(), self.keystore, self.ca_key
         )
@@ -606,11 +579,7 @@ class PlainCrlBaselineAdapter(SchemeAdapter):
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
-        self.issuer = CrlIssuer(
-            self.keystore,
-            self.ca_key,
-            IssuanceSchedule(base_period=self.config.base_period),
-        )
+        self.issuer = CrlIssuer(self.keystore, self.ca_key, self.config.schedule)
         self.current: Optional[CrlDocument] = None
         self.held: set[tuple[int, int]] = set()
         self.cache: dict[int, CrlDocument] = {}

@@ -480,6 +480,28 @@ class TestCrsChainCoverage:
         run(crs_cfg(n_clients=0, crs_lifetime_periods=1))
 
 
+OVERLAY = {"scheme": Scheme.CRT, "depender_nodes": 8}
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        # a zero or negative key lifetime would make OcspAdapter add keys forever
+        pytest.param({"scheme": Scheme.OCSP, "ocsp_key_lifetime": 0}, id="ocsp_key_lifetime_0"),
+        pytest.param({"scheme": Scheme.OCSP, "ocsp_key_lifetime": -1}, id="ocsp_key_lifetime_neg"),
+        # a negative warm-up would make peak/mean cover only the last intervals
+        pytest.param({"stat_warmup": -1}, id="stat_warmup_neg"),
+        pytest.param({**OVERLAY, "node_rejoins": ((2 * DAY, 99),)}, id="node_99_of_8"),
+        pytest.param({**OVERLAY, "node_failures": ((2 * DAY, 0),)}, id="node_0_root"),
+        pytest.param({"scheme": Scheme.CRT, "node_failures": ((2 * DAY, 1),)}, id="no_overlay"),
+        pytest.param({"scheme": Scheme.DELTA_CRL, "delta_period": -3600}, id="delta_period_neg"),
+    ],
+)
+def test_config_rejected_at_construction(fields):
+    with pytest.raises(ConfigError):
+        cfg(**fields)
+
+
 CRL_FAMILY = {
     "full_crl": {"scheme": Scheme.FULL_CRL},
     "full_crl_prefetch": {
