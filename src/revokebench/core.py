@@ -380,9 +380,6 @@ class RevocationRecord:
     revoked_at: int
     reason: ReasonCode = ReasonCode.OTHER
 
-    def to_bytes(self) -> bytes:
-        return pack_u64(self.serial) + pack_u64(self.revoked_at) + pack_str(self.reason.value)
-
 
 class Ledger:
     """The CA's ground-truth record of issued and revoked certificates.

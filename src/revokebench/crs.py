@@ -122,9 +122,6 @@ class CrsAuthority:
         """Revocations so far; the as_of cutoff that freezes today's state."""
         return len(self._revoked)
 
-    def lifetime(self, serial: int) -> int:
-        return self._lifetimes[serial]
-
     def chain_value(self, serial: int, j: int) -> bytes:
         """F^j(Y0) for 0 <= j <= L, from the precomputed chain."""
         width = self.f.width_bytes

@@ -207,6 +207,12 @@ def verify_response(
     return keystore.verify(response.signed_payload(), response.signature, response.responder_key_id)
 
 
+def cached_until(response: StatusResponse, max_age: int) -> int:
+    """The first instant a cached response is too old to use: it is usable
+    while now - produced_at <= max_age."""
+    return response.produced_at + max_age + 1
+
+
 def accept_cached(
     response: StatusResponse,
     max_age: int,
@@ -215,8 +221,8 @@ def accept_cached(
     chain: ResponderKeyChain,
 ) -> bool:
     """Cached-acceptance mode (mutually exclusive with nonce mode): a signed
-    response is usable while now - produced_at <= max_age."""
-    if now < response.produced_at or now - response.produced_at > max_age:
+    response is usable from produced_at until cached_until."""
+    if not response.produced_at <= now < cached_until(response, max_age):
         return False
     if not chain.is_current(response.responder_key_id, response.produced_at):
         return False

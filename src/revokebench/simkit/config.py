@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional
 
-from ..core import DAY, HOUR
+from ..core import DAY, HOUR, OneWayFunction
 from ..crl import IssuanceSchedule
 
 
@@ -110,6 +110,8 @@ class SimConfig:
             raise ConfigError(f"unknown validation pattern {self.validation_pattern!r}")
         if self.validation_pattern == "fixed_gap" and self.validation_gap <= 0:
             raise ConfigError("fixed_gap pattern needs a positive validation_gap")
+        if self.cert_lifetime <= 0:
+            raise ConfigError("cert_lifetime must be positive")
         if self.interval <= 0:
             raise ConfigError("interval must be positive")
         if self.stat_warmup < 0:
@@ -126,10 +128,16 @@ class SimConfig:
             raise ConfigError("segmented scheme needs at least one segment")
         if self.fetch_policy not in ("at_expiry", "uniform_random_window"):
             raise ConfigError(f"unknown fetch policy {self.fetch_policy!r}")
+        if self.fetch_policy == "uniform_random_window" and self.scheme is not Scheme.FULL_CRL:
+            raise ConfigError("uniform_random_window fetches apply only to full_crl")
         if self.fetch_policy == "uniform_random_window" and self.fetch_window < 0:
             raise ConfigError("fetch_window must be >= 0")
         if self.crs_period <= 0 or self.crs_lifetime_periods < 1:
             raise ConfigError("crs period/lifetime must be positive")
+        try:
+            OneWayFunction(self.crs_width_bits)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         # The initial population is issued at time 0 and validations pick any
         # issued certificate, expired ones too, so a validation before the
         # horizon can claim period (horizon - 1) // crs_period whatever
@@ -149,6 +157,8 @@ class SimConfig:
             raise ConfigError("extra_delta_times applies only to delta schemes")
         if self.ocsp_key_lifetime <= 0:
             raise ConfigError("ocsp_key_lifetime must be positive")
+        if self.depender_nodes > 0 and self.depender_k < 1:
+            raise ConfigError("an overlay needs depender_k >= 1")
         # Node 0 is the overlay's root, which never fails.
         for _, node in self.node_failures + self.node_rejoins:
             if not 1 <= node < self.depender_nodes:

@@ -1,17 +1,24 @@
 """Scheme adapters: thin glue between the event loop and the scheme modules.
 
-Each adapter owns the CA-side publishing schedule, the directory's stored
-artifacts, and the per-client cache policy for one scheme. All status logic
-is delegated to the scheme modules' public operations; the adapter only
-moves bytes through the transport helpers and caches. Adapters count
-nothing themselves: the transport records every byte and publication, the
-engine reads a validation's directory->client bytes off the transport, and
-signatures are counted by the KeyStore under the phase the engine names.
+Each adapter owns the CA-side publishing schedule and the directory's stored
+artifacts for one scheme. All status logic is delegated to the scheme
+modules' public operations; the adapter only moves bytes through the
+transport helpers. Adapters count nothing themselves: the transport records
+every byte and publication, the engine reads a validation's directory->client
+bytes off the transport, and signatures are counted by the KeyStore under the
+phase the engine names.
+
+Every client follows one rule: it verifies what it receives, once, on
+arrival, and decides from what it holds. Full, delta and segmented CRL clients
+hold documents (`SchemeAdapter.document_decision`); CRT, CRS, naive and cached
+OCSP clients hold a verdict per serial until its document lapses
+(`SchemeAdapter.validate`); sliding-delta and WCR clients keep their own state.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from typing import Optional
 
 from .. import crs as crs_mod
@@ -29,8 +36,8 @@ from ..crl import (
     resolve_segment,
 )
 # Clients verify each document in fetch_doc, so a validation only decides
-# over its cache. The name check_status is the per-validation decision that
-# perfbench/spans.py times as crl.check_status.
+# over what it holds. The name check_status is the per-validation decision
+# that perfbench/spans.py times as crl.check_status.
 from ..crl import decide_status as check_status
 from .config import Scheme
 
@@ -48,6 +55,10 @@ class SchemeAdapter:
         self.keystore = sim.keystore
         self.metrics = sim.metrics
         self.ca_key = sim.ca_key
+        # client -> slot -> verified document (document_decision, current_crl)
+        self.held: defaultdict[int, dict[str, CrlDocument]] = defaultdict(dict)
+        # (client, serial) -> (use, lapses_at) (validate)
+        self.verdicts: dict[tuple[int, int], tuple[bool, int]] = {}
 
     # -- engine hooks --------------------------------------------------------
 
@@ -63,12 +74,33 @@ class SchemeAdapter:
     def on_publish(self, now: int, tag: str) -> None:
         pass
 
-    def on_fetch(self, client: int, now: int) -> None:
-        pass
+    # -- the two client models ------------------------------------------------
 
     def validate(self, client: int, serial: int, now: int) -> bool:
-        """The client's decision: True to use the certificate."""
-        raise NotImplementedError
+        """The client's decision: True to use the certificate. Per-serial
+        schemes keep this one: the client uses its verdict on the serial until
+        it lapses, then `fetch_verdict(serial, now)` moves one document,
+        verifies it once and returns the new (use, lapses_at)."""
+        key = (client, serial)
+        verdict = self.verdicts.get(key)
+        if verdict is None or now >= verdict[1]:
+            verdict = self.verdicts[key] = self.fetch_verdict(serial, now)
+        return verdict[0]
+
+    def document_decision(self, client: int, serial: int, now: int, offers, table=None) -> bool:
+        """Decide over the documents the client holds in the slots of `offers`
+        (slot -> the directory's document). While the answer is stale, fetch
+        and verify the next offered document, hold it and decide again."""
+        held = self.held[client]
+        status = check_status(serial, filter(None, map(held.get, offers)), now, table)
+        for slot, doc in offers.items():
+            if status is not CrlStatus.STALE_INFORMATION:
+                break
+            if doc is not None:  # e.g. no delta since the last base
+                self.fetch_doc(now, doc)
+                held[slot] = doc
+                status = check_status(serial, filter(None, map(held.get, offers)), now, table)
+        return status is not CrlStatus.REVOKED
 
     # -- transport helpers ----------------------------------------------------
 
@@ -98,17 +130,17 @@ class SchemeAdapter:
         if isinstance(doc, CrlDocument) and doc.kind is CrlKind.FULL:
             self.metrics.base_crl_fetches += 1
 
-    def current_crl(
-        self, cache: dict[int, CrlDocument], client: int, now: int
-    ) -> tuple[CrlDocument, int]:
-        """The client's cached CRL while it covers `now`, else the adapter's
-        `current` CRL fetched into the cache. Returns the document and the
-        bytes fetched (0 on a cache hit), which only action logs read."""
-        doc = cache.get(client)
+    def current_crl(self, client: int, now: int) -> tuple[CrlDocument, int]:
+        """The client's held CRL while it covers `now`, else the adapter's
+        `current` CRL fetched and held. Returns the document and the bytes
+        fetched (0 when held), which only action logs read."""
+        held = self.held[client]
+        doc = held.get("crl")
         if doc is not None and doc.covers(now):
             return doc, 0
-        doc = cache[client] = self.current
+        doc = self.current
         self.fetch_doc(now, doc)
+        held["crl"] = doc
         return doc, doc.wire_size
 
     def fresh_fetch(self, serial: int, now: int) -> wcr_mod.FreshFetch:
@@ -155,7 +187,6 @@ class FullCrlAdapter(SchemeAdapter):
         super().__init__(sim)
         self.issuer = CrlIssuer(self.keystore, self.ca_key, self.config.schedule)
         self.current: Optional[CrlDocument] = None
-        self.cache: dict[int, CrlDocument] = {}
 
     def publish_events(self) -> list[tuple[int, str]]:
         step = self.issuer.schedule.release_interval
@@ -168,12 +199,11 @@ class FullCrlAdapter(SchemeAdapter):
 
     def on_fetch(self, client: int, now: int) -> None:
         if self.current is not None:  # nothing published yet -> nothing to prefetch
-            self.cache[client] = self.current
             self.fetch_doc(now, self.current)
+            self.held[client]["crl"] = self.current
 
     def validate(self, client: int, serial: int, now: int) -> bool:
-        doc, _ = self.current_crl(self.cache, client, now)
-        return check_status(serial, [doc], now) is not CrlStatus.REVOKED
+        return self.document_decision(client, serial, now, {"crl": self.current})
 
 
 class DeltaCrlAdapter(SchemeAdapter):
@@ -184,7 +214,6 @@ class DeltaCrlAdapter(SchemeAdapter):
         self.issuer = CrlIssuer(self.keystore, self.ca_key, self.config.schedule)
         self.base: Optional[CrlDocument] = None
         self.delta: Optional[CrlDocument] = None
-        self.cache: dict[int, dict[str, Optional[CrlDocument]]] = {}
 
     def publish_events(self) -> list[tuple[int, str]]:
         events = _base_grid(self.config.horizon, self.config.base_period)
@@ -213,21 +242,8 @@ class DeltaCrlAdapter(SchemeAdapter):
             self.ca_push("delta_crl", self.delta.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> bool:
-        slot = self.cache.setdefault(client, {"base": None, "delta": None})
-
-        def docs() -> list[CrlDocument]:
-            return [d for d in (slot["base"], slot["delta"]) if d is not None]
-
-        status = check_status(serial, docs(), now)
-        if status is CrlStatus.STALE_INFORMATION and self.delta is not None:
-            slot["delta"] = self.delta
-            self.fetch_doc(now, self.delta)
-            status = check_status(serial, docs(), now)
-        if status is CrlStatus.STALE_INFORMATION:
-            slot["base"] = self.base
-            self.fetch_doc(now, self.base)
-            status = check_status(serial, docs(), now)
-        return status is not CrlStatus.REVOKED
+        offers = {"delta": self.delta, "base": self.base}
+        return self.document_decision(client, serial, now, offers)
 
 
 class _SlidingClient:
@@ -329,8 +345,6 @@ class SegmentedAdapter(SchemeAdapter):
             1, self._ranges(), self.keystore, self.ca_key
         )
         self.segdocs: dict[str, CrlDocument] = {}
-        self.cache: dict[int, dict[str, CrlDocument]] = {}
-        self.has_table: set[int] = set()
 
     def _ranges(self) -> list[tuple[int, int, str]]:
         n = self.config.segments
@@ -356,19 +370,11 @@ class SegmentedAdapter(SchemeAdapter):
             self.ca_push("redirect_table", self.table.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> bool:
-        if client not in self.has_table:
+        if client not in self.held:  # a client's first validation fetches the table
             self.fetch_doc(now, self.table)
-            self.has_table.add(client)
         seg = resolve_segment(serial, self.table)
-        slot = self.cache.setdefault(client, {})
-        doc = slot.get(seg)
-        docs = [doc] if doc is not None else []
-        status = check_status(serial, docs, now, table=self.table)
-        if status is CrlStatus.STALE_INFORMATION:
-            doc = slot[seg] = self.segdocs[seg]
-            self.fetch_doc(now, doc)
-            status = check_status(serial, [doc], now, table=self.table)
-        return status is not CrlStatus.REVOKED
+        offers = {seg: self.segdocs.get(seg)}
+        return self.document_decision(client, serial, now, offers, table=self.table)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +403,6 @@ class CrsAdapter(SchemeAdapter):
         self.grids: list[int] = []  # issue grid per certificate, in issue order
         self.snapshot: Optional[tuple[int, int]] = None  # (grid, revocation count)
         self.token_bytes = crs_mod.token_wire_size(sim.f_ca)
-        self.cache: dict[int, dict[int, tuple[crs_mod.CrsToken, int]]] = {}
 
     def anchor_for(self, serial: int, now: int) -> Optional[CrsAnchor]:
         anchor, _ = self.authority.setup(serial, self.lifetime, self.period, self.sim.rng_scheme)
@@ -424,27 +429,21 @@ class CrsAdapter(SchemeAdapter):
         grid, cutoff = self.snapshot
         return self.authority.issue_token(serial, grid - self.issue_grid[serial], as_of=cutoff)
 
-    def validate(self, client: int, serial: int, now: int) -> bool:
+    def fetch_verdict(self, serial: int, now: int) -> tuple[bool, int]:
+        """Fetch and verify the serial's token; it lapses when the next period starts."""
         grid = now // self.period
+        lapses_at = (grid + 1) * self.period
         claimed = grid - self.issue_grid[serial]
         if claimed == 0:
             # The anchor inside the certificate is the period-0 statement.
-            return True
-        slot = self.cache.setdefault(client, {})
-        hit = slot.get(serial)
-        if hit is None or hit[1] != grid:
-            token = self.directory_token(serial)
-            self.dir_fetch(now, self.token_bytes)
-            slot[serial] = (token, grid)
-        else:
-            token = hit[0]
+            return True, lapses_at
+        token = self.directory_token(serial)
+        self.dir_fetch(now, self.token_bytes)
         anchor = self.ledger.certificates[serial].crs_anchor
         result = crs_mod.crs_verify(token, anchor, claimed, self.sim.f_client)
-        if result is crs_mod.CrsStatus.REVOKED:
-            return False
-        if result is crs_mod.CrsStatus.VALID_AT_PERIOD:
-            return True
-        raise AssertionError(f"genuine token failed verification for serial {serial}")
+        if result is crs_mod.CrsStatus.INVALID_TOKEN:
+            raise AssertionError(f"genuine token failed verification for serial {serial}")
+        return result is crs_mod.CrsStatus.VALID_AT_PERIOD, lapses_at
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +456,6 @@ class CrtAdapter(SchemeAdapter):
     def __init__(self, sim) -> None:
         super().__init__(sim)
         self.tree: Optional[crt_mod.CrtTree] = None
-        self.cache: dict[int, dict[int, crt_mod.CrtProof]] = {}
         # leaf index -> the directory's proof on the current tree, built on
         # first request and shared by every client asking for that leaf
         self.proofs: dict[int, crt_mod.CrtProof] = {}
@@ -483,23 +481,18 @@ class CrtAdapter(SchemeAdapter):
         self.proofs.clear()
         self.ca_push("crt_root", pushed + self.tree.signed_root.wire_size)
 
-    def validate(self, client: int, serial: int, now: int) -> bool:
-        slot = self.cache.setdefault(client, {})
-        proof = slot.get(serial)
-        if proof is None or now >= proof.signed_root.next_update:
-            index = self.tree.leaf_for(serial)
-            proof = self.proofs.get(index)
-            if proof is None:
-                proof = self.proofs[index] = crt_mod.crt_prove(self.tree, serial)
-            self.dir_fetch(now, proof.wire_size)
-            slot[serial] = proof
+    def fetch_verdict(self, serial: int, now: int) -> tuple[bool, int]:
+        """Fetch and verify the serial's proof on the current tree; it lapses with the root."""
+        index = self.tree.leaf_for(serial)
+        proof = self.proofs.get(index)
+        if proof is None:
+            proof = self.proofs[index] = crt_mod.crt_prove(self.tree, serial)
+        self.dir_fetch(now, proof.wire_size)
         verdict = crt_mod.crt_verify(proof, serial, self.keystore, self.ca_key, now)
         self.metrics.note_hash("client_tree", len(proof.siblings) + 1)
-        if verdict is crt_mod.CrtVerdict.REVOKED:
-            return False
-        if verdict is crt_mod.CrtVerdict.VALID:
-            return True
-        raise AssertionError(f"genuine proof failed verification for serial {serial}")
+        if verdict not in (crt_mod.CrtVerdict.REVOKED, crt_mod.CrtVerdict.VALID):
+            raise AssertionError(f"genuine proof failed verification for serial {serial}")
+        return verdict is crt_mod.CrtVerdict.VALID, proof.signed_root.next_update
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +510,7 @@ class _WcrServices:
         return self.adapter.fresh_fetch(serial, now)
 
     def fetch_latest_crl(self, now: int) -> wcr_mod.CrlFetch:
-        doc, nbytes = self.adapter.current_crl(self.adapter.cache, self.client, now)
+        doc, nbytes = self.adapter.current_crl(self.client, now)
         return wcr_mod.CrlFetch(doc=doc, nbytes=nbytes)
 
 
@@ -538,7 +531,6 @@ class WcrAdapter(SchemeAdapter):
             window_size=self.config.wcr_window_size,
         )
         self.current: Optional[CrlDocument] = None
-        self.cache: dict[int, CrlDocument] = {}
         self.states: dict[tuple[int, int], wcr_mod.WcrClientState] = {}
 
     def publish_events(self) -> list[tuple[int, str]]:
@@ -581,8 +573,7 @@ class PlainCrlBaselineAdapter(SchemeAdapter):
         super().__init__(sim)
         self.issuer = CrlIssuer(self.keystore, self.ca_key, self.config.schedule)
         self.current: Optional[CrlDocument] = None
-        self.held: set[tuple[int, int]] = set()
-        self.cache: dict[int, CrlDocument] = {}
+        self.acquired: set[tuple[int, int]] = set()
 
     def publish_events(self) -> list[tuple[int, str]]:
         return _base_grid(self.config.horizon, self.config.base_period)
@@ -592,16 +583,16 @@ class PlainCrlBaselineAdapter(SchemeAdapter):
         self.ca_push("full_crl", self.current.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> bool:
-        if (client, serial) not in self.held:
+        if (client, serial) not in self.acquired:
             used = self.fresh_decision(client, serial, now)
             if used:
-                self.held.add((client, serial))
+                self.acquired.add((client, serial))
             return used
-        doc, nbytes = self.current_crl(self.cache, client, now)
+        doc, nbytes = self.current_crl(client, now)
         actions = [(now, serial, wcr_mod.ACT_CRL, nbytes)] if nbytes else []
         revoked = doc.lists(serial)
         if revoked:
-            self.held.discard((client, serial))
+            self.acquired.discard((client, serial))
         actions.append((now, serial, wcr_mod.ACT_DROP if revoked else wcr_mod.ACT_USE, 0))
         self.log_actions(client, actions)
         return not revoked
@@ -631,23 +622,21 @@ class OcspAdapter(SchemeAdapter):
             i += 1
         self.chain = resp_mod.make_key_chain(keys, self.keystore, self.ca_key, sim.rng_scheme)
         self.responder = resp_mod.OcspResponder(self.keystore, self.chain, self.ledger)
-        self.cached: dict[tuple[int, int], resp_mod.StatusResponse] = {}
 
     def validate(self, client: int, serial: int, now: int) -> bool:
         if self.config.ocsp_max_age > 0:
-            hit = self.cached.get((client, serial))
-            if hit is not None and resp_mod.accept_cached(
-                hit, self.config.ocsp_max_age, now, self.keystore, self.chain
-            ):
-                return hit.status is not resp_mod.OcspStatus.REVOKED
+            return super().validate(client, serial, now)
+        return self.fetch_verdict(serial, now)[0]  # nonce mode: every validation asks
+
+    def fetch_verdict(self, serial: int, now: int) -> tuple[bool, int]:
+        """Ask the responder and verify its answer; it lapses past ocsp_max_age."""
         request = resp_mod.make_request(serial, now, self.sim.rng_nonce)
         response = self.responder.respond(request)
         self.dir_fetch(now, response.wire_size, request=request.wire_size)
         if not resp_mod.verify_response(response, request, self.keystore, self.chain):
             raise AssertionError("genuine responder answer failed verification")
-        if self.config.ocsp_max_age > 0:
-            self.cached[(client, serial)] = response
-        return response.status is not resp_mod.OcspStatus.REVOKED
+        use = response.status is not resp_mod.OcspStatus.REVOKED
+        return use, resp_mod.cached_until(response, self.config.ocsp_max_age)
 
 
 class NaiveStatusAdapter(SchemeAdapter):
@@ -657,8 +646,6 @@ class NaiveStatusAdapter(SchemeAdapter):
         super().__init__(sim)
         self.statements: dict[int, resp_mod.SignedStatusStatement] = {}
         self.period = self.config.crs_period
-        self.directory_period = -1
-        self.cache: dict[int, dict[int, tuple[resp_mod.SignedStatusStatement, int]]] = {}
 
     def publish_events(self) -> list[tuple[int, str]]:
         return [(t, "statements") for t in range(self.period, self.config.horizon, self.period)]
@@ -669,26 +656,19 @@ class NaiveStatusAdapter(SchemeAdapter):
             self.ledger, period, now, self.keystore, self.ca_key
         )
         self.statements = {s.serial: s for s in statements}
-        self.directory_period = period
         self.ca_push("status_statements", sum(s.wire_size for s in statements), len(statements))
 
-    def validate(self, client: int, serial: int, now: int) -> bool:
+    def fetch_verdict(self, serial: int, now: int) -> tuple[bool, int]:
+        """Fetch and verify the serial's statement; it lapses when the next period starts."""
         period = now // self.period
-        if period == 0 or self.directory_period < 0:
-            return True  # issuance itself is the period-0 statement
-        slot = self.cache.setdefault(client, {})
-        hit = slot.get(serial)
-        if hit is None or hit[1] != self.directory_period:
-            statement = self.statements.get(serial)
-            if statement is None:
-                return True  # issued since the last update; covered by issuance
-            self.dir_fetch(now, statement.wire_size)
-            slot[serial] = (statement, self.directory_period)
-        else:
-            statement = hit[0]
+        lapses_at = (period + 1) * self.period
+        statement = self.statements.get(serial)
+        if statement is None:
+            return True, lapses_at  # none published since issuance: issuance is the statement
+        self.dir_fetch(now, statement.wire_size)
         if not resp_mod.verify_statement(statement, self.keystore, self.ca_key, period):
             raise AssertionError("genuine statement failed verification")
-        return statement.status is not resp_mod.OcspStatus.REVOKED
+        return statement.status is not resp_mod.OcspStatus.REVOKED, lapses_at
 
 
 ADAPTERS = {

@@ -18,8 +18,9 @@ import hashlib
 
 import pytest
 
+from revokebench import crs as crs_mod
 from revokebench.core import DAY, HOUR
-from revokebench.simkit import Scheme, SimConfig, run_with_logs, wcr_equivalence_logs
+from revokebench.simkit import Scheme, SimConfig, run, run_with_logs, wcr_equivalence_logs
 
 
 def _base(seed: int) -> dict:
@@ -106,12 +107,12 @@ GOLDEN = {
         "6ce1c8f7cfd10268567471a1e7e2102f36d7184b8aa5414466cf633537a3f009",
     ),
     "crs": (
-        "459dbfb859e6d579a5c4b5ff3a4153b652e2b50ab7008740d726f05dd94e0ba2",
+        "3ac3561128d30ee77a85464da72b834f14c75e5d78520a2363ef574ed0732bb1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "8ccc63abbe616d73ecae8fe02013a5a9541568399cdb646a815b7d5792f513db",
     ),
     "crt_overlay": (
-        "1a866a9df9646990757315a28a1b760af36418a22d619959cd810a698a6a6a0b",
+        "fd2ed1c8b69a22db9e83639acc391adf5dbb44e4e4c87a830ed2236d41772cda",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "7caa0c2bc3586960f55b83b82ff92afa6b393975550bf166744c1d1c29f3a413",
     ),
@@ -126,7 +127,7 @@ GOLDEN = {
         "176eb8c6dce331fe00f1d5f43d2333d5b8d89d0f60b367fe7f88a613094df077",
     ),
     "naive_signed_status": (
-        "11a3f27db74216fbc717d401927c50a80d56ac4f6b99f2a310a881d7d02f65bb",
+        "92b0f2783e44cc740e6a6e82ca39bdab76c983374a51e81793cd2ab7573e19f1",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "947a03a8161dce2cdeda4144afc3afb6d98b50dec27ee84fcafc9fe7fe6bd821",
     ),
@@ -189,3 +190,24 @@ def test_wcr_baseline_logs_match_golden(name, baseline):
     assert (_sha("\n".join(actions)), _sha("\n".join(decisions))) == GOLDEN_BASELINES[
         (name, baseline)
     ]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_one_verification_per_arrival(name, monkeypatch):
+    """A client verifies each document it receives once, on arrival, and
+    never what it holds: one signature check per directory request, or for
+    CRS one token check per request."""
+    checked = []
+    original = crs_mod.crs_verify
+
+    def counted(*args):
+        checked.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(crs_mod, "crs_verify", counted)
+    report = run(CONFIGS[name])
+    requests = sum(report.requests_per_interval)
+    if CONFIGS[name].scheme is Scheme.CRS:
+        assert len(checked) == requests > 0
+    else:
+        assert report.signature_ops.get("client_verify", 0) == requests

@@ -495,6 +495,16 @@ OVERLAY = {"scheme": Scheme.CRT, "depender_nodes": 8}
         pytest.param({**OVERLAY, "node_failures": ((2 * DAY, 0),)}, id="node_0_root"),
         pytest.param({"scheme": Scheme.CRT, "node_failures": ((2 * DAY, 1),)}, id="no_overlay"),
         pytest.param({"scheme": Scheme.DELTA_CRL, "delta_period": -3600}, id="delta_period_neg"),
+        # each of these constructed and then failed in Simulation() or mid-run
+        pytest.param({**OVERLAY, "depender_k": 0}, id="depender_k_0"),
+        pytest.param({"crs_width_bits": 7}, id="crs_width_bits_7"),
+        pytest.param({"crs_width_bits": 257}, id="crs_width_bits_257"),
+        pytest.param({"cert_lifetime": 0}, id="cert_lifetime_0"),
+        # only full_crl handles scheduled fetches
+        pytest.param(
+            {"scheme": Scheme.CRT, "fetch_policy": "uniform_random_window", "fetch_window": HOUR},
+            id="fetch_window_on_crt",
+        ),
     ],
 )
 def test_config_rejected_at_construction(fields):
@@ -766,8 +776,10 @@ class TestCrtProofSharing:
             before = received["directory_to_client"]
             assert adapter.validate(client, serial, HOUR) is True
             assert received["directory_to_client"] - before == nbytes
-        old = adapter.cache[0][20]
-        assert old is adapter.cache[1][30] is adapter.cache[1][20]
+        index = adapter.tree.leaf_for(20)
+        assert adapter.tree.leaf_for(30) == index
+        assert list(adapter.proofs) == [index]  # three fetches, one shared proof
+        old = adapter.proofs[index]
         assert old.leaf == CrtLeaf(10, 40) and old.signed_root == first_root
 
         sim.ledger.revoke(30, 2 * HOUR)
@@ -777,7 +789,8 @@ class TestCrtProofSharing:
 
         assert adapter.validate(0, 20, DAY + HOUR) is True
         assert adapter.validate(1, 30, DAY + HOUR) is False
-        good, bad = adapter.cache[0][20], adapter.cache[1][30]
+        good = adapter.proofs[adapter.tree.leaf_for(20)]
+        bad = adapter.proofs[adapter.tree.leaf_for(30)]
         assert good.signed_root == bad.signed_root == new_root
         assert good.leaf == CrtLeaf(10, 30) and bad.leaf == CrtLeaf(30, 40)
         assert crt_verify(bad, 30, sim.keystore, sim.ca_key, DAY + HOUR) is CrtVerdict.REVOKED
@@ -788,3 +801,27 @@ class TestCrtProofSharing:
             for serial in (20, 30):
                 verdict = crt_verify(grafted, serial, sim.keystore, sim.ca_key, HOUR)
                 assert verdict is CrtVerdict.PROOF_INVALID
+
+
+class TestOcspMaxAge:
+    """A cached OCSP response is verified once, when it arrives, and its
+    verdict serves the client until the response is older than max-age."""
+
+    def test_one_request_and_one_verification_until_max_age(self):
+        max_age = 6 * HOUR
+        sim = Simulation(cfg(scheme=Scheme.OCSP, population=0, ocsp_max_age=max_age))
+        cert = make_certificate(20, "s20", 0, 100 * DAY, sim.keystore, sim.ca_key)
+        sim.ledger.add_certificate(cert)
+        sim.keystore.phase = "validate"
+
+        def asked():
+            return sum(sim.metrics.requests_per_interval), sim.keystore.verify_count
+
+        assert sim.adapter.validate(0, 20, HOUR) is True
+        assert asked() == (1, 1)
+        assert sim.adapter.validate(0, 20, HOUR + max_age) is True  # exactly max-age old
+        assert asked() == (1, 1)
+        assert sim.adapter.validate(1, 20, HOUR + max_age) is True  # another client asks
+        assert asked() == (2, 2)
+        assert sim.adapter.validate(0, 20, HOUR + max_age + 1) is True
+        assert asked() == (3, 3)
