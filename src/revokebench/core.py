@@ -14,7 +14,7 @@ import struct
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 # Serial numbers are unsigned 64-bit integers. 0 and 2**64-1 are reserved as
 # the tree sentinels; real serials live strictly between them.
@@ -84,8 +84,14 @@ def pack_opt_str(s: Optional[str]) -> bytes:
     return b"\x00" if s is None else b"\x01" + pack_str(s)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
+    """A MAC and the id of the key that made it.
+
+    A tuple, not a frozen dataclass, because one is built per signature: a
+    tuple is built in one allocation, without a frozen dataclass's
+    `object.__setattr__` per field.
+    """
+
     key_id: str
     mac: bytes
 
@@ -164,7 +170,7 @@ class KeyStore:
         pads = self._pads(key_id)
         key = ("sign", self.phase)
         self.counts[key] = self.counts.get(key, 0) + 1
-        return Signature(key_id=key_id, mac=self._mac(pads, message))
+        return Signature(key_id, self._mac(pads, message))
 
     def verify(self, message: bytes, signature: Signature, key_id: str) -> bool:
         """True iff signature was produced over message under exactly key_id."""
@@ -280,6 +286,7 @@ def _check_certificate_fields(serial: int, not_before: int, not_after: int) -> N
         raise ValueError("certificate validity window is empty")
 
 
+_pack_head = struct.Struct(">QI").pack  # serial, then the subject's length prefix
 _pack_window = struct.Struct(">QQ").pack
 
 
@@ -292,18 +299,18 @@ def _certificate_payload(
     segment_id: Optional[str],
 ) -> bytes:
     """The bytes a certificate's issuer signature covers, in field order."""
+    name = subject.encode("utf-8")
     anchor = b"\x00" if crs_anchor is None else b"\x01" + crs_anchor.to_bytes()
     return (
-        pack_u64(serial)
-        + pack_str(subject)
+        _pack_head(serial, len(name))
+        + name
         + _pack_window(not_before, not_after)
         + anchor
         + pack_opt_str(segment_id)
     )
 
 
-@dataclass(frozen=True)
-class Certificate:
+class _CertificateFields(NamedTuple):
     serial: int
     subject: str
     not_before: int
@@ -312,8 +319,40 @@ class Certificate:
     crs_anchor: Optional[CrsAnchor] = None
     segment_id: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        _check_certificate_fields(self.serial, self.not_before, self.not_after)
+
+class Certificate(_CertificateFields):
+    """An issued certificate: its fields and the issuer's signature over them.
+
+    The record is a tuple, not a frozen dataclass, because a run builds one
+    per user and issuance is the largest cost of a write-heavy run; a tuple
+    is built in one allocation with no per-field attribute writes. It is
+    immutable and compares and hashes by value; being a tuple, it also
+    unpacks and indexes in field order. Every way of building one checks the
+    fields: `Certificate(...)` and `_replace` check them here, and
+    `make_certificate` checks them before it signs.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        serial: int,
+        subject: str,
+        not_before: int,
+        not_after: int,
+        issuer_signature: Signature,
+        crs_anchor: Optional[CrsAnchor] = None,
+        segment_id: Optional[str] = None,
+    ) -> "Certificate":
+        _check_certificate_fields(serial, not_before, not_after)
+        return tuple.__new__(
+            cls, (serial, subject, not_before, not_after, issuer_signature, crs_anchor, segment_id)
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "Certificate":
+        # _replace builds through _make; route it through the checks too
+        return cls(*iterable)
 
     def signed_payload(self) -> bytes:
         return _certificate_payload(
@@ -355,18 +394,14 @@ def make_certificate(
 ) -> Certificate:
     """Build and sign a certificate in one step (signature covers all other fields).
 
-    The fields are checked before signing, so a bad input signs nothing.
+    The fields are checked before signing, so a bad input signs nothing; the
+    record is then built without checking them a second time.
     """
     _check_certificate_fields(serial, not_before, not_after)
     payload = _certificate_payload(serial, subject, not_before, not_after, crs_anchor, segment_id)
-    return Certificate(
-        serial=serial,
-        subject=subject,
-        not_before=not_before,
-        not_after=not_after,
-        issuer_signature=keystore.sign(payload, key_id),
-        crs_anchor=crs_anchor,
-        segment_id=segment_id,
+    signature = keystore.sign(payload, key_id)
+    return tuple.__new__(
+        Certificate, (serial, subject, not_before, not_after, signature, crs_anchor, segment_id)
     )
 
 

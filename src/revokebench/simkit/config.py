@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional
 
-from ..core import DAY, HOUR, OneWayFunction
+from ..core import DAY, HOUR, TIME_MAX, OneWayFunction
 from ..crl import IssuanceSchedule
 
 
@@ -112,6 +112,10 @@ class SimConfig:
             raise ConfigError("fixed_gap pattern needs a positive validation_gap")
         if self.cert_lifetime <= 0:
             raise ConfigError("cert_lifetime must be positive")
+        # Times in a run reach horizon + cert_lifetime, the last certificate's
+        # expiry; the bound keeps one more lifetime of headroom on the u64 clock.
+        if self.horizon + 2 * self.cert_lifetime > TIME_MAX:
+            raise ConfigError("horizon + 2 * cert_lifetime leaves the unsigned 64-bit time range")
         if self.interval <= 0:
             raise ConfigError("interval must be positive")
         if self.stat_warmup < 0:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .. import depender as dep_mod
-from ..core import KeyStore, Ledger, OneWayFunction, check_time, make_certificate
+from ..core import KeyStore, Ledger, OneWayFunction, make_certificate
 from .config import ConfigError, SimConfig
 from .metrics import Metrics, MetricsReport
 from .schemes import ADAPTERS, SchemeAdapter
@@ -76,7 +76,6 @@ class Simulation:
         adapter_factory: Optional[Callable[["Simulation"], SchemeAdapter]] = None,
         keep_logs: bool = False,
     ) -> None:
-        check_time(config.horizon + 2 * config.cert_lifetime)
         self.config = config
         self.ca_key = "ca"
         self.keystore = KeyStore()

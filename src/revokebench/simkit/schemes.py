@@ -267,7 +267,7 @@ class _SlidingClient:
 
     def accept(self, doc: CrlDocument) -> bool:
         if doc.kind is CrlKind.FULL:
-            self.known.update(dict(doc.entries))
+            self.known.update(doc.entries)
             self.base_seen = True
             self.covered_until = max(self.covered_until, doc.this_update)
             self.current_until = max(self.current_until, doc.next_update)
@@ -277,7 +277,7 @@ class _SlidingClient:
         start = doc.window_start if doc.window_start is not None else doc.this_update
         if start > self.covered_until:
             return False  # a gap: some revocation may have scrolled out of the window
-        self.known.update(dict(doc.entries))
+        self.known.update(doc.entries)
         if doc.this_update >= self.covered_until:
             self.covered_until = doc.this_update
             self.current_until = max(self.current_until, doc.next_update)

@@ -321,6 +321,16 @@ class TestSimCommand:
         b.write_text(json.dumps(data))
         assert invoke("sim", "--compare", a, b, "--out-dir", workdir / "x") == 2
 
+    def test_lifetime_past_the_clock_is_usage_error(self, workdir, capsys):
+        config = workdir / "big.json"
+        data = json.loads(self._config(workdir).read_text())
+        data["cert_lifetime"] = 2**63
+        config.write_text(json.dumps(data))
+        assert invoke("sim", "--config", config, "--out-dir", workdir / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "cert_lifetime" in err
+
     def test_unknown_config_field_usage_error(self, workdir, capsys):
         bad = workdir / "bad.json"
         bad.write_text(json.dumps({"seed": 1, "horizon": 100, "population": 1,

@@ -291,6 +291,12 @@ def reference_certificate_payload(cert: Certificate) -> bytes:
     return out + (b"\x00" if cert.segment_id is None else b"\x01" + text(cert.segment_id))
 
 
+BAD_FIELDS = pytest.mark.parametrize(
+    "serial,not_before,not_after",
+    [(-1, 0, 100), (2**64, 0, 100), (5, 100, 100), (5, 100, 50)],
+)
+
+
 class TestCertificateEncoding:
     @pytest.mark.parametrize("with_anchor", [False, True])
     @pytest.mark.parametrize("segment_id", [None, "", "seg-ü3"])
@@ -323,14 +329,64 @@ class TestCertificateEncoding:
         )
         assert cert.wire_size == len(cert.to_bytes())
 
-    @pytest.mark.parametrize(
-        "serial,not_before,not_after",
-        [(-1, 0, 100), (2**64, 0, 100), (5, 100, 100), (5, 100, 50)],
-    )
+    @BAD_FIELDS
     def test_bad_fields_raise_before_signing(self, keystore, serial, not_before, not_after):
         with pytest.raises(ValueError):
             make_certificate(serial, "alice", not_before, not_after, keystore, "ca")
         assert keystore.sign_count == 0
+
+
+class TestCertificateRecord:
+    """Certificate and Signature are immutable value records, and every way
+    of building a Certificate checks its fields."""
+
+    @pytest.fixture
+    def cert(self, keystore):
+        anchor = CrsAnchor(y=b"\x01" * 13, n=b"\x02" * 13, lifetime_periods=3, period_length=9)
+        return make_certificate(5, "alice", 0, 100, keystore, "ca", crs_anchor=anchor, segment_id="s")
+
+    def test_fields_cannot_be_set(self, cert):
+        with pytest.raises(AttributeError):
+            cert.serial = 6
+        with pytest.raises(AttributeError):
+            cert.issuer_signature.mac = b""
+        with pytest.raises(AttributeError):
+            cert.extra = 1
+
+    @BAD_FIELDS
+    def test_direct_construction_checks_fields(self, cert, serial, not_before, not_after):
+        with pytest.raises(ValueError):
+            Certificate(serial, "alice", not_before, not_after, cert.issuer_signature)
+        with pytest.raises(ValueError):
+            cert._replace(serial=serial, not_before=not_before, not_after=not_after)
+
+    def test_equal_and_hashable_by_value(self, keystore, cert):
+        twin = make_certificate(
+            5, "alice", 0, 100, keystore, "ca", crs_anchor=cert.crs_anchor, segment_id="s"
+        )
+        assert twin == cert and hash(twin) == hash(cert)
+        assert len({cert, twin, cert._replace(subject="bob")}) == 2
+        sig = cert.issuer_signature
+        assert Signature(sig.key_id, bytes(sig.mac)) == sig
+        assert hash(Signature(sig.key_id, bytes(sig.mac))) == hash(sig)
+        assert len({sig, Signature("other", sig.mac)}) == 2
+
+    def test_make_certificate_builds_what_the_constructor_builds(self, keystore, cert):
+        direct = Certificate(
+            serial=cert.serial,
+            subject=cert.subject,
+            not_before=cert.not_before,
+            not_after=cert.not_after,
+            issuer_signature=cert.issuer_signature,
+            crs_anchor=cert.crs_anchor,
+            segment_id=cert.segment_id,
+        )
+        assert type(cert) is type(direct) is Certificate
+        assert tuple(cert) == tuple(direct) and cert == direct
+        assert verify_certificate(direct, keystore, "ca")
+        plain = make_certificate(7, "bob", 1, 2, keystore, "ca")
+        assert (plain.crs_anchor, plain.segment_id) == (None, None)
+        assert plain == Certificate(7, "bob", 1, 2, plain.issuer_signature)
 
 
 class TestRevocationIndex:

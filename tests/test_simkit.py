@@ -8,7 +8,15 @@ from collections import Counter
 import pytest
 
 from revokebench import crt as crt_mod
-from revokebench.core import DAY, HOUR, OneWayFunction, RevocationRecord, Signature, make_certificate
+from revokebench.core import (
+    DAY,
+    HOUR,
+    OneWayFunction,
+    RevocationRecord,
+    Signature,
+    make_certificate,
+    verify_certificate,
+)
 from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
 from revokebench.crs import CrsTokenKind, token_wire_size
 from revokebench.crt import CrtLeaf, CrtVerdict, crt_build, crt_prove, crt_verify
@@ -85,6 +93,17 @@ class TestConservationAndTruth:
         assert report.false_revocation == 0
         assert sum(report.staleness_hist.values()) == report.false_valid
         assert report.validations > 0
+
+    @pytest.mark.parametrize("scheme", [Scheme.FULL_CRL, Scheme.CRS])
+    def test_every_issued_certificate_verifies(self, scheme):
+        """Issuance signs exactly the bytes signed_payload() encodes, with and
+        without a CRS anchor in the certificate."""
+        sim = Simulation(cfg(scheme=scheme, crs_lifetime_periods=30, annual_new_user_fraction=2.0))
+        sim.run()
+        certs = list(sim.ledger.certificates.values())
+        assert len(certs) == len(sim.workload.issues) > 300
+        assert {c.crs_anchor is not None for c in certs} == {scheme is Scheme.CRS}
+        assert all(verify_certificate(c, sim.keystore, sim.ca_key) for c in certs)
 
     def test_population_zero_is_all_quiet(self):
         report = run(cfg(population=0))
@@ -500,6 +519,8 @@ OVERLAY = {"scheme": Scheme.CRT, "depender_nodes": 8}
         pytest.param({"crs_width_bits": 7}, id="crs_width_bits_7"),
         pytest.param({"crs_width_bits": 257}, id="crs_width_bits_257"),
         pytest.param({"cert_lifetime": 0}, id="cert_lifetime_0"),
+        # horizon + 2 * cert_lifetime must fit the u64 clock
+        pytest.param({"cert_lifetime": 2**63}, id="cert_lifetime_past_u64"),
         # only full_crl handles scheduled fetches
         pytest.param(
             {"scheme": Scheme.CRT, "fetch_policy": "uniform_random_window", "fetch_window": HOUR},
@@ -510,6 +531,15 @@ OVERLAY = {"scheme": Scheme.CRT, "depender_nodes": 8}
 def test_config_rejected_at_construction(fields):
     with pytest.raises(ConfigError):
         cfg(**fields)
+
+
+def test_largest_lifetime_that_fits_the_clock_runs():
+    horizon = 2 * DAY
+    lifetime = (2**64 - 1 - horizon) // 2
+    report = run(cfg(horizon=horizon, population=20, n_clients=2, cert_lifetime=lifetime))
+    assert report.false_revocation == 0
+    with pytest.raises(ConfigError):
+        cfg(horizon=horizon + 2, cert_lifetime=lifetime)
 
 
 CRL_FAMILY = {
