@@ -6,7 +6,7 @@ check over a document cache.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -50,6 +50,29 @@ class PartitionError(ValueError):
     """Redirect table ranges overlap, leave gaps, or do not cover a serial."""
 
 
+def _crl_payload(
+    issuer: str,
+    kind: CrlKind,
+    this_update: int,
+    next_update: int,
+    window_start: Optional[int],
+    segment_id: Optional[str],
+    entries: tuple[tuple[int, int], ...],
+) -> bytes:
+    """The bytes a CRL's signature covers, in field order."""
+    parts = [
+        pack_str(issuer),
+        pack_str(kind.value),
+        pack_u64(this_update),
+        pack_u64(next_update),
+        pack_opt_u64(window_start),
+        pack_opt_str(segment_id),
+        pack_u32(len(entries)),
+        struct.pack(f">{2 * len(entries)}Q", *chain.from_iterable(entries)),
+    ]
+    return b"".join(parts)
+
+
 @dataclass(frozen=True)
 class CrlDocument:
     """A signed status list. Authoritative over [this_update, next_update)."""
@@ -75,17 +98,15 @@ class CrlDocument:
 
     @cached_property
     def _payload(self) -> bytes:
-        parts = [
-            pack_str(self.issuer),
-            pack_str(self.kind.value),
-            pack_u64(self.this_update),
-            pack_u64(self.next_update),
-            pack_opt_u64(self.window_start),
-            pack_opt_str(self.segment_id),
-            pack_u32(len(self.entries)),
-            struct.pack(f">{2 * len(self.entries)}Q", *chain.from_iterable(self.entries)),
-        ]
-        return b"".join(parts)
+        return _crl_payload(
+            self.issuer,
+            self.kind,
+            self.this_update,
+            self.next_update,
+            self.window_start,
+            self.segment_id,
+            self.entries,
+        )
 
     def signed_payload(self) -> bytes:
         return self._payload
@@ -166,6 +187,12 @@ class IssuanceSchedule:
         return self.base_period // self.overissue_factor
 
 
+def _table_payload(version: int, ranges: tuple[tuple[int, int, str], ...]) -> bytes:
+    parts = [pack_u32(version), pack_u32(len(ranges))]
+    parts.extend(pack_u64(lo) + pack_u64(hi) + pack_str(seg) for lo, hi, seg in sorted(ranges))
+    return b"".join(parts)
+
+
 @dataclass(frozen=True)
 class RedirectTable:
     """Signed, versioned map from serial ranges to segment ids.
@@ -193,11 +220,7 @@ class RedirectTable:
                 raise PartitionError(f"gap between {hi_a} and {lo_b}")
 
     def signed_payload(self) -> bytes:
-        parts = [pack_u32(self.version), pack_u32(len(self.ranges))]
-        parts.extend(
-            pack_u64(lo) + pack_u64(hi) + pack_str(seg) for lo, hi, seg in sorted(self.ranges)
-        )
-        return b"".join(parts)
+        return _table_payload(self.version, self.ranges)
 
     def to_bytes(self) -> bytes:
         return self.signed_payload() + self.signature.to_bytes()
@@ -216,12 +239,11 @@ def make_redirect_table(
     keystore: KeyStore,
     key_id: str,
 ) -> RedirectTable:
-    unsigned = RedirectTable(version=version, ranges=tuple(ranges), signature=Signature(key_id, b""))
-    return RedirectTable(
-        version=version,
-        ranges=tuple(ranges),
-        signature=keystore.sign(unsigned.signed_payload(), key_id),
-    )
+    """Sign the table's encoded fields, then build it once; its partition
+    checks run then, so a malformed table is signed but never returned."""
+    ranges = tuple(ranges)
+    signature = keystore.sign(_table_payload(version, ranges), key_id)
+    return RedirectTable(version=version, ranges=ranges, signature=signature)
 
 
 def resolve_segment(serial: int, table: RedirectTable) -> str:
@@ -249,7 +271,13 @@ class CrlIssuer:
         window_start: Optional[int] = None,
         segment_id: Optional[str] = None,
     ) -> CrlDocument:
+        """Encode the fields, sign them, then build the document once, so its
+        checks run once; it is seeded with the bytes just signed."""
         check_time(next_update)
+        entries = tuple(sorted(entries))
+        payload = _crl_payload(
+            self.key_id, kind, this_update, next_update, window_start, segment_id, entries
+        )
         doc = CrlDocument(
             issuer=self.key_id,
             kind=kind,
@@ -257,14 +285,11 @@ class CrlIssuer:
             next_update=next_update,
             window_start=window_start,
             segment_id=segment_id,
-            entries=tuple(sorted(entries)),
-            signature=Signature(self.key_id, b""),
+            entries=entries,
+            signature=self.keystore.sign(payload, self.key_id),
         )
-        payload = doc.signed_payload()
-        signed = replace(doc, signature=self.keystore.sign(payload, self.key_id))
-        # Seed the copy with the bytes just signed instead of encoding them again.
-        signed.__dict__["_payload"] = payload
-        return signed
+        doc.__dict__["_payload"] = payload
+        return doc
 
     def issue_full(
         self,

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from operator import itemgetter
+from typing import NamedTuple, Optional
 
 from .core import KeyStore, Ledger, Signature, pack_bytes, pack_str, pack_u32, pack_u64
 
@@ -96,6 +97,12 @@ class ResponderKey:
     valid_to: int
 
 
+def _key_chain_payload(keys: tuple[ResponderKey, ...]) -> bytes:
+    parts = [pack_u32(len(keys))]
+    parts.extend(pack_str(k.key_id) + pack_u64(k.valid_from) + pack_u64(k.valid_to) for k in keys)
+    return b"".join(parts)
+
+
 @dataclass(frozen=True)
 class ResponderKeyChain:
     """Short-lived responder keys, their validity windows signed by the CA."""
@@ -104,11 +111,7 @@ class ResponderKeyChain:
     signature: Signature
 
     def signed_payload(self) -> bytes:
-        parts = [pack_u32(len(self.keys))]
-        parts.extend(
-            pack_str(k.key_id) + pack_u64(k.valid_from) + pack_u64(k.valid_to) for k in self.keys
-        )
-        return b"".join(parts)
+        return _key_chain_payload(self.keys)
 
     def current_key(self, now: int) -> str:
         for k in self.keys:
@@ -129,10 +132,9 @@ def make_key_chain(
     """Register the listed keys and publish their CA-signed validity chain."""
     for k in keys:
         keystore.generate(k.key_id, key_rng)
-    unsigned = ResponderKeyChain(keys=tuple(keys), signature=Signature(ca_key, b""))
+    chain_keys = tuple(keys)
     return ResponderKeyChain(
-        keys=tuple(keys),
-        signature=keystore.sign(unsigned.signed_payload(), ca_key),
+        keys=chain_keys, signature=keystore.sign(_key_chain_payload(chain_keys), ca_key)
     )
 
 
@@ -233,11 +235,21 @@ def _statement_payload(serial: int, status: OcspStatus, period: bytes) -> bytes:
     return pack_u64(serial) + _STATUS_FIELD[status] + period
 
 
-@dataclass(frozen=True)
-class SignedStatusStatement:
+# serial, status and period index: a statement's bytes before its signature
+_STATEMENT_HEAD_BYTES = {status: 8 + len(field) + 4 for status, field in _STATUS_FIELD.items()}
+
+
+class SignedStatusStatement(NamedTuple):
     """Naive baseline: one signed statement per non-expired certificate per
     period, positive and negative both (an untrusted directory could
-    otherwise withhold the negatives)."""
+    otherwise withhold the negatives).
+
+    A tuple, not a frozen dataclass, because a period builds one per live
+    certificate: a tuple is built in one allocation, without a frozen
+    dataclass's `object.__setattr__` per field. It is immutable and compares
+    and hashes by value. `signed_payload` encodes the fields again, so a
+    `_replace` copy with any field altered fails `verify_statement`.
+    """
 
     serial: int
     status: OcspStatus
@@ -252,8 +264,7 @@ class SignedStatusStatement:
 
     @property
     def wire_size(self) -> int:
-        # serial, status, period_index, then the signature
-        return 8 + len(_STATUS_FIELD[self.status]) + 4 + self.signature.wire_size
+        return _STATEMENT_HEAD_BYTES[self.status] + self.signature.wire_size
 
 
 def publish_statements(
@@ -263,15 +274,44 @@ def publish_statements(
     keystore: KeyStore,
     key_id: str,
 ) -> list[SignedStatusStatement]:
-    """Sign one statement per non-expired certificate; each payload is
-    encoded once, for its signature."""
+    """Sign one statement per non-expired certificate, in serial order.
+
+    The period is signed in one batch: every payload is encoded in one pass
+    (the status and period bytes are the same for every statement of a
+    status, so they are joined once), then `KeyStore.sign_batch` MACs them
+    all under the one key, which it looks up and counts once.
+    """
     period = pack_u32(period_index)
-    out = []
-    for serial in ledger.non_expired_serials(now):
-        status = OcspStatus.REVOKED if ledger.is_revoked(serial, now) else OcspStatus.GOOD
-        sig = keystore.sign(_statement_payload(serial, status, period), key_id)
-        out.append(SignedStatusStatement(serial, status, period_index, sig))
-    return out
+    good, revoked = OcspStatus.GOOD, OcspStatus.REVOKED
+    good_tail = _STATUS_FIELD[good] + period
+    revoked_tail = _STATUS_FIELD[revoked] + period
+    revoked_now = {s for s, r in ledger.revocations.items() if r.revoked_at <= now}
+    serials = ledger.non_expired_serials(now)
+    statuses = [revoked if s in revoked_now else good for s in serials]
+    payloads = [
+        pack_u64(s) + (good_tail if status is good else revoked_tail)
+        for s, status in zip(serials, statuses)
+    ]
+    signatures = keystore.sign_batch(payloads, key_id)
+    new = tuple.__new__
+    return [
+        new(SignedStatusStatement, (s, status, period_index, sig))
+        for s, status, sig in zip(serials, statuses, signatures)
+    ]
+
+
+def statements_wire_size(statements: list[SignedStatusStatement]) -> int:
+    """The bytes of one period's statements from `publish_statements`.
+
+    Every statement of a period carries a signature under the one key, so
+    the total is a fixed head size per status plus one signature size per
+    statement, with no per-statement property call.
+    """
+    if not statements:
+        return 0
+    statuses = list(map(itemgetter(1), statements))
+    heads = sum(_STATEMENT_HEAD_BYTES[status] * statuses.count(status) for status in OcspStatus)
+    return heads + len(statements) * statements[0].signature.wire_size
 
 
 def verify_statement(

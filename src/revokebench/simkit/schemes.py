@@ -656,7 +656,9 @@ class NaiveStatusAdapter(SchemeAdapter):
             self.ledger, period, now, self.keystore, self.ca_key
         )
         self.statements = {s.serial: s for s in statements}
-        self.ca_push("status_statements", sum(s.wire_size for s in statements), len(statements))
+        self.ca_push(
+            "status_statements", resp_mod.statements_wire_size(statements), len(statements)
+        )
 
     def fetch_verdict(self, serial: int, now: int) -> tuple[bool, int]:
         """Fetch and verify the serial's statement; it lapses when the next period starts."""

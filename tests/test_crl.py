@@ -65,6 +65,31 @@ class TestIssueFull:
             issuer.issue_full(records_of((3, 0)), 100, expiry={3: 50})
 
 
+class TestBuiltOnce:
+    """Each issued document is built once, so its checks run once."""
+
+    def test_one_construction_per_issued_document(self, keystore, monkeypatch):
+        built = []
+        original = CrlDocument.__post_init__
+
+        def counted(doc):
+            built.append(doc.kind)
+            original(doc)
+
+        monkeypatch.setattr(CrlDocument, "__post_init__", counted)
+        issuer = make_issuer(keystore, delta_period=HOUR, window_length=2 * DAY)
+        records = records_of((3, 10), (70, 20), (150, 30))
+        base = issuer.issue_full(records, 100)
+        assert built == [CrlKind.FULL]
+        issuer.issue_delta(records_of((4, 200)), base, 300)
+        assert built[1:] == [CrlKind.DELTA]
+        issuer.issue_sliding_delta(records, 400)
+        assert built[2:] == [CrlKind.DELTA]
+        table = make_redirect_table(1, [(0, 99, "A"), (100, 999, "B")], keystore, "ca")
+        segments = issuer.segment(records, table, 500)
+        assert built[3:] == [CrlKind.SEGMENT] * len(segments) == [CrlKind.SEGMENT] * 2
+
+
 class TestIssueDelta:
     def test_empty_delta_still_signed(self, keystore):
         issuer = make_issuer(keystore, delta_period=HOUR)

@@ -17,6 +17,7 @@ from revokebench.responder import (
     make_key_chain,
     make_request,
     publish_statements,
+    statements_wire_size,
     verify_key_chain,
     verify_response,
     verify_statement,
@@ -246,7 +247,37 @@ class TestStatements:
         for s in statements:
             assert s.wire_size == len(s.to_bytes())
             assert verify_statement(s, keystore, "ca", 7)
+        assert statements_wire_size(statements) == sum(len(s.to_bytes()) for s in statements)
+        assert statements_wire_size([]) == 0
 
     def test_stale_period_rejected(self, keystore, ledger):
         statements = publish_statements(ledger, 1, 1000, keystore, "ca")
         assert not verify_statement(statements[0], keystore, "ca", expected_period=2)
+
+
+class TestStatementRecord:
+    """A statement is an immutable value record whose signature covers
+    every field."""
+
+    @pytest.fixture
+    def statements(self, keystore, ledger):
+        return publish_statements(ledger, 1, 1000, keystore, "ca")
+
+    def test_fields_cannot_be_set(self, statements):
+        with pytest.raises(AttributeError):
+            statements[0].status = OcspStatus.REVOKED
+        with pytest.raises(AttributeError):
+            statements[0].extra = 1
+
+    def test_equal_and_hashable_by_value(self, keystore, ledger, statements):
+        again = publish_statements(ledger, 1, 1000, keystore, "ca")
+        assert again == statements
+        assert [hash(s) for s in again] == [hash(s) for s in statements]
+        assert len(set(statements) | set(again)) == len(statements)
+
+    def test_altered_fields_fail_verification(self, keystore, statements):
+        revoked = next(s for s in statements if s.status is OcspStatus.REVOKED)
+        assert verify_statement(revoked, keystore, "ca", 1)
+        assert not verify_statement(revoked._replace(status=OcspStatus.GOOD), keystore, "ca", 1)
+        moved = revoked._replace(period_index=2)
+        assert not verify_statement(moved, keystore, "ca", 2)

@@ -20,6 +20,7 @@ from revokebench.core import (
 from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
 from revokebench.crs import CrsTokenKind, token_wire_size
 from revokebench.crt import CrtLeaf, CrtVerdict, crt_build, crt_prove, crt_verify
+from revokebench.responder import OcspStatus
 from revokebench.simkit import (
     ConfigError,
     Scheme,
@@ -38,12 +39,15 @@ from revokebench.simkit.schemes import (
     CrtAdapter,
     DeltaCrlAdapter,
     FullCrlAdapter,
+    NaiveStatusAdapter,
     PlainCrlBaselineAdapter,
     SegmentedAdapter,
     SlidingDeltaAdapter,
     WcrAdapter,
     _SlidingClient,
 )
+
+from test_golden import CONFIGS as GOLDEN
 
 
 def cfg(**kwargs):
@@ -293,6 +297,26 @@ class TestSchemesBehave:
         published = report.publications["status_statements"]
         assert report.signature_ops["ca_sign"] == published
         assert published >= 9 * 300  # 9 update days, full population each
+
+    @pytest.mark.parametrize(
+        "name", [n for n, c in GOLDEN.items() if c.scheme is Scheme.NAIVE_SIGNED_STATUS]
+    )
+    def test_naive_pushed_bytes_are_the_statement_encodings(self, name):
+        """Oracle: each period's pushed bytes are the encodings of its statements."""
+        periods = []
+
+        class Recording(NaiveStatusAdapter):
+            def on_publish(self, now, tag):
+                before = self.metrics.bytes_sent["ca_to_directory"]
+                super().on_publish(now, tag)
+                pushed = self.metrics.bytes_sent["ca_to_directory"] - before
+                periods.append((pushed, list(self.statements.values())))
+
+        Simulation(GOLDEN[name], adapter_factory=Recording).run()
+        for pushed, statements in periods:
+            assert pushed == sum(len(s.to_bytes()) for s in statements)
+        statuses = {s.status for _, statements in periods for s in statements}
+        assert statuses == {OcspStatus.GOOD, OcspStatus.REVOKED}
 
     def test_crs_ca_never_signs_updates(self):
         report = run(cfg(scheme=Scheme.CRS, crs_lifetime_periods=30))
