@@ -14,7 +14,7 @@ import struct
 from bisect import insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 # Serial numbers are unsigned 64-bit integers. 0 and 2**64-1 are reserved as
 # the tree sentinels; real serials live strictly between them.
@@ -340,7 +340,7 @@ class Certificate(_CertificateFields):
     immutable and compares and hashes by value; being a tuple, it also
     unpacks and indexes in field order. Every way of building one checks the
     fields: `Certificate(...)` and `_replace` check them here, and
-    `make_certificate` checks them before it signs.
+    `make_certificates` checks them before it signs.
     """
 
     __slots__ = ()
@@ -405,15 +405,46 @@ def make_certificate(
 ) -> Certificate:
     """Build and sign a certificate in one step (signature covers all other fields).
 
-    The fields are checked before signing, so a bad input signs nothing; the
-    record is then built without checking them a second time.
+    The one-certificate case of `make_certificates`.
     """
-    _check_certificate_fields(serial, not_before, not_after)
-    payload = _certificate_payload(serial, subject, not_before, not_after, crs_anchor, segment_id)
-    signature = keystore.sign(payload, key_id)
-    return tuple.__new__(
-        Certificate, (serial, subject, not_before, not_after, signature, crs_anchor, segment_id)
+    return make_certificates(
+        [serial], [subject], [crs_anchor], not_before, not_after, keystore, key_id, segment_id
+    )[0]
+
+
+def make_certificates(
+    serials: Sequence[int],
+    subjects: Sequence[str],
+    crs_anchors: Sequence[Optional[CrsAnchor]],
+    not_before: int,
+    not_after: int,
+    keystore: KeyStore,
+    key_id: str,
+    segment_id: Optional[str] = None,
+) -> list[Certificate]:
+    """Build and sign one certificate per (serial, subject, anchor), all with
+    the same validity window and segment id.
+
+    Every field of every certificate is checked before anything is signed, so
+    a bad input anywhere signs nothing. The payloads are then signed as one
+    `KeyStore.sign_batch`, which counts the batch once, under the keystore's
+    current phase; the records are built without checking them a second time.
+    """
+    for serial in serials:
+        _check_certificate_fields(serial, not_before, not_after)
+    rows = list(zip(serials, subjects, crs_anchors, strict=True))
+    signatures = keystore.sign_batch(
+        [
+            _certificate_payload(serial, subject, not_before, not_after, anchor, segment_id)
+            for serial, subject, anchor in rows
+        ],
+        key_id,
     )
+    new = tuple.__new__
+    return [
+        new(Certificate, (serial, subject, not_before, not_after, signature, anchor, segment_id))
+        for (serial, subject, anchor), signature in zip(rows, signatures)
+    ]
 
 
 def verify_certificate(cert: Certificate, keystore: KeyStore, key_id: str) -> bool:

@@ -36,7 +36,8 @@ def compare(configs: list[SimConfig]) -> list[tuple[SimConfig, MetricsReport]]:
     """Run several configs over the identical workload and pair the reports.
 
     Configs may differ only in scheme fields; any difference in a workload
-    field would break the paired-event property, so it is rejected.
+    field would break the paired-event property, so it is rejected. The
+    workload is generated once and shared by every run.
     """
     if not configs:
         raise ConfigError("nothing to compare")
@@ -49,7 +50,8 @@ def compare(configs: list[SimConfig]) -> list[tuple[SimConfig, MetricsReport]]:
                 if getattr(c, name) != getattr(configs[0], name)
             ]
             raise ConfigError(f"configs are not comparable; differing workload fields: {bad}")
-    return [(c, run(c)) for c in configs]
+    workload = generate_workload(configs[0])
+    return [(c, Simulation(c, workload=workload).run()) for c in configs]
 
 
 def comparison_csv(results: list[tuple[SimConfig, MetricsReport]]) -> str:

@@ -7,7 +7,7 @@ validation event streams, which is what makes scheme comparisons paired.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Optional
 
@@ -183,14 +183,6 @@ class SimConfig:
 
     def with_seed(self, seed: int) -> "SimConfig":
         return replace(self, seed=seed)
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        d["scheme"] = self.scheme.value
-        d["node_failures"] = [list(x) for x in self.node_failures]
-        d["node_rejoins"] = [list(x) for x in self.node_rejoins]
-        d["extra_delta_times"] = list(self.extra_delta_times)
-        return d
 
     @staticmethod
     def from_json_dict(d: dict) -> "SimConfig":

@@ -22,6 +22,7 @@ from revokebench.core import (
     SERIAL_MAX,
     check_time,
     make_certificate,
+    make_certificates,
     verify_certificate,
 )
 
@@ -411,6 +412,69 @@ class TestCertificateRecord:
         plain = make_certificate(7, "bob", 1, 2, keystore, "ca")
         assert (plain.crs_anchor, plain.segment_id) == (None, None)
         assert plain == Certificate(7, "bob", 1, 2, plain.issuer_signature)
+
+
+class TestMakeCertificates:
+    """One signed batch equals one make_certificate per input, and is counted once."""
+
+    SERIALS = [5, 1, SERIAL_MAX, 0, 9]
+    SUBJECTS = ["alice", "", "subject-ü", "証明書-🔑", "alice"]
+
+    @classmethod
+    def anchors(cls, with_anchors):
+        """One anchor per serial; with anchors, the last serial still has none."""
+        anchors = [None] * len(cls.SERIALS)
+        if with_anchors:
+            for i in range(len(anchors) - 1):
+                anchors[i] = CrsAnchor(
+                    y=bytes([i]) * 13, n=bytes([i + 1]) * 13, lifetime_periods=i, period_length=9
+                )
+        return anchors
+
+    @pytest.mark.parametrize("with_anchors", [False, True])
+    @pytest.mark.parametrize("segment_id", [None, "seg-ü3"])
+    def test_equals_one_make_certificate_per_input(self, keystore, with_anchors, segment_id):
+        anchors = self.anchors(with_anchors)
+        batch = make_certificates(
+            self.SERIALS, self.SUBJECTS, anchors, 10, 100, keystore, "ca", segment_id
+        )
+        one_by_one = [
+            make_certificate(serial, subject, 10, 100, keystore, "ca", anchor, segment_id)
+            for serial, subject, anchor in zip(self.SERIALS, self.SUBJECTS, anchors)
+        ]
+        assert [type(c) for c in batch] == [Certificate] * len(self.SERIALS)
+        assert [tuple(c) for c in batch] == [tuple(c) for c in one_by_one]
+        for cert in batch:
+            assert cert.issuer_signature == keystore.sign(reference_certificate_payload(cert), "ca")
+
+    def test_counts_the_batch_once_under_the_current_phase(self, keystore):
+        keystore.phase = "issue_certificate"
+        make_certificates(self.SERIALS, self.SUBJECTS, self.anchors(True), 0, 100, keystore, "ca")
+        assert keystore.counts == {("sign", "issue_certificate"): len(self.SERIALS)}
+        keystore.phase = "setup"
+        assert make_certificates([], [], [], 0, 100, keystore, "ca") == []
+        assert keystore.counts == {("sign", "issue_certificate"): len(self.SERIALS)}
+
+    @pytest.mark.parametrize("bad_at", [0, 2, 4])
+    @BAD_FIELDS
+    def test_bad_fields_anywhere_raise_before_signing(
+        self, keystore, bad_at, serial, not_before, not_after
+    ):
+        serials = list(self.SERIALS)
+        serials[bad_at] = serial  # a good serial where the window is the bad field
+        with pytest.raises(ValueError):
+            make_certificates(
+                serials, self.SUBJECTS, self.anchors(False), not_before, not_after, keystore, "ca"
+            )
+        assert keystore.counts == {}
+
+    @pytest.mark.parametrize("short", ["serials", "subjects", "anchors"])
+    def test_unequal_lengths_raise_before_signing(self, keystore, short):
+        args = {"serials": self.SERIALS, "subjects": self.SUBJECTS, "anchors": self.anchors(False)}
+        args[short] = args[short][:-1]
+        with pytest.raises(ValueError):
+            make_certificates(args["serials"], args["subjects"], args["anchors"], 0, 100, keystore, "ca")
+        assert keystore.counts == {}
 
 
 class TestRevocationIndex:

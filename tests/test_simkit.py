@@ -15,12 +15,15 @@ from revokebench.core import (
     RevocationRecord,
     Signature,
     make_certificate,
+    make_certificates,
     verify_certificate,
 )
 from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
 from revokebench.crs import CrsTokenKind, token_wire_size
 from revokebench.crt import CrtLeaf, CrtVerdict, crt_build, crt_prove, crt_verify
 from revokebench.responder import OcspStatus
+from revokebench import simkit
+from revokebench.simkit import engine
 from revokebench.simkit import (
     ConfigError,
     Scheme,
@@ -99,15 +102,38 @@ class TestConservationAndTruth:
         assert report.validations > 0
 
     @pytest.mark.parametrize("scheme", [Scheme.FULL_CRL, Scheme.CRS])
-    def test_every_issued_certificate_verifies(self, scheme):
+    def test_every_issued_certificate_verifies(self, scheme, monkeypatch):
         """Issuance signs exactly the bytes signed_payload() encodes, with and
-        without a CRS anchor in the certificate."""
+        without a CRS anchor in the certificate, one batch per issue instant:
+        the t = 0 population and each later new user."""
+        batches = []
+
+        def counting(serials, *args, **kwargs):
+            batches.append(list(serials))
+            return make_certificates(serials, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "make_certificates", counting)
         sim = Simulation(cfg(scheme=scheme, crs_lifetime_periods=30, annual_new_user_fraction=2.0))
-        sim.run()
+        report = sim.run()
+        issues = sim.workload.issues
         certs = list(sim.ledger.certificates.values())
-        assert len(certs) == len(sim.workload.issues) > 300
+        assert [c.serial for c in certs] == [serial for _, serial in issues]
+        assert len(certs) > 300 and len({t for t, _ in issues}) > 2
+        assert batches == [[s for u, s in issues if u == t] for t in sorted({t for t, _ in issues})]
+        assert report.signature_ops["ca_issue"] == len(certs)
         assert {c.crs_anchor is not None for c in certs} == {scheme is Scheme.CRS}
         assert all(verify_certificate(c, sim.keystore, sim.ca_key) for c in certs)
+        for c in certs:
+            rebuilt = make_certificate(
+                c.serial, c.subject, c.not_before, c.not_after, sim.keystore, sim.ca_key, c.crs_anchor
+            )
+            assert rebuilt == c
+
+    def test_a_serial_issued_twice_raises(self):
+        sim = Simulation(cfg())
+        sim.workload = dataclasses.replace(sim.workload, issues=((0, 1), (0, 2), (0, 1)))
+        with pytest.raises(ValueError, match="already issued"):
+            sim.run()
 
     def test_population_zero_is_all_quiet(self):
         report = run(cfg(population=0))
@@ -120,6 +146,26 @@ class TestComparisons:
     def test_compare_requires_paired_workloads(self):
         with pytest.raises(ConfigError):
             compare([cfg(), cfg(population=400)])
+
+    def test_compare_generates_the_shared_workload_once(self, monkeypatch):
+        configs = [
+            cfg(annual_new_user_fraction=2.0),
+            cfg(scheme=Scheme.CRS, crs_lifetime_periods=30, annual_new_user_fraction=2.0),
+            cfg(scheme=Scheme.OCSP, annual_new_user_fraction=2.0),
+        ]
+        separate = [run(c).to_json() for c in configs]
+        generated = []
+
+        def counting(config):
+            generated.append(config)
+            return generate_workload(config)
+
+        monkeypatch.setattr(simkit, "generate_workload", counting)
+        monkeypatch.setattr(engine, "generate_workload", counting)
+        results = compare(configs)
+        assert len(generated) == 1
+        assert [c for c, _ in results] == configs
+        assert [report.to_json() for _, report in results] == separate
 
     def test_compare_emits_one_row_per_scheme(self):
         results = compare([cfg(), cfg(scheme=Scheme.CRT)])
