@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -407,6 +408,9 @@ def check_status(
     return decide_status(serial, valid, now, table)
 
 
+_this_update = attrgetter("this_update")
+
+
 def decide_status(
     serial: int,
     verified_docs: Iterable[CrlDocument],
@@ -423,26 +427,25 @@ def decide_status(
     window_start is at or before the coverage point established so far, so
     no revocation can fall in a gap.
     """
-    valid = list(verified_docs)
-
     scope_segment: Optional[str] = None
     if table is not None:
         scope_segment = resolve_segment(serial, table)
 
-    bases = [
-        d
-        for d in valid
-        if d.kind is CrlKind.FULL
-        or (d.kind is CrlKind.SEGMENT and scope_segment is not None and d.segment_id == scope_segment)
-    ]
-    if not bases:
+    # one pass: the newest base in scope (the first of a tie) and every delta
+    base: Optional[CrlDocument] = None
+    deltas: list[CrlDocument] = []
+    for d in verified_docs:
+        kind = d.kind
+        if kind is CrlKind.DELTA:
+            deltas.append(d)
+        elif kind is CrlKind.FULL or (scope_segment is not None and d.segment_id == scope_segment):
+            if base is None or d.this_update > base.this_update:
+                base = d
+    if base is None:
         return CrlStatus.STALE_INFORMATION
-    base = max(bases, key=lambda d: d.this_update)
+    if len(deltas) > 1:
+        deltas.sort(key=_this_update)  # stable, as sorted is
 
-    deltas = sorted(
-        (d for d in valid if d.kind is CrlKind.DELTA),
-        key=lambda d: d.this_update,
-    )
     covered_until = base.this_update
     current = base.covers(now)
     listed = base.lists(serial)

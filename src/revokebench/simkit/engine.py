@@ -1,11 +1,18 @@
 """Deterministic single-threaded event loop.
 
 Events are processed in (time, kind order, insertion order); the kind order
-puts issuance before revocation before publication before validation at any
-shared instant, so a document published at t already reflects a revocation
-at t and a validation at t sees the document. Every event is known before
-the run starts and none is scheduled during it, so the events are sorted
-once and popped in order.
+puts issuance before revocation before publication before validation before
+fetches and overlay node events at any shared instant, so a document
+published at t already reflects a revocation at t and a validation at t sees
+the document. Every event is known before the run starts and none is
+scheduled during it.
+
+Validations are most of the events and the workload already holds them
+time-sorted, so they are never queued: the loop walks `workload.validations`
+in order. The other events are sorted once; before each validation at t the
+loop pops and runs every one whose (time, kind order) is below
+(t, validate), that is, an earlier one, or an issuance, revocation or
+publication at t. What is left after the last validation runs at the end.
 
 Issuance is one event per instant: its payload is the serials issued then,
 in workload order, and the CA signs them as one batch.
@@ -88,7 +95,9 @@ class Simulation:
         workload: Optional[Workload] = None,
     ) -> None:
         """`workload`, when given, must be `generate_workload` of a config
-        with the same workload fields; otherwise it is generated here."""
+        with the same workload fields; otherwise it is generated here. The
+        run walks its streams in order, so a given workload whose streams
+        are not time-sorted raises ConfigError."""
         self.config = config
         self.ca_key = "ca"
         self.keystore = KeyStore()
@@ -109,7 +118,14 @@ class Simulation:
             stat_warmup=config.stat_warmup,
             late_revoked_threshold=config.late_revoked_threshold,
         )
-        self.workload = generate_workload(config) if workload is None else workload
+        if workload is None:
+            workload = generate_workload(config)  # time-sorted by construction
+        else:
+            for name in ("issues", "revocations", "validations"):
+                stream = getattr(workload, name)
+                if any(a[0] > b[0] for a, b in zip(stream, stream[1:])):
+                    raise ConfigError(f"workload.{name} is not time-sorted")
+        self.workload = workload
         self.action_log: Optional[list[str]] = [] if keep_logs else None
         self.decision_log: Optional[list[str]] = [] if keep_logs else None
         self.keystore.phase = "setup"
@@ -154,8 +170,41 @@ class Simulation:
 
     # -- run -----------------------------------------------------------------
 
+    def _run_event(self, t: int, _order: int, _seq: int, kind: str, payload: object) -> None:
+        """Run one event other than a validation."""
+        self.keystore.phase = kind
+        if kind == "issue_certificate":
+            # CRS draws each chain seed from rng_scheme, in workload order
+            anchor_for = self.adapter.anchor_for
+            anchors = [anchor_for(serial, t) for serial in payload]
+            add_certificate = self.ledger.add_certificate
+            for cert in make_certificates(
+                payload,
+                [f"subject-{serial}" for serial in payload],
+                anchors,
+                t,
+                t + self.config.cert_lifetime,
+                self.keystore,
+                self.ca_key,
+            ):
+                add_certificate(cert)
+        elif kind == "revoke":
+            self.ledger.revoke(payload, t)
+            self.metrics.revocations_total += 1
+            self.adapter.on_revoke(payload, t)
+        elif kind == "publish":
+            if self.ledger.certificates:  # a CA with nothing issued stays quiet
+                self.adapter.on_publish(t, payload)
+        elif kind == "fetch":
+            self.adapter.on_fetch(payload, t)
+        elif kind == "node_fail":
+            self.overlay_failed.add(payload)
+        elif kind == "node_rejoin":
+            self._overlay_rejoin(payload)
+
     def run(self) -> MetricsReport:
         config = self.config
+        # every event but validations, as (time, kind order, insertion order, kind, payload)
         events: list[tuple[int, int, int, str, object]] = []
         seq = 0
 
@@ -172,8 +221,6 @@ class Simulation:
         publish_events = self.adapter.publish_events()
         for t, tag in publish_events:
             push(t, "publish", tag)
-        for t, client, serial in self.workload.validations:
-            push(t, "validate", (client, serial))
         fetches = schedule_staggered_fetch(
             range(config.n_clients),
             config.fetch_policy,
@@ -192,52 +239,36 @@ class Simulation:
         # sorted in reverse so that each pop from the end is the next event
         # and drops the list's hold on it
         events.sort(reverse=True)
-        adapter = self.adapter
-        ledger = self.ledger
-        metrics = self.metrics
-        received = metrics.bytes_received
+        run_event = self._run_event
+        keystore = self.keystore
+        # bound here, after any tracer has wrapped the class attributes
+        validate = self.adapter.validate
+        note_validation = self.metrics.note_validation
+        revoked_at = self.ledger.revoked_at
+        received = self.metrics.bytes_received
+        decision_log = self.decision_log
 
+        # validations are time-sorted, so walking them in order and running
+        # every event that sorts before each one keeps the (time, kind order)
+        validate_order = EVENT_ORDER["validate"]
+        for t, client, serial in self.workload.validations:
+            bound = (t, validate_order)
+            while events and events[-1] < bound:
+                run_event(*events.pop())
+            keystore.phase = "validate"
+            # a validation's bytes are what the transport moved during it
+            before = received["directory_to_client"]
+            used = validate(client, serial, t)
+            d2c = received["directory_to_client"] - before
+            note_validation(t, used, revoked_at(serial), d2c)
+            if decision_log is not None:
+                verdict = "use" if used else "drop"
+                decision_log.append(f"{t},{client},{serial},{verdict}")
         while events:
-            t, _, _, kind, payload = events.pop()
-            self.keystore.phase = kind
-            if kind == "issue_certificate":
-                # CRS draws each chain seed from rng_scheme, in workload order
-                anchors = [adapter.anchor_for(serial, t) for serial in payload]
-                for cert in make_certificates(
-                    payload,
-                    [f"subject-{serial}" for serial in payload],
-                    anchors,
-                    t,
-                    t + config.cert_lifetime,
-                    self.keystore,
-                    self.ca_key,
-                ):
-                    ledger.add_certificate(cert)
-            elif kind == "revoke":
-                ledger.revoke(payload, t)
-                metrics.revocations_total += 1
-                adapter.on_revoke(payload, t)
-            elif kind == "publish":
-                if ledger.certificates:  # a CA with nothing issued stays quiet
-                    adapter.on_publish(t, payload)
-            elif kind == "validate":
-                client, serial = payload
-                # a validation's bytes are what the transport moved during it
-                before = received["directory_to_client"]
-                used = adapter.validate(client, serial, t)
-                d2c = received["directory_to_client"] - before
-                metrics.note_validation(t, used, ledger.revoked_at(serial), d2c)
-                if self.decision_log is not None:
-                    verdict = "use" if used else "drop"
-                    self.decision_log.append(f"{t},{client},{serial},{verdict}")
-            elif kind == "fetch":
-                adapter.on_fetch(payload, t)
-            elif kind == "node_fail":
-                self.overlay_failed.add(payload)
-            elif kind == "node_rejoin":
-                self._overlay_rejoin(payload)
+            run_event(*events.pop())
 
-        for pair, n in self.keystore.counts.items():
+        metrics = self.metrics
+        for pair, n in keystore.counts.items():
             key = SIGNATURE_KEYS[pair]  # a pair missing from the table raises
             metrics.signature_ops[key] = metrics.signature_ops.get(key, 0) + n
         metrics.note_hash("ca_chain", self.f_ca.apply_count)

@@ -27,7 +27,7 @@ def substream(seed: int, tag: str) -> random.Random:
 class Workload:
     issues: tuple[tuple[int, int], ...]  # (time, serial), time-sorted
     revocations: tuple[tuple[int, int], ...]  # (time, serial), time-sorted
-    validations: tuple[tuple[int, int, int], ...]  # (time, client, serial)
+    validations: tuple[tuple[int, int, int], ...]  # (time, client, serial), time-sorted
 
 
 def generate_workload(config: SimConfig) -> Workload:

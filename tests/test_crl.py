@@ -36,6 +36,42 @@ def records_of(*pairs):
     return [RevocationRecord(serial=s, revoked_at=t) for s, t in pairs]
 
 
+def two_pass_decide_status(serial, verified_docs, now, table=None):
+    """decide_status as it was before it took one pass: the oracle for it."""
+    valid = list(verified_docs)
+
+    scope_segment = None
+    if table is not None:
+        scope_segment = resolve_segment(serial, table)
+
+    bases = [
+        d
+        for d in valid
+        if d.kind is CrlKind.FULL
+        or (d.kind is CrlKind.SEGMENT and scope_segment is not None and d.segment_id == scope_segment)
+    ]
+    if not bases:
+        return CrlStatus.STALE_INFORMATION
+    base = max(bases, key=lambda d: d.this_update)
+
+    deltas = sorted(
+        (d for d in valid if d.kind is CrlKind.DELTA),
+        key=lambda d: d.this_update,
+    )
+    covered_until = base.this_update
+    current = base.covers(now)
+    listed = base.lists(serial)
+    for delta in deltas:
+        start = delta.window_start if delta.window_start is not None else covered_until
+        if start <= covered_until and delta.this_update >= covered_until:
+            covered_until = delta.this_update
+            current = current or delta.covers(now)
+            listed = listed or delta.lists(serial)
+    if not current:
+        return CrlStatus.STALE_INFORMATION
+    return CrlStatus.REVOKED if listed else CrlStatus.NOT_REVOKED
+
+
 class TestIssueFull:
     def test_empty(self, keystore):
         doc = make_issuer(keystore).issue_full([], 0)
@@ -454,6 +490,71 @@ class TestDecideStatus:
         assert check_status(serial, docs, now, keystore, "ca", scope) == decide_status(
             serial, verified, now, scope
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_one_pass_equals_the_two_pass_oracle(self, data):
+        """decide_status equals its earlier two-pass form on any document
+        set: shuffled, with tied bases, gapped or open-window deltas, segments
+        in and out of scope, and `now` before, inside or after the coverage."""
+        keystore = KeyStore()
+        keystore.generate("ca", random.Random(1))
+        table = make_redirect_table(1, [(0, 4, "seg0"), (5, SERIAL_MAX, "seg1")], keystore, "ca")
+        kinds = data.draw(st.lists(st.sampled_from([CrlKind.FULL, CrlKind.SEGMENT]), max_size=3))
+        kinds += [CrlKind.DELTA] * data.draw(st.integers(0, 4))
+        docs = []
+        for kind in kinds:
+            # deltas reach past the bases, so chains of them form
+            latest = 600 if kind is CrlKind.DELTA else 400
+            this_update = data.draw(st.sampled_from(range(0, latest, 100)))
+            window_start = None
+            if kind is CrlKind.DELTA:
+                window_start = data.draw(
+                    st.sampled_from([None, *range(0, this_update + 1, 100)])
+                )
+            serials = data.draw(st.sets(st.integers(1, 9), max_size=3))
+            docs.append(
+                CrlDocument(
+                    issuer="ca",
+                    kind=kind,
+                    this_update=this_update,
+                    next_update=this_update + data.draw(st.sampled_from([50, 100, 250])),
+                    entries=tuple((s, this_update) for s in sorted(serials)),
+                    signature=Signature("ca", bytes(16)),
+                    window_start=window_start,
+                    segment_id=(
+                        data.draw(st.sampled_from(["seg0", "seg1"]))
+                        if kind is CrlKind.SEGMENT
+                        else None
+                    ),
+                )
+            )
+        docs = data.draw(st.permutations(docs))
+        # a listed serial, or one in either segment that may be listed nowhere
+        serial = data.draw(st.sampled_from([s for d in docs for s, _ in d.entries] + [1, 8]))
+        # from before a document's coverage to past it
+        now = data.draw(st.sampled_from([d.this_update for d in docs] or [0]))
+        now = max(0, now + data.draw(st.integers(-100, 300)))
+        scope = data.draw(st.sampled_from([None, table]))
+        assert decide_status(serial, iter(docs), now, scope) is two_pass_decide_status(
+            serial, docs, now, scope
+        )
+
+    def test_deltas_chain_in_this_update_order_whatever_the_input_order(self, keystore):
+        issuer = make_issuer(keystore, delta_period=100)
+        base = issuer.issue_full([], 0)
+        older = issuer.issue_delta(records_of((7, 50)), base, 100)
+        newer = issuer.issue_delta([], base, 200)
+        for docs in ([base, older, newer], [newer, older, base], [older, newer, base]):
+            assert decide_status(7, docs, 250) is CrlStatus.REVOKED
+            assert decide_status(8, docs, 250) is CrlStatus.NOT_REVOKED
+
+    def test_the_first_of_two_tied_bases_decides(self, keystore):
+        issuer = make_issuer(keystore)
+        listing = issuer.issue_full(records_of((7, 50)), 100)
+        empty = issuer.issue_full([], 100)
+        assert decide_status(7, [listing, empty], 150) is CrlStatus.REVOKED
+        assert decide_status(7, [empty, listing], 150) is CrlStatus.NOT_REVOKED
 
     @settings(max_examples=60)
     @given(

@@ -49,6 +49,7 @@ from revokebench.simkit.schemes import (
     WcrAdapter,
     _SlidingClient,
 )
+from revokebench.simkit.workload import Workload, substream
 
 from test_golden import CONFIGS as GOLDEN
 
@@ -140,6 +141,113 @@ class TestConservationAndTruth:
         assert report.validations == 0
         assert report.peak_request_rate == 0
         assert all(v == 0 for v in report.bytes_sent.values())
+
+
+class OrderRecording(FullCrlAdapter):
+    """Logs every engine hook the run calls, with its time, in call order."""
+
+    def __init__(self, sim) -> None:
+        super().__init__(sim)
+        self.log = []
+
+    def anchor_for(self, serial, now):
+        self.log.append((now, "issue_certificate", serial))
+        return super().anchor_for(serial, now)
+
+    def on_revoke(self, serial, now):
+        self.log.append((now, "revoke", serial))
+        super().on_revoke(serial, now)
+
+    def on_publish(self, now, tag):
+        self.log.append((now, "publish", tag))
+        super().on_publish(now, tag)
+
+    def validate(self, client, serial, now):
+        self.log.append((now, "validate", (client, serial)))
+        return super().validate(client, serial, now)
+
+    def on_fetch(self, client, now):
+        self.log.append((now, "fetch", client))
+        super().on_fetch(client, now)
+
+
+def expected_order(sim):
+    """Every hook call of sim's run, sorted by (time, kind order, insertion order)."""
+    config, w = sim.config, sim.workload
+    publishes = sim.adapter.publish_events()
+    fetches = schedule_staggered_fetch(
+        range(config.n_clients),
+        config.fetch_policy,
+        [t for t, _ in publishes],
+        config.fetch_window,
+        config.horizon,
+        substream(config.seed, "fetch"),
+    )
+    calls = (
+        [(t, "issue_certificate", serial) for t, serial in w.issues]
+        + [(t, "revoke", serial) for t, serial in w.revocations]
+        + [(t, "publish", tag) for t, tag in publishes]
+        + [(t, "validate", (client, serial)) for t, client, serial in w.validations]
+        + [(t, "fetch", client) for t, client in fetches]
+    )
+    order = sorted(range(len(calls)), key=lambda i: (calls[i][0], engine.EVENT_ORDER[calls[i][1]], i))
+    return [calls[i] for i in order]
+
+
+TIED = Workload(
+    issues=((0, 1), (0, 2), (0, 3), (DAY, 4)),
+    revocations=((HOUR, 3), (DAY, 2)),
+    validations=((HOUR, 1, 3), (DAY, 0, 1), (DAY, 1, 2), (DAY, 0, 4), (DAY + HOUR, 1, 2)),
+)
+
+
+class TestEventOrder:
+    """The run calls the adapter in (time, kind order, insertion order),
+    though it walks the validations rather than queueing them."""
+
+    def test_same_instant_ties_run_in_kind_order(self):
+        config = cfg(
+            horizon=3 * DAY,
+            population=3,
+            n_clients=2,
+            fetch_policy="uniform_random_window",
+            fetch_window=1,  # each fetch lands on its publication's instant
+        )
+        sim = Simulation(config, adapter_factory=OrderRecording, workload=TIED)
+        report = sim.run()
+        log = sim.adapter.log
+        assert log == expected_order(sim)
+        # issue, revoke, publish, three validations and two fetches share t = DAY
+        assert [kind for t, kind, _ in log if t == DAY] == [
+            "issue_certificate", "revoke", "publish", "validate", "validate", "validate",
+            "fetch", "fetch",
+        ]
+        # the last publication and its fetches come after the last validation
+        assert log[-3:] == [(2 * DAY, "publish", "base"), (2 * DAY, "fetch", 0), (2 * DAY, "fetch", 1)]
+        assert report.publications["full_crl"] == 3
+        assert report.validations == len(TIED.validations)
+
+    def test_generated_workload_runs_in_order(self):
+        config = cfg(fetch_policy="uniform_random_window", fetch_window=2 * HOUR)
+        sim = Simulation(config, adapter_factory=OrderRecording)
+        sim.run()
+        log = sim.adapter.log
+        assert log == expected_order(sim)
+        assert {kind for _, kind, _ in log} == set(engine.EVENT_ORDER) - {"node_fail", "node_rejoin"}
+
+    def test_no_clients_runs_every_publication(self):
+        sim = Simulation(cfg(n_clients=0), adapter_factory=OrderRecording)
+        report = sim.run()
+        publishes = sim.adapter.publish_events()
+        assert [(t, tag) for t, kind, tag in sim.adapter.log if kind == "publish"] == publishes
+        assert report.publications["full_crl"] == len(publishes) == 10
+        assert report.validations == 0
+
+    @pytest.mark.parametrize("stream", ["issues", "revocations", "validations"])
+    def test_an_unsorted_given_workload_raises(self, stream):
+        unsorted = dataclasses.replace(TIED, **{stream: tuple(reversed(getattr(TIED, stream)))})
+        with pytest.raises(ConfigError, match=f"workload.{stream} is not time-sorted"):
+            Simulation(cfg(population=3, n_clients=2), workload=unsorted)
 
 
 class TestComparisons:
