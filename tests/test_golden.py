@@ -2,10 +2,11 @@
 
 Each config is small and together they reach every scheme adapter and every
 transport and cache path: over-issued CRLs fetched on a random window,
-irregular extra deltas on both delta schemes, a three-way segmented CRL, a
-CRT run whose pushes cross a depender overlay with a node failure and a
-rejoin, OCSP with cached responses, and WCR at both degenerate corners next
-to its always-fresh and plain-CRL baselines.
+irregular extra deltas on both delta schemes, segmented CRLs three and
+sixty-four ways, a CRT run whose pushes cross a depender overlay with a node
+failure and a rejoin, OCSP in nonce mode (with one responder key and with a
+key per hour) and with cached responses, and WCR at both degenerate corners
+next to its always-fresh and plain-CRL baselines.
 
 A refactor must leave every value unchanged. A deliberate change to what the
 simulator reports updates the values in the same commit and says why.
@@ -77,6 +78,9 @@ CONFIGS = {
     "wcr_infinite_window": SimConfig(
         scheme=Scheme.WCR, wcr_window_size=None, wcr_clean_duration=DAY, **_base(12)
     ),
+    "ocsp_nonce": SimConfig(scheme=Scheme.OCSP, **_base(13)),
+    "ocsp_hourly_keys": SimConfig(scheme=Scheme.OCSP, ocsp_key_lifetime=HOUR, **_base(14)),
+    "segmented_64": SimConfig(scheme=Scheme.SEGMENTED, segments=64, **_base(15)),
 }
 
 # name -> (report.to_json(), action log, decision log)
@@ -140,6 +144,21 @@ GOLDEN = {
         "da2704e282cd08d25afd16339fb76ff979071fa1cb47f58525ccf2998c830e24",
         "1821743bc2073608bf0401e4eff5fc1b033c4fc96504eaa698bbe8190a8ecd9f",
         "0249be2e6787568bf7ef6e0a56122c833407935eb21959a1b91eff3710fc7b60",
+    ),
+    "ocsp_nonce": (
+        "96671674950f92db25b907a0b2f1b65af414f3a8c5b03ae890716ad45d1eabde",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "91d58715bec831e1a001ecc9d5f52126d37db429f4bf70b036d75d4ade0e54e5",
+    ),
+    "ocsp_hourly_keys": (
+        "2bf29501b47bf5b3e8679eb29421b8c287591b324dd271f6de6736b96dea7555",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "968091b8a14f4461306b35be655b060523544ec3b6b64438d59f1b3da79b2834",
+    ),
+    "segmented_64": (
+        "6bd018dd3a25d50453cd8f6410fb2a1db569f6c6730e45e6b0079e03dbe3bc7d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1c6e7a201983fa4d12fb80869cc230ce3782be02153adeca27f6db1c59371ad9",
     ),
 }
 
