@@ -6,6 +6,7 @@ check over a document cache.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -233,6 +234,12 @@ class RedirectTable:
     def segment_ids(self) -> list[str]:
         return sorted({seg for _, _, seg in self.ranges})
 
+    @cached_property
+    def _by_start(self) -> tuple[list[int], list[tuple[int, int, str]]]:
+        """The ranges sorted by start, and their starts, for bisection."""
+        ordered = sorted(self.ranges)
+        return [lo for lo, _, _ in ordered], ordered
+
 
 def make_redirect_table(
     version: int,
@@ -248,9 +255,16 @@ def make_redirect_table(
 
 
 def resolve_segment(serial: int, table: RedirectTable) -> str:
-    """The unique segment whose range contains serial; closed-interval bounds."""
-    for lo, hi, seg in table.ranges:
-        if lo <= serial <= hi:
+    """The unique segment whose range contains serial; closed-interval bounds.
+
+    The ranges are disjoint, so the only candidate is the last one starting
+    at or below serial, found by bisecting the sorted starts.
+    """
+    starts, ordered = table._by_start
+    i = bisect_right(starts, serial) - 1
+    if i >= 0:
+        _, hi, seg = ordered[i]
+        if serial <= hi:
             return seg
     raise PartitionError(f"serial {serial} not covered by redirect table v{table.version}")
 

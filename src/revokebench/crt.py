@@ -5,6 +5,15 @@ that a serial is (or is not) revoked.
 A leaf (i, j) asserts that i and j are revoked and nothing strictly between
 them is, so equality at an endpoint proves revocation and strict containment
 proves validity. Sentinel endpoints make the empty set representable.
+
+A leaf is a tuple, not a frozen dataclass, because a tree builds one per gap
+and every validation hashes one: a tuple is built in one allocation and
+hashed in C, so an update's old-leaf memo is a plain dict of tuples. It is
+immutable and compares and hashes by value. Every way of building a leaf
+checks lo < hi: `CrtLeaf(...)`, `_make` and `_replace` check it here (so
+`parse_proof` of a bad leaf raises), and `_leaves_for` checks the end
+serials of its strictly increasing input once, which makes every gap
+between them strictly increasing too.
 """
 
 from __future__ import annotations
@@ -15,7 +24,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional
+from itertools import repeat
+from typing import Iterable, NamedTuple, Optional
 
 from .core import KeyStore, Signature, pack_u8, pack_u32, pack_u64
 
@@ -40,14 +50,23 @@ class CrtVerdict(Enum):
     PROOF_EXPIRED = "proof_expired"
 
 
-@dataclass(frozen=True)
-class CrtLeaf:
+class _CrtLeafFields(NamedTuple):
     lo: int
     hi: int
 
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
+
+class CrtLeaf(_CrtLeafFields):
+    __slots__ = ()
+
+    def __new__(cls, lo: int, hi: int) -> "CrtLeaf":
+        if not lo < hi:
             raise ValueError("leaf endpoints must be strictly increasing")
+        return tuple.__new__(cls, (lo, hi))
+
+    @classmethod
+    def _make(cls, iterable) -> "CrtLeaf":
+        # _replace builds through _make; route it through the check too
+        return cls(*iterable)
 
     def covers(self, serial: int) -> bool:
         return self.lo <= serial <= self.hi
@@ -58,7 +77,7 @@ class CrtLeaf:
 
 def leaf_hash(leaf: CrtLeaf) -> bytes:
     h = _LEAF_STATE.copy()
-    h.update(_pack_leaf(leaf.lo, leaf.hi))
+    h.update(_pack_leaf(*leaf))
     return h.digest()
 
 
@@ -75,8 +94,14 @@ class SignedRoot:
     next_update: int
     signature: Signature
 
-    def signed_payload(self) -> bytes:
+    @cached_property
+    def _payload(self) -> bytes:
+        # A tree's one root is verified by every client of the tree, so it
+        # is encoded once; a dataclasses.replace copy encodes its own fields.
         return self.root + pack_u64(self.issued_at) + pack_u64(self.next_update)
+
+    def signed_payload(self) -> bytes:
+        return self._payload
 
     def to_bytes(self) -> bytes:
         return self.signed_payload() + self.signature.to_bytes()
@@ -186,10 +211,9 @@ def _build_levels(
             if node_memo is not None:
                 h = node_memo.get(key)
                 if h is None:
-                    h = node_hash(cur[i], cur[i + 1])
+                    h = node_memo[key] = node_hash(cur[i], cur[i + 1])
                     if counter is not None:
                         counter[0] += 1
-                node_memo[key] = h
             else:
                 h = node_hash(cur[i], cur[i + 1])
                 if counter is not None:
@@ -203,12 +227,18 @@ def _build_levels(
 
 
 def _leaves_for(serials: list[int]) -> list[CrtLeaf]:
-    """Gap leaves over sorted serials, each strictly between the sentinels."""
+    """Gap leaves over sorted unique serials, each strictly between the
+    sentinels.
+
+    Sorted unique serials strictly increase, so once the first and last are
+    inside the sentinels every gap has lo < hi, and the leaves are built in
+    bulk without a check each.
+    """
     for s in (serials[0], serials[-1]) if serials else ():
         if not SENTINEL_LO < s < SENTINEL_HI:
             raise ValueError(f"serial {s} collides with a sentinel endpoint")
-    bounds = [SENTINEL_LO] + serials + [SENTINEL_HI]
-    return [CrtLeaf(a, b) for a, b in zip(bounds, bounds[1:])]
+    bounds = [SENTINEL_LO, *serials, SENTINEL_HI]
+    return list(map(tuple.__new__, repeat(CrtLeaf), zip(bounds, bounds[1:])))
 
 
 def _sign_root(root: bytes, now: int, validity: int, keystore: KeyStore, key_id: str) -> SignedRoot:
@@ -278,8 +308,9 @@ def crt_update(
     if tree is not None:
         old_leaf_memo = dict(zip(tree.leaves, tree.levels[0]))
         for level, parent in zip(tree.levels, tree.levels[1:]):
-            for i in range(0, len(level) - 1, 2):
-                node_memo[level[i] + level[i + 1]] = parent[i // 2]
+            # each pair's concatenation -> its parent; an odd last node has
+            # no pair, and zip stops before its promoted copy in the parent
+            node_memo.update(zip(map(bytes.__add__, level[0::2], level[1::2]), parent))
 
     leaves = _leaves_for(serials)
     new_leaf_hashes = []

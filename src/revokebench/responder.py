@@ -5,17 +5,32 @@ has (or has not) been revoked; "good" promises nothing beyond non-revocation.
 Responder keys are short-lived and rotate along a CA-published key chain.
 The per-certificate signed-statement baseline that hash-chain tokens improve
 on lives here too.
+
+Requests, responses and statements are tuples, not frozen dataclasses,
+because nonce-mode OCSP builds a request and a response on every validation
+and a period builds a statement per live certificate: a tuple is built in
+one allocation, without a frozen dataclass's `object.__setattr__` per field.
+They are immutable and compare and hash by value. The one field invariant,
+a request's nonce length, is checked on every way of building a request:
+`StatusRequest(...)`, `_make` and `_replace`. A response or statement is
+checked by its signature instead: a copy with any field altered encodes its
+own fields for verification, so it fails to verify.
+
+The responder key chain is indexed by window start when it is built, so the
+current key at an instant is one bisection, however many keys rotate.
 """
 
 from __future__ import annotations
 
+import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .core import KeyStore, Ledger, Signature, pack_bytes, pack_str, pack_u32, pack_u64
+from .core import KeyStore, Ledger, Signature, pack_str, pack_u32, pack_u64
 
 
 class OcspStatus(Enum):
@@ -29,27 +44,44 @@ NONCE_BYTES = 16
 _STATUS_FIELD = {status: pack_str(status.value) for status in OcspStatus}
 
 
-@dataclass(frozen=True)
-class StatusRequest:
+class _StatusRequestFields(NamedTuple):
     serial: int
     nonce: bytes
     sent_at: int
 
-    def __post_init__(self) -> None:
-        if len(self.nonce) != NONCE_BYTES:
+
+class StatusRequest(_StatusRequestFields):
+    """A nonce-bound status query. Every way of building one checks the
+    nonce length: `StatusRequest(...)` here, and `_make` and `_replace`
+    through it."""
+
+    __slots__ = ()
+
+    def __new__(cls, serial: int, nonce: bytes, sent_at: int) -> "StatusRequest":
+        if len(nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
+        return tuple.__new__(cls, (serial, nonce, sent_at))
+
+    @classmethod
+    def _make(cls, iterable) -> "StatusRequest":
+        # _replace builds through _make; route it through the check too
+        return cls(*iterable)
 
     def to_bytes(self) -> bytes:
         return pack_u64(self.serial) + self.nonce + pack_u64(self.sent_at)
 
     @property
     def wire_size(self) -> int:
-        return len(self.to_bytes())
+        # serial, nonce, sent_at
+        return 8 + len(self.nonce) + 8
 
 
 def make_request(serial: int, now: int, rng) -> StatusRequest:
     nonce = rng.getrandbits(NONCE_BYTES * 8).to_bytes(NONCE_BYTES, "big")
     return StatusRequest(serial=serial, nonce=nonce, sent_at=now)
+
+
+_pack_time_and_length = struct.Struct(">QI").pack  # produced_at, the nonce's length prefix
 
 
 def _response_payload(
@@ -58,20 +90,31 @@ def _response_payload(
     return (
         pack_u64(serial)
         + _STATUS_FIELD[status]
-        + pack_u64(produced_at)
-        + pack_bytes(nonce)
+        + _pack_time_and_length(produced_at, len(nonce))
+        + nonce
         + pack_str(key_id)
     )
 
 
-@dataclass(frozen=True)
-class StatusResponse:
+class _StatusResponseFields(NamedTuple):
     serial: int
     status: OcspStatus
     produced_at: int
     nonce: bytes
     responder_key_id: str
     signature: Signature
+
+
+class StatusResponse(_StatusResponseFields):
+    """A signed answer to one request.
+
+    The class keeps an instance dict, unlike the other records, for one
+    entry: the signed bytes that `OcspResponder.respond` seeds on the
+    response it returns, so its client verifies them without encoding the
+    fields again. Any other response, `_replace` and `_make` copies
+    included, starts without them and encodes its own fields on first use,
+    so a copy with any field altered fails `verify_response`.
+    """
 
     @cached_property
     def _payload(self) -> bytes:
@@ -103,24 +146,55 @@ def _key_chain_payload(keys: tuple[ResponderKey, ...]) -> bytes:
     return b"".join(parts)
 
 
+def _check_windows(keys) -> None:
+    """Every window non-empty, and the windows sorted and disjoint."""
+    for k in keys:
+        if not k.valid_from < k.valid_to:
+            raise ValueError(f"responder key {k.key_id} has an empty validity window")
+    for a, b in zip(keys, keys[1:]):
+        if b.valid_from < a.valid_from:
+            raise ValueError(f"responder key {b.key_id} starts before {a.key_id}: unsorted")
+        if b.valid_from < a.valid_to:
+            raise ValueError(f"responder keys {a.key_id} and {b.key_id} overlap")
+
+
 @dataclass(frozen=True)
 class ResponderKeyChain:
-    """Short-lived responder keys, their validity windows signed by the CA."""
+    """Short-lived responder keys, their validity windows signed by the CA.
+
+    The windows must be non-empty, sorted and disjoint, so at most one key is
+    valid at any instant and the chain finds it by bisecting the starts.
+    """
 
     keys: tuple[ResponderKey, ...]
     signature: Signature
+
+    def __post_init__(self) -> None:
+        _check_windows(self.keys)
+
+    @cached_property
+    def _starts(self) -> list[int]:
+        return [k.valid_from for k in self.keys]
+
+    def _key_at(self, at: int) -> Optional[ResponderKey]:
+        i = bisect_right(self._starts, at) - 1
+        if i < 0:
+            return None
+        key = self.keys[i]
+        return key if at < key.valid_to else None
 
     def signed_payload(self) -> bytes:
         return _key_chain_payload(self.keys)
 
     def current_key(self, now: int) -> str:
-        for k in self.keys:
-            if k.valid_from <= now < k.valid_to:
-                return k.key_id
-        raise LookupError(f"no responder key valid at {now}")
+        key = self._key_at(now)
+        if key is None:
+            raise LookupError(f"no responder key valid at {now}")
+        return key.key_id
 
     def is_current(self, key_id: str, at: int) -> bool:
-        return any(k.key_id == key_id and k.valid_from <= at < k.valid_to for k in self.keys)
+        key = self._key_at(at)
+        return key is not None and key.key_id == key_id
 
 
 def make_key_chain(
@@ -129,7 +203,12 @@ def make_key_chain(
     ca_key: str,
     key_rng,
 ) -> ResponderKeyChain:
-    """Register the listed keys and publish their CA-signed validity chain."""
+    """Register the listed keys and publish their CA-signed validity chain.
+
+    Windows that are empty, unsorted or overlapping raise ValueError before
+    any key is registered or anything is signed.
+    """
+    _check_windows(keys)
     for k in keys:
         keystore.generate(k.key_id, key_rng)
     chain_keys = tuple(keys)
@@ -168,17 +247,13 @@ class OcspResponder:
         key_id = self.chain.current_key(produced_at)
         self.requests_served += 1
         status = self.status_of(request.serial, produced_at)
-        payload = _response_payload(request.serial, status, produced_at, request.nonce, key_id)
+        serial, nonce, _ = request
+        payload = _response_payload(serial, status, produced_at, nonce, key_id)
         response = StatusResponse(
-            serial=request.serial,
-            status=status,
-            produced_at=produced_at,
-            nonce=request.nonce,
-            responder_key_id=key_id,
-            signature=self.keystore.sign(payload, key_id),
+            serial, status, produced_at, nonce, key_id, self.keystore.sign(payload, key_id)
         )
-        # Cache the bytes just signed on this object only; a dataclasses.replace
-        # copy encodes its own fields again, so altered fields fail to verify.
+        # Cache the bytes just signed on this object only; a _replace copy
+        # encodes its own fields again, so altered fields fail to verify.
         response.__dict__["_payload"] = payload
         return response
 

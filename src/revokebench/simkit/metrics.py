@@ -6,9 +6,10 @@ that are not reported, and finalize() copies the reported fields out.
 
 Bytes are double-entry: the sending side and the receiving side of every
 message are recorded, and must reconcile exactly. Today both sides are
-recorded by the one transport routine, SchemeAdapter.transfer, with the same
-number, so conservation holds by construction; it becomes a real check once
-the encoder's side and the decoder's side are measured apart.
+recorded with the same number, by SchemeAdapter.transfer for a one-way push
+and by note_exchange or note_fetch for a request and its reply, so
+conservation holds by construction; it becomes a real check once the
+encoder's side and the decoder's side are measured apart.
 Scheme adapters count nothing themselves. Publications are noted by the
 transport's CA push, and a validation's directory->client bytes are the
 change the engine reads off bytes_received around the adapter's call.
@@ -132,9 +133,26 @@ class Metrics(MetricsReport):
     def note_received(self, channel: str, nbytes: int) -> None:
         self.bytes_received[channel] += nbytes
 
-    def note_request(self, now: int) -> None:
-        idx = min(now // self.interval, len(self.requests_per_interval) - 1)
-        self.requests_per_interval[idx] += 1
+    def note_exchange(self, up: str, down: str, request: int, reply: int) -> None:
+        """A request of `request` bytes on channel `up` answered with `reply`
+        bytes on `down`: both sides of both messages, in one step."""
+        sent, received = self.bytes_sent, self.bytes_received
+        sent[up] += request
+        received[up] += request
+        sent[down] += reply
+        received[down] += reply
+
+    def note_fetch(self, now: int, request: int, reply: int) -> None:
+        """A client's directory request and its reply, in one step: the
+        request counted in its interval, and both sides of both messages (as
+        note_exchange on the directory channels)."""
+        per_interval = self.requests_per_interval
+        per_interval[min(now // self.interval, len(per_interval) - 1)] += 1
+        sent, received = self.bytes_sent, self.bytes_received
+        sent["client_to_directory"] += request
+        received["client_to_directory"] += request
+        sent["directory_to_client"] += reply
+        received["directory_to_client"] += reply
 
     # -- operations --------------------------------------------------------
 

@@ -116,10 +116,9 @@ class SchemeAdapter:
         self.sim.overlay_push()
 
     def dir_fetch(self, now: int, nbytes: int, request: int = REQUEST_BYTES) -> None:
-        """One client request of `request` bytes answered by the directory with nbytes."""
-        self.metrics.note_request(now)
-        self.transfer("client_to_directory", request)
-        self.transfer("directory_to_client", nbytes)
+        """One client request of `request` bytes answered by the directory
+        with nbytes, booked in one step."""
+        self.metrics.note_fetch(now, request, nbytes)
 
     def fetch_doc(self, now: int, doc: CrlDocument | RedirectTable) -> None:
         """Fetch one signed document from the directory and verify it under
@@ -148,14 +147,9 @@ class SchemeAdapter:
         revoked. Its signature is the one counted under ca_issue."""
         cert = self.ledger.certificates[serial]
         nbytes = cert.wire_size + FRESH_STATUS_BYTES
-        self.transfer("client_to_ca", REQUEST_BYTES)
-        self.transfer("ca_to_client", nbytes)
+        self.metrics.note_exchange("client_to_ca", "ca_to_client", REQUEST_BYTES, nbytes)
         revoked = self.ledger.is_revoked(serial, now)
-        return wcr_mod.FreshFetch(
-            revoked=revoked,
-            certificate=None if revoked else cert,
-            nbytes=nbytes,
-        )
+        return wcr_mod.FreshFetch(revoked, None if revoked else cert, nbytes)
 
     def fresh_decision(self, client: int, serial: int, now: int) -> bool:
         """Fetch a fresh certificate, then drop it if revoked or else use it."""
@@ -510,8 +504,7 @@ class _WcrServices:
         return self.adapter.fresh_fetch(serial, now)
 
     def fetch_latest_crl(self, now: int) -> wcr_mod.CrlFetch:
-        doc, nbytes = self.adapter.current_crl(self.client, now)
-        return wcr_mod.CrlFetch(doc=doc, nbytes=nbytes)
+        return wcr_mod.CrlFetch(*self.adapter.current_crl(self.client, now))
 
 
 class WcrAdapter(SchemeAdapter):
@@ -532,6 +525,7 @@ class WcrAdapter(SchemeAdapter):
         )
         self.current: Optional[CrlDocument] = None
         self.states: dict[tuple[int, int], wcr_mod.WcrClientState] = {}
+        self.services: dict[int, _WcrServices] = {}
 
     def publish_events(self) -> list[tuple[int, str]]:
         return _base_grid(self.config.horizon, self.config.base_period)
@@ -543,13 +537,16 @@ class WcrAdapter(SchemeAdapter):
         self.ca_push("wcr_crl", self.current.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> bool:
-        state = self.states.get(
-            (client, serial), wcr_mod.WcrClientState(serial=serial)
+        key = (client, serial)
+        state = self.states.get(key)
+        if state is None:
+            state = wcr_mod.WcrClientState(serial)
+        services = self.services.get(client)
+        if services is None:
+            services = self.services[client] = _WcrServices(self, client)
+        decision, self.states[key], actions = wcr_mod.wcr_validate(
+            state, now, services, self.client_config
         )
-        decision, new_state, actions = wcr_mod.wcr_validate(
-            state, now, _WcrServices(self, client), self.client_config
-        )
-        self.states[(client, serial)] = new_state
         self.log_actions(client, actions)
         return decision is wcr_mod.WcrDecision.USE
 

@@ -5,13 +5,19 @@ consecutive publishing dates instead of until expiry. Client side: the
 verifier cache algorithm with a clean timer (how fresh a certificate must be
 to skip revalidation) and a revocation-window timer (how long the CRL is
 still guaranteed to list anything missed).
+
+The per-validation records (`WcrClientState`, `FreshFetch`, `CrlFetch`) are
+tuples, not frozen dataclasses, because a validation builds one or two of
+each: a tuple is built in one allocation, without a frozen dataclass's
+`object.__setattr__` per field. They are immutable and compare and hash by
+value, and they have no field invariants to check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, NamedTuple, Optional, Protocol
 
 from .core import Certificate, KeyStore, RevocationRecord, TIME_MAX
 from .crl import CrlDocument, CrlIssuer, IssuanceSchedule
@@ -91,15 +97,13 @@ class WcrServices(Protocol):
     def fetch_latest_crl(self, now: int) -> "CrlFetch": ...
 
 
-@dataclass(frozen=True)
-class FreshFetch:
+class FreshFetch(NamedTuple):
     revoked: bool
     certificate: Optional[Certificate]
     nbytes: int
 
 
-@dataclass(frozen=True)
-class CrlFetch:
+class CrlFetch(NamedTuple):
     doc: CrlDocument
     nbytes: int  # zero when served from the client's own cache
 
@@ -117,8 +121,7 @@ class WcrClientConfig:
         return (self.window_size - 1) * self.crl_period
 
 
-@dataclass(frozen=True)
-class WcrClientState:
+class WcrClientState(NamedTuple):
     serial: int
     certificate: Optional[Certificate] = None
     clean_deadline: int = 0
@@ -134,20 +137,18 @@ ACT_DROP = "drop"
 Action = tuple[int, int, str, int]
 
 
-def _armed(state: WcrClientState, anchor: int, config: WcrClientConfig) -> WcrClientState:
+def _armed(
+    serial: int, certificate: Certificate, anchor: int, config: WcrClientConfig
+) -> WcrClientState:
     # Deadlines are anchored to the publication date of the information just
     # consulted; a zero duration therefore always reads as expired.
     window = config.window_duration
     return WcrClientState(
-        serial=state.serial,
-        certificate=state.certificate,
-        clean_deadline=anchor + config.clean_duration,
-        window_deadline=TIME_MAX if window is None else anchor + window,
+        serial,
+        certificate,
+        anchor + config.clean_duration,
+        TIME_MAX if window is None else anchor + window,
     )
-
-
-def _dropped(state: WcrClientState) -> WcrClientState:
-    return WcrClientState(serial=state.serial)
 
 
 def wcr_validate(
@@ -166,28 +167,24 @@ def wcr_validate(
 
     Fetch failures raise WcrFetchError before any state change.
     """
-    actions: list[Action] = []
+    serial, certificate, clean_deadline, window_deadline = state
 
-    if state.certificate is not None and now < state.clean_deadline:
-        actions.append((now, state.serial, ACT_USE, 0))
-        return WcrDecision.USE, state, actions
+    if certificate is not None and now < clean_deadline:
+        return WcrDecision.USE, state, [(now, serial, ACT_USE, 0)]
 
-    if state.certificate is None or now >= state.window_deadline:
+    if certificate is None or now >= window_deadline:
         grid = (now // config.crl_period) * config.crl_period
-        fresh = services.fetch_fresh_certificate(state.serial, now)
-        actions.append((now, state.serial, ACT_FRESH, fresh.nbytes))
-        if fresh.revoked:
-            actions.append((now, state.serial, ACT_DROP, 0))
-            return WcrDecision.DROP, _dropped(state), actions
-        held = WcrClientState(serial=state.serial, certificate=fresh.certificate)
-        actions.append((now, state.serial, ACT_USE, 0))
-        return WcrDecision.USE, _armed(held, grid, config), actions
+        revoked, fresh_cert, nbytes = services.fetch_fresh_certificate(serial, now)
+        fetch = (now, serial, ACT_FRESH, nbytes)
+        if revoked:
+            return WcrDecision.DROP, WcrClientState(serial), [fetch, (now, serial, ACT_DROP, 0)]
+        armed = _armed(serial, fresh_cert, grid, config)
+        return WcrDecision.USE, armed, [fetch, (now, serial, ACT_USE, 0)]
 
-    fetched = services.fetch_latest_crl(now)
-    if fetched.nbytes:
-        actions.append((now, state.serial, ACT_CRL, fetched.nbytes))
-    if fetched.doc.lists(state.serial):
-        actions.append((now, state.serial, ACT_DROP, 0))
-        return WcrDecision.DROP, _dropped(state), actions
-    actions.append((now, state.serial, ACT_USE, 0))
-    return WcrDecision.USE, _armed(state, fetched.doc.this_update, config), actions
+    doc, nbytes = services.fetch_latest_crl(now)
+    actions: list[Action] = [(now, serial, ACT_CRL, nbytes)] if nbytes else []
+    if doc.lists(serial):
+        actions.append((now, serial, ACT_DROP, 0))
+        return WcrDecision.DROP, WcrClientState(serial), actions
+    actions.append((now, serial, ACT_USE, 0))
+    return WcrDecision.USE, _armed(serial, certificate, doc.this_update, config), actions

@@ -214,6 +214,45 @@ class TestWire:
             parse_proof(data + b"\x00")
 
 
+
+class TestLeafRecord:
+    """A leaf is an immutable value record, and every way of building one
+    checks lo < hi."""
+
+    @pytest.mark.parametrize("lo,hi", [(5, 5), (6, 5), (SENTINEL_HI, SENTINEL_LO)])
+    def test_every_construction_checks_the_endpoints(self, lo, hi):
+        with pytest.raises(ValueError):
+            CrtLeaf(lo, hi)
+        with pytest.raises(ValueError):
+            CrtLeaf._make((lo, hi))
+        with pytest.raises(ValueError):
+            CrtLeaf(1, 9)._replace(lo=lo, hi=hi)
+
+    def test_fields_cannot_be_set(self):
+        leaf = CrtLeaf(1, 9)
+        with pytest.raises(AttributeError):
+            leaf.lo = 0
+        with pytest.raises(AttributeError):
+            leaf.extra = 1
+
+    def test_equal_and_hashable_by_value(self):
+        leaf = CrtLeaf(1, 9)
+        assert leaf == CrtLeaf(1, 9) and hash(leaf) == hash(CrtLeaf(1, 9))
+        assert len({leaf, CrtLeaf(1, 9), leaf._replace(hi=10)}) == 2
+
+    def test_a_tree_builds_the_leaves_the_constructor_builds(self, keystore):
+        tree = build(keystore, [3, 7])
+        assert tree.leaves == (CrtLeaf(SENTINEL_LO, 3), CrtLeaf(3, 7), CrtLeaf(7, SENTINEL_HI))
+        assert all(type(lf) is CrtLeaf for lf in tree.leaves)
+
+    @pytest.mark.parametrize("lo,hi", [(40, 40), (40, 12)])
+    def test_parse_proof_rejects_a_leaf_out_of_order(self, keystore, lo, hi):
+        proof = crt_prove(build(keystore, [12, 40]), 20)
+        data = struct.pack(">QQ", lo, hi) + proof.to_bytes()[16:]
+        with pytest.raises(ValueError):
+            parse_proof(data)
+
+
 class TestLeafFor:
     @settings(max_examples=60, deadline=None)
     @given(

@@ -1,16 +1,18 @@
 """Online responder: signed nonce-bound responses, cached acceptance, the
 naive per-certificate statement baseline, and key rotation."""
 
-import dataclasses
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revokebench.core import Ledger, make_certificate
+from revokebench.core import Ledger, Signature, UnknownKeyError, make_certificate
 from revokebench.responder import (
     OcspResponder,
     OcspStatus,
     ResponderKey,
+    ResponderKeyChain,
     StatusRequest,
     StatusResponse,
     accept_cached,
@@ -155,8 +157,9 @@ class TestResponseEncoding:
 
 
 class TestReplacedResponse:
-    """respond hands its signed payload to the response it returns. A copy
-    with altered fields must encode those fields again and so fail."""
+    """respond hands its signed payload to the response it returns. A
+    `_replace` copy with altered fields must encode those fields again and
+    so fail."""
 
     @pytest.mark.parametrize(
         "changes",
@@ -173,7 +176,7 @@ class TestReplacedResponse:
         request = make_request(2, 600, rng)
         response = ocsp.respond(request)
         assert verify_response(response, request, keystore, chain)
-        altered = dataclasses.replace(response, **changes)
+        altered = response._replace(**changes)
         assert altered.signed_payload() == reference_response_payload(altered)
         assert altered.signed_payload() != response.signed_payload()
         assert altered.wire_size == len(altered.to_bytes())
@@ -184,8 +187,111 @@ class TestReplacedResponse:
 
     def test_unchanged_replace_still_verifies(self, ocsp, keystore, chain, rng):
         request = make_request(2, 600, rng)
-        copy = dataclasses.replace(ocsp.respond(request))
+        copy = ocsp.respond(request)._replace()
         assert verify_response(copy, request, keystore, chain)
+
+
+
+class TestRequestAndResponseRecords:
+    """Requests and responses are immutable value records, and every way of
+    building a request checks its nonce length."""
+
+    @pytest.mark.parametrize("nonce", [b"", b"\x00" * 15, b"\x00" * 17])
+    def test_every_request_construction_checks_the_nonce(self, rng, nonce):
+        with pytest.raises(ValueError):
+            StatusRequest(3, nonce, 600)
+        with pytest.raises(ValueError):
+            StatusRequest._make((3, nonce, 600))
+        with pytest.raises(ValueError):
+            make_request(3, 600, rng)._replace(nonce=nonce)
+
+    def test_fields_cannot_be_set(self, ocsp, rng):
+        request = make_request(3, 600, rng)
+        response = ocsp.respond(request)
+        for record in (request, response):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            request.extra = 1
+
+    def test_equal_and_hashable_by_value(self, ocsp, rng):
+        request = make_request(3, 600, rng)
+        twin = StatusRequest(request.serial, bytes(request.nonce), request.sent_at)
+        assert twin == request and hash(twin) == hash(request)
+        assert len({request, twin, request._replace(sent_at=601)}) == 2
+        response, again = ocsp.respond(request), ocsp.respond(twin)
+        assert response is not again
+        assert again == response and hash(again) == hash(response)
+        assert len({response, again, response._replace(produced_at=601)}) == 2
+
+    def test_request_wire_size_is_the_encoding_length(self, ocsp, keystore, chain, rng):
+        request = make_request(3, 600, rng)
+        assert request.wire_size == len(request.to_bytes()) == 8 + 16 + 8
+        # the encoding is what handle_raw reads back
+        response = ocsp.handle_raw(request.to_bytes(), 600)
+        assert verify_response(response, request, keystore, chain)
+
+
+def scanned_key(keys, at):
+    """Oracle: the linear scan the chain's bisection replaces."""
+    for k in keys:
+        if k.valid_from <= at < k.valid_to:
+            return k.key_id
+    return None
+
+
+class TestKeyChainLookup:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        start=st.integers(0, 3),
+        windows=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(1, 5), st.sampled_from("abc")), max_size=10
+        ),
+    )
+    def test_bisection_matches_the_linear_scan(self, start, windows):
+        """Sorted disjoint windows, some with gaps between them, key ids
+        repeating; every instant from before the first to past the last."""
+        keys, t = [], start
+        for gap, length, key_id in windows:
+            t += gap
+            keys.append(ResponderKey(key_id, t, t + length))
+            t += length
+        chain = ResponderKeyChain(tuple(keys), Signature("ca", b""))
+        for at in range(t + 3):
+            expected = scanned_key(keys, at)
+            if expected is None:
+                with pytest.raises(LookupError):
+                    chain.current_key(at)
+            else:
+                assert chain.current_key(at) == expected
+            for key_id in "abcd":
+                assert chain.is_current(key_id, at) == any(
+                    k.key_id == key_id and k.valid_from <= at < k.valid_to for k in keys
+                )
+
+    @pytest.mark.parametrize(
+        "keys,match",
+        [
+            ([ResponderKey("a", 5, 5)], "empty"),
+            ([ResponderKey("a", 0, 10), ResponderKey("b", 20, 19)], "empty"),
+            ([ResponderKey("a", 10, 20), ResponderKey("b", 0, 10)], "unsorted"),
+            ([ResponderKey("a", 0, 10), ResponderKey("b", 9, 20)], "overlap"),
+        ],
+        ids=["empty", "empty-later", "unsorted", "overlapping"],
+    )
+    def test_bad_windows_rejected_before_anything_is_registered(
+        self, keystore, rng, keys, match
+    ):
+        counts, rng_state = dict(keystore.counts), rng.getstate()
+        with pytest.raises(ValueError, match=match):
+            make_key_chain(keys, keystore, "ca", rng)
+        assert keystore.counts == counts and rng.getstate() == rng_state
+        for k in keys:
+            with pytest.raises(UnknownKeyError):
+                keystore.verify(b"", Signature(k.key_id, b""), k.key_id)
+        with pytest.raises(ValueError, match=match):
+            ResponderKeyChain(tuple(keys), Signature("ca", b""))
 
 
 class TestAcceptCached:

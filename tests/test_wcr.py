@@ -179,6 +179,37 @@ class TestValidate:
         assert armed.certificate is not None
 
 
+
+class TestRecords:
+    """Client state and fetch results are immutable value records."""
+
+    @staticmethod
+    def records(keystore):
+        cert = make_certificate(9, "nine", 0, 10_000, keystore, "ca")
+        doc = make_wcr_issuer(keystore, 3).issue([], 0, 0)
+        return [WcrClientState(9, cert, 5, 7), FreshFetch(False, cert, 120), CrlFetch(doc, 0)]
+
+    def test_fields_cannot_be_set(self, keystore):
+        for record in self.records(keystore):
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_equal_and_hashable_by_value(self, keystore):
+        for record, twin in zip(self.records(keystore), self.records(keystore)):
+            assert record is not twin
+            assert record == twin and hash(record) == hash(twin)
+            changed = record._replace(**{record._fields[-1]: 99})
+            assert len({record, twin, changed}) == 2
+
+    def test_a_new_state_holds_nothing(self):
+        state = WcrClientState(serial=9)
+        assert state == WcrClientState(9, None, 0, 0)
+        assert (state.certificate, state.clean_deadline, state.window_deadline) == (None, 0, 0)
+
+
 class TestSafetyWindow:
     def test_never_uses_long_revoked_certificate(self, keystore):
         """A client with clean timer c never uses a certificate revoked more
