@@ -13,6 +13,7 @@ import argparse
 import json
 import random
 import sys
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import crs as crs_mod
@@ -42,36 +43,49 @@ def _read_json(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
+@contextmanager
+def _reading(path: str):
+    """The JSON in path, for the block that builds its module objects. A
+    file of the wrong shape (a list where an object belongs, a field of the
+    wrong type or missing) fails in that block with a TypeError,
+    AttributeError or KeyError, raised again as an InputError naming the
+    file."""
+    try:
+        yield _read_json(path)
+    except (TypeError, AttributeError, KeyError) as exc:
+        raise InputError(f"malformed {path}: {exc}") from exc
+
+
 def _write_json(path: str, data) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def load_keystore(path: str) -> KeyStore:
-    data = _read_json(path)
     ks = KeyStore()
-    for key_id, secret_hex in data.get("keys", {}).items():
-        ks.register(key_id, bytes.fromhex(secret_hex))
+    with _reading(path) as data:
+        for key_id, secret_hex in data.get("keys", {}).items():
+            ks.register(key_id, bytes.fromhex(secret_hex))
     return ks
 
 
 def load_ledger(path: str, keystore: KeyStore, key_id: str) -> Ledger:
-    data = _read_json(path)
     ledger = Ledger()
     from .core import make_certificate
 
-    for c in data.get("certificates", []):
-        ledger.add_certificate(
-            make_certificate(
-                serial=c["serial"],
-                subject=c.get("subject", f"subject-{c['serial']}"),
-                not_before=c["not_before"],
-                not_after=c["not_after"],
-                keystore=keystore,
-                key_id=key_id,
+    with _reading(path) as data:
+        for c in data.get("certificates", []):
+            ledger.add_certificate(
+                make_certificate(
+                    serial=c["serial"],
+                    subject=c.get("subject", f"subject-{c['serial']}"),
+                    not_before=c["not_before"],
+                    not_after=c["not_after"],
+                    keystore=keystore,
+                    key_id=key_id,
+                )
             )
-        )
-    for r in data.get("revocations", []):
-        ledger.revoke(r["serial"], r["revoked_at"], ReasonCode(r.get("reason", "other")))
+        for r in data.get("revocations", []):
+            ledger.revoke(r["serial"], r["revoked_at"], ReasonCode(r.get("reason", "other")))
     return ledger
 
 
@@ -115,22 +129,26 @@ def cmd_crl_issue(args) -> int:
 
 def cmd_crl_check(args) -> int:
     ks = load_keystore(args.keystore)
-    docs = [CrlDocument.from_json_dict(_read_json(p)) for p in args.doc]
+    docs = []
+    for path in args.doc:
+        with _reading(path) as data:
+            docs.append(CrlDocument.from_json_dict(data))
     status = check_status(args.serial, docs, args.now, ks, args.key)
     print(status.value)
     return EXIT_OK if status is not CrlStatus.STALE_INFORMATION else EXIT_FAIL
 
 
 def _load_crs_state(path: str) -> tuple[OneWayFunction, crs_mod.CrsAuthority, dict]:
-    data = _read_json(path) if Path(path).exists() else {"width_bits": 100, "serials": {}}
-    f = OneWayFunction(data.get("width_bits", 100))
-    authority = crs_mod.CrsAuthority(f)
-    for serial_str, entry in data.get("serials", {}).items():
-        serial = int(serial_str)
-        rng = _FixedSeeds(bytes.fromhex(entry["y0"]), bytes.fromhex(entry["n0"]))
-        authority.setup(serial, entry["lifetime_periods"], entry["period_length"], rng)
-        if entry.get("revoked"):
-            authority.revoke(serial)
+    fresh = {"width_bits": 100, "serials": {}}
+    with _reading(path) if Path(path).exists() else nullcontext(fresh) as data:
+        f = OneWayFunction(data.get("width_bits", 100))
+        authority = crs_mod.CrsAuthority(f)
+        for serial_str, entry in data.get("serials", {}).items():
+            serial = int(serial_str)
+            rng = _FixedSeeds(bytes.fromhex(entry["y0"]), bytes.fromhex(entry["n0"]))
+            authority.setup(serial, entry["lifetime_periods"], entry["period_length"], rng)
+            if entry.get("revoked"):
+                authority.revoke(serial)
     return f, authority, data
 
 
@@ -190,15 +208,15 @@ def cmd_crs_token(args) -> int:
 
 
 def cmd_crs_verify(args) -> int:
-    data = _read_json(args.anchor)
     from .core import CrsAnchor
 
-    anchor = CrsAnchor(
-        y=bytes.fromhex(data["y"]),
-        n=bytes.fromhex(data["n"]),
-        lifetime_periods=data["lifetime_periods"],
-        period_length=data["period_length"],
-    )
+    with _reading(args.anchor) as data:
+        anchor = CrsAnchor(
+            y=bytes.fromhex(data["y"]),
+            n=bytes.fromhex(data["n"]),
+            lifetime_periods=data["lifetime_periods"],
+            period_length=data["period_length"],
+        )
     f = OneWayFunction(args.width)
     token = crs_mod.parse_token(Path(args.token).read_bytes(), f)
     status = crs_mod.crs_verify(token, anchor, args.period, f)
@@ -208,10 +226,10 @@ def cmd_crs_verify(args) -> int:
 
 def cmd_crt_build(args) -> int:
     ks = load_keystore(args.keystore)
-    revoked = _read_json(args.revoked)
-    if not isinstance(revoked, list):
-        raise InputError("revoked file must be a JSON list of serials")
-    tree = crt_mod.crt_build(revoked, args.now, args.validity, ks, args.key)
+    with _reading(args.revoked) as revoked:
+        if not isinstance(revoked, list):
+            raise InputError("revoked file must be a JSON list of serials")
+        tree = crt_mod.crt_build(revoked, args.now, args.validity, ks, args.key)
     _write_json(
         args.out,
         {
@@ -232,17 +250,18 @@ def cmd_crt_build(args) -> int:
 def _load_tree(path: str, keystore: KeyStore, key_id: str) -> crt_mod.CrtTree:
     from .core import Signature
 
-    data = _read_json(path)
-    rebuilt = crt_mod.crt_build(data["serials"], data["issued_at"],
-                                data["next_update"] - data["issued_at"], keystore, key_id)
-    if rebuilt.root.hex() != data["root"]:
-        raise InputError("tree file root does not match its serial set")
-    signed = crt_mod.SignedRoot(
-        root=bytes.fromhex(data["root"]),
-        issued_at=data["issued_at"],
-        next_update=data["next_update"],
-        signature=Signature(data["signature"]["key_id"], bytes.fromhex(data["signature"]["mac"])),
-    )
+    with _reading(path) as data:
+        rebuilt = crt_mod.crt_build(data["serials"], data["issued_at"],
+                                    data["next_update"] - data["issued_at"], keystore, key_id)
+        if rebuilt.root.hex() != data["root"]:
+            raise InputError("tree file root does not match its serial set")
+        signature = data["signature"]
+        signed = crt_mod.SignedRoot(
+            root=bytes.fromhex(data["root"]),
+            issued_at=data["issued_at"],
+            next_update=data["next_update"],
+            signature=Signature(signature["key_id"], bytes.fromhex(signature["mac"])),
+        )
     return crt_mod.CrtTree(
         serials=rebuilt.serials, leaves=rebuilt.leaves, levels=rebuilt.levels, signed_root=signed
     )
@@ -337,7 +356,10 @@ def cmd_sim(args) -> int:
                 raise InputError(f"unknown preset {args.preset!r}")
             configs = _tradeoff_preset(args.seed if args.seed is not None else 42)
         else:
-            configs = [simkit.SimConfig.from_json_dict(_read_json(p)) for p in args.compare]
+            configs = []
+            for path in args.compare:
+                with _reading(path) as data:
+                    configs.append(simkit.SimConfig.from_json_dict(data))
             if args.seed is not None:
                 configs = [c.with_seed(args.seed) for c in configs]
         results = simkit.compare(configs)
@@ -349,7 +371,8 @@ def cmd_sim(args) -> int:
 
     if not args.config:
         raise InputError("one of --config, --compare, --preset is required")
-    config = simkit.SimConfig.from_json_dict(_read_json(args.config))
+    with _reading(args.config) as data:
+        config = simkit.SimConfig.from_json_dict(data)
     if args.seed is not None:
         config = config.with_seed(args.seed)
     report = simkit.run(config)

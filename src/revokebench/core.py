@@ -4,6 +4,13 @@ Serial numbers, simulated time, certificates, revocation records, the keyed
 signature primitive, and the one-way function used by hash-chain tokens.
 Every byte that gets signed or hashed anywhere in the workbench flows through
 the canonical serialization helpers defined here.
+
+Every signed record (a certificate, CRL, redirect table, CRT root, OCSP
+response, signed statement or responder key chain) inherits `Signed`: it
+gives the encoder of its signed fields, and `signed_payload`, `to_bytes`,
+`wire_size` and `verify` come from the one contract. Tuple records whose
+fields have an invariant inherit `Checked`, which checks it on every way of
+building one.
 """
 
 from __future__ import annotations
@@ -270,6 +277,75 @@ class OneWayFunction:
 
 
 # ---------------------------------------------------------------------------
+# Record contracts: signed records and checked tuples
+# ---------------------------------------------------------------------------
+
+class Signed:
+    """A signed record: the canonical encoding of its fields, then its
+    `signature` over exactly those bytes.
+
+    A type gives only `_payload()`, the encoder of its signed fields; the
+    bytes, the size and the signature check are defined here once. A record
+    built by signing holds the bytes just signed (`keep_payload`), so sizing
+    or verifying it does not encode its fields again. Any other record, a
+    `_replace` or `dataclasses.replace` copy included, starts without them
+    and encodes its own fields, so a copy with any field altered fails
+    `verify`.
+    """
+
+    __slots__ = ()
+    _held: Optional[bytes] = None
+
+    def signed_payload(self) -> bytes:
+        held = self._held
+        return self._payload() if held is None else held
+
+    def to_bytes(self) -> bytes:
+        return self.signed_payload() + self.signature.to_bytes()
+
+    @property
+    def wire_size(self) -> int:
+        return len(self.signed_payload()) + self.signature.wire_size
+
+    def verify(self, keystore: KeyStore, key_id: str) -> bool:
+        """True iff the signature covers this record's bytes under key_id."""
+        return keystore.verify(self.signed_payload(), self.signature, key_id)
+
+
+def keep_payload(record, payload: bytes):
+    """Have `record`, just built with a signature over `payload`, hold those
+    bytes, and return it. Only records with an instance dict can hold them;
+    the slotted tuples built by the thousand (certificates, statements) do
+    not, and encode their fields when asked."""
+    record.__dict__["_held"] = payload
+    return record
+
+
+class Checked(tuple):
+    """Base of a checked tuple record: `_check()` runs on every way of
+    building one, `Type(...)`, `_make` and `_replace` (which builds through
+    `_make`). A record built in bulk from inputs already checked may skip it
+    with `tuple.__new__`.
+
+    Records are tuples, not frozen dataclasses, where a run builds one per
+    certificate or per validation: a tuple is built in one allocation,
+    without a frozen dataclass's `object.__setattr__` per field, and it is
+    immutable and compares and hashes by value.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        record = super().__new__(cls, *args, **kwargs)
+        record._check()
+        return record
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+# ---------------------------------------------------------------------------
 # Certificates and revocation records
 # ---------------------------------------------------------------------------
 
@@ -331,63 +407,23 @@ class _CertificateFields(NamedTuple):
     segment_id: Optional[str] = None
 
 
-class Certificate(_CertificateFields):
+class Certificate(Checked, Signed, _CertificateFields):
     """An issued certificate: its fields and the issuer's signature over them.
 
-    The record is a tuple, not a frozen dataclass, because a run builds one
-    per user and issuance is the largest cost of a write-heavy run; a tuple
-    is built in one allocation with no per-field attribute writes. It is
-    immutable and compares and hashes by value; being a tuple, it also
-    unpacks and indexes in field order. Every way of building one checks the
-    fields: `Certificate(...)` and `_replace` check them here, and
-    `make_certificates` checks them before it signs.
+    A checked tuple, because a run builds one per user and issuance is the
+    largest cost of a write-heavy run; `make_certificates` checks the fields
+    before it signs and then builds the records without checking again.
     """
 
     __slots__ = ()
+    signature = _CertificateFields.issuer_signature  # the name `Signed` reads
 
-    def __new__(
-        cls,
-        serial: int,
-        subject: str,
-        not_before: int,
-        not_after: int,
-        issuer_signature: Signature,
-        crs_anchor: Optional[CrsAnchor] = None,
-        segment_id: Optional[str] = None,
-    ) -> "Certificate":
-        _check_certificate_fields(serial, not_before, not_after)
-        return tuple.__new__(
-            cls, (serial, subject, not_before, not_after, issuer_signature, crs_anchor, segment_id)
-        )
+    def _check(self) -> None:
+        _check_certificate_fields(self.serial, self.not_before, self.not_after)
 
-    @classmethod
-    def _make(cls, iterable) -> "Certificate":
-        # _replace builds through _make; route it through the checks too
-        return cls(*iterable)
-
-    def signed_payload(self) -> bytes:
-        return _certificate_payload(
-            self.serial,
-            self.subject,
-            self.not_before,
-            self.not_after,
-            self.crs_anchor,
-            self.segment_id,
-        )
-
-    def to_bytes(self) -> bytes:
-        return self.signed_payload() + self.issuer_signature.to_bytes()
-
-    @property
-    def wire_size(self) -> int:
-        # serial, length-prefixed subject, window, optional anchor and
-        # segment id (a presence byte each), then the issuer signature
-        size = 8 + 4 + len(self.subject.encode("utf-8")) + 16 + 1 + 1
-        if self.crs_anchor is not None:
-            size += 8 + len(self.crs_anchor.y) + len(self.crs_anchor.n) + 4 + 8
-        if self.segment_id is not None:
-            size += 4 + len(self.segment_id.encode("utf-8"))
-        return size + self.issuer_signature.wire_size
+    def _payload(self) -> bytes:
+        serial, subject, not_before, not_after, _, anchor, segment_id = self
+        return _certificate_payload(serial, subject, not_before, not_after, anchor, segment_id)
 
     def is_valid_at(self, now: int) -> bool:
         return self.not_before <= now < self.not_after
@@ -445,10 +481,6 @@ def make_certificates(
         new(Certificate, (serial, subject, not_before, not_after, signature, anchor, segment_id))
         for (serial, subject, anchor), signature in zip(rows, signatures)
     ]
-
-
-def verify_certificate(cert: Certificate, keystore: KeyStore, key_id: str) -> bool:
-    return keystore.verify(cert.signed_payload(), cert.issuer_signature, key_id)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
 """The CRL family: full lists, deltas, sliding-window deltas, over-issuing
 schedules, segmented lists with redirect tables, and the client-side status
 check over a document cache.
+
+CRLs and redirect tables are `core.Signed` records; the issuer's documents
+and `make_redirect_table`'s tables hold the bytes they were signed over.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ from .core import (
     KeyStore,
     RevocationRecord,
     Signature,
+    Signed,
     check_time,
+    keep_payload,
     pack_opt_str,
     pack_opt_u64,
     pack_str,
@@ -76,7 +81,7 @@ def _crl_payload(
 
 
 @dataclass(frozen=True)
-class CrlDocument:
+class CrlDocument(Signed):
     """A signed status list. Authoritative over [this_update, next_update)."""
 
     issuer: str
@@ -98,7 +103,6 @@ class CrlDocument:
             if any(t < self.window_start for _, t in self.entries):
                 raise ValueError("delta entry revoked before window_start")
 
-    @cached_property
     def _payload(self) -> bytes:
         return _crl_payload(
             self.issuer,
@@ -109,16 +113,6 @@ class CrlDocument:
             self.segment_id,
             self.entries,
         )
-
-    def signed_payload(self) -> bytes:
-        return self._payload
-
-    def to_bytes(self) -> bytes:
-        return self.signed_payload() + self.signature.to_bytes()
-
-    @cached_property
-    def wire_size(self) -> int:
-        return len(self.to_bytes())
 
     def covers(self, now: int) -> bool:
         return self.this_update <= now < self.next_update
@@ -195,8 +189,24 @@ def _table_payload(version: int, ranges: tuple[tuple[int, int, str], ...]) -> by
     return b"".join(parts)
 
 
+def _check_partition(ranges: Sequence[tuple[int, int, str]]) -> None:
+    """The ranges are non-empty closed intervals that tile their envelope:
+    pairwise disjoint, with no gap between neighbours."""
+    if not ranges:
+        raise PartitionError("redirect table has no ranges")
+    ordered = sorted(ranges)
+    for lo, hi, _ in ordered:
+        if lo > hi:
+            raise PartitionError(f"empty range [{lo}, {hi}]")
+    for (_, hi_a, _), (lo_b, _, _) in zip(ordered, ordered[1:]):
+        if lo_b <= hi_a:
+            raise PartitionError("redirect table ranges overlap")
+        if lo_b != hi_a + 1:
+            raise PartitionError(f"gap between {hi_a} and {lo_b}")
+
+
 @dataclass(frozen=True)
-class RedirectTable:
+class RedirectTable(Signed):
     """Signed, versioned map from serial ranges to segment ids.
 
     Ranges are closed intervals, pairwise disjoint, and must tile the table's
@@ -209,27 +219,10 @@ class RedirectTable:
     signature: Signature
 
     def __post_init__(self) -> None:
-        if not self.ranges:
-            raise PartitionError("redirect table has no ranges")
-        ordered = sorted(self.ranges)
-        for lo, hi, _ in ordered:
-            if lo > hi:
-                raise PartitionError(f"empty range [{lo}, {hi}]")
-        for (_, hi_a, _), (lo_b, _, _) in zip(ordered, ordered[1:]):
-            if lo_b <= hi_a:
-                raise PartitionError("redirect table ranges overlap")
-            if lo_b != hi_a + 1:
-                raise PartitionError(f"gap between {hi_a} and {lo_b}")
+        _check_partition(self.ranges)
 
-    def signed_payload(self) -> bytes:
+    def _payload(self) -> bytes:
         return _table_payload(self.version, self.ranges)
-
-    def to_bytes(self) -> bytes:
-        return self.signed_payload() + self.signature.to_bytes()
-
-    @cached_property
-    def wire_size(self) -> int:
-        return len(self.to_bytes())
 
     def segment_ids(self) -> list[str]:
         return sorted({seg for _, _, seg in self.ranges})
@@ -247,11 +240,12 @@ def make_redirect_table(
     keystore: KeyStore,
     key_id: str,
 ) -> RedirectTable:
-    """Sign the table's encoded fields, then build it once; its partition
-    checks run then, so a malformed table is signed but never returned."""
+    """Check the partition, sign the table's encoded fields, then build it;
+    a malformed table raises PartitionError before anything is signed."""
     ranges = tuple(ranges)
-    signature = keystore.sign(_table_payload(version, ranges), key_id)
-    return RedirectTable(version=version, ranges=ranges, signature=signature)
+    _check_partition(ranges)
+    payload = _table_payload(version, ranges)
+    return keep_payload(RedirectTable(version, ranges, keystore.sign(payload, key_id)), payload)
 
 
 def resolve_segment(serial: int, table: RedirectTable) -> str:
@@ -287,7 +281,7 @@ class CrlIssuer:
         segment_id: Optional[str] = None,
     ) -> CrlDocument:
         """Encode the fields, sign them, then build the document once, so its
-        checks run once; it is seeded with the bytes just signed."""
+        checks run once; it holds the bytes just signed."""
         check_time(next_update)
         entries = tuple(sorted(entries))
         payload = _crl_payload(
@@ -303,8 +297,7 @@ class CrlIssuer:
             entries=entries,
             signature=self.keystore.sign(payload, self.key_id),
         )
-        doc.__dict__["_payload"] = payload
-        return doc
+        return keep_payload(doc, payload)
 
     def issue_full(
         self,
@@ -400,10 +393,6 @@ class CrlIssuer:
         ]
 
 
-def verify_document(doc: CrlDocument, keystore: KeyStore, issuer_key: str) -> bool:
-    return keystore.verify(doc.signed_payload(), doc.signature, issuer_key)
-
-
 def check_status(
     serial: int,
     docs: Iterable[CrlDocument],
@@ -418,7 +407,7 @@ def check_status(
     to decide_status. A client that verifies each document when it arrives
     calls decide_status on its cache directly.
     """
-    valid = [d for d in docs if verify_document(d, keystore, issuer_key)]
+    valid = [d for d in docs if d.verify(keystore, issuer_key)]
     return decide_status(serial, valid, now, table)
 
 
@@ -434,7 +423,7 @@ def decide_status(
     """Client-side status decision over a cache of verified documents.
 
     Signatures are not checked here: every document must already have passed
-    verify_document. The answer is authoritative only when some base (full,
+    `CrlDocument.verify`. The answer is authoritative only when some base (full,
     or the serial's segment) plus a chain of deltas with contiguous windows
     reaches a document whose [this_update, next_update) covers `now`;
     otherwise the information is stale. Chaining means each delta's

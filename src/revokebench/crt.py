@@ -6,14 +6,14 @@ A leaf (i, j) asserts that i and j are revoked and nothing strictly between
 them is, so equality at an endpoint proves revocation and strict containment
 proves validity. Sentinel endpoints make the empty set representable.
 
-A leaf is a tuple, not a frozen dataclass, because a tree builds one per gap
-and every validation hashes one: a tuple is built in one allocation and
-hashed in C, so an update's old-leaf memo is a plain dict of tuples. It is
-immutable and compares and hashes by value. Every way of building a leaf
-checks lo < hi: `CrtLeaf(...)`, `_make` and `_replace` check it here (so
-`parse_proof` of a bad leaf raises), and `_leaves_for` checks the end
-serials of its strictly increasing input once, which makes every gap
-between them strictly increasing too.
+A leaf is a `core.Checked` tuple, because a tree builds one per gap and
+every validation hashes one: a tuple is hashed in C, so an update's old-leaf
+memo is a plain dict of tuples. Every way of building a leaf checks lo < hi
+(so `parse_proof` of a bad leaf raises), except `_leaves_for`, which checks
+the end serials of its strictly increasing input once, making every gap
+between them strictly increasing too. The signed root is a `core.Signed`
+record; a root made by signing holds its signed bytes, which every client
+of the tree verifies.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
-from .core import KeyStore, Signature, pack_u8, pack_u32, pack_u64
+from .core import Checked, KeyStore, Signature, Signed, keep_payload, pack_u8, pack_u32, pack_u64
 
 SENTINEL_LO = 0
 SENTINEL_HI = 2**64 - 1
@@ -55,18 +55,12 @@ class _CrtLeafFields(NamedTuple):
     hi: int
 
 
-class CrtLeaf(_CrtLeafFields):
+class CrtLeaf(Checked, _CrtLeafFields):
     __slots__ = ()
 
-    def __new__(cls, lo: int, hi: int) -> "CrtLeaf":
-        if not lo < hi:
+    def _check(self) -> None:
+        if not self.lo < self.hi:
             raise ValueError("leaf endpoints must be strictly increasing")
-        return tuple.__new__(cls, (lo, hi))
-
-    @classmethod
-    def _make(cls, iterable) -> "CrtLeaf":
-        # _replace builds through _make; route it through the check too
-        return cls(*iterable)
 
     def covers(self, serial: int) -> bool:
         return self.lo <= serial <= self.hi
@@ -87,29 +81,19 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     return h.digest()
 
 
+def _root_payload(root: bytes, issued_at: int, next_update: int) -> bytes:
+    return root + pack_u64(issued_at) + pack_u64(next_update)
+
+
 @dataclass(frozen=True)
-class SignedRoot:
+class SignedRoot(Signed):
     root: bytes
     issued_at: int
     next_update: int
     signature: Signature
 
-    @cached_property
     def _payload(self) -> bytes:
-        # A tree's one root is verified by every client of the tree, so it
-        # is encoded once; a dataclasses.replace copy encodes its own fields.
-        return self.root + pack_u64(self.issued_at) + pack_u64(self.next_update)
-
-    def signed_payload(self) -> bytes:
-        return self._payload
-
-    def to_bytes(self) -> bytes:
-        return self.signed_payload() + self.signature.to_bytes()
-
-    @property
-    def wire_size(self) -> int:
-        # root, issued_at, next_update, then the signature
-        return len(self.root) + 16 + self.signature.wire_size
+        return _root_payload(self.root, self.issued_at, self.next_update)
 
 
 @dataclass(frozen=True)
@@ -242,8 +226,9 @@ def _leaves_for(serials: list[int]) -> list[CrtLeaf]:
 
 
 def _sign_root(root: bytes, now: int, validity: int, keystore: KeyStore, key_id: str) -> SignedRoot:
-    unsigned = SignedRoot(root, now, now + validity, Signature(key_id, b""))
-    return SignedRoot(root, now, now + validity, keystore.sign(unsigned.signed_payload(), key_id))
+    next_update = now + validity
+    payload = _root_payload(root, now, next_update)
+    return keep_payload(SignedRoot(root, now, next_update, keystore.sign(payload, key_id)), payload)
 
 
 def crt_build(
@@ -370,7 +355,7 @@ def crt_verify(
         cur = node_hash(sib, cur) if side == SIDE_LEFT else node_hash(cur, sib)
     if cur != proof.signed_root.root:
         return CrtVerdict.PROOF_INVALID
-    if not keystore.verify(proof.signed_root.signed_payload(), proof.signed_root.signature, key_id):
+    if not proof.signed_root.verify(keystore, key_id):
         return CrtVerdict.PROOF_INVALID
     if not proof.leaf.covers(serial):
         return CrtVerdict.PROOF_INVALID

@@ -8,13 +8,12 @@ on lives here too.
 
 Requests, responses and statements are tuples, not frozen dataclasses,
 because nonce-mode OCSP builds a request and a response on every validation
-and a period builds a statement per live certificate: a tuple is built in
-one allocation, without a frozen dataclass's `object.__setattr__` per field.
-They are immutable and compare and hash by value. The one field invariant,
-a request's nonce length, is checked on every way of building a request:
-`StatusRequest(...)`, `_make` and `_replace`. A response or statement is
-checked by its signature instead: a copy with any field altered encodes its
-own fields for verification, so it fails to verify.
+and a period builds a statement per live certificate. A request is a
+`core.Checked` tuple, its nonce length checked on every way of building one.
+Responses, statements and the key chain are `core.Signed` records, checked
+by their signature instead; a response from `OcspResponder.respond` holds
+the bytes it was signed over, so its client verifies them without encoding
+the fields again.
 
 The responder key chain is indexed by window start when it is built, so the
 current key at an instant is one bisection, however many keys rotate.
@@ -30,7 +29,9 @@ from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Optional
 
-from .core import KeyStore, Ledger, Signature, pack_str, pack_u32, pack_u64
+from .core import (
+    Checked, KeyStore, Ledger, Signature, Signed, keep_payload, pack_str, pack_u32, pack_u64
+)
 
 
 class OcspStatus(Enum):
@@ -50,22 +51,14 @@ class _StatusRequestFields(NamedTuple):
     sent_at: int
 
 
-class StatusRequest(_StatusRequestFields):
-    """A nonce-bound status query. Every way of building one checks the
-    nonce length: `StatusRequest(...)` here, and `_make` and `_replace`
-    through it."""
+class StatusRequest(Checked, _StatusRequestFields):
+    """A nonce-bound status query."""
 
     __slots__ = ()
 
-    def __new__(cls, serial: int, nonce: bytes, sent_at: int) -> "StatusRequest":
-        if len(nonce) != NONCE_BYTES:
+    def _check(self) -> None:
+        if len(self.nonce) != NONCE_BYTES:
             raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
-        return tuple.__new__(cls, (serial, nonce, sent_at))
-
-    @classmethod
-    def _make(cls, iterable) -> "StatusRequest":
-        # _replace builds through _make; route it through the check too
-        return cls(*iterable)
 
     def to_bytes(self) -> bytes:
         return pack_u64(self.serial) + self.nonce + pack_u64(self.sent_at)
@@ -78,7 +71,7 @@ class StatusRequest(_StatusRequestFields):
 
 def make_request(serial: int, now: int, rng) -> StatusRequest:
     nonce = rng.getrandbits(NONCE_BYTES * 8).to_bytes(NONCE_BYTES, "big")
-    return StatusRequest(serial=serial, nonce=nonce, sent_at=now)
+    return StatusRequest(serial, nonce, now)
 
 
 _pack_time_and_length = struct.Struct(">QI").pack  # produced_at, the nonce's length prefix
@@ -105,32 +98,13 @@ class _StatusResponseFields(NamedTuple):
     signature: Signature
 
 
-class StatusResponse(_StatusResponseFields):
-    """A signed answer to one request.
+class StatusResponse(Signed, _StatusResponseFields):
+    """A signed answer to one request. Unlike the other tuple records it
+    has an instance dict, to hold the bytes it was signed over."""
 
-    The class keeps an instance dict, unlike the other records, for one
-    entry: the signed bytes that `OcspResponder.respond` seeds on the
-    response it returns, so its client verifies them without encoding the
-    fields again. Any other response, `_replace` and `_make` copies
-    included, starts without them and encodes its own fields on first use,
-    so a copy with any field altered fails `verify_response`.
-    """
-
-    @cached_property
     def _payload(self) -> bytes:
-        return _response_payload(
-            self.serial, self.status, self.produced_at, self.nonce, self.responder_key_id
-        )
-
-    def signed_payload(self) -> bytes:
-        return self._payload
-
-    def to_bytes(self) -> bytes:
-        return self.signed_payload() + self.signature.to_bytes()
-
-    @property
-    def wire_size(self) -> int:
-        return len(self._payload) + self.signature.wire_size
+        serial, status, produced_at, nonce, key_id, _ = self
+        return _response_payload(serial, status, produced_at, nonce, key_id)
 
 
 @dataclass(frozen=True)
@@ -159,7 +133,7 @@ def _check_windows(keys) -> None:
 
 
 @dataclass(frozen=True)
-class ResponderKeyChain:
+class ResponderKeyChain(Signed):
     """Short-lived responder keys, their validity windows signed by the CA.
 
     The windows must be non-empty, sorted and disjoint, so at most one key is
@@ -183,7 +157,7 @@ class ResponderKeyChain:
         key = self.keys[i]
         return key if at < key.valid_to else None
 
-    def signed_payload(self) -> bytes:
+    def _payload(self) -> bytes:
         return _key_chain_payload(self.keys)
 
     def current_key(self, now: int) -> str:
@@ -212,13 +186,8 @@ def make_key_chain(
     for k in keys:
         keystore.generate(k.key_id, key_rng)
     chain_keys = tuple(keys)
-    return ResponderKeyChain(
-        keys=chain_keys, signature=keystore.sign(_key_chain_payload(chain_keys), ca_key)
-    )
-
-
-def verify_key_chain(chain: ResponderKeyChain, keystore: KeyStore, ca_key: str) -> bool:
-    return keystore.verify(chain.signed_payload(), chain.signature, ca_key)
+    payload = _key_chain_payload(chain_keys)
+    return keep_payload(ResponderKeyChain(chain_keys, keystore.sign(payload, ca_key)), payload)
 
 
 class OcspResponder:
@@ -252,10 +221,7 @@ class OcspResponder:
         response = StatusResponse(
             serial, status, produced_at, nonce, key_id, self.keystore.sign(payload, key_id)
         )
-        # Cache the bytes just signed on this object only; a _replace copy
-        # encodes its own fields again, so altered fields fail to verify.
-        response.__dict__["_payload"] = payload
-        return response
+        return keep_payload(response, payload)
 
     def handle_raw(self, data: bytes, now: int) -> Optional[StatusResponse]:
         if len(data) != 8 + NONCE_BYTES + 8:
@@ -279,9 +245,8 @@ def verify_response(
     response must echo this request's nonce and serial (replay rejection)."""
     if response.serial != request.serial or response.nonce != request.nonce:
         return False
-    if not chain.is_current(response.responder_key_id, response.produced_at):
-        return False
-    return keystore.verify(response.signed_payload(), response.signature, response.responder_key_id)
+    key_id = response.responder_key_id
+    return chain.is_current(key_id, response.produced_at) and response.verify(keystore, key_id)
 
 
 def cached_until(response: StatusResponse, max_age: int) -> int:
@@ -290,56 +255,26 @@ def cached_until(response: StatusResponse, max_age: int) -> int:
     return response.produced_at + max_age + 1
 
 
-def accept_cached(
-    response: StatusResponse,
-    max_age: int,
-    now: int,
-    keystore: KeyStore,
-    chain: ResponderKeyChain,
-) -> bool:
-    """Cached-acceptance mode (mutually exclusive with nonce mode): a signed
-    response is usable from produced_at until cached_until."""
-    if not response.produced_at <= now < cached_until(response, max_age):
-        return False
-    if not chain.is_current(response.responder_key_id, response.produced_at):
-        return False
-    return keystore.verify(response.signed_payload(), response.signature, response.responder_key_id)
-
-
-def _statement_payload(serial: int, status: OcspStatus, period: bytes) -> bytes:
-    return pack_u64(serial) + _STATUS_FIELD[status] + period
-
-
 # serial, status and period index: a statement's bytes before its signature
 _STATEMENT_HEAD_BYTES = {status: 8 + len(field) + 4 for status, field in _STATUS_FIELD.items()}
 
 
-class SignedStatusStatement(NamedTuple):
-    """Naive baseline: one signed statement per non-expired certificate per
-    period, positive and negative both (an untrusted directory could
-    otherwise withhold the negatives).
-
-    A tuple, not a frozen dataclass, because a period builds one per live
-    certificate: a tuple is built in one allocation, without a frozen
-    dataclass's `object.__setattr__` per field. It is immutable and compares
-    and hashes by value. `signed_payload` encodes the fields again, so a
-    `_replace` copy with any field altered fails `verify_statement`.
-    """
-
+class _StatementFields(NamedTuple):
     serial: int
     status: OcspStatus
     period_index: int
     signature: Signature
 
-    def signed_payload(self) -> bytes:
-        return _statement_payload(self.serial, self.status, pack_u32(self.period_index))
 
-    def to_bytes(self) -> bytes:
-        return self.signed_payload() + self.signature.to_bytes()
+class SignedStatusStatement(Signed, _StatementFields):
+    """Naive baseline: one signed statement per non-expired certificate per
+    period, positive and negative both (an untrusted directory could
+    otherwise withhold the negatives)."""
 
-    @property
-    def wire_size(self) -> int:
-        return _STATEMENT_HEAD_BYTES[self.status] + self.signature.wire_size
+    __slots__ = ()
+
+    def _payload(self) -> bytes:
+        return pack_u64(self.serial) + _STATUS_FIELD[self.status] + pack_u32(self.period_index)
 
 
 def publish_statements(
@@ -395,6 +330,4 @@ def verify_statement(
     key_id: str,
     expected_period: int,
 ) -> bool:
-    if statement.period_index != expected_period:
-        return False
-    return keystore.verify(statement.signed_payload(), statement.signature, key_id)
+    return statement.period_index == expected_period and statement.verify(keystore, key_id)

@@ -124,7 +124,7 @@ class SchemeAdapter:
         """Fetch one signed document from the directory and verify it under
         the CA key. A client caches only what passed here."""
         self.dir_fetch(now, doc.wire_size)
-        if not self.keystore.verify(doc.signed_payload(), doc.signature, self.ca_key):
+        if not doc.verify(self.keystore, self.ca_key):
             raise AssertionError("genuine document failed verification")
         if isinstance(doc, CrlDocument) and doc.kind is CrlKind.FULL:
             self.metrics.base_crl_fetches += 1

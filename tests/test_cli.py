@@ -62,6 +62,64 @@ class TestExitCodes:
         )
 
 
+def _with_serial(ledger, serial):
+    first = {**ledger["certificates"][0], "serial": serial}
+    return {**ledger, "certificates": [first]}
+
+
+# command, the flag naming the file made malformed, and how the genuine
+# file's JSON is altered
+MALFORMED_JSON = {
+    "crl entries not pairs": ("crl-check", "--doc", lambda d: {**d, "entries": [1]}),
+    "crl entries null": ("crl-check", "--doc", lambda d: {**d, "entries": None}),
+    "crl signature null": ("crl-check", "--doc", lambda d: {**d, "signature": None}),
+    "crl mac a number": (
+        "crl-check", "--doc", lambda d: {**d, "signature": {**d["signature"], "mac": 5}}
+    ),
+    "crl this_update a string": ("crl-check", "--doc", lambda d: {**d, "this_update": "x"}),
+    "crl a list": ("crl-check", "--doc", lambda d: [d]),
+    "ledger certificate a number": ("crl-issue", "--ledger", lambda d: {"certificates": [5]}),
+    "ledger serial a string": ("crl-issue", "--ledger", lambda d: _with_serial(d, "3")),
+    "ledger a list": ("crl-issue", "--ledger", lambda d: [d]),
+    "keystore keys a list": ("crl-issue", "--keystore", lambda d: {"keys": [1]}),
+    "revoked holds a string": ("crt-build", "--revoked", lambda d: [5, "a"]),
+    "tree serials null": ("crt-prove", "--tree", lambda d: {**d, "serials": None}),
+}
+
+
+class TestMalformedJson:
+    """A JSON file of the wrong shape is a usage error that names the file,
+    not a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_JSON))
+    def test_wrong_shape_exits_2(self, workdir, keystore_file, ledger_file, capsys, case):
+        command, flag, alter = MALFORMED_JSON[case]
+        revoked = workdir / "revoked.json"
+        revoked.write_text(json.dumps([5, 11]))
+        tree = workdir / "tree.json"
+        doc = workdir / "crl.bin.json"
+        ks = ["--keystore", keystore_file]
+        assert invoke("crl-issue", *ks, "--ledger", ledger_file, "--now", 1000,
+                      "--out", workdir / "crl.bin") == 0
+        assert invoke("crt-build", *ks, "--revoked", revoked, "--now", 0, "--out", tree) == 0
+        argv = {
+            "crl-check": ["crl-check", *ks, "--serial", 7, "--now", 2000, "--doc", doc],
+            "crl-issue": ["crl-issue", *ks, "--ledger", ledger_file, "--now", 1000,
+                          "--out", workdir / "again.bin"],
+            "crt-build": ["crt-build", *ks, "--revoked", revoked, "--now", 0,
+                          "--out", workdir / "again.json"],
+            "crt-prove": ["crt-prove", *ks, "--tree", tree, "--serial", 9,
+                          "--out", workdir / "proof.bin"],
+        }[command]
+        assert invoke(*argv) == 0  # the genuine files pass
+        path = argv[argv.index(flag) + 1]
+        path.write_text(json.dumps(alter(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert invoke(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+
 class TestCrlCommands:
     def test_issue_then_check(self, workdir, keystore_file, ledger_file, capsys):
         out = workdir / "crl.bin"

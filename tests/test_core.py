@@ -23,7 +23,6 @@ from revokebench.core import (
     check_time,
     make_certificate,
     make_certificates,
-    verify_certificate,
 )
 
 
@@ -273,7 +272,7 @@ class TestOwfReference:
 class TestCertificates:
     def test_signature_covers_all_fields(self, keystore):
         cert = make_certificate(5, "alice", 0, 100, keystore, "ca")
-        assert verify_certificate(cert, keystore, "ca")
+        assert cert.verify(keystore, "ca")
         forged = Certificate(
             serial=6,
             subject=cert.subject,
@@ -281,7 +280,7 @@ class TestCertificates:
             not_after=cert.not_after,
             issuer_signature=cert.issuer_signature,
         )
-        assert not verify_certificate(forged, keystore, "ca")
+        assert not forged.verify(keystore, "ca")
 
     def test_empty_validity_rejected(self, keystore):
         with pytest.raises(ValueError):
@@ -408,7 +407,7 @@ class TestCertificateRecord:
         )
         assert type(cert) is type(direct) is Certificate
         assert tuple(cert) == tuple(direct) and cert == direct
-        assert verify_certificate(direct, keystore, "ca")
+        assert direct.verify(keystore, "ca")
         plain = make_certificate(7, "bob", 1, 2, keystore, "ca")
         assert (plain.crs_anchor, plain.segment_id) == (None, None)
         assert plain == Certificate(7, "bob", 1, 2, plain.issuer_signature)

@@ -23,7 +23,6 @@ from revokebench.crl import (
     decide_status,
     make_redirect_table,
     resolve_segment,
-    verify_document,
 )
 
 
@@ -77,7 +76,7 @@ class TestIssueFull:
         doc = make_issuer(keystore).issue_full([], 0)
         assert doc.kind is CrlKind.FULL
         assert doc.entries == ()
-        assert verify_document(doc, keystore, "ca")
+        assert doc.verify(keystore, "ca")
 
     def test_direct_construction(self, keystore):
         doc = make_issuer(keystore).issue_full(records_of((3, 0), (7, 0)), 0)
@@ -133,7 +132,7 @@ class TestIssueDelta:
         delta = issuer.issue_delta([], base, 100)
         assert delta.kind is CrlKind.DELTA
         assert delta.entries == ()
-        assert verify_document(delta, keystore, "ca")
+        assert delta.verify(keystore, "ca")
 
     def test_window_start_is_base_issuance(self, keystore):
         issuer = make_issuer(keystore, delta_period=HOUR)
@@ -300,10 +299,18 @@ class TestSegments:
     def test_partition_gap_rejected(self, keystore):
         with pytest.raises(PartitionError):
             make_redirect_table(1, [(0, 99, "A"), (101, 999, "B")], keystore, "ca")
+        assert keystore.sign_count == 0  # rejected before signing
 
     def test_partition_overlap_rejected(self, keystore):
         with pytest.raises(PartitionError):
             make_redirect_table(1, [(0, 100, "A"), (100, 999, "B")], keystore, "ca")
+        assert keystore.sign_count == 0
+
+    @pytest.mark.parametrize("ranges", [[], [(5, 4, "A")]])
+    def test_empty_table_or_range_rejected(self, keystore, ranges):
+        with pytest.raises(PartitionError):
+            make_redirect_table(1, ranges, keystore, "ca")
+        assert keystore.sign_count == 0
 
 
 class TestResolveSegment:
@@ -393,7 +400,7 @@ class TestProperties:
                 entries=tuple(sorted(entries)),
                 signature=doc.signature,
             )
-            assert not verify_document(mutated, keystore, "ca")
+            assert not mutated.verify(keystore, "ca")
 
     def test_json_round_trip(self, keystore):
         issuer = make_issuer(keystore, delta_period=HOUR, window_length=DAY)
@@ -486,7 +493,7 @@ class TestDecideStatus:
         now = data.draw(st.sampled_from([d.this_update for d in docs] or [0]))
         now += data.draw(st.integers(0, 1200))
         scope = data.draw(st.sampled_from([None, table]))
-        verified = [d for d in docs if verify_document(d, keystore, "ca")]
+        verified = [d for d in docs if d.verify(keystore, "ca")]
         assert check_status(serial, docs, now, keystore, "ca", scope) == decide_status(
             serial, verified, now, scope
         )

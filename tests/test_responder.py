@@ -15,12 +15,11 @@ from revokebench.responder import (
     ResponderKeyChain,
     StatusRequest,
     StatusResponse,
-    accept_cached,
+    cached_until,
     make_key_chain,
     make_request,
     publish_statements,
     statements_wire_size,
-    verify_key_chain,
     verify_response,
     verify_statement,
 )
@@ -117,7 +116,7 @@ class TestRespond:
         assert not verify_response(stale_claim, request, keystore, chain)
 
     def test_chain_signed_by_ca(self, keystore, chain):
-        assert verify_key_chain(chain, keystore, "ca")
+        assert chain.verify(keystore, "ca")
 
 
 def reference_response_payload(response: StatusResponse) -> bytes:
@@ -183,7 +182,7 @@ class TestReplacedResponse:
         # a request the altered response echoes, so only the MAC can reject it
         echoed = StatusRequest(serial=altered.serial, nonce=altered.nonce, sent_at=600)
         assert not verify_response(altered, echoed, keystore, chain)
-        assert not accept_cached(altered, 10_000, 700, keystore, chain)
+        assert not altered.verify(keystore, altered.responder_key_id)
 
     def test_unchanged_replace_still_verifies(self, ocsp, keystore, chain, rng):
         request = make_request(2, 600, rng)
@@ -294,17 +293,15 @@ class TestKeyChainLookup:
             ResponderKeyChain(tuple(keys), Signature("ca", b""))
 
 
-class TestAcceptCached:
-    def test_zero_max_age_accepts_only_same_instant(self, ocsp, keystore, chain, rng):
+class TestCachedUntil:
+    def test_zero_max_age_accepts_only_same_instant(self, ocsp, rng):
         response = ocsp.respond(make_request(3, 600, rng))
-        assert accept_cached(response, 0, 600, keystore, chain)
-        assert not accept_cached(response, 0, 601, keystore, chain)
+        assert cached_until(response, 0) == response.produced_at + 1 == 601
 
-    def test_within_and_beyond_max_age(self, ocsp, keystore, chain, rng):
+    def test_within_and_beyond_max_age(self, ocsp, rng):
         response = ocsp.respond(make_request(3, 600, rng))
-        max_age = 300
-        assert accept_cached(response, max_age, 900, keystore, chain)  # exactly max_age
-        assert not accept_cached(response, max_age, 901, keystore, chain)  # one past
+        # usable at 900 (exactly max_age old), too old from 901
+        assert cached_until(response, 300) == response.produced_at + 301 == 901
 
 
 class TestStatements:

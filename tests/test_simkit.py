@@ -16,7 +16,6 @@ from revokebench.core import (
     Signature,
     make_certificate,
     make_certificates,
-    verify_certificate,
 )
 from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
 from revokebench.crs import CrsTokenKind, token_wire_size
@@ -123,7 +122,7 @@ class TestConservationAndTruth:
         assert batches == [[s for u, s in issues if u == t] for t in sorted({t for t, _ in issues})]
         assert report.signature_ops["ca_issue"] == len(certs)
         assert {c.crs_anchor is not None for c in certs} == {scheme is Scheme.CRS}
-        assert all(verify_certificate(c, sim.keystore, sim.ca_key) for c in certs)
+        assert all(c.verify(sim.keystore, sim.ca_key) for c in certs)
         for c in certs:
             rebuilt = make_certificate(
                 c.serial, c.subject, c.not_before, c.not_after, sim.keystore, sim.ca_key, c.crs_anchor
