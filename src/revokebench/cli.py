@@ -20,7 +20,7 @@ from . import crs as crs_mod
 from . import crt as crt_mod
 from . import responder as resp_mod
 from . import simkit
-from .core import DAY, HOUR, KeyStore, Ledger, OneWayFunction, ReasonCode
+from .core import DAY, HOUR, KeyStore, Ledger, OneWayFunction, ReasonCode, json_int, json_str
 from .crl import CrlDocument, CrlIssuer, CrlStatus, IssuanceSchedule, check_status
 
 EXIT_OK = 0
@@ -49,7 +49,9 @@ def _reading(path: str):
     file of the wrong shape (a list where an object belongs, a field of the
     wrong type or missing) fails in that block with a TypeError,
     AttributeError or KeyError, raised again as an InputError naming the
-    file."""
+    file. Integer and string fields are checked with json_int and json_str
+    as they are read, since a float or bool passes the modules' own range
+    checks."""
     try:
         yield _read_json(path)
     except (TypeError, AttributeError, KeyError) as exc:
@@ -74,18 +76,23 @@ def load_ledger(path: str, keystore: KeyStore, key_id: str) -> Ledger:
 
     with _reading(path) as data:
         for c in data.get("certificates", []):
+            serial = json_int(c["serial"])
             ledger.add_certificate(
                 make_certificate(
-                    serial=c["serial"],
-                    subject=c.get("subject", f"subject-{c['serial']}"),
-                    not_before=c["not_before"],
-                    not_after=c["not_after"],
+                    serial=serial,
+                    subject=json_str(c.get("subject", f"subject-{serial}")),
+                    not_before=json_int(c["not_before"]),
+                    not_after=json_int(c["not_after"]),
                     keystore=keystore,
                     key_id=key_id,
                 )
             )
         for r in data.get("revocations", []):
-            ledger.revoke(r["serial"], r["revoked_at"], ReasonCode(r.get("reason", "other")))
+            ledger.revoke(
+                json_int(r["serial"]),
+                json_int(r["revoked_at"]),
+                ReasonCode(r.get("reason", "other")),
+            )
     return ledger
 
 
@@ -95,11 +102,9 @@ def load_ledger(path: str, keystore: KeyStore, key_id: str) -> Ledger:
 
 def cmd_keygen(args) -> int:
     path = Path(args.keystore)
-    data = {"keys": {}}
-    if path.exists():
-        data = _read_json(args.keystore)
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
-    data["keys"][args.key_id] = rng.getrandbits(256).to_bytes(32, "big").hex()
+    with _reading(args.keystore) if path.exists() else nullcontext({"keys": {}}) as data:
+        data["keys"][args.key_id] = rng.getrandbits(256).to_bytes(32, "big").hex()
     _write_json(args.keystore, data)
     print(f"registered key {args.key_id!r} in {args.keystore}")
     return EXIT_OK
@@ -189,11 +194,11 @@ def cmd_crs_setup(args) -> int:
 
 
 def cmd_crs_revoke(args) -> int:
-    data = _read_json(args.state)
-    entry = data["serials"].get(str(args.serial))
-    if entry is None:
-        raise InputError(f"serial {args.serial} not in CA state")
-    entry["revoked"] = True
+    with _reading(args.state) as data:
+        entry = data["serials"].get(str(args.serial))
+        if entry is None:
+            raise InputError(f"serial {args.serial} not in CA state")
+        entry["revoked"] = True
     _write_json(args.state, data)
     print(f"serial {args.serial} marked revoked")
     return EXIT_OK
@@ -229,7 +234,7 @@ def cmd_crt_build(args) -> int:
     with _reading(args.revoked) as revoked:
         if not isinstance(revoked, list):
             raise InputError("revoked file must be a JSON list of serials")
-        tree = crt_mod.crt_build(revoked, args.now, args.validity, ks, args.key)
+        tree = crt_mod.crt_build(map(json_int, revoked), args.now, args.validity, ks, args.key)
     _write_json(
         args.out,
         {
@@ -251,16 +256,18 @@ def _load_tree(path: str, keystore: KeyStore, key_id: str) -> crt_mod.CrtTree:
     from .core import Signature
 
     with _reading(path) as data:
-        rebuilt = crt_mod.crt_build(data["serials"], data["issued_at"],
-                                    data["next_update"] - data["issued_at"], keystore, key_id)
+        issued_at = json_int(data["issued_at"])
+        next_update = json_int(data["next_update"])
+        rebuilt = crt_mod.crt_build(map(json_int, data["serials"]), issued_at,
+                                    next_update - issued_at, keystore, key_id)
         if rebuilt.root.hex() != data["root"]:
             raise InputError("tree file root does not match its serial set")
         signature = data["signature"]
         signed = crt_mod.SignedRoot(
             root=bytes.fromhex(data["root"]),
-            issued_at=data["issued_at"],
-            next_update=data["next_update"],
-            signature=Signature(signature["key_id"], bytes.fromhex(signature["mac"])),
+            issued_at=issued_at,
+            next_update=next_update,
+            signature=Signature(json_str(signature["key_id"]), bytes.fromhex(signature["mac"])),
         )
     return crt_mod.CrtTree(
         serials=rebuilt.serials, leaves=rebuilt.leaves, levels=rebuilt.levels, signed_root=signed

@@ -57,6 +57,22 @@ def check_serial(serial: int) -> int:
     return serial
 
 
+def json_int(value) -> int:
+    """An integer field read from JSON. A float, bool or string raises
+    TypeError, before it reaches an encoder that would fail less clearly or
+    (for a bool) take it as 0 or 1."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def json_str(value) -> str:
+    """A string field read from JSON; anything else raises TypeError."""
+    if type(value) is not str:
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def check_time(t: int) -> int:
     """Guard simulated-time arithmetic against u64 overflow."""
     if not 0 <= t <= TIME_MAX:

@@ -24,6 +24,8 @@ from .core import (
     Signature,
     Signed,
     check_time,
+    json_int,
+    json_str,
     keep_payload,
     pack_opt_str,
     pack_opt_u64,
@@ -138,15 +140,22 @@ class CrlDocument(Signed):
 
     @staticmethod
     def from_json_dict(d: dict) -> "CrlDocument":
+        """The document to_json_dict wrote. A field of the wrong JSON type
+        raises TypeError here, once, rather than in __post_init__, which
+        every simulated publication runs."""
+        window_start = d.get("window_start")
+        segment_id = d.get("segment_id")
         return CrlDocument(
-            issuer=d["issuer"],
+            issuer=json_str(d["issuer"]),
             kind=CrlKind(d["kind"]),
-            this_update=d["this_update"],
-            next_update=d["next_update"],
-            window_start=d.get("window_start"),
-            segment_id=d.get("segment_id"),
-            entries=tuple((s, t) for s, t in d["entries"]),
-            signature=Signature(d["signature"]["key_id"], bytes.fromhex(d["signature"]["mac"])),
+            this_update=json_int(d["this_update"]),
+            next_update=json_int(d["next_update"]),
+            window_start=None if window_start is None else json_int(window_start),
+            segment_id=None if segment_id is None else json_str(segment_id),
+            entries=tuple((json_int(s), json_int(t)) for s, t in d["entries"]),
+            signature=Signature(
+                json_str(d["signature"]["key_id"]), bytes.fromhex(d["signature"]["mac"])
+            ),
         )
 
 

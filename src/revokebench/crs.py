@@ -70,9 +70,13 @@ def parse_token(data: bytes, f: OneWayFunction) -> CrsToken:
 class CrsAuthority:
     """CA-side chain state: setup, per-period token issuance, batched updates.
 
-    The whole forward chain is materialized at setup (computing the anchor
-    walks it anyway) and kept as one contiguous blob per certificate, so
-    issuing the day-i token is a slice, not L-i fresh hash applications.
+    Setup walks the whole forward chain F^0(Y0) .. F^L(Y0), since the anchor
+    is its last value. Of that walk it keeps, as one contiguous blob per
+    certificate, only the values a token can still be built from: with
+    setup(..., served=s), F^(L-s)(Y0) .. F^L(Y0), which serve periods
+    1..s; without a bound, the whole chain. Issuing the day-i token is then
+    a slice, not L-i fresh hash applications, and a run that can ask only
+    the first s periods holds s + 1 values per certificate instead of L + 1.
 
     Revocations are numbered in the order they arrive. A directory that
     publishes a period records revocation_count at that moment and later
@@ -82,15 +86,30 @@ class CrsAuthority:
 
     def __init__(self, f: OneWayFunction) -> None:
         self.f = f
-        self._chains: dict[int, bytes] = {}  # chain[j] = F^j(Y0), j = 0..L
+        # the tail F^first(Y0) .. F^L(Y0) of each chain, first = L + 1 - values held
+        self._chains: dict[int, bytes] = {}
         self._secrets: dict[int, CrsSecret] = {}
         self._lifetimes: dict[int, int] = {}
         self._revoked: dict[int, int] = {}  # serial -> order of its revocation
 
-    def setup(self, serial: int, lifetime_periods: int, period_length: int, rng) -> tuple[CrsAnchor, CrsSecret]:
-        """Create the two private seeds for a certificate and publish their anchors."""
+    def setup(
+        self,
+        serial: int,
+        lifetime_periods: int,
+        period_length: int,
+        rng,
+        served: Optional[int] = None,
+    ) -> tuple[CrsAnchor, CrsSecret]:
+        """Create the two private seeds for a certificate and publish their anchors.
+
+        served, when given, is the last period any token will be asked for
+        (at most the lifetime); only the chain values serving periods
+        1..served are kept. Without it the whole chain is kept.
+        """
         if lifetime_periods < 1:
             raise ValueError("lifetime must be at least one period")
+        if served is not None and not 0 <= served <= lifetime_periods:
+            raise ValueError(f"served period {served} outside 0..{lifetime_periods}")
         if serial in self._secrets:
             raise ValueError(f"serial {serial} already set up")
         f = self.f
@@ -98,7 +117,8 @@ class CrsAuthority:
         n0 = f.random_value(rng)
         chain = f.chain(y0, lifetime_periods)
         secret = CrsSecret(serial=serial, y0=y0, n0=n0)
-        self._chains[serial] = chain
+        first = 0 if served is None else lifetime_periods - served
+        self._chains[serial] = chain[first * f.width_bytes :]
         self._secrets[serial] = secret
         self._lifetimes[serial] = lifetime_periods
         anchor = CrsAnchor(
@@ -123,9 +143,14 @@ class CrsAuthority:
         return len(self._revoked)
 
     def chain_value(self, serial: int, j: int) -> bytes:
-        """F^j(Y0) for 0 <= j <= L, from the precomputed chain."""
+        """F^j(Y0) for first <= j <= L, where first = L + 1 - values kept."""
+        chain = self._chains[serial]
         width = self.f.width_bytes
-        return self._chains[serial][j * width : (j + 1) * width]
+        lifetime = self._lifetimes[serial]
+        first = lifetime + 1 - len(chain) // width
+        if not first <= j <= lifetime:
+            raise ValueError(f"chain value {j} not kept: only {first}..{lifetime} are")
+        return chain[(j - first) * width : (j - first + 1) * width]
 
     def issue_token(self, serial: int, period: int, as_of: Optional[int] = None) -> CrsToken:
         """Day-i statement: Y_i = F^(L-i)(Y0) while good, N0 once revoked.
@@ -133,13 +158,18 @@ class CrsAuthority:
         Revocation is permanent: every period at or after the revocation
         publishes the same N0. With as_of, only the first as_of revocations
         count, so a token built late matches one built when revocation_count
-        was as_of.
+        was as_of. A period outside 1..L, or past the kept chain values,
+        raises ValueError whether or not the certificate is revoked.
         """
         if serial not in self._secrets:
             raise KeyError(f"serial {serial} unknown to CRS authority")
         lifetime = self._lifetimes[serial]
         if not 1 <= period <= lifetime:
             raise ValueError(f"period {period} outside 1..{lifetime}")
+        # F^(L-i)(Y0) is kept for i up to the number of values kept, less one.
+        last = len(self._chains[serial]) // self.f.width_bytes - 1
+        if period > last:
+            raise ValueError(f"period {period} past the last kept period {last}")
         order = self._revoked.get(serial)
         if order is not None and (as_of is None or order < as_of):
             return CrsToken(

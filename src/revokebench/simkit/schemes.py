@@ -399,8 +399,14 @@ class CrsAdapter(SchemeAdapter):
         self.token_bytes = crs_mod.token_wire_size(sim.f_ca)
 
     def anchor_for(self, serial: int, now: int) -> Optional[CrsAnchor]:
-        anchor, _ = self.authority.setup(serial, self.lifetime, self.period, self.sim.rng_scheme)
         grid = now // self.period
+        # No period past the horizon's last one is ever asked (see SimConfig),
+        # so the authority keeps only the chain values up to it. A new user
+        # can be issued at the horizon itself, where that bound is 0.
+        served = max(0, min(self.lifetime, (self.config.horizon - 1) // self.period - grid))
+        anchor, _ = self.authority.setup(
+            serial, self.lifetime, self.period, self.sim.rng_scheme, served=served
+        )
         self.issue_grid[serial] = grid
         self.grids.append(grid)  # issues arrive in time order, so this stays sorted
         return anchor

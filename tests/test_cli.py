@@ -62,9 +62,11 @@ class TestExitCodes:
         )
 
 
-def _with_serial(ledger, serial):
-    first = {**ledger["certificates"][0], "serial": serial}
-    return {**ledger, "certificates": [first]}
+def _with_first(ledger, listed, **changes):
+    """The ledger with fields of the first of its certificates or
+    revocations changed; the rest stay, so nothing else goes wrong."""
+    first, *rest = ledger[listed]
+    return {**ledger, listed: [{**first, **changes}, *rest]}
 
 
 # command, the flag naming the file made malformed, and how the genuine
@@ -77,13 +79,32 @@ MALFORMED_JSON = {
         "crl-check", "--doc", lambda d: {**d, "signature": {**d["signature"], "mac": 5}}
     ),
     "crl this_update a string": ("crl-check", "--doc", lambda d: {**d, "this_update": "x"}),
+    "crl issuer a number": ("crl-check", "--doc", lambda d: {**d, "issuer": 5}),
+    "crl update times strings": (
+        "crl-check", "--doc", lambda d: {**d, "this_update": "a", "next_update": "b"}
+    ),
+    "crl entries of strings": ("crl-check", "--doc", lambda d: {**d, "entries": [["a", "b"]]}),
     "crl a list": ("crl-check", "--doc", lambda d: [d]),
     "ledger certificate a number": ("crl-issue", "--ledger", lambda d: {"certificates": [5]}),
-    "ledger serial a string": ("crl-issue", "--ledger", lambda d: _with_serial(d, "3")),
+    "ledger serial a string": (
+        "crl-issue", "--ledger", lambda d: _with_first(d, "certificates", serial="3")
+    ),
+    "ledger serial a float": (
+        "crl-issue", "--ledger", lambda d: _with_first(d, "certificates", serial=3.5)
+    ),
+    "ledger not_before a float": (
+        "crl-issue", "--ledger", lambda d: _with_first(d, "certificates", not_before=0.5)
+    ),
+    "ledger revoked_at a float": (
+        "crl-issue", "--ledger", lambda d: _with_first(d, "revocations", revoked_at=5.5)
+    ),
     "ledger a list": ("crl-issue", "--ledger", lambda d: [d]),
     "keystore keys a list": ("crl-issue", "--keystore", lambda d: {"keys": [1]}),
     "revoked holds a string": ("crt-build", "--revoked", lambda d: [5, "a"]),
+    "revoked holds a float": ("crt-build", "--revoked", lambda d: [5, 5.5]),
+    "revoked holds a bool": ("crt-build", "--revoked", lambda d: [5, True]),
     "tree serials null": ("crt-prove", "--tree", lambda d: {**d, "serials": None}),
+    "tree issued_at a float": ("crt-prove", "--tree", lambda d: {**d, "issued_at": 0.5}),
 }
 
 
@@ -115,6 +136,19 @@ class TestMalformedJson:
         path = argv[argv.index(flag) + 1]
         path.write_text(json.dumps(alter(json.loads(path.read_text()))))
         capsys.readouterr()
+        assert invoke(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize("command", ["keygen", "crs-revoke"])
+    def test_state_file_a_list_exits_2(self, workdir, capsys, command):
+        """The commands that update a JSON file in place read it the same way."""
+        path = workdir / "state.json"
+        path.write_text(json.dumps([1]))
+        argv = {
+            "keygen": ["keygen", "--keystore", path, "--key-id", "ca"],
+            "crs-revoke": ["crs-revoke", "--state", path, "--serial", 7],
+        }[command]
         assert invoke(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err

@@ -62,6 +62,17 @@ class TestSetup:
             assert authority.chain_value(1, j) == oracle[j]
         assert anchor.y == oracle[4]
 
+    def test_served_bound_keeps_the_chain_tail(self, authority, rng):
+        anchor, secret = authority.setup(1, 4, 86400, rng, served=2)
+        oracle = naive_chain(secret.y0, 4)
+        for j in (2, 3, 4):  # F^(L-2) .. F^L serve periods 2, 1 and the anchor
+            assert authority.chain_value(1, j) == oracle[j]
+        with pytest.raises(ValueError):
+            authority.chain_value(1, 1)
+        for served in (-1, 5):
+            with pytest.raises(ValueError):
+                authority.setup(2, 4, 86400, rng, served=served)
+
     def test_duplicate_setup_rejected(self, authority, rng):
         authority.setup(1, 4, 86400, rng)
         with pytest.raises(ValueError):

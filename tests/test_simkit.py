@@ -6,8 +6,11 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revokebench import crt as crt_mod
+from revokebench.cli import _tradeoff_preset
 from revokebench.core import (
     DAY,
     HOUR,
@@ -18,7 +21,7 @@ from revokebench.core import (
     make_certificates,
 )
 from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
-from revokebench.crs import CrsTokenKind, token_wire_size
+from revokebench.crs import CrsToken, CrsTokenKind, token_wire_size
 from revokebench.crt import CrtLeaf, CrtVerdict, crt_build, crt_prove, crt_verify
 from revokebench.responder import OcspStatus
 from revokebench import simkit
@@ -674,6 +677,62 @@ class TestCrsChainCoverage:
 
     def test_zero_clients_are_never_rejected(self):
         run(crs_cfg(n_clients=0, crs_lifetime_periods=1))
+
+
+def _claimable(config, issued_at):
+    """The period a validation at the run's last instant claims for a
+    certificate issued at issued_at, within the chain; no validation claims
+    more."""
+    last = (config.horizon - 1) // config.crs_period - issued_at // config.crs_period
+    return max(0, min(config.crs_lifetime_periods, last))
+
+
+class TestCrsRetention:
+    """The authority keeps only the chain values a run can ask for."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lifetime=st.integers(min_value=1, max_value=30),
+        period=st.integers(min_value=1, max_value=4),
+        horizon=st.integers(min_value=1, max_value=140),
+        data=st.data(),
+    )
+    def test_kept_values_build_every_servable_token(self, lifetime, period, horizon, data):
+        issued_at = data.draw(st.integers(min_value=0, max_value=horizon), label="issued_at")
+        config = SimConfig(seed=1, horizon=horizon, population=0, n_clients=0,
+                           scheme=Scheme.CRS, crs_period=period, crs_lifetime_periods=lifetime)
+        adapter = Simulation(config).adapter
+        serial = 7
+        anchor = adapter.anchor_for(serial, issued_at)
+        authority = adapter.authority
+        f = authority.f
+        secret = authority._secrets[serial]
+        served = _claimable(config, issued_at)
+        assert anchor.y == f.iterate(secret.y0, lifetime)
+        assert len(authority._chains[serial]) == (served + 1) * f.width_bytes
+        for revoked in (False, True):
+            if revoked:
+                authority.revoke(serial)
+            for p in range(1, served + 1):
+                if revoked:
+                    expected = CrsToken(serial, CrsTokenKind.REVOKED, 0, secret.n0)
+                else:
+                    value = f.iterate(secret.y0, lifetime - p)  # the full-chain oracle
+                    expected = CrsToken(serial, CrsTokenKind.VALID, p, value)
+                assert authority.issue_token(serial, p) == expected
+            with pytest.raises(ValueError):
+                authority.issue_token(serial, served + 1)
+
+    def test_tradeoffs_config_holds_one_value_per_servable_period(self):
+        config = next(c for c in _tradeoff_preset(1) if c.scheme is Scheme.CRS)
+        sim = Simulation(config)
+        sim.run()
+        authority = sim.adapter.authority
+        expected = sum(
+            (_claimable(config, cert.not_before) + 1) * authority.f.width_bytes
+            for cert in sim.ledger.certificates.values()
+        )
+        assert sum(map(len, authority._chains.values())) == expected
 
 
 OVERLAY = {"scheme": Scheme.CRT, "depender_nodes": 8}
