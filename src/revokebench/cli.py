@@ -58,6 +58,11 @@ def _reading(path: str):
         raise InputError(f"malformed {path}: {exc}") from exc
 
 
+def _rng(seed):
+    """A generator seeded for reproducible output, else the system's."""
+    return random.Random(seed) if seed is not None else random.SystemRandom()
+
+
 def _write_json(path: str, data) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
@@ -102,7 +107,7 @@ def load_ledger(path: str, keystore: KeyStore, key_id: str) -> Ledger:
 
 def cmd_keygen(args) -> int:
     path = Path(args.keystore)
-    rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
+    rng = _rng(args.seed)
     with _reading(args.keystore) if path.exists() else nullcontext({"keys": {}}) as data:
         data["keys"][args.key_id] = rng.getrandbits(256).to_bytes(32, "big").hex()
     _write_json(args.keystore, data)
@@ -146,12 +151,16 @@ def cmd_crl_check(args) -> int:
 def _load_crs_state(path: str) -> tuple[OneWayFunction, crs_mod.CrsAuthority, dict]:
     fresh = {"width_bits": 100, "serials": {}}
     with _reading(path) if Path(path).exists() else nullcontext(fresh) as data:
-        f = OneWayFunction(data.get("width_bits", 100))
+        f = OneWayFunction(json_int(data.get("width_bits", 100)))
         authority = crs_mod.CrsAuthority(f)
         for serial_str, entry in data.get("serials", {}).items():
             serial = int(serial_str)
-            rng = _FixedSeeds(bytes.fromhex(entry["y0"]), bytes.fromhex(entry["n0"]))
-            authority.setup(serial, entry["lifetime_periods"], entry["period_length"], rng)
+            rng = _FixedSeeds(
+                bytes.fromhex(json_str(entry["y0"])), bytes.fromhex(json_str(entry["n0"]))
+            )
+            authority.setup(
+                serial, json_int(entry["lifetime_periods"]), json_int(entry["period_length"]), rng
+            )
             if entry.get("revoked"):
                 authority.revoke(serial)
     return f, authority, data
@@ -169,7 +178,7 @@ class _FixedSeeds:
 
 def cmd_crs_setup(args) -> int:
     f, authority, data = _load_crs_state(args.state)
-    rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
+    rng = _rng(args.seed)
     anchor, secret = authority.setup(args.serial, args.periods, args.period_length, rng)
     data.setdefault("serials", {})[str(args.serial)] = {
         "y0": secret.y0.hex(),
@@ -217,10 +226,10 @@ def cmd_crs_verify(args) -> int:
 
     with _reading(args.anchor) as data:
         anchor = CrsAnchor(
-            y=bytes.fromhex(data["y"]),
-            n=bytes.fromhex(data["n"]),
-            lifetime_periods=data["lifetime_periods"],
-            period_length=data["period_length"],
+            y=bytes.fromhex(json_str(data["y"])),
+            n=bytes.fromhex(json_str(data["n"])),
+            lifetime_periods=json_int(data["lifetime_periods"]),
+            period_length=json_int(data["period_length"]),
         )
     f = OneWayFunction(args.width)
     token = crs_mod.parse_token(Path(args.token).read_bytes(), f)
@@ -305,8 +314,7 @@ def cmd_ocsp_query(args) -> int:
         random.Random(args.seed if args.seed is not None else 0),
     )
     responder = resp_mod.OcspResponder(ks, chain, ledger)
-    rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
-    request = resp_mod.make_request(args.serial, args.now, rng)
+    request = resp_mod.make_request(args.serial, args.now, _rng(args.seed))
     response = responder.respond(request)
     if not resp_mod.verify_response(response, request, ks, chain):
         print("response verification failed", file=sys.stderr)
@@ -395,106 +403,87 @@ def cmd_sim(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def _parent(flag: str, **options) -> argparse.ArgumentParser:
+    """A parent parser holding one argument that several subcommands share."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **options)
+    return parent
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="revokebench")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", help="register a signing key in a keystore file")
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--key-id", required=True)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_keygen)
+    def command(name: str, func, help: str, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("crl-issue", help="issue a full or sliding-window CRL from a ledger")
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--key", default="ca")
+    keystore = _parent("--keystore", required=True)
+    signer = argparse.ArgumentParser(add_help=False, parents=[keystore])  # the keystore and key
+    signer.add_argument("--key", default="ca")
+    serial = _parent("--serial", type=int, required=True)
+    now = _parent("--now", type=int, required=True)
+    out = _parent("--out", required=True)
+    state = _parent("--state", required=True)
+    seed = _parent("--seed", type=int)
+
+    p = command("keygen", cmd_keygen, "register a signing key in a keystore file", keystore, seed)
+    p.add_argument("--key-id", required=True)
+
+    p = command("crl-issue", cmd_crl_issue, "issue a full or sliding-window CRL from a ledger",
+                signer, now, out)
     p.add_argument("--ledger", required=True)
-    p.add_argument("--now", type=int, required=True)
     p.add_argument("--base-period", type=int, default=DAY)
     p.add_argument("--delta-period", type=int)
     p.add_argument("--window", type=int)
     p.add_argument("--kind", choices=["full", "sliding"], default="full")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_crl_issue)
 
-    p = sub.add_parser("crl-check", help="client-side status check over cached documents")
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--key", default="ca")
-    p.add_argument("--serial", type=int, required=True)
-    p.add_argument("--now", type=int, required=True)
+    p = command("crl-check", cmd_crl_check, "client-side status check over cached documents",
+                signer, serial, now)
     p.add_argument("--doc", action="append", required=True, help="CRL .json file (repeatable)")
-    p.set_defaults(func=cmd_crl_check)
 
-    p = sub.add_parser("crs-setup", help="create chain secrets and the public anchor")
-    p.add_argument("--state", required=True)
-    p.add_argument("--serial", type=int, required=True)
+    p = command("crs-setup", cmd_crs_setup, "create chain secrets and the public anchor",
+                state, serial, seed)
     p.add_argument("--periods", type=int, default=365)
     p.add_argument("--period-length", type=int, default=DAY)
     p.add_argument("--anchor-out", required=True)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_crs_setup)
 
-    p = sub.add_parser("crs-revoke", help="mark a serial revoked in CA state")
-    p.add_argument("--state", required=True)
-    p.add_argument("--serial", type=int, required=True)
-    p.set_defaults(func=cmd_crs_revoke)
+    command("crs-revoke", cmd_crs_revoke, "mark a serial revoked in CA state", state, serial)
 
-    p = sub.add_parser("crs-token", help="issue the day-i token for a serial")
-    p.add_argument("--state", required=True)
-    p.add_argument("--serial", type=int, required=True)
+    p = command("crs-token", cmd_crs_token, "issue the day-i token for a serial",
+                state, serial, out)
     p.add_argument("--period", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_crs_token)
 
-    p = sub.add_parser("crs-verify", help="verify a token against an anchor")
+    p = command("crs-verify", cmd_crs_verify, "verify a token against an anchor")
     p.add_argument("--anchor", required=True)
     p.add_argument("--token", required=True)
     p.add_argument("--period", type=int, required=True)
     p.add_argument("--width", type=int, default=100)
-    p.set_defaults(func=cmd_crs_verify)
 
-    p = sub.add_parser("crt-build", help="build a revocation tree over a serial list")
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--key", default="ca")
+    p = command("crt-build", cmd_crt_build, "build a revocation tree over a serial list",
+                signer, now, out)
     p.add_argument("--revoked", required=True, help="JSON list of revoked serials")
-    p.add_argument("--now", type=int, required=True)
     p.add_argument("--validity", type=int, default=DAY)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_crt_build)
 
-    p = sub.add_parser("crt-prove", help="produce a proof for one serial")
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--key", default="ca")
+    p = command("crt-prove", cmd_crt_prove, "produce a proof for one serial", signer, serial, out)
     p.add_argument("--tree", required=True)
-    p.add_argument("--serial", type=int, required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_crt_prove)
 
-    p = sub.add_parser("crt-verify", help="verify a proof and classify the serial")
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--key", default="ca")
+    p = command("crt-verify", cmd_crt_verify, "verify a proof and classify the serial",
+                signer, serial, now)
     p.add_argument("--proof", required=True)
-    p.add_argument("--serial", type=int, required=True)
-    p.add_argument("--now", type=int, required=True)
-    p.set_defaults(func=cmd_crt_verify)
 
-    p = sub.add_parser("ocsp-query", help="signed status query against a ledger")
-    p.add_argument("--keystore", required=True)
-    p.add_argument("--key", default="ca")
+    p = command("ocsp-query", cmd_ocsp_query, "signed status query against a ledger",
+                signer, serial, now, seed)
     p.add_argument("--ledger", required=True)
-    p.add_argument("--serial", type=int, required=True)
-    p.add_argument("--now", type=int, required=True)
     p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_ocsp_query)
 
-    p = sub.add_parser("sim", help="run the simulator or a scheme comparison")
+    p = command("sim", cmd_sim, "run the simulator or a scheme comparison")
     p.add_argument("--config", help="SimConfig JSON file")
     p.add_argument("--compare", nargs="+", help="two or more SimConfig JSON files")
     p.add_argument("--preset", help="named experiment preset (paper-tradeoffs)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_sim)
 
     return parser
 

@@ -470,10 +470,3 @@ def decide_status(
     if not current:
         return CrlStatus.STALE_INFORMATION
     return CrlStatus.REVOKED if listed else CrlStatus.NOT_REVOKED
-
-
-def apply_delta(base: CrlDocument, delta: CrlDocument) -> list[tuple[int, int]]:
-    """Merged entry list of a base and one delta (union by serial)."""
-    merged = dict(base.entries)
-    merged.update(dict(delta.entries))
-    return sorted(merged.items())

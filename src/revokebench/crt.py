@@ -182,32 +182,28 @@ class CrtTree:
 
 
 def _build_levels(
-    leaf_hashes: list[bytes],
-    node_memo: Optional[dict[bytes, bytes]] = None,
-    counter: Optional[list[int]] = None,
-) -> list[tuple[bytes, ...]]:
+    leaf_hashes: list[bytes], node_memo: dict[bytes, bytes]
+) -> tuple[list[tuple[bytes, ...]], int]:
+    """The tree's levels over leaf_hashes, and how many internal nodes were
+    hashed. A child pair found in node_memo reuses its parent; every other
+    pair is hashed and added to it."""
     levels = [tuple(leaf_hashes)]
+    hashed = 0
     cur = leaf_hashes
     while len(cur) > 1:
         nxt = []
         for i in range(0, len(cur) - 1, 2):
             key = cur[i] + cur[i + 1]
-            if node_memo is not None:
-                h = node_memo.get(key)
-                if h is None:
-                    h = node_memo[key] = node_hash(cur[i], cur[i + 1])
-                    if counter is not None:
-                        counter[0] += 1
-            else:
-                h = node_hash(cur[i], cur[i + 1])
-                if counter is not None:
-                    counter[0] += 1
+            h = node_memo.get(key)
+            if h is None:
+                h = node_memo[key] = node_hash(cur[i], cur[i + 1])
+                hashed += 1
             nxt.append(h)
         if len(cur) % 2:
             nxt.append(cur[-1])  # promote the odd node unchanged
         levels.append(tuple(nxt))
         cur = nxt
-    return levels
+    return levels, hashed
 
 
 def _leaves_for(serials: list[int]) -> list[CrtLeaf]:
@@ -241,7 +237,7 @@ def crt_build(
     """Tree over the sentinel-bounded gaps between consecutive revoked serials."""
     serials = sorted(set(revoked))
     leaves = _leaves_for(serials)
-    levels = _build_levels([leaf_hash(lf) for lf in leaves])
+    levels, _ = _build_levels([leaf_hash(lf) for lf in leaves], {})
     return CrtTree(
         serials=tuple(serials),
         leaves=tuple(leaves),
@@ -307,15 +303,14 @@ def crt_update(
             leaf_count += 1
         new_leaf_hashes.append(h)
 
-    counter = [0]
-    levels = _build_levels(new_leaf_hashes, node_memo=node_memo, counter=counter)
+    levels, hashed = _build_levels(new_leaf_hashes, node_memo)
     new_tree = CrtTree(
         serials=tuple(serials),
         leaves=tuple(leaves),
         levels=tuple(levels),
         signed_root=_sign_root(levels[-1][0], now, validity, keystore, key_id),
     )
-    return new_tree, CrtUpdateStats(recomputed_internal=counter[0], recomputed_leaves=leaf_count)
+    return new_tree, CrtUpdateStats(recomputed_internal=hashed, recomputed_leaves=leaf_count)
 
 
 def crt_prove(tree: CrtTree, serial: int) -> CrtProof:

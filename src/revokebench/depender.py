@@ -175,28 +175,6 @@ def rejoin(
     return missed
 
 
-def export_json(graph: DependerGraph) -> dict:
-    return {
-        "k": graph.k,
-        "root": graph.root,
-        "layers": [sorted(layer) for layer in graph.layers],
-        "nodes": [
-            {
-                "id": node.node_id,
-                "layer": node.layer,
-                "parents": list(node.parents),
-                "children": sorted(node.children),
-            }
-            for node in (graph.nodes[i] for i in sorted(graph.nodes))
-        ],
-        "edges": sorted(
-            [parent, node.node_id]
-            for node in graph.nodes.values()
-            for parent in node.parents
-        ),
-    }
-
-
 def find_parent_cut(graph: DependerGraph, node_id: int) -> set[int]:
     """The full parent set of a node: disabling all of them (k failures when
     the node has k parents) is the minimal cut demonstrating tightness."""

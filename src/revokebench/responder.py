@@ -255,8 +255,10 @@ def cached_until(response: StatusResponse, max_age: int) -> int:
     return response.produced_at + max_age + 1
 
 
-# serial, status and period index: a statement's bytes before its signature
-_STATEMENT_HEAD_BYTES = {status: 8 + len(field) + 4 for status, field in _STATUS_FIELD.items()}
+def _statement_tail(status: OcspStatus, period_index: int) -> bytes:
+    """A statement's payload after its serial: the same for every statement
+    of one status in one period."""
+    return _STATUS_FIELD[status] + pack_u32(period_index)
 
 
 class _StatementFields(NamedTuple):
@@ -274,7 +276,7 @@ class SignedStatusStatement(Signed, _StatementFields):
     __slots__ = ()
 
     def _payload(self) -> bytes:
-        return pack_u64(self.serial) + _STATUS_FIELD[self.status] + pack_u32(self.period_index)
+        return pack_u64(self.serial) + _statement_tail(self.status, self.period_index)
 
 
 def publish_statements(
@@ -291,10 +293,9 @@ def publish_statements(
     status, so they are joined once), then `KeyStore.sign_batch` MACs them
     all under the one key, which it looks up and counts once.
     """
-    period = pack_u32(period_index)
     good, revoked = OcspStatus.GOOD, OcspStatus.REVOKED
-    good_tail = _STATUS_FIELD[good] + period
-    revoked_tail = _STATUS_FIELD[revoked] + period
+    good_tail = _statement_tail(good, period_index)
+    revoked_tail = _statement_tail(revoked, period_index)
     revoked_now = {s for s, r in ledger.revocations.items() if r.revoked_at <= now}
     serials = ledger.non_expired_serials(now)
     statuses = [revoked if s in revoked_now else good for s in serials]
@@ -314,13 +315,18 @@ def statements_wire_size(statements: list[SignedStatusStatement]) -> int:
     """The bytes of one period's statements from `publish_statements`.
 
     Every statement of a period carries a signature under the one key, so
-    the total is a fixed head size per status plus one signature size per
-    statement, with no per-statement property call.
+    the total is a fixed payload size per status (the serial and the
+    status's tail) plus one signature size per statement, with no
+    per-statement property call.
     """
     if not statements:
         return 0
+    period_index = statements[0].period_index
     statuses = list(map(itemgetter(1), statements))
-    heads = sum(_STATEMENT_HEAD_BYTES[status] * statuses.count(status) for status in OcspStatus)
+    heads = sum(
+        len(pack_u64(0) + _statement_tail(status, period_index)) * statuses.count(status)
+        for status in OcspStatus
+    )
     return heads + len(statements) * statements[0].signature.wire_size
 
 

@@ -142,11 +142,7 @@ class SimConfig:
             OneWayFunction(self.crs_width_bits)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        # The initial population is issued at time 0 and validations pick any
-        # issued certificate, expired ones too, so a validation before the
-        # horizon can claim period (horizon - 1) // crs_period whatever
-        # cert_lifetime is. The chain must reach that period.
-        last_period = (self.horizon - 1) // self.crs_period
+        last_period = self.crs_last_period
         if self.scheme is Scheme.CRS and self.n_clients and last_period > self.crs_lifetime_periods:
             raise ConfigError(
                 f"crs chain of {self.crs_lifetime_periods} periods is shorter than the "
@@ -167,6 +163,14 @@ class SimConfig:
         for _, node in self.node_failures + self.node_rejoins:
             if not 1 <= node < self.depender_nodes:
                 raise ConfigError(f"node {node} is not in 1 <= id < {self.depender_nodes}")
+
+    @property
+    def crs_last_period(self) -> int:
+        """The last CRS period a run can ask for. The initial population is
+        issued at time 0 and validations pick any issued certificate, expired
+        ones too, so a validation before the horizon can claim this period
+        whatever cert_lifetime is. The chain must reach it."""
+        return (self.horizon - 1) // self.crs_period
 
     @property
     def schedule(self) -> IssuanceSchedule:

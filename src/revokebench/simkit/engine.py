@@ -133,7 +133,6 @@ class Simulation:
 
         self.overlay: Optional[dep_mod.DependerGraph] = None
         self.overlay_failed: set[int] = set()
-        self._overlay_seq = 0
         if config.depender_nodes > 0:
             self.overlay = dep_mod.build_graph(
                 config.depender_nodes, config.depender_k, substream(config.seed, "depender")
@@ -145,12 +144,11 @@ class Simulation:
         if self.overlay is None:
             return
         message = dep_mod.PropagationMessage(
-            sequence=self._overlay_seq,
+            sequence=self.overlay.next_sequence,
             payload=b"",
             origin=self.overlay.root,
             kind=dep_mod.MessageKind.FULL,
         )
-        self._overlay_seq += 1
         report = dep_mod.propagate(self.overlay, message, self.overlay_failed)
         ov = self.metrics.overlay
         ov["messages"] = ov.get("messages", 0) + 1

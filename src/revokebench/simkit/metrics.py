@@ -5,14 +5,16 @@ MetricsReport. Metrics is a MetricsReport that also carries the few sums
 that are not reported, and finalize() copies the reported fields out.
 
 Bytes are double-entry: the sending side and the receiving side of every
-message are recorded, and must reconcile exactly. Today both sides are
-recorded with the same number, by SchemeAdapter.transfer for a one-way push
-and by note_exchange or note_fetch for a request and its reply, so
-conservation holds by construction; it becomes a real check once the
-encoder's side and the decoder's side are measured apart.
-Scheme adapters count nothing themselves. Publications are noted by the
-transport's CA push, and a validation's directory->client bytes are the
-change the engine reads off bytes_received around the adapter's call.
+message are recorded, and must reconcile exactly. One call books one
+message, both sides: note_message(channel, nbytes). The one fused form is
+note_fetch, a client's directory request and its reply, which equals a
+request count plus two note_message calls. Today both sides are recorded
+with the same number, so conservation holds by construction; it becomes a
+real check once the encoder's side and the decoder's side are measured
+apart.
+Publications are noted by the transport's CA push, and a validation's
+directory->client bytes are the change the engine reads off bytes_received
+around the adapter's call.
 Signatures are not noted here: at the end of a run the engine fills
 signature_ops from the KeyStore's own per-phase counts.
 Request rates are bucketed per interval; peak/mean statistics can exclude a
@@ -127,25 +129,17 @@ class Metrics(MetricsReport):
 
     # -- transport ---------------------------------------------------------
 
-    def note_sent(self, channel: str, nbytes: int) -> None:
+    def note_message(self, channel: str, nbytes: int) -> None:
+        """One message of nbytes on channel: its sending and receiving side."""
         self.bytes_sent[channel] += nbytes
-
-    def note_received(self, channel: str, nbytes: int) -> None:
         self.bytes_received[channel] += nbytes
 
-    def note_exchange(self, up: str, down: str, request: int, reply: int) -> None:
-        """A request of `request` bytes on channel `up` answered with `reply`
-        bytes on `down`: both sides of both messages, in one step."""
-        sent, received = self.bytes_sent, self.bytes_received
-        sent[up] += request
-        received[up] += request
-        sent[down] += reply
-        received[down] += reply
-
     def note_fetch(self, now: int, request: int, reply: int) -> None:
-        """A client's directory request and its reply, in one step: the
-        request counted in its interval, and both sides of both messages (as
-        note_exchange on the directory channels)."""
+        """A client's directory request and its reply, in one step. It equals
+        counting the request in its interval plus
+        note_message("client_to_directory", request) and
+        note_message("directory_to_client", reply), fused because every
+        per-serial validation makes one."""
         per_interval = self.requests_per_interval
         per_interval[min(now // self.interval, len(per_interval) - 1)] += 1
         sent, received = self.bytes_sent, self.bytes_received

@@ -2,11 +2,18 @@
 
 Each adapter owns the CA-side publishing schedule and the directory's stored
 artifacts for one scheme. All status logic is delegated to the scheme
-modules' public operations; the adapter only moves bytes through the
-transport helpers. Adapters count nothing themselves: the transport records
-every byte and publication, the engine reads a validation's directory->client
-bytes off the transport, and signatures are counted by the KeyStore under the
+modules' public operations. Bytes move between actors through the transport
+helpers only: `ca_push` books a publication and its one message with
+`Metrics.note_message`, `fresh_fetch` books its request and reply with two,
+and `dir_fetch` books a directory request and reply with the fused
+`Metrics.note_fetch`. The engine reads a validation's directory->client
+bytes off the metrics, and signatures are counted by the KeyStore under the
 phase the engine names.
+
+Adapters still count two things themselves: `fetch_doc` counts
+`base_crl_fetches`, and `CrtAdapter` notes the `ca_tree` hashes and
+`crt_recomputed_hashes` from `crt_update`'s stats and the `client_tree`
+hashes from the proof length.
 
 Every client follows one rule: it verifies what it receives, once, on
 arrival, and decides from what it holds. Full, delta and segmented CRL clients
@@ -39,7 +46,7 @@ from ..crl import (
 # over what it holds. The name check_status is the per-validation decision
 # that perfbench/spans.py times as crl.check_status.
 from ..crl import decide_status as check_status
-from .config import Scheme
+from .config import Scheme, SimConfig
 
 REQUEST_BYTES = 16  # serial + timestamp framing for any directory/CA query
 FRESH_STATUS_BYTES = 9  # status tag + framing around a fresh certificate
@@ -104,15 +111,10 @@ class SchemeAdapter:
 
     # -- transport helpers ----------------------------------------------------
 
-    def transfer(self, channel: str, nbytes: int) -> None:
-        """The one way bytes move between actors: both sides record them."""
-        self.metrics.note_sent(channel, nbytes)
-        self.metrics.note_received(channel, nbytes)
-
     def ca_push(self, kind: str, nbytes: int, count: int = 1) -> None:
         """Publish `count` documents of one kind, nbytes in all, to the directory."""
         self.metrics.note_publication(kind, count)
-        self.transfer("ca_to_directory", nbytes)
+        self.metrics.note_message("ca_to_directory", nbytes)
         self.sim.overlay_push()
 
     def dir_fetch(self, now: int, nbytes: int, request: int = REQUEST_BYTES) -> None:
@@ -147,7 +149,8 @@ class SchemeAdapter:
         revoked. Its signature is the one counted under ca_issue."""
         cert = self.ledger.certificates[serial]
         nbytes = cert.wire_size + FRESH_STATUS_BYTES
-        self.metrics.note_exchange("client_to_ca", "ca_to_client", REQUEST_BYTES, nbytes)
+        self.metrics.note_message("client_to_ca", REQUEST_BYTES)
+        self.metrics.note_message("ca_to_client", nbytes)
         revoked = self.ledger.is_revoked(serial, now)
         return wcr_mod.FreshFetch(revoked, None if revoked else cert, nbytes)
 
@@ -170,6 +173,16 @@ def _base_grid(horizon: int, period: int) -> list[tuple[int, str]]:
     return [(t, "base") for t in range(0, horizon, period)]
 
 
+def _delta_grid(config: SimConfig, at_bases: bool) -> list[tuple[int, str]]:
+    """Bases every base_period, then deltas every delta_period: on the base
+    instants too only `at_bases`. The irregular extra delta times inside the
+    horizon ride on top of the regular grid, base instants included."""
+    horizon, base = config.horizon, config.base_period
+    ticks = {t for t in range(0, horizon, config.delta_period) if at_bases or t % base}
+    ticks.update(t for t in config.extra_delta_times if 0 < t < horizon)
+    return _base_grid(horizon, base) + [(t, "delta") for t in sorted(ticks)]
+
+
 # ---------------------------------------------------------------------------
 # CRL family
 # ---------------------------------------------------------------------------
@@ -183,8 +196,7 @@ class FullCrlAdapter(SchemeAdapter):
         self.current: Optional[CrlDocument] = None
 
     def publish_events(self) -> list[tuple[int, str]]:
-        step = self.issuer.schedule.release_interval
-        return [(t, "base") for t in range(0, self.config.horizon, step)]
+        return _base_grid(self.config.horizon, self.issuer.schedule.release_interval)
 
     def on_publish(self, now: int, tag: str) -> None:
         doc = self.issuer.issue_full(self.ledger.revoked_non_expired(now), now)
@@ -210,16 +222,7 @@ class DeltaCrlAdapter(SchemeAdapter):
         self.delta: Optional[CrlDocument] = None
 
     def publish_events(self) -> list[tuple[int, str]]:
-        events = _base_grid(self.config.horizon, self.config.base_period)
-        on_grid = {
-            t
-            for t in range(0, self.config.horizon, self.config.delta_period)
-            if t % self.config.base_period
-        }
-        # irregular freshest-delta releases ride on top of the regular grid
-        on_grid.update(t for t in self.config.extra_delta_times if 0 < t < self.config.horizon)
-        events.extend((t, "delta") for t in sorted(on_grid))
-        return events
+        return _delta_grid(self.config, at_bases=False)
 
     def on_publish(self, now: int, tag: str) -> None:
         if tag == "base":
@@ -296,11 +299,7 @@ class SlidingDeltaAdapter(SchemeAdapter):
     def publish_events(self) -> list[tuple[int, str]]:
         # Sliding deltas are decoupled from bases: one goes out every delta
         # tick, base times included, so the latest delta always covers `now`.
-        events = _base_grid(self.config.horizon, self.config.base_period)
-        ticks = set(range(0, self.config.horizon, self.config.delta_period))
-        ticks.update(t for t in self.config.extra_delta_times if 0 < t < self.config.horizon)
-        events.extend((t, "delta") for t in sorted(ticks))
-        return events
+        return _delta_grid(self.config, at_bases=True)
 
     def on_publish(self, now: int, tag: str) -> None:
         records = self.ledger.revoked_non_expired(now)
@@ -400,10 +399,10 @@ class CrsAdapter(SchemeAdapter):
 
     def anchor_for(self, serial: int, now: int) -> Optional[CrsAnchor]:
         grid = now // self.period
-        # No period past the horizon's last one is ever asked (see SimConfig),
-        # so the authority keeps only the chain values up to it. A new user
-        # can be issued at the horizon itself, where that bound is 0.
-        served = max(0, min(self.lifetime, (self.config.horizon - 1) // self.period - grid))
+        # No period past the run's last one is ever asked, so the authority
+        # keeps only the chain values up to it. A new user can be issued at
+        # the horizon itself, where that bound is 0.
+        served = max(0, min(self.lifetime, self.config.crs_last_period - grid))
         anchor, _ = self.authority.setup(
             serial, self.lifetime, self.period, self.sim.rng_scheme, served=served
         )
@@ -519,10 +518,7 @@ class WcrAdapter(SchemeAdapter):
     def __init__(self, sim) -> None:
         super().__init__(sim)
         self.issuer = wcr_mod.WcrIssuer(
-            self.keystore,
-            self.ca_key,
-            self.config.base_period,
-            wcr_mod.WcrIssuerConfig(self.config.wcr_window_size),
+            self.keystore, self.ca_key, self.config.base_period, self.config.wcr_window_size
         )
         self.client_config = wcr_mod.WcrClientConfig(
             clean_duration=self.config.wcr_clean_duration,
@@ -610,19 +606,11 @@ class OcspAdapter(SchemeAdapter):
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
-        keys = []
-        t = 0
-        i = 0
-        while t < self.config.horizon:
-            keys.append(
-                resp_mod.ResponderKey(
-                    key_id=f"resp{i:03d}",
-                    valid_from=t,
-                    valid_to=t + self.config.ocsp_key_lifetime,
-                )
-            )
-            t += self.config.ocsp_key_lifetime
-            i += 1
+        lifetime = self.config.ocsp_key_lifetime
+        keys = [
+            resp_mod.ResponderKey(key_id=f"resp{i:03d}", valid_from=t, valid_to=t + lifetime)
+            for i, t in enumerate(range(0, self.config.horizon, lifetime))
+        ]
         self.chain = resp_mod.make_key_chain(keys, self.keystore, self.ca_key, sim.rng_scheme)
         self.responder = resp_mod.OcspResponder(self.keystore, self.chain, self.ledger)
 

@@ -32,37 +32,21 @@ class WcrFetchError(RuntimeError):
     """A fetch service failed; retryable, and timers must not move."""
 
 
-@dataclass(frozen=True)
-class WcrIssuerConfig:
-    """window_size is the number of consecutive publishing dates a revocation
-    must appear on; None means infinity (plain CRL behavior)."""
-
-    revocation_window_size: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.revocation_window_size is not None and self.revocation_window_size < 1:
-            raise ValueError("revocation window size must be >= 1 or infinite")
-
-
 class WcrIssuer:
     """Publishes the windowed CRL on a fixed period.
 
     A record's publishing date is the first date at or after its revocation
-    instant; with window size w it then appears on exactly w consecutive
-    lists (every later list when w is infinite).
+    instant; with window_size w it then appears on exactly w consecutive
+    lists, and on every later list when window_size is None (infinite).
     """
 
     def __init__(
-        self,
-        keystore: KeyStore,
-        key_id: str,
-        period: int,
-        config: WcrIssuerConfig,
+        self, keystore: KeyStore, key_id: str, period: int, window_size: Optional[int] = None
     ) -> None:
-        if period <= 0:
-            raise ValueError("publishing period must be positive")
+        if window_size is not None and window_size < 1:
+            raise ValueError("revocation window size must be >= 1 or infinite")
         self.period = period
-        self.config = config
+        self.window_size = window_size
         self._crl = CrlIssuer(keystore, key_id, IssuanceSchedule(base_period=period))
 
     def assigned_index(self, revoked_at: int) -> int:
@@ -75,7 +59,7 @@ class WcrIssuer:
         now: int,
         expiry: Optional[dict[int, int]] = None,
     ) -> CrlDocument:
-        window = self.config.revocation_window_size
+        window = self.window_size
         listed = []
         for record in records:
             if expiry is not None and expiry.get(record.serial, TIME_MAX) <= now:

@@ -105,6 +105,16 @@ MALFORMED_JSON = {
     "revoked holds a bool": ("crt-build", "--revoked", lambda d: [5, True]),
     "tree serials null": ("crt-prove", "--tree", lambda d: {**d, "serials": None}),
     "tree issued_at a float": ("crt-prove", "--tree", lambda d: {**d, "issued_at": 0.5}),
+    "anchor lifetime a bool, period length a float": (
+        "crs-verify", "--anchor", lambda d: {**d, "lifetime_periods": True, "period_length": 0.5}
+    ),
+    "anchor y a number": ("crs-verify", "--anchor", lambda d: {**d, "y": 5}),
+    "crs state width a float": ("crs-token", "--state", lambda d: {**d, "width_bits": 100.0}),
+    "crs state lifetime a bool": (
+        "crs-token",
+        "--state",
+        lambda d: {**d, "serials": {"7": {**d["serials"]["7"], "lifetime_periods": True}}},
+    ),
 }
 
 
@@ -123,6 +133,11 @@ class TestMalformedJson:
         assert invoke("crl-issue", *ks, "--ledger", ledger_file, "--now", 1000,
                       "--out", workdir / "crl.bin") == 0
         assert invoke("crt-build", *ks, "--revoked", revoked, "--now", 0, "--out", tree) == 0
+        state, anchor, token = workdir / "crs.json", workdir / "anchor.json", workdir / "token.bin"
+        assert invoke("crs-setup", "--state", state, "--serial", 7, "--periods", 5,
+                      "--anchor-out", anchor, "--seed", 1) == 0
+        assert invoke("crs-token", "--state", state, "--serial", 7, "--period", 1,
+                      "--out", token) == 0
         argv = {
             "crl-check": ["crl-check", *ks, "--serial", 7, "--now", 2000, "--doc", doc],
             "crl-issue": ["crl-issue", *ks, "--ledger", ledger_file, "--now", 1000,
@@ -131,6 +146,9 @@ class TestMalformedJson:
                           "--out", workdir / "again.json"],
             "crt-prove": ["crt-prove", *ks, "--tree", tree, "--serial", 9,
                           "--out", workdir / "proof.bin"],
+            "crs-token": ["crs-token", "--state", state, "--serial", 7, "--period", 1,
+                          "--out", workdir / "again.bin"],
+            "crs-verify": ["crs-verify", "--anchor", anchor, "--token", token, "--period", 1],
         }[command]
         assert invoke(*argv) == 0  # the genuine files pass
         path = argv[argv.index(flag) + 1]

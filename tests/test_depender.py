@@ -7,7 +7,6 @@ from revokebench.depender import (
     MessageKind,
     PropagationMessage,
     build_graph,
-    export_json,
     find_parent_cut,
     propagate,
     rejoin,
@@ -62,15 +61,6 @@ class TestBuild:
             build_graph(0, 3, rng)
         with pytest.raises(ValueError):
             build_graph(5, 0, rng)
-
-    def test_export_shape(self, rng):
-        graph = build_graph(12, 2, rng)
-        data = export_json(graph)
-        assert data["k"] == 2
-        assert sum(len(layer) for layer in data["layers"]) == 12
-        assert len(data["nodes"]) == 12
-        assert len(data["edges"]) == sum(len(n.parents) for n in graph.nodes.values())
-        assert all(graph.nodes[p].layer < graph.nodes[c].layer for p, c in data["edges"])
 
 
 class TestPropagate:

@@ -38,6 +38,7 @@ from revokebench.simkit import (
     schedule_staggered_fetch,
     Simulation,
 )
+from revokebench.simkit.metrics import CHANNELS, Metrics
 from revokebench.simkit.schemes import (
     AlwaysFreshAdapter,
     CrsAdapter,
@@ -103,6 +104,29 @@ class TestConservationAndTruth:
         assert report.false_revocation == 0
         assert sum(report.staleness_hist.values()) == report.false_valid
         assert report.validations > 0
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_every_byte_is_booked_as_a_message(self, name, monkeypatch):
+        """Bytes move between actors only through Metrics.note_message and
+        its fused form for directory fetches, Metrics.note_fetch: what those
+        two book per channel is all the report holds, on both sides."""
+        booked = Counter()
+        note_message, note_fetch = Metrics.note_message, Metrics.note_fetch
+
+        def message(metrics, channel, nbytes):
+            booked[channel] += nbytes
+            note_message(metrics, channel, nbytes)
+
+        def fetch(metrics, now, request, reply):
+            booked["client_to_directory"] += request
+            booked["directory_to_client"] += reply
+            note_fetch(metrics, now, request, reply)
+
+        monkeypatch.setattr(Metrics, "note_message", message)
+        monkeypatch.setattr(Metrics, "note_fetch", fetch)
+        report = run(GOLDEN[name])
+        assert report.bytes_sent == {ch: booked[ch] for ch in CHANNELS} == report.bytes_received
+        assert sum(booked.values()) > 0
 
     @pytest.mark.parametrize("scheme", [Scheme.FULL_CRL, Scheme.CRS])
     def test_every_issued_certificate_verifies(self, scheme, monkeypatch):
@@ -484,23 +508,31 @@ class TestSchemesBehave:
         two = run(cfg(overissue_factor=2))
         assert two.publications["full_crl"] == 2 * one.publications["full_crl"]
 
-    def test_irregular_freshest_deltas(self):
+    @pytest.mark.parametrize(
+        "scheme, deltas_h",
+        [
+            # a delta tick on a base instant is skipped, an extra one is not
+            (Scheme.DELTA_CRL, [5, 6, 12, 18, 24, 30, 36, 42]),
+            # sliding deltas go out on every tick, base instants included
+            (Scheme.SLIDING_DELTA, [0, 5, 6, 12, 18, 24, 30, 36, 42]),
+        ],
+    )
+    def test_irregular_freshest_deltas(self, scheme, deltas_h):
         """Pay-per-freshness pointers are modeled as extra delta releases on
-        an irregular schedule; everything else about the scheme is unchanged."""
-        regular = cfg(scheme=Scheme.SLIDING_DELTA, delta_period=6 * HOUR, window_length=2 * DAY)
-        extra_times = tuple(t * HOUR for t in (5, 29, 31, 100))
-        frip = cfg(
-            scheme=Scheme.SLIDING_DELTA,
-            delta_period=6 * HOUR,
-            window_length=2 * DAY,
-            extra_delta_times=extra_times,
-        )
-        base_report = run(regular)
-        frip_report = run(frip)
-        assert (
-            frip_report.publications["sliding_delta"]
-            == base_report.publications["sliding_delta"] + len(extra_times)
-        )
+        an irregular schedule; everything else about the scheme is unchanged.
+        The extra times here fall off the grid (5 h), on a regular delta
+        tick (12 h), on a base instant (24 h) and past the horizon (50 h)."""
+        extra_times = tuple(t * HOUR for t in (5, 12, 24, 50))
+        grid = dict(scheme=scheme, delta_period=6 * HOUR, window_length=2 * DAY)
+        events = Simulation(
+            cfg(horizon=2 * DAY, extra_delta_times=extra_times, **grid)
+        ).adapter.publish_events()
+        assert events == [(0, "base"), (DAY, "base")] + [(t * HOUR, "delta") for t in deltas_h]
+
+        kind = "sliding_delta" if scheme is Scheme.SLIDING_DELTA else "delta_crl"
+        base_report = run(cfg(**grid))
+        frip_report = run(cfg(extra_delta_times=(5 * HOUR, 29 * HOUR, 31 * HOUR), **grid))
+        assert frip_report.publications[kind] == base_report.publications[kind] + 3
         assert frip_report.false_revocation == 0
         with pytest.raises(ConfigError):
             cfg(scheme=Scheme.FULL_CRL, extra_delta_times=(100,))

@@ -18,7 +18,6 @@ from revokebench.wcr import (
     WcrDecision,
     WcrFetchError,
     WcrIssuer,
-    WcrIssuerConfig,
     wcr_validate,
 )
 
@@ -26,7 +25,7 @@ PERIOD = 1000
 
 
 def make_wcr_issuer(keystore, window):
-    return WcrIssuer(keystore, "ca", PERIOD, WcrIssuerConfig(window))
+    return WcrIssuer(keystore, "ca", PERIOD, window)
 
 
 class TestIssuer:
@@ -65,6 +64,16 @@ class TestIssuer:
         record = RevocationRecord(serial=9, revoked_at=100)
         doc = issuer.issue([record], 8, 8000, expiry={9: 7000})
         assert not doc.lists(9)
+
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, keystore, window):
+        with pytest.raises(ValueError, match="window size"):
+            make_wcr_issuer(keystore, window)
+
+    @pytest.mark.parametrize("period", [0, -PERIOD])
+    def test_period_below_one_rejected(self, keystore, period):
+        with pytest.raises(ValueError, match="base_period must be positive"):
+            WcrIssuer(keystore, "ca", period)
 
 
 class StubServices:
