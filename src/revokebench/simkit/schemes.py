@@ -66,6 +66,7 @@ class SchemeAdapter:
         self.held: defaultdict[int, dict[str, CrlDocument]] = defaultdict(dict)
         # (client, serial) -> (use, lapses_at) (validate)
         self.verdicts: dict[tuple[int, int], tuple[bool, int]] = {}
+        self.fresh_bytes: dict[int, int] = {}  # serial -> fresh reply size (fresh_fetch)
 
     # -- engine hooks --------------------------------------------------------
 
@@ -148,7 +149,9 @@ class SchemeAdapter:
         """Authoritative status query to the CA: the certificate as issued, unless
         revoked. Its signature is the one counted under ca_issue."""
         cert = self.ledger.certificates[serial]
-        nbytes = cert.wire_size + FRESH_STATUS_BYTES
+        nbytes = self.fresh_bytes.get(serial)
+        if nbytes is None:
+            nbytes = self.fresh_bytes[serial] = cert.wire_size + FRESH_STATUS_BYTES
         self.metrics.note_message("client_to_ca", REQUEST_BYTES)
         self.metrics.note_message("ca_to_client", nbytes)
         revoked = self.ledger.is_revoked(serial, now)

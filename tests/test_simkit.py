@@ -14,6 +14,7 @@ from revokebench.cli import _tradeoff_preset
 from revokebench.core import (
     DAY,
     HOUR,
+    Certificate,
     OneWayFunction,
     RevocationRecord,
     Signature,
@@ -47,6 +48,7 @@ from revokebench.simkit.schemes import (
     FullCrlAdapter,
     NaiveStatusAdapter,
     PlainCrlBaselineAdapter,
+    SchemeAdapter,
     SegmentedAdapter,
     SlidingDeltaAdapter,
     WcrAdapter,
@@ -155,6 +157,26 @@ class TestConservationAndTruth:
                 c.serial, c.subject, c.not_before, c.not_after, sim.keystore, sim.ca_key, c.crs_anchor
             )
             assert rebuilt == c
+
+    def test_fresh_fetch_sizes_each_certificate_once(self, monkeypatch):
+        """A certificate's size is fixed at issuance, so a run encodes each
+        fresh-fetched certificate once, however often clients fetch it."""
+        fetched, sized = Counter(), Counter()
+        fresh_fetch, wire_size = SchemeAdapter.fresh_fetch, Certificate.wire_size.fget
+
+        def counting_fetch(adapter, serial, now):
+            fetched[serial] += 1
+            return fresh_fetch(adapter, serial, now)
+
+        def counting_size(cert):
+            sized[cert.serial] += 1
+            return wire_size(cert)
+
+        monkeypatch.setattr(SchemeAdapter, "fresh_fetch", counting_fetch)
+        monkeypatch.setattr(Certificate, "wire_size", property(counting_size))
+        run(cfg(scheme=Scheme.WCR, wcr_window_size=3, wcr_clean_duration=6 * HOUR))
+        assert sum(fetched.values()) > len(fetched) > 0
+        assert sized == Counter(fetched.keys())
 
     def test_a_serial_issued_twice_raises(self):
         sim = Simulation(cfg())
