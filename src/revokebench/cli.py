@@ -20,7 +20,9 @@ from . import crs as crs_mod
 from . import crt as crt_mod
 from . import responder as resp_mod
 from . import simkit
-from .core import DAY, HOUR, KeyStore, Ledger, OneWayFunction, ReasonCode, json_int, json_str
+from .core import (
+    DAY, HOUR, TIME_MAX, KeyStore, Ledger, OneWayFunction, ReasonCode, json_int, json_str
+)
 from .crl import CrlDocument, CrlIssuer, CrlStatus, IssuanceSchedule, check_status
 
 EXIT_OK = 0
@@ -308,7 +310,7 @@ def cmd_ocsp_query(args) -> int:
     ks = load_keystore(args.keystore)
     ledger = load_ledger(args.ledger, ks, args.key)
     chain = resp_mod.make_key_chain(
-        [resp_mod.ResponderKey("resp000", 0, max(args.now + 1, 1) * 2)],
+        [resp_mod.ResponderKey("resp000", 0, min(2 * (args.now + 1), TIME_MAX))],
         ks,
         args.key,
         random.Random(args.seed if args.seed is not None else 0),
@@ -403,6 +405,14 @@ def cmd_sim(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+def u64(text: str) -> int:
+    """An argparse type: an integer in the u64 range of serials and times."""
+    value = int(text)
+    if not 0 <= value <= TIME_MAX:
+        raise argparse.ArgumentTypeError(f"{value} is outside 0..2**64-1")
+    return value
+
+
 def _parent(flag: str, **options) -> argparse.ArgumentParser:
     """A parent parser holding one argument that several subcommands share."""
     parent = argparse.ArgumentParser(add_help=False)
@@ -422,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
     keystore = _parent("--keystore", required=True)
     signer = argparse.ArgumentParser(add_help=False, parents=[keystore])  # the keystore and key
     signer.add_argument("--key", default="ca")
-    serial = _parent("--serial", type=int, required=True)
-    now = _parent("--now", type=int, required=True)
+    serial = _parent("--serial", type=u64, required=True)
+    now = _parent("--now", type=u64, required=True)
     out = _parent("--out", required=True)
     state = _parent("--state", required=True)
     seed = _parent("--seed", type=int)
@@ -493,7 +503,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:  # InputError and ConfigError are ValueErrors
+    # ValueError covers InputError and ConfigError; OverflowError, a time past the u64 clock
+    except (ValueError, LookupError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,7 +25,6 @@ from typing import NamedTuple, Optional, Sequence
 
 # Serial numbers are unsigned 64-bit integers. 0 and 2**64-1 are reserved as
 # the tree sentinels; real serials live strictly between them.
-SERIAL_BITS = 64
 SERIAL_MIN = 0
 SERIAL_MAX = 2**64 - 1
 
@@ -144,8 +143,6 @@ class KeyStore:
     inner and outer blocks once, and each MAC continues copies of those two
     SHA-256 states, so the bytes equal hmac.new(secret, message, sha256).
     """
-
-    MAC_BYTES = 32
 
     def __init__(self) -> None:
         # key id -> (inner, outer) SHA-256 states after one key block each

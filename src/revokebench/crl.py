@@ -18,7 +18,6 @@ from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 from .core import (
-    TIME_MAX,
     KeyStore,
     RevocationRecord,
     Signature,
@@ -45,10 +44,6 @@ class CrlStatus(Enum):
     REVOKED = "revoked"
     NOT_REVOKED = "not_revoked"
     STALE_INFORMATION = "stale_information"
-
-
-class ExpiredEntryError(ValueError):
-    """A record for an already-expired certificate was offered for listing."""
 
 
 class DeltaBaseError(ValueError):
@@ -308,23 +303,14 @@ class CrlIssuer:
         )
         return keep_payload(doc, payload)
 
-    def issue_full(
-        self,
-        revoked: Iterable[RevocationRecord],
-        now: int,
-        expiry: Optional[dict[int, int]] = None,
-    ) -> CrlDocument:
-        """Full list of all currently valid (non-expired) but revoked certificates.
+    def issue_full(self, revoked: Iterable[RevocationRecord], now: int) -> CrlDocument:
+        """Full list authoritative over [now, now + base_period).
 
-        When an expiry map is supplied the not-yet-expired precondition is
-        enforced; entries for expired certificates are a caller error, not
-        something to silently drop.
+        Every record given is listed, in serial order; the list drops nothing.
+        Leaving out the certificates that have expired is the caller's part:
+        the simulator and the CLI pass `Ledger.revoked_non_expired(now)`.
         """
-        entries = []
-        for record in revoked:
-            if expiry is not None and expiry.get(record.serial, TIME_MAX) <= now:
-                raise ExpiredEntryError(f"serial {record.serial} expired before {now}")
-            entries.append((record.serial, record.revoked_at))
+        entries = [(record.serial, record.revoked_at) for record in revoked]
         return self._signed(CrlKind.FULL, now, now + self.schedule.base_period, entries)
 
     def issue_delta(
@@ -408,16 +394,16 @@ def check_status(
     now: int,
     keystore: KeyStore,
     issuer_key: str,
-    table: Optional[RedirectTable] = None,
 ) -> CrlStatus:
     """Status decision over a cache of documents whose signatures are unchecked.
 
     A document with a bad signature is discarded as if absent; the rest go
-    to decide_status. A client that verifies each document when it arrives
-    calls decide_status on its cache directly.
+    to decide_status, with no redirect table, so a segment document is no
+    base here. A client that verifies each document when it arrives, or
+    holds a redirect table, calls decide_status on its cache directly.
     """
     valid = [d for d in docs if d.verify(keystore, issuer_key)]
-    return decide_status(serial, valid, now, table)
+    return decide_status(serial, valid, now)
 
 
 _this_update = attrgetter("this_update")

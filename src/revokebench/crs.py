@@ -134,9 +134,6 @@ class CrsAuthority:
             raise KeyError(f"serial {serial} unknown to CRS authority")
         self._revoked.setdefault(serial, len(self._revoked))
 
-    def is_revoked(self, serial: int) -> bool:
-        return serial in self._revoked
-
     @property
     def revocation_count(self) -> int:
         """Revocations so far; the as_of cutoff that freezes today's state."""

@@ -27,7 +27,9 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
-from .core import Checked, KeyStore, Signature, Signed, keep_payload, pack_u8, pack_u32, pack_u64
+from .core import (
+    Checked, KeyStore, Signature, Signed, check_time, keep_payload, pack_u8, pack_u32, pack_u64
+)
 
 SENTINEL_LO = 0
 SENTINEL_HI = 2**64 - 1
@@ -222,7 +224,7 @@ def _leaves_for(serials: list[int]) -> list[CrtLeaf]:
 
 
 def _sign_root(root: bytes, now: int, validity: int, keystore: KeyStore, key_id: str) -> SignedRoot:
-    next_update = now + validity
+    next_update = check_time(now + validity)
     payload = _root_payload(root, now, next_update)
     return keep_payload(SignedRoot(root, now, next_update, keystore.sign(payload, key_id)), payload)
 

@@ -22,8 +22,6 @@ class MessageKind(Enum):
 @dataclass(frozen=True)
 class PropagationMessage:
     sequence: int
-    payload: bytes
-    origin: int
     kind: MessageKind = MessageKind.OTHER
 
 
@@ -106,9 +104,6 @@ class DeliveryReport:
     received: dict[int, bool]
     forwards: dict[int, int]
 
-    def all_live_received(self, failed: set[int]) -> bool:
-        return all(got for node, got in self.received.items() if node not in failed)
-
     def missed(self, failed: set[int]) -> list[int]:
         return sorted(n for n, got in self.received.items() if not got and n not in failed)
 
@@ -117,7 +112,6 @@ def propagate(
     graph: DependerGraph,
     message: PropagationMessage,
     failed: Iterable[int] = (),
-    retain: bool = True,
 ) -> DeliveryReport:
     """Push one message from the root through every live path.
 
@@ -137,8 +131,7 @@ def propagate(
     received = {n: False for n in graph.nodes}
     forwards = {n: 0 for n in graph.nodes}
     received[graph.root] = True
-    if retain:
-        graph.nodes[graph.root].retain(message)
+    graph.nodes[graph.root].retain(message)
     queue = [graph.root]
     while queue:
         nxt: list[int] = []
@@ -148,8 +141,7 @@ def propagate(
                 if child in down or received[child]:
                     continue
                 received[child] = True
-                if retain:
-                    graph.nodes[child].retain(message)
+                graph.nodes[child].retain(message)
                 nxt.append(child)
         queue = nxt
     return DeliveryReport(received=received, forwards=forwards)
@@ -173,9 +165,3 @@ def rejoin(
     for m in missed:
         node.retain(m)
     return missed
-
-
-def find_parent_cut(graph: DependerGraph, node_id: int) -> set[int]:
-    """The full parent set of a node: disabling all of them (k failures when
-    the node has k parents) is the minimal cut demonstrating tightness."""
-    return set(graph.nodes[node_id].parents)

@@ -199,7 +199,6 @@ class OcspResponder:
         self.keystore = keystore
         self.chain = chain
         self.ledger = ledger
-        self.requests_served = 0
         self.malformed_dropped = 0
 
     def status_of(self, serial: int, at: int) -> OcspStatus:
@@ -214,7 +213,6 @@ class OcspResponder:
     def respond(self, request: StatusRequest, now: Optional[int] = None) -> StatusResponse:
         produced_at = request.sent_at if now is None else now
         key_id = self.chain.current_key(produced_at)
-        self.requests_served += 1
         status = self.status_of(request.serial, produced_at)
         serial, nonce, _ = request
         payload = _response_payload(serial, status, produced_at, nonce, key_id)

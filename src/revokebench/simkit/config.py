@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from ..core import DAY, HOUR, TIME_MAX, OneWayFunction
 from ..crl import IssuanceSchedule
@@ -190,15 +190,38 @@ class SimConfig:
 
     @staticmethod
     def from_json_dict(d: dict) -> "SimConfig":
-        known = {f.name for f in fields(SimConfig)}
-        unknown = set(d) - known
+        """The config a JSON object describes; a value that its field's
+        annotation does not admit raises ConfigError naming the field."""
+        hints = get_type_hints(SimConfig)
+        unknown = set(d) - hints.keys()
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        kwargs = dict(d)
-        kwargs["scheme"] = Scheme(kwargs["scheme"])
-        for name in ("node_failures", "node_rejoins"):
-            if name in kwargs:
-                kwargs[name] = tuple(tuple(x) for x in kwargs[name])
-        if "extra_delta_times" in kwargs:
-            kwargs["extra_delta_times"] = tuple(kwargs["extra_delta_times"])
+        kwargs = {}
+        for f in fields(SimConfig):
+            if f.name in d:
+                try:
+                    kwargs[f.name] = _from_json(d[f.name], hints[f.name])
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"config field {f.name!r} must be {f.type}, got {d[f.name]!r}"
+                    ) from None
         return SimConfig(**kwargs)
+
+
+def _from_json(value, annotation):
+    """value, read from JSON, as the annotation asks, else TypeError or
+    ValueError. An int is never a bool or a float, a float may be an int but
+    not a bool, and a tuple is a JSON list."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Union:  # Optional[X]
+        return None if value is None else _from_json(value, args[0])
+    if origin is tuple:
+        items = args[:1] * len(value) if args[1:] == (Ellipsis,) else args
+        if type(value) is not list or len(items) != len(value):
+            raise TypeError
+        return tuple(map(_from_json, value, items))
+    if issubclass(annotation, Enum):
+        return annotation(value)
+    if type(value) is annotation or (annotation is float and type(value) is int):
+        return value
+    raise TypeError

@@ -29,7 +29,7 @@ from ..core import KeyStore, Ledger, OneWayFunction, make_certificates
 
 # Not called here. perfbench/spans.py wraps this module's make_certificate
 # name as the core.make_certificate span, which reads 0 now that issuance is
-# batched; ROADMAP item 6 replaces the name-wrapping spans.
+# batched; ROADMAP item 9 replaces the name-wrapping spans.
 from ..core import make_certificate  # noqa: F401
 from .config import ConfigError, SimConfig
 from .metrics import Metrics, MetricsReport
@@ -143,12 +143,7 @@ class Simulation:
     def overlay_push(self) -> None:
         if self.overlay is None:
             return
-        message = dep_mod.PropagationMessage(
-            sequence=self.overlay.next_sequence,
-            payload=b"",
-            origin=self.overlay.root,
-            kind=dep_mod.MessageKind.FULL,
-        )
+        message = dep_mod.PropagationMessage(self.overlay.next_sequence, dep_mod.MessageKind.FULL)
         report = dep_mod.propagate(self.overlay, message, self.overlay_failed)
         ov = self.metrics.overlay
         ov["messages"] = ov.get("messages", 0) + 1

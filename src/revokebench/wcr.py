@@ -28,10 +28,6 @@ class WcrDecision(Enum):
     DROP = "drop"
 
 
-class WcrFetchError(RuntimeError):
-    """A fetch service failed; retryable, and timers must not move."""
-
-
 class WcrIssuer:
     """Publishes the windowed CRL on a fixed period.
 
@@ -53,17 +49,14 @@ class WcrIssuer:
         return -(-revoked_at // self.period)
 
     def issue(
-        self,
-        records: Iterable[RevocationRecord],
-        publish_index: int,
-        now: int,
-        expiry: Optional[dict[int, int]] = None,
+        self, records: Iterable[RevocationRecord], publish_index: int, now: int
     ) -> CrlDocument:
+        """The list of publishing date publish_index, issued at now: each of
+        the records inside its window. As with `CrlIssuer.issue_full`, leaving
+        out expired certificates is the caller's part."""
         window = self.window_size
         listed = []
         for record in records:
-            if expiry is not None and expiry.get(record.serial, TIME_MAX) <= now:
-                continue
             if window is None:
                 listed.append(record)
                 continue
@@ -149,7 +142,9 @@ def wcr_validate(
     anything missed, so consult it (cached copy if current), drop if listed,
     otherwise re-arm and use.
 
-    Fetch failures raise WcrFetchError before any state change.
+    A service that raises passes its exception through before any state
+    change: states are immutable, so the caller still holds the state it
+    passed in and can retry from the same timers.
     """
     serial, certificate, clean_deadline, window_deadline = state
 

@@ -441,8 +441,87 @@ class TestSimCommand:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "cert_lifetime" in err
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"horizon": 2.0 * DAY},
+            {"validation_pattern": "fixed_gap", "validation_gap": 3600.0},
+            {"population": True},
+            {"validation_rate": True},
+            {"scheme": "delta_crl", "delta_period": 6.0 * 3600},
+            {"scheme": "delta_crl", "delta_period": 6 * 3600, "extra_delta_times": [DAY + 0.5]},
+            {"depender_nodes": 5, "node_failures": [[DAY, 1.0]]},
+        ],
+        ids=lambda fields: ",".join(f"{k}={v!r}" for k, v in fields.items()),
+    )
+    def test_config_field_of_wrong_json_type_is_usage_error(self, workdir, capsys, fields):
+        """An int field takes an int, not a float or a bool, and a float field
+        takes no bool; the error names the last field given."""
+        config = workdir / "typed.json"
+        config.write_text(json.dumps({**json.loads(self._config(workdir).read_text()), **fields}))
+        assert invoke("sim", "--config", config, "--out-dir", workdir / "x") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and list(fields)[-1] in err
+
+    def test_float_field_takes_an_int(self, workdir, capsys):
+        config = workdir / "typed.json"
+        config.write_text(json.dumps({**json.loads(self._config(workdir).read_text()),
+                                      "validation_rate": 2}))
+        assert invoke("sim", "--config", config, "--out-dir", workdir / "x") == 0
+
     def test_unknown_config_field_usage_error(self, workdir, capsys):
         bad = workdir / "bad.json"
         bad.write_text(json.dumps({"seed": 1, "horizon": 100, "population": 1,
                                    "scheme": "full_crl", "bogus_field": 3}))
         assert invoke("sim", "--config", bad, "--out-dir", workdir / "x") == 2
+
+
+U64_FLAGS = {
+    # command -> its arguments, with {now} and {serial} where the flags under test go
+    "crl-issue": ["--keystore", "ks.json", "--ledger", "ledger.json", "--now", "{now}",
+                  "--out", "crl.bin"],
+    "crl-check": ["--keystore", "ks.json", "--serial", "{serial}", "--now", "{now}",
+                  "--doc", "crl.bin.json"],
+    "crs-setup": ["--state", "crs.json", "--serial", "{serial}", "--anchor-out", "anchor.json"],
+    "crs-revoke": ["--state", "crs.json", "--serial", "{serial}"],
+    "crs-token": ["--state", "crs.json", "--serial", "{serial}", "--period", 4,
+                  "--out", "token.bin"],
+    "crt-build": ["--keystore", "ks.json", "--revoked", "revoked.json", "--now", "{now}",
+                  "--out", "tree.json"],
+    "crt-prove": ["--keystore", "ks.json", "--tree", "tree.json", "--serial", "{serial}",
+                  "--out", "proof.bin"],
+    "crt-verify": ["--keystore", "ks.json", "--proof", "proof.bin", "--serial", "{serial}",
+                   "--now", "{now}"],
+    "ocsp-query": ["--keystore", "ks.json", "--ledger", "ledger.json", "--serial", "{serial}",
+                   "--now", "{now}"],
+}
+
+
+class TestU64Flags:
+    """--now and --serial outside the unsigned 64-bit range, or at its top,
+    end in an exit code and a message, never a traceback."""
+
+    @pytest.fixture
+    def scene(self, tmp_path, monkeypatch, keystore_file, ledger_file, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "revoked.json").write_text("[5, 11, 20]")
+        for command, flags in U64_FLAGS.items():
+            argv = [str(a).format(now=600, serial=7) for a in flags]
+            assert invoke(command, *argv) in (0, 1), command
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("value", [-1, 2**64, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, flags in U64_FLAGS.items() for f in ("now", "serial") if f"{{{f}}}" in flags],
+    )
+    def test_exits_without_traceback(self, scene, capsys, command, flag, value):
+        argv = [str(a).format(**{"now": 600, "serial": 7, flag: value}) for a in U64_FLAGS[command]]
+        try:
+            code = invoke(command, *argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 1, 2)
+        if value != 2**64 - 1:
+            assert code == 2
+        assert "Traceback" not in capsys.readouterr().err

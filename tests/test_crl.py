@@ -15,7 +15,6 @@ from revokebench.crl import (
     CrlKind,
     CrlStatus,
     DeltaBaseError,
-    ExpiredEntryError,
     IssuanceSchedule,
     PartitionError,
     check_status,
@@ -90,13 +89,8 @@ class TestIssueFull:
             expiry[serial] = rng.randrange(1, 2 * now)
             raw.append(RevocationRecord(serial=serial, revoked_at=rng.randrange(now)))
         survivors = [r for r in raw if expiry[r.serial] > now]  # oracle: linear scan
-        doc = make_issuer(keystore).issue_full(survivors, now, expiry=expiry)
+        doc = make_issuer(keystore).issue_full(survivors, now)
         assert sorted(s for s, _ in doc.entries) == sorted(r.serial for r in survivors)
-
-    def test_expired_entry_is_an_error(self, keystore):
-        issuer = make_issuer(keystore)
-        with pytest.raises(ExpiredEntryError):
-            issuer.issue_full(records_of((3, 0)), 100, expiry={3: 50})
 
 
 class TestBuiltOnce:
@@ -239,11 +233,11 @@ class TestCheckStatus:
         table = make_redirect_table(1, [(0, 99, "A"), (100, 999, "B")], keystore, "ca")
         docs = issuer.segment(records_of((3, 0), (300, 0)), table, 0)
         doc_a = next(d for d in docs if d.segment_id == "A")
-        status = check_status(300, [doc_a], 50, keystore, "ca", table=table)
+        status = decide_status(300, [doc_a], 50, table)
         assert status is CrlStatus.STALE_INFORMATION  # wrong segment: no basis
         doc_b = next(d for d in docs if d.segment_id == "B")
-        assert check_status(300, [doc_b], 50, keystore, "ca", table=table) is CrlStatus.REVOKED
-        assert check_status(150, [doc_b], 50, keystore, "ca", table=table) is CrlStatus.NOT_REVOKED
+        assert decide_status(300, [doc_b], 50, table) is CrlStatus.REVOKED
+        assert decide_status(150, [doc_b], 50, table) is CrlStatus.NOT_REVOKED
 
     def test_71h_gaps_never_need_second_base(self, keystore):
         """Client consulting at least every 71h under a 72h window keeps full
@@ -492,10 +486,9 @@ class TestDecideStatus:
         serial = data.draw(st.sampled_from(sorted(revoked_at)) if revoked_at else st.just(0))
         now = data.draw(st.sampled_from([d.this_update for d in docs] or [0]))
         now += data.draw(st.integers(0, 1200))
-        scope = data.draw(st.sampled_from([None, table]))
         verified = [d for d in docs if d.verify(keystore, "ca")]
-        assert check_status(serial, docs, now, keystore, "ca", scope) == decide_status(
-            serial, verified, now, scope
+        assert check_status(serial, docs, now, keystore, "ca") == decide_status(
+            serial, verified, now
         )
 
     @settings(max_examples=300, deadline=None)

@@ -7,14 +7,13 @@ from revokebench.depender import (
     MessageKind,
     PropagationMessage,
     build_graph,
-    find_parent_cut,
     propagate,
     rejoin,
 )
 
 
 def msg(seq, kind=MessageKind.OTHER):
-    return PropagationMessage(sequence=seq, payload=b"x", origin=0, kind=kind)
+    return PropagationMessage(sequence=seq, kind=kind)
 
 
 class TestBuild:
@@ -82,8 +81,8 @@ class TestPropagate:
         graph = build_graph(30, 2, rng)
         non_root = [n for n in graph.nodes if n != 0]
         for failed in non_root:  # every singleton (k - 1 = 1)
-            report = propagate(graph, msg(graph.next_sequence), {failed}, retain=False)
-            assert report.all_live_received({failed}), failed
+            report = propagate(graph, msg(graph.next_sequence), {failed})
+            assert not report.missed({failed}), failed
 
     def test_full_parent_cut_blocks_a_node(self, rng):
         """Oracle: a constructed cut — failing one node's whole parent set."""
@@ -91,9 +90,9 @@ class TestPropagate:
         victim = next(
             n for n in graph.nodes if n != 0 and len(graph.nodes[n].parents) == 3
         )
-        cut = find_parent_cut(graph, victim)
+        cut = set(graph.nodes[victim].parents)
         assert len(cut) == 3
-        report = propagate(graph, msg(0), cut, retain=False)
+        report = propagate(graph, msg(0), cut)
         assert not report.received[victim]
 
     def test_root_failure_rejected(self, rng):

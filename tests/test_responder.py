@@ -89,7 +89,6 @@ class TestRespond:
         before = keystore.sign_count
         for _ in range(n):
             ocsp.respond(make_request(3, 600, rng))
-        assert ocsp.requests_served == n
         assert keystore.sign_count - before == n
 
     def test_malformed_dropped_and_counted(self, ocsp, keystore):

@@ -16,12 +16,15 @@ from revokebench.wcr import (
     WcrClientConfig,
     WcrClientState,
     WcrDecision,
-    WcrFetchError,
     WcrIssuer,
     wcr_validate,
 )
 
 PERIOD = 1000
+
+
+class WcrFetchError(RuntimeError):
+    """A scripted fetch failure: the service is down."""
 
 
 def make_wcr_issuer(keystore, window):
@@ -58,12 +61,6 @@ class TestIssuer:
         issuer = make_wcr_issuer(keystore, 2)
         record = RevocationRecord(serial=9, revoked_at=5000)  # exactly date 5
         assert [i for i in range(10) if issuer.issue([record], i, i * PERIOD).lists(9)] == [5, 6]
-
-    def test_expired_records_skipped(self, keystore):
-        issuer = make_wcr_issuer(keystore, None)
-        record = RevocationRecord(serial=9, revoked_at=100)
-        doc = issuer.issue([record], 8, 8000, expiry={9: 7000})
-        assert not doc.lists(9)
 
     @pytest.mark.parametrize("window", [0, -1])
     def test_window_below_one_rejected(self, keystore, window):
