@@ -161,7 +161,7 @@ def _load_crs_state(path: str) -> tuple[OneWayFunction, crs_mod.CrsAuthority, di
                 bytes.fromhex(json_str(entry["y0"])), bytes.fromhex(json_str(entry["n0"]))
             )
             authority.setup(
-                serial, json_int(entry["lifetime_periods"]), json_int(entry["period_length"]), rng
+                [serial], json_int(entry["lifetime_periods"]), json_int(entry["period_length"]), rng
             )
             if entry.get("revoked"):
                 authority.revoke(serial)
@@ -181,7 +181,7 @@ class _FixedSeeds:
 def cmd_crs_setup(args) -> int:
     f, authority, data = _load_crs_state(args.state)
     rng = _rng(args.seed)
-    anchor, secret = authority.setup(args.serial, args.periods, args.period_length, rng)
+    [(anchor, secret)] = authority.setup([args.serial], args.periods, args.period_length, rng)
     data.setdefault("serials", {})[str(args.serial)] = {
         "y0": secret.y0.hex(),
         "n0": secret.n0.hex(),
@@ -405,12 +405,25 @@ def cmd_sim(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def u64(text: str) -> int:
-    """An argparse type: an integer in the u64 range of serials and times."""
-    value = int(text)
-    if not 0 <= value <= TIME_MAX:
-        raise argparse.ArgumentTypeError(f"{value} is outside 0..2**64-1")
-    return value
+def _int_in(name: str, low: int, high: int, span: str):
+    """An argparse type named name: an integer in low..high, written span."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"{value} is outside {span}")
+        return value
+
+    parse.__name__ = name
+    return parse
+
+
+# Serials and times; periods, lengths and windows in seconds; CRS period
+# counts and indices, which anchors and tokens pack in four bytes, and the
+# chain width, which OneWayFunction narrows to 8..256.
+u64 = _int_in("u64", 0, TIME_MAX, "0..2**64-1")
+positive_u64 = _int_in("positive_u64", 1, TIME_MAX, "1..2**64-1")
+positive_u32 = _int_in("positive_u32", 1, 2**32 - 1, "1..2**32-1")
 
 
 def _parent(flag: str, **options) -> argparse.ArgumentParser:
@@ -444,9 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("crl-issue", cmd_crl_issue, "issue a full or sliding-window CRL from a ledger",
                 signer, now, out)
     p.add_argument("--ledger", required=True)
-    p.add_argument("--base-period", type=int, default=DAY)
-    p.add_argument("--delta-period", type=int)
-    p.add_argument("--window", type=int)
+    p.add_argument("--base-period", type=positive_u64, default=DAY)
+    p.add_argument("--delta-period", type=positive_u64)
+    p.add_argument("--window", type=positive_u64)
     p.add_argument("--kind", choices=["full", "sliding"], default="full")
 
     p = command("crl-check", cmd_crl_check, "client-side status check over cached documents",
@@ -455,26 +468,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("crs-setup", cmd_crs_setup, "create chain secrets and the public anchor",
                 state, serial, seed)
-    p.add_argument("--periods", type=int, default=365)
-    p.add_argument("--period-length", type=int, default=DAY)
+    p.add_argument("--periods", type=positive_u32, default=365)
+    p.add_argument("--period-length", type=positive_u64, default=DAY)
     p.add_argument("--anchor-out", required=True)
 
     command("crs-revoke", cmd_crs_revoke, "mark a serial revoked in CA state", state, serial)
 
     p = command("crs-token", cmd_crs_token, "issue the day-i token for a serial",
                 state, serial, out)
-    p.add_argument("--period", type=int, required=True)
+    p.add_argument("--period", type=positive_u32, required=True)
 
     p = command("crs-verify", cmd_crs_verify, "verify a token against an anchor")
     p.add_argument("--anchor", required=True)
     p.add_argument("--token", required=True)
-    p.add_argument("--period", type=int, required=True)
-    p.add_argument("--width", type=int, default=100)
+    p.add_argument("--period", type=positive_u32, required=True)
+    p.add_argument("--width", type=positive_u32, default=100)
 
     p = command("crt-build", cmd_crt_build, "build a revocation tree over a serial list",
                 signer, now, out)
     p.add_argument("--revoked", required=True, help="JSON list of revoked serials")
-    p.add_argument("--validity", type=int, default=DAY)
+    p.add_argument("--validity", type=positive_u64, default=DAY)
 
     p = command("crt-prove", cmd_crt_prove, "produce a proof for one serial", signer, serial, out)
     p.add_argument("--tree", required=True)

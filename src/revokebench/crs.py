@@ -5,13 +5,19 @@ certificate. On period i it releases Y_i = F^(L-i)(Y0) while the certificate
 is good, or the revocation secret N0 once it is not. Anyone holding the
 certificate checks F^i(Y_i) == Y (or F(N0) == N) offline; no directory has to
 be trusted.
+
+The CA's cost is the chain walk: L + 1 applications per certificate. The
+authority sets up all certificates issued at one instant as one batch, whose
+chains one `OneWayFunction.tails` call walks; a large batch is split between
+this process and a forked child, so the walk uses two CPUs where there are
+two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .core import CrsAnchor, OneWayFunction, pack_u8, pack_u32, pack_u64
 
@@ -70,13 +76,17 @@ def parse_token(data: bytes, f: OneWayFunction) -> CrsToken:
 class CrsAuthority:
     """CA-side chain state: setup, per-period token issuance, batched updates.
 
-    Setup walks the whole forward chain F^0(Y0) .. F^L(Y0), since the anchor
-    is its last value. Of that walk it keeps, as one contiguous blob per
-    certificate, only the values a token can still be built from: with
-    setup(..., served=s), F^(L-s)(Y0) .. F^L(Y0), which serve periods
-    1..s; without a bound, the whole chain. Issuing the day-i token is then
-    a slice, not L-i fresh hash applications, and a run that can ask only
-    the first s periods holds s + 1 values per certificate instead of L + 1.
+    Setup takes a batch of serials (the certificates of one issuance
+    instant) and walks each whole forward chain F^0(Y0) .. F^L(Y0), since
+    the anchor is its last value; the batch's chains are independent once
+    their seeds are drawn, so one `OneWayFunction.tails` call walks them all
+    and may split them across two processes. Of each walk it keeps, as one
+    contiguous blob per certificate, only the values a token can still be
+    built from: with setup(..., served=s), F^(L-s)(Y0) .. F^L(Y0), which
+    serve periods 1..s; without a bound, the whole chain. Issuing the day-i
+    token is then a slice, not L-i fresh hash applications, and a run that
+    can ask only the first s periods holds s + 1 values per certificate
+    instead of L + 1.
 
     Revocations are numbered in the order they arrive. A directory that
     publishes a period records revocation_count at that moment and later
@@ -94,13 +104,18 @@ class CrsAuthority:
 
     def setup(
         self,
-        serial: int,
+        serials: Sequence[int],
         lifetime_periods: int,
         period_length: int,
         rng,
         served: Optional[int] = None,
-    ) -> tuple[CrsAnchor, CrsSecret]:
-        """Create the two private seeds for a certificate and publish their anchors.
+    ) -> list[tuple[CrsAnchor, CrsSecret]]:
+        """Create the two private seeds of each certificate and publish their anchors.
+
+        Returns one (anchor, secret) per serial, in order. Every input is
+        checked before anything is drawn, so a bad serial or bound sets up
+        none of the batch. The seeds are drawn y0, n0 per serial, in order,
+        and all chains are walked by one `OneWayFunction.tails` call.
 
         served, when given, is the last period any token will be asked for
         (at most the lifetime); only the chain values serving periods
@@ -110,24 +125,29 @@ class CrsAuthority:
             raise ValueError("lifetime must be at least one period")
         if served is not None and not 0 <= served <= lifetime_periods:
             raise ValueError(f"served period {served} outside 0..{lifetime_periods}")
-        if serial in self._secrets:
-            raise ValueError(f"serial {serial} already set up")
+        seen: set[int] = set()
+        for serial in serials:
+            if serial in seen or serial in self._secrets:
+                raise ValueError(f"serial {serial} already set up")
+            seen.add(serial)
         f = self.f
-        y0 = f.random_value(rng)
-        n0 = f.random_value(rng)
-        chain = f.chain(y0, lifetime_periods)
-        secret = CrsSecret(serial=serial, y0=y0, n0=n0)
+        seeds = [(f.random_value(rng), f.random_value(rng)) for _ in serials]
         first = 0 if served is None else lifetime_periods - served
-        self._chains[serial] = chain[first * f.width_bytes :]
-        self._secrets[serial] = secret
-        self._lifetimes[serial] = lifetime_periods
-        anchor = CrsAnchor(
-            y=chain[-f.width_bytes :],  # F^L(Y0)
-            n=f.apply(n0),
-            lifetime_periods=lifetime_periods,
-            period_length=period_length,
-        )
-        return anchor, secret
+        chains = f.tails([y0 for y0, _ in seeds], lifetime_periods, first)
+        out = []
+        for serial, (y0, n0), chain in zip(serials, seeds, chains):
+            secret = CrsSecret(serial=serial, y0=y0, n0=n0)
+            self._chains[serial] = chain
+            self._secrets[serial] = secret
+            self._lifetimes[serial] = lifetime_periods
+            anchor = CrsAnchor(
+                y=chain[-f.width_bytes :],  # F^L(Y0)
+                n=f.apply(n0),
+                lifetime_periods=lifetime_periods,
+                period_length=period_length,
+            )
+            out.append((anchor, secret))
+        return out
 
     def revoke(self, serial: int) -> None:
         if serial not in self._secrets:

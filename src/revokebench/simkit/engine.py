@@ -168,8 +168,7 @@ class Simulation:
         self.keystore.phase = kind
         if kind == "issue_certificate":
             # CRS draws each chain seed from rng_scheme, in workload order
-            anchor_for = self.adapter.anchor_for
-            anchors = [anchor_for(serial, t) for serial in payload]
+            anchors = self.adapter.anchors_for(payload, t)
             add_certificate = self.ledger.add_certificate
             for cert in make_certificates(
                 payload,

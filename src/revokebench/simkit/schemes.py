@@ -73,8 +73,9 @@ class SchemeAdapter:
     def publish_events(self) -> list[tuple[int, str]]:
         return []
 
-    def anchor_for(self, serial: int, now: int) -> Optional[CrsAnchor]:
-        return None
+    def anchors_for(self, serials: list[int], now: int) -> list[Optional[CrsAnchor]]:
+        """The CRS anchor to put in each certificate issued at now, in order."""
+        return [None] * len(serials)
 
     def on_revoke(self, serial: int, now: int) -> None:
         pass
@@ -400,18 +401,18 @@ class CrsAdapter(SchemeAdapter):
         self.snapshot: Optional[tuple[int, int]] = None  # (grid, revocation count)
         self.token_bytes = crs_mod.token_wire_size(sim.f_ca)
 
-    def anchor_for(self, serial: int, now: int) -> Optional[CrsAnchor]:
+    def anchors_for(self, serials: list[int], now: int) -> list[Optional[CrsAnchor]]:
         grid = now // self.period
         # No period past the run's last one is ever asked, so the authority
         # keeps only the chain values up to it. A new user can be issued at
         # the horizon itself, where that bound is 0.
         served = max(0, min(self.lifetime, self.config.crs_last_period - grid))
-        anchor, _ = self.authority.setup(
-            serial, self.lifetime, self.period, self.sim.rng_scheme, served=served
+        issued = self.authority.setup(
+            serials, self.lifetime, self.period, self.sim.rng_scheme, served=served
         )
-        self.issue_grid[serial] = grid
-        self.grids.append(grid)  # issues arrive in time order, so this stays sorted
-        return anchor
+        self.issue_grid.update(dict.fromkeys(serials, grid))
+        self.grids += [grid] * len(serials)  # issues arrive in time order, so this stays sorted
+        return [anchor for anchor, _ in issued]
 
     def on_revoke(self, serial: int, now: int) -> None:
         self.authority.revoke(serial)

@@ -32,8 +32,8 @@ def test_criterion_1_crs_year_of_daily_tokens():
     f = OneWayFunction(100)
     authority = CrsAuthority(f)
     rng = random.Random(365)
-    anchor, _ = authority.setup(1, 365, DAY, rng)
-    revoked_anchor, _ = authority.setup(2, 365, DAY, rng)
+    [(anchor, _)] = authority.setup([1], 365, DAY, rng)
+    [(revoked_anchor, _)] = authority.setup([2], 365, DAY, rng)
     authority.revoke(2)
 
     for i in range(1, 366):

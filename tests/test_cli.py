@@ -497,18 +497,21 @@ U64_FLAGS = {
 }
 
 
+@pytest.fixture
+def scene(tmp_path, monkeypatch, keystore_file, ledger_file, capsys):
+    """A working directory where every command of U64_FLAGS has run once, at
+    now 600 and serial 7, leaving the files each command reads."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "revoked.json").write_text("[5, 11, 20]")
+    for command, flags in U64_FLAGS.items():
+        argv = [str(a).format(now=600, serial=7) for a in flags]
+        assert invoke(command, *argv) in (0, 1), command
+    capsys.readouterr()
+
+
 class TestU64Flags:
     """--now and --serial outside the unsigned 64-bit range, or at its top,
     end in an exit code and a message, never a traceback."""
-
-    @pytest.fixture
-    def scene(self, tmp_path, monkeypatch, keystore_file, ledger_file, capsys):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "revoked.json").write_text("[5, 11, 20]")
-        for command, flags in U64_FLAGS.items():
-            argv = [str(a).format(now=600, serial=7) for a in flags]
-            assert invoke(command, *argv) in (0, 1), command
-        capsys.readouterr()
 
     @pytest.mark.parametrize("value", [-1, 2**64, 2**64 - 1])
     @pytest.mark.parametrize(
@@ -525,3 +528,53 @@ class TestU64Flags:
         if value != 2**64 - 1:
             assert code == 2
         assert "Traceback" not in capsys.readouterr().err
+
+
+INT_FLAGS = {
+    # command -> (its other arguments, each flag under test at a valid value)
+    "crl-issue": (U64_FLAGS["crl-issue"], {"--base-period": DAY, "--delta-period": 3600,
+                                           "--window": 3 * DAY}),
+    "crs-setup": (U64_FLAGS["crs-setup"], {"--periods": 30, "--period-length": DAY}),
+    "crs-token": (["--state", "crs.json", "--serial", 7, "--out", "token.bin"], {"--period": 4}),
+    "crs-verify": (["--anchor", "anchor.json", "--token", "token.bin"],
+                   {"--period": 4, "--width": 100}),
+    "crt-build": (U64_FLAGS["crt-build"], {"--validity": DAY}),
+}
+# flags typed 1..2**32-1; the others are typed 1..2**64-1
+U32_FLAGS = {"--periods", "--period", "--width"}
+
+
+def _int_flag_argv(command: str, changed: dict) -> list[str]:
+    """INT_FLAGS[command] at now 600 and a serial the scene has not set up,
+    with the flags in changed given those values."""
+    base, flags = INT_FLAGS[command]
+    argv = [str(a).format(now=600, serial=8) for a in base]
+    for flag, value in {**flags, **changed}.items():
+        argv += [flag, str(value)]
+    return argv
+
+
+class TestBoundedIntFlags:
+    """The other integer flags take only their domain: a positive count or
+    length, at most 2**32-1 where CRS packs it in four bytes, else
+    2**64-1. Outside it argparse exits 2 naming the flag."""
+
+    @pytest.mark.parametrize("command", sorted(INT_FLAGS))
+    def test_valid_values_run(self, scene, command):
+        assert invoke(command, *_int_flag_argv(command, {})) in (0, 1)
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            (command, flag, value)
+            for command, (_, flags) in INT_FLAGS.items()
+            for flag in flags
+            for value in [-1, 0, 2**64] + ([2**32] if flag in U32_FLAGS else [])
+        ],
+    )
+    def test_out_of_domain_is_usage_error(self, scene, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            invoke(command, *_int_flag_argv(command, {flag: value}))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: {value} is outside" in err and "Traceback" not in err

@@ -195,28 +195,29 @@ class TestChain:
         expected = [x]
         for _ in range(40):
             expected.append(f.apply(expected[-1]))
-        assert f.chain(x, 40) == b"".join(expected)
-        assert f.chain(x, 40)[-f.width_bytes :] == f.iterate(x, 40) == naive_F(x, 40, width)
+        assert f.tails([x], 40, 0) == [b"".join(expected)]
+        assert f.tails([x], 40, 0)[0][-f.width_bytes :] == f.iterate(x, 40) == naive_F(x, 40, width)
 
     def test_zero_steps_is_the_input(self, rng):
         f = OneWayFunction()
         x = f.random_value(rng)
-        assert f.chain(x, 0) == x
+        assert f.tails([x], 0, 0) == [x]
         assert f.apply_count == 0
 
     def test_counts_exactly_n_applications(self, rng):
         f = OneWayFunction()
         x = f.random_value(rng)
-        f.chain(x, 365)
+        f.tails([x], 365, 0)
         assert f.apply_count == 365
 
     def test_bad_width_rejected_without_counting(self):
         f = OneWayFunction()
         for bad in (b"\x00" * 12, b"\xff" * 13):
             with pytest.raises(WidthError):
-                f.chain(bad, 5)
-        with pytest.raises(ValueError):
-            f.chain(b"\x00" * 13, -1)
+                f.tails([b"\x00" * 13, bad], 5, 0)
+        for n, first in ((-1, 0), (5, -1), (5, 6)):
+            with pytest.raises(ValueError):
+                f.tails([b"\x00" * 13], n, first)
         assert f.apply_count == 0
 
 
@@ -228,7 +229,7 @@ def reference_F(x: bytes, width_bits: int) -> bytes:
 
 
 class TestOwfReference:
-    """apply, chain and iterate continue a copy of a prefix-seeded SHA-256
+    """apply, tails and iterate continue a copy of a prefix-seeded SHA-256
     state; each must equal a fresh hashlib.sha256(b"owf:" + x) per step."""
 
     @settings(max_examples=60, deadline=None)
@@ -246,10 +247,13 @@ class TestOwfReference:
 
         assert f.apply(x) == reference_F(x, width)
         assert f.apply_count == 1
-        assert f.chain(x, n) == b"".join(expected)
+        assert f.tails([x], n, 0) == [b"".join(expected)]
         assert f.apply_count == 1 + n
         assert f.iterate(x, n) == expected[-1]
         assert f.apply_count == 1 + 2 * n
+        # the first steps are walked, not kept, and counted per seed
+        assert f.tails([x, x], n, n // 3) == [b"".join(expected[n // 3 :])] * 2
+        assert f.apply_count == 1 + 4 * n
 
     def test_iterate_rejects_before_counting(self):
         f = OneWayFunction()

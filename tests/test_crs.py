@@ -1,10 +1,19 @@
 """One-way-chain status tokens: setup, issuance, offline verification."""
 
 import hashlib
+import math
+import os
+import random
+import signal
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revokebench.core import OneWayFunction
+from revokebench import core
+from revokebench.core import DAY, OneWayFunction
 from revokebench.crs import (
     CrsAuthority,
     CrsStatus,
@@ -41,29 +50,29 @@ def authority(f):
 
 class TestSetup:
     def test_chain_costs_lifetime_plus_one_applications(self, authority, f, rng):
-        anchor, secret = authority.setup(1, 365, 86400, rng)
+        [(anchor, secret)] = authority.setup([1], 365, 86400, rng)
         assert f.apply_count == 365 + 1  # the Y chain, then N = F(N0)
         assert authority.chain_value(1, 365) == anchor.y
         assert authority.chain_value(1, 0) == secret.y0
 
     def test_single_period_chain(self, authority, f, rng):
-        anchor, secret = authority.setup(1, 1, 86400, rng)
+        [(anchor, secret)] = authority.setup([1], 1, 86400, rng)
         assert anchor.y == f.apply(secret.y0)
         assert anchor.n == f.apply(secret.n0)
 
     def test_year_long_chain(self, authority, f, rng):
-        anchor, secret = authority.setup(1, 365, 86400, rng)
+        [(anchor, secret)] = authority.setup([1], 365, 86400, rng)
         assert anchor.y == f.iterate(secret.y0, 365)
 
     def test_toy_chain_matches_loop_oracle(self, authority, rng):
-        anchor, secret = authority.setup(1, 4, 86400, rng)
+        [(anchor, secret)] = authority.setup([1], 4, 86400, rng)
         oracle = naive_chain(secret.y0, 4)
         for j in range(5):
             assert authority.chain_value(1, j) == oracle[j]
         assert anchor.y == oracle[4]
 
     def test_served_bound_keeps_the_chain_tail(self, authority, rng):
-        anchor, secret = authority.setup(1, 4, 86400, rng, served=2)
+        [(anchor, secret)] = authority.setup([1], 4, 86400, rng, served=2)
         oracle = naive_chain(secret.y0, 4)
         for j in (2, 3, 4):  # F^(L-2) .. F^L serve periods 2, 1 and the anchor
             assert authority.chain_value(1, j) == oracle[j]
@@ -71,23 +80,23 @@ class TestSetup:
             authority.chain_value(1, 1)
         for served in (-1, 5):
             with pytest.raises(ValueError):
-                authority.setup(2, 4, 86400, rng, served=served)
+                authority.setup([2], 4, 86400, rng, served=served)
 
     def test_duplicate_setup_rejected(self, authority, rng):
-        authority.setup(1, 4, 86400, rng)
+        authority.setup([1], 4, 86400, rng)
         with pytest.raises(ValueError):
-            authority.setup(1, 4, 86400, rng)
+            authority.setup([1], 4, 86400, rng)
 
 
 class TestIssueToken:
     def test_final_period_reveals_y0(self, authority, rng):
-        _, secret = authority.setup(1, 4, 86400, rng)
+        [(_, secret)] = authority.setup([1], 4, 86400, rng)
         token = authority.issue_token(1, 4)
         assert token.kind is CrsTokenKind.VALID
         assert token.value == secret.y0
 
     def test_revocation_is_permanent(self, authority, rng):
-        _, secret = authority.setup(1, 10, 86400, rng)
+        [(_, secret)] = authority.setup([1], 10, 86400, rng)
         authority.revoke(1)
         for period in (3, 5, 10):
             token = authority.issue_token(1, period)
@@ -95,14 +104,14 @@ class TestIssueToken:
             assert token.value == secret.n0
 
     def test_intermediate_value_matches_oracle(self, authority, rng):
-        _, secret = authority.setup(1, 4, 86400, rng)
+        [(_, secret)] = authority.setup([1], 4, 86400, rng)
         token = authority.issue_token(1, 2)
         assert token.value == naive_chain(secret.y0, 2)[2]  # F^(L-i) = F^2
 
     def test_unknown_serial_and_bad_period(self, authority, rng):
         with pytest.raises(KeyError):
             authority.issue_token(9, 1)
-        authority.setup(1, 4, 86400, rng)
+        authority.setup([1], 4, 86400, rng)
         with pytest.raises(ValueError):
             authority.issue_token(1, 0)
         with pytest.raises(ValueError):
@@ -111,43 +120,43 @@ class TestIssueToken:
 
 class TestVerify:
     def test_every_period_of_a_small_lifetime(self, authority, f, rng):
-        anchor, _ = authority.setup(1, 30, 86400, rng)
+        [(anchor, _)] = authority.setup([1], 30, 86400, rng)
         for i in range(1, 31):
             token = authority.issue_token(1, i)
             assert crs_verify(token, anchor, i, f) is CrsStatus.VALID_AT_PERIOD
 
     def test_revocation_token(self, authority, f, rng):
-        anchor, _ = authority.setup(1, 30, 86400, rng)
+        [(anchor, _)] = authority.setup([1], 30, 86400, rng)
         authority.revoke(1)
         token = authority.issue_token(1, 7)
         assert crs_verify(token, anchor, 7, f) is CrsStatus.REVOKED
 
     def test_stale_replay_rejected(self, authority, f, rng):
-        anchor, _ = authority.setup(1, 30, 86400, rng)
+        [(anchor, _)] = authority.setup([1], 30, 86400, rng)
         day1 = authority.issue_token(1, 1)
         assert crs_verify(day1, anchor, 2, f) is CrsStatus.INVALID_TOKEN
 
     def test_forged_period_hint_rejected(self, authority, f, rng):
-        anchor, _ = authority.setup(1, 30, 86400, rng)
+        [(anchor, _)] = authority.setup([1], 30, 86400, rng)
         day1 = authority.issue_token(1, 1)
         forged = CrsToken(serial=1, kind=day1.kind, period=2, value=day1.value)
         assert crs_verify(forged, anchor, 2, f) is CrsStatus.INVALID_TOKEN
 
     def test_expired_certificate_rejected(self, authority, f, rng):
-        anchor, _ = authority.setup(1, 30, 86400, rng)
+        [(anchor, _)] = authority.setup([1], 30, 86400, rng)
         token = authority.issue_token(1, 30)
         assert crs_verify(token, anchor, 31, f) is CrsStatus.INVALID_TOKEN
         assert crs_verify(token, anchor, 0, f) is CrsStatus.INVALID_TOKEN
 
     def test_garbage_value_rejected(self, authority, f, rng):
-        anchor, _ = authority.setup(1, 30, 86400, rng)
+        [(anchor, _)] = authority.setup([1], 30, 86400, rng)
         junk = CrsToken(serial=1, kind=CrsTokenKind.VALID, period=3, value=b"\x01" * 12)
         assert crs_verify(junk, anchor, 3, f) is CrsStatus.INVALID_TOKEN
 
     def test_unforgeability_from_held_tokens(self, authority, f, rng):
         """An adversary holding every token up to period i cannot pass
         verification for period i+1, even hashing everything it holds."""
-        anchor, _ = authority.setup(1, 12, 86400, rng)
+        [(anchor, _)] = authority.setup([1], 12, 86400, rng)
         held = [authority.issue_token(1, i).value for i in range(1, 7)]
         candidates = set(held)
         candidates.update(f.apply(v) for v in held)
@@ -164,7 +173,7 @@ class TestPublishUpdate:
 
     def test_one_token_per_live_certificate(self, authority, f, rng):
         for serial in range(1, 6):
-            authority.setup(serial, 10, 86400, rng)
+            authority.setup([serial], 10, 86400, rng)
         tokens = authority.publish_update({s: 3 for s in range(1, 6)})
         assert len(tokens) == 5
         assert all(len(t.value) == f.width_bytes for t in tokens)  # ~100-bit values
@@ -173,7 +182,7 @@ class TestPublishUpdate:
     def test_kinds_match_revocation_ledger(self, authority, rng):
         revoked = {2, 4}
         for serial in range(1, 6):
-            authority.setup(serial, 10, 86400, rng)
+            authority.setup([serial], 10, 86400, rng)
         for serial in revoked:
             authority.revoke(serial)
         tokens = authority.publish_update({s: 3 for s in range(1, 6)})
@@ -182,8 +191,8 @@ class TestPublishUpdate:
             assert token.kind is expected
 
     def test_expired_serials_dropped(self, authority, rng):
-        authority.setup(1, 3, 86400, rng)
-        authority.setup(2, 10, 86400, rng)
+        authority.setup([1], 3, 86400, rng)
+        authority.setup([2], 10, 86400, rng)
         tokens = authority.publish_update({1: 4, 2: 4})
         assert [t.serial for t in tokens] == [2]
 
@@ -191,7 +200,7 @@ class TestPublishUpdate:
 class TestAsOf:
     def test_cutoff_counts_only_earlier_revocations(self, authority, rng):
         for serial in range(1, 5):
-            authority.setup(serial, 10, 86400, rng)
+            authority.setup([serial], 10, 86400, rng)
         before = authority.revocation_count
         authority.revoke(2)
         after_first = authority.revocation_count
@@ -210,7 +219,7 @@ class TestAsOf:
         revocation has happened, as_of that period's count, must equal it."""
         serials = list(range(1, 21))
         for serial in serials:
-            authority.setup(serial, 12, 86400, rng)
+            authority.setup([serial], 12, 86400, rng)
         pending = serials[:]
         rng.shuffle(pending)
         snapshots = []
@@ -227,7 +236,7 @@ class TestAsOf:
 
 class TestWire:
     def test_round_trip(self, authority, f, rng):
-        authority.setup(1, 10, 86400, rng)
+        authority.setup([1], 10, 86400, rng)
         token = authority.issue_token(1, 3)
         data = token.to_bytes()
         assert len(data) == token_wire_size(f) == 8 + 1 + 4 + 13
@@ -238,7 +247,7 @@ class TestWire:
             parse_token(b"\x00" * 10, f)
 
     def test_kind_bytes(self, authority, f, rng):
-        authority.setup(1, 10, 86400, rng)
+        authority.setup([1], 10, 86400, rng)
         data = bytearray(authority.issue_token(1, 3).to_bytes())
         data[8] = 0
         assert parse_token(bytes(data), f).kind is CrsTokenKind.REVOKED
@@ -251,7 +260,119 @@ class TestWire:
 def test_verification_is_pure(authority, f, rng):
     """Directory-neutrality: the verdict is a function of token, anchor, and
     claimed period alone; repeated calls agree and touch no authority state."""
-    anchor, _ = authority.setup(1, 10, 86400, rng)
+    [(anchor, _)] = authority.setup([1], 10, 86400, rng)
     token = authority.issue_token(1, 4)
     fresh_f = OneWayFunction(100)
     assert crs_verify(token, anchor, 4, f) is crs_verify(token, anchor, 4, fresh_f)
+
+
+def _state(authority):
+    """All that setup writes: kept chains, secrets, lifetimes, revocations, count."""
+    return (
+        dict(authority._chains),
+        dict(authority._secrets),
+        dict(authority._lifetimes),
+        dict(authority._revoked),
+        authority.f.apply_count,
+    )
+
+
+def _hung(signum, frame):
+    raise TimeoutError("chain walk still running after 30 s")
+
+
+@contextmanager
+def chain_walk(split: bool):
+    """Every tails batch walked half in a forked child (split) or all in this
+    process, whatever the batch size and the CPUs; yields the os.fork spy.
+    A walk left hanging raises TimeoutError after 30 s."""
+    previous = signal.signal(signal.SIGALRM, _hung)
+    signal.alarm(30)
+    try:
+        with mock.patch.object(core, "_SPLIT_APPLICATIONS", 0 if split else math.inf), \
+                mock.patch.object(core, "_second_cpu", lambda: split), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            yield fork
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class WalkFault(Exception):
+    pass
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split walk forks a child")
+class TestSplitWalk:
+    """A batch walked across two processes equals the batch walked in one,
+    and a walk that fails in either process sets up nothing and leaves no
+    child behind."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(min_value=1, max_value=50),
+        lifetime=st.integers(min_value=1, max_value=40),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    def test_split_equals_inline(self, batch, lifetime, seed, data):
+        served = data.draw(st.none() | st.integers(min_value=0, max_value=lifetime), label="served")
+        results = []
+        for split in (True, False):
+            authority = CrsAuthority(OneWayFunction(100))
+            rng = random.Random(seed)
+            with chain_walk(split) as fork:
+                issued = authority.setup(range(1, batch + 1), lifetime, DAY, rng, served=served)
+            assert fork.call_count == split
+            results.append((issued, _state(authority), rng.getstate()))
+        assert results[0] == results[1]
+        assert results[0][1][-1] == lifetime * batch + batch  # the Y chains, then each F(N0)
+
+    @pytest.mark.parametrize(
+        "where, fault",
+        [("child", "raise"), ("child", "short"), ("parent", "raise")],
+    )
+    def test_failed_walk_sets_up_nothing(self, rng, where, fault):
+        """Each half's tails are 41 values of 13 bytes for 200 serials,
+        106,600 bytes, more than a 64 KiB pipe holds, so a parent that waited
+        for the child before closing its end of the pipe would hang."""
+        authority = CrsAuthority(OneWayFunction(100))
+        authority.setup([1], 10, DAY, rng)
+        before = _state(authority)
+        parent = os.getpid()
+        walk = OneWayFunction._tails
+
+        def faulty(self, seeds, n, first):
+            tails = walk(self, seeds, n, first)
+            if (os.getpid() == parent) != (where == "parent"):
+                return tails
+            if fault == "raise":
+                raise WalkFault
+            return [tail[:-1] for tail in tails]
+
+        expected = WalkFault if where == "parent" else RuntimeError
+        with chain_walk(split=True), mock.patch.object(OneWayFunction, "_tails", faulty):
+            with pytest.raises(expected):
+                authority.setup(range(2, 402), 40, DAY, rng)
+        assert _state(authority) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize(
+        "serials, lifetime, served",
+        [
+            ([2, 3, 2], 10, None),  # a serial twice in the batch
+            ([2, 1], 10, None),  # a serial set up before
+            ([2, 3], 10, -1),
+            ([2, 3], 10, 11),
+            ([2, 3], 0, None),
+        ],
+    )
+    def test_bad_batch_draws_nothing(self, rng, serials, lifetime, served):
+        authority = CrsAuthority(OneWayFunction(100))
+        authority.setup([1], 10, DAY, rng)
+        before, drawn = _state(authority), rng.getstate()
+        with pytest.raises(ValueError):
+            authority.setup(serials, lifetime, DAY, rng, served=served)
+        assert _state(authority) == before
+        assert rng.getstate() == drawn

@@ -16,9 +16,12 @@ a run and the rule that drops expired certificates from a CRL never fires.
 """
 
 import hashlib
+import math
+import os
 
 import pytest
 
+from revokebench import core
 from revokebench import crs as crs_mod
 from revokebench.core import DAY, HOUR
 from revokebench.simkit import Scheme, SimConfig, run, run_with_logs, wcr_equivalence_logs
@@ -201,6 +204,17 @@ def test_report_and_logs_match_golden(name):
     report, actions, decisions = run_with_logs(CONFIGS[name])
     got = (_sha(report.to_json()), _sha("\n".join(actions)), _sha("\n".join(decisions)))
     assert got == GOLDEN[name]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split walk forks a child")
+@pytest.mark.parametrize("split", [True, False], ids=["split", "inline"])
+@pytest.mark.parametrize("name", sorted(n for n, c in CONFIGS.items() if c.scheme is Scheme.CRS))
+def test_crs_chain_walk_split_or_inline_matches_golden(name, split, monkeypatch):
+    """Every CRS chain batch walked half in a forked child, or every batch
+    walked in this process, whatever the CPUs: the report is the pinned one."""
+    monkeypatch.setattr(core, "_SPLIT_APPLICATIONS", 0 if split else math.inf)
+    monkeypatch.setattr(core, "_second_cpu", lambda: split)
+    assert _sha(run(CONFIGS[name]).to_json()) == GOLDEN[name][0]
 
 
 @pytest.mark.parametrize("name,baseline", sorted(GOLDEN_BASELINES))

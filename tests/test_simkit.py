@@ -198,9 +198,9 @@ class OrderRecording(FullCrlAdapter):
         super().__init__(sim)
         self.log = []
 
-    def anchor_for(self, serial, now):
-        self.log.append((now, "issue_certificate", serial))
-        return super().anchor_for(serial, now)
+    def anchors_for(self, serials, now):
+        self.log.extend((now, "issue_certificate", serial) for serial in serials)
+        return super().anchors_for(serials, now)
 
     def on_revoke(self, serial, now):
         self.log.append((now, "revoke", serial))
@@ -756,7 +756,7 @@ class TestCrsRetention:
                            scheme=Scheme.CRS, crs_period=period, crs_lifetime_periods=lifetime)
         adapter = Simulation(config).adapter
         serial = 7
-        anchor = adapter.anchor_for(serial, issued_at)
+        [anchor] = adapter.anchors_for([serial], issued_at)
         authority = adapter.authority
         f = authority.f
         secret = authority._secrets[serial]
