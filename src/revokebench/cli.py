@@ -79,20 +79,17 @@ def load_keystore(path: str) -> KeyStore:
 
 def load_ledger(path: str, keystore: KeyStore, key_id: str) -> Ledger:
     ledger = Ledger()
-    from .core import make_certificate
-
     with _reading(path) as data:
         for c in data.get("certificates", []):
             serial = json_int(c["serial"])
-            ledger.add_certificate(
-                make_certificate(
-                    serial=serial,
-                    subject=json_str(c.get("subject", f"subject-{serial}")),
-                    not_before=json_int(c["not_before"]),
-                    not_after=json_int(c["not_after"]),
-                    keystore=keystore,
-                    key_id=key_id,
-                )
+            ledger.issue(
+                [serial],
+                [json_str(c.get("subject", f"subject-{serial}"))],
+                [None],
+                json_int(c["not_before"]),
+                json_int(c["not_after"]),
+                keystore,
+                key_id,
             )
         for r in data.get("revocations", []):
             ledger.revoke(

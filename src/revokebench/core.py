@@ -19,11 +19,13 @@ import hashlib
 import hmac
 import os
 import struct
-from bisect import insort
+from bisect import bisect_right, insort
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
-from typing import NamedTuple, Optional, Sequence
+from itertools import chain, islice
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 # Serial numbers are unsigned 64-bit integers. 0 and 2**64-1 are reserved as
 # the tree sentinels; real serials live strictly between them.
@@ -197,13 +199,19 @@ class KeyStore:
     def sign_batch(self, messages: list[bytes], key_id: str) -> list[Signature]:
         """Sign each message under one key: equal to [sign(m, key_id) for m
         in messages], with the key looked up and the count added once."""
+        new = tuple.__new__
+        return [new(Signature, (key_id, mac)) for mac in self.mac_batch(messages, key_id)]
+
+    def mac_batch(self, messages: Sequence[bytes], key_id: str) -> list[bytes]:
+        """The MAC of each message under one key, counted as len(messages)
+        signatures under the current phase; the bytes of the signatures
+        `sign_batch` returns."""
         pads = self._pads(key_id)
         if messages:  # an empty batch leaves no zero entry for reports to list
             key = ("sign", self.phase)
             self.counts[key] = self.counts.get(key, 0) + len(messages)
         mac = self._mac
-        new = tuple.__new__
-        return [new(Signature, (key_id, mac(pads, m))) for m in messages]
+        return [mac(pads, m) for m in messages]
 
     def verify(self, message: bytes, signature: Signature, key_id: str) -> bool:
         """True iff signature was produced over message under exactly key_id."""
@@ -456,8 +464,9 @@ class CrsAnchor:
         )
 
 
-def _check_certificate_fields(serial: int, not_before: int, not_after: int) -> None:
-    check_serial(serial)
+def _check_window(not_before: int, not_after: int) -> None:
+    check_time(not_before)
+    check_time(not_after)
     if not not_before < not_after:
         raise ValueError("certificate validity window is empty")
 
@@ -466,24 +475,27 @@ _pack_head = struct.Struct(">QI").pack  # serial, then the subject's length pref
 _pack_window = struct.Struct(">QQ").pack
 
 
-def _certificate_payload(
-    serial: int,
-    subject: str,
+def _certificate_payloads(
+    serials: Sequence[int],
+    subjects: Sequence[str],
+    crs_anchors: Sequence[Optional[CrsAnchor]],
     not_before: int,
     not_after: int,
-    crs_anchor: Optional[CrsAnchor],
     segment_id: Optional[str],
-) -> bytes:
-    """The bytes a certificate's issuer signature covers, in field order."""
-    name = subject.encode("utf-8")
-    anchor = b"\x00" if crs_anchor is None else b"\x01" + crs_anchor.to_bytes()
-    return (
+) -> list[bytes]:
+    """The bytes each certificate's issuer signature covers, in field order,
+    for certificates that share a validity window and segment id. The bytes
+    they share (the window, the anchor flag of those without an anchor, the
+    segment id) are encoded once."""
+    window = _pack_window(not_before, not_after)
+    segment = pack_opt_str(segment_id)
+    plain = window + b"\x00" + segment  # the tail of every certificate without an anchor
+    return [
         _pack_head(serial, len(name))
         + name
-        + _pack_window(not_before, not_after)
-        + anchor
-        + pack_opt_str(segment_id)
-    )
+        + (plain if anchor is None else window + b"\x01" + anchor.to_bytes() + segment)
+        for serial, name, anchor in zip(serials, map(str.encode, subjects), crs_anchors)
+    ]
 
 
 class _CertificateFields(NamedTuple):
@@ -499,23 +511,26 @@ class _CertificateFields(NamedTuple):
 class Certificate(Checked, Signed, _CertificateFields):
     """An issued certificate: its fields and the issuer's signature over them.
 
-    A checked tuple, because a run builds one per user and issuance is the
-    largest cost of a write-heavy run; `make_certificates` checks the fields
-    before it signs and then builds the records without checking again.
+    A ledger does not keep these. It keeps each issuance batch as one record
+    (`Ledger.issue`) and builds a Certificate, equal field for field to the
+    one it signed, each time `Ledger.certificates` is read. A checked tuple,
+    so that a record built any other way checks its fields; the ledger
+    checks a batch before it signs and builds its records without checking
+    again.
     """
 
     __slots__ = ()
     signature = _CertificateFields.issuer_signature  # the name `Signed` reads
 
     def _check(self) -> None:
-        _check_certificate_fields(self.serial, self.not_before, self.not_after)
+        check_serial(self.serial)
+        _check_window(self.not_before, self.not_after)
 
     def _payload(self) -> bytes:
         serial, subject, not_before, not_after, _, anchor, segment_id = self
-        return _certificate_payload(serial, subject, not_before, not_after, anchor, segment_id)
-
-    def is_valid_at(self, now: int) -> bool:
-        return self.not_before <= now < self.not_after
+        return _certificate_payloads(
+            [serial], [subject], [anchor], not_before, not_after, segment_id
+        )[0]
 
 
 def make_certificate(
@@ -528,48 +543,14 @@ def make_certificate(
     crs_anchor: Optional[CrsAnchor] = None,
     segment_id: Optional[str] = None,
 ) -> Certificate:
-    """Build and sign a certificate in one step (signature covers all other fields).
-
-    The one-certificate case of `make_certificates`.
-    """
-    return make_certificates(
+    """Build and sign a certificate in one step (signature covers all other
+    fields): the one-certificate batch of `Ledger.issue`, on a ledger of its
+    own."""
+    ledger = Ledger()
+    ledger.issue(
         [serial], [subject], [crs_anchor], not_before, not_after, keystore, key_id, segment_id
-    )[0]
-
-
-def make_certificates(
-    serials: Sequence[int],
-    subjects: Sequence[str],
-    crs_anchors: Sequence[Optional[CrsAnchor]],
-    not_before: int,
-    not_after: int,
-    keystore: KeyStore,
-    key_id: str,
-    segment_id: Optional[str] = None,
-) -> list[Certificate]:
-    """Build and sign one certificate per (serial, subject, anchor), all with
-    the same validity window and segment id.
-
-    Every field of every certificate is checked before anything is signed, so
-    a bad input anywhere signs nothing. The payloads are then signed as one
-    `KeyStore.sign_batch`, which counts the batch once, under the keystore's
-    current phase; the records are built without checking them a second time.
-    """
-    for serial in serials:
-        _check_certificate_fields(serial, not_before, not_after)
-    rows = list(zip(serials, subjects, crs_anchors, strict=True))
-    signatures = keystore.sign_batch(
-        [
-            _certificate_payload(serial, subject, not_before, not_after, anchor, segment_id)
-            for serial, subject, anchor in rows
-        ],
-        key_id,
     )
-    new = tuple.__new__
-    return [
-        new(Certificate, (serial, subject, not_before, not_after, signature, anchor, segment_id))
-        for (serial, subject, anchor), signature in zip(rows, signatures)
-    ]
+    return ledger.certificates[serial]
 
 
 @dataclass(frozen=True)
@@ -579,40 +560,178 @@ class RevocationRecord:
     reason: ReasonCode = ReasonCode.OTHER
 
 
+_MAC_BYTES = hashlib.sha256().digest_size  # one KeyStore MAC
+
+
+class _Batch(NamedTuple):
+    """One issuance: the fields its certificates share, once, then one entry
+    per certificate, in issue order."""
+
+    start: int  # the ledger ordinal of its first certificate
+    not_before: int
+    not_after: int
+    key_id: str
+    segment_id: Optional[str]
+    serials: list[int]
+    subjects: list[str]
+    crs_anchors: list[Optional[CrsAnchor]]
+    macs: bytes  # the issuer MACs, _MAC_BYTES each
+
+
+_batch_start = attrgetter("start")  # batches are kept in ascending start order
+
+
+class _IssuedCertificates(Mapping):
+    """A ledger's certificates as a read-only serial -> Certificate mapping,
+    in issue order. Each read builds the record from its batch, and nothing
+    keeps it."""
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: "Ledger") -> None:
+        self._ledger = ledger
+
+    def __getitem__(self, serial: int) -> Certificate:
+        batch, i = self._ledger._locate(serial)
+        mac = batch.macs[i * _MAC_BYTES : (i + 1) * _MAC_BYTES]
+        new = tuple.__new__
+        signature = new(Signature, (batch.key_id, mac))
+        return new(
+            Certificate,
+            (
+                batch.serials[i],
+                batch.subjects[i],
+                batch.not_before,
+                batch.not_after,
+                signature,
+                batch.crs_anchors[i],
+                batch.segment_id,
+            ),
+        )
+
+    def __contains__(self, serial: object) -> bool:
+        return serial in self._ledger._where
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._ledger._where)
+
+    def __len__(self) -> int:
+        return len(self._ledger._where)
+
+
 class Ledger:
     """The CA's ground-truth record of issued and revoked certificates.
 
     Single-writer; every scheme's published documents derive from this state,
     and the simulator checks client decisions against it.
+
+    Certificates are issued by batch (`issue`), and each batch is kept as one
+    record: its window, key id and segment id once, its serials, subjects
+    and anchors as lists, its MACs as one bytes of 32 per certificate, with a
+    serial -> ordinal index over all batches. `certificates` builds a
+    Certificate only when one is read. The readers of a single field read it
+    from the batch: `revoke` the window, `non_expired_serials` the expiry
+    and `crs_anchor` the anchor.
     """
 
     def __init__(self) -> None:
-        self.certificates: dict[int, Certificate] = {}
         self.revocations: dict[int, RevocationRecord] = {}
         # (serial, revoked_at, not_after, record), ascending by serial
         self._revoked_by_serial: list[tuple[int, int, int, RevocationRecord]] = []
+        self._batches: list[_Batch] = []
+        self._where: dict[int, int] = {}  # serial -> ordinal, in issue order
 
-    def add_certificate(self, cert: Certificate) -> None:
-        if cert.serial in self.certificates:
-            raise ValueError(f"serial {cert.serial} already issued")
-        self.certificates[cert.serial] = cert
+    @property
+    def certificates(self) -> Mapping[int, Certificate]:
+        """Every issued certificate by serial, in issue order, built when read."""
+        return _IssuedCertificates(self)
+
+    def issue(
+        self,
+        serials: Sequence[int],
+        subjects: Sequence[str],
+        crs_anchors: Sequence[Optional[CrsAnchor]],
+        not_before: int,
+        not_after: int,
+        keystore: KeyStore,
+        key_id: str,
+        segment_id: Optional[str] = None,
+    ) -> None:
+        """Sign and record one certificate per (serial, subject, anchor), all
+        with the one validity window, key and segment id.
+
+        Every input is checked before anything is signed: one subject and
+        one anchor per serial, both window ends on the u64 clock and the
+        window not empty, every serial in range, and no serial repeated in
+        the batch or issued before. So a bad input anywhere signs nothing
+        and leaves the ledger as it was. The payloads are then encoded with
+        the bytes the batch shares joined once (`_certificate_payloads`),
+        and `KeyStore.mac_batch` MACs them all under the one key, counted
+        once under the keystore's phase.
+        """
+        n = len(serials)
+        if not n == len(subjects) == len(crs_anchors):
+            raise ValueError("a batch needs one subject and one anchor per serial")
+        _check_window(not_before, not_after)
+        if n:  # checking the least and the greatest checks every serial
+            check_serial(min(serials))
+            check_serial(max(serials))
+        where = self._where
+        if len(set(serials)) != n or not where.keys().isdisjoint(serials):
+            seen: set[int] = set()
+            for serial in serials:
+                if serial in where or serial in seen:
+                    raise ValueError(f"serial {serial} already issued")
+                seen.add(serial)
+
+        payloads = _certificate_payloads(
+            serials, subjects, crs_anchors, not_before, not_after, segment_id
+        )
+        macs = b"".join(keystore.mac_batch(payloads, key_id))
+        del payloads  # freed before the lists and the index are kept, to lower the peak
+        start = len(where)
+        self._batches.append(
+            _Batch(
+                start,
+                not_before,
+                not_after,
+                key_id,
+                segment_id,
+                list(serials),
+                list(subjects),
+                list(crs_anchors),
+                macs,
+            )
+        )
+        where.update(zip(serials, range(start, start + n)))
+
+    def _locate(self, serial: int) -> tuple[_Batch, int]:
+        """The serial's batch and its position there; KeyError if never issued."""
+        ordinal = self._where[serial]
+        batch = self._batches[bisect_right(self._batches, ordinal, key=_batch_start) - 1]
+        return batch, ordinal - batch.start
+
+    def crs_anchor(self, serial: int) -> Optional[CrsAnchor]:
+        """The CRS anchor in the serial's certificate, read without building it."""
+        batch, i = self._locate(serial)
+        return batch.crs_anchors[i]
 
     def revoke(self, serial: int, revoked_at: int, reason: ReasonCode = ReasonCode.OTHER) -> RevocationRecord:
-        cert = self.certificates.get(serial)
-        if cert is None:
+        if serial not in self._where:
             raise KeyError(f"serial {serial} was never issued")
         if serial in self.revocations:
             raise ValueError(f"serial {serial} already revoked")
-        if not cert.is_valid_at(revoked_at):
+        batch, _ = self._locate(serial)
+        if not batch.not_before <= revoked_at < batch.not_after:
             raise ValueError("revocation instant outside certificate validity window")
         record = RevocationRecord(serial=serial, revoked_at=revoked_at, reason=reason)
         self.revocations[serial] = record
         # serials are unique here, so tuples never compare past the serial
-        insort(self._revoked_by_serial, (serial, revoked_at, cert.not_after, record))
+        insort(self._revoked_by_serial, (serial, revoked_at, batch.not_after, record))
         return record
 
     def is_issued(self, serial: int) -> bool:
-        return serial in self.certificates
+        return serial in self._where
 
     def revoked_at(self, serial: int) -> Optional[int]:
         record = self.revocations.get(serial)
@@ -623,7 +742,9 @@ class Ledger:
         return record is not None and record.revoked_at <= now
 
     def non_expired_serials(self, now: int) -> list[int]:
-        return sorted(s for s, c in self.certificates.items() if now < c.not_after)
+        """Serials of the certificates not expired at now, ascending; each
+        batch has one expiry, so whole batches are kept or left out."""
+        return sorted(chain.from_iterable(b.serials for b in self._batches if now < b.not_after))
 
     def revoked_non_expired(self, now: int) -> list[RevocationRecord]:
         """Records for certificates revoked by `now` and not yet expired, by serial."""

@@ -15,7 +15,10 @@ loop pops and runs every one whose (time, kind order) is below
 publication at t. What is left after the last validation runs at the end.
 
 Issuance is one event per instant: its payload is the serials issued then,
-in workload order, and the CA signs them as one batch.
+in workload order, and `Ledger.issue` signs them as one batch and keeps
+them as one record. No Certificate is built at issuance; the ledger builds
+one only when a reader asks for it (a fresh fetch sizes each certificate
+once), so a run whose scheme never reads one, such as full_crl, builds none.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from operator import itemgetter
 from typing import Callable, Optional
 
 from .. import depender as dep_mod
-from ..core import KeyStore, Ledger, OneWayFunction, make_certificates
+from ..core import KeyStore, Ledger, OneWayFunction
 
 # Not called here. perfbench/spans.py wraps this module's make_certificate
 # name as the core.make_certificate span, which reads 0 now that issuance is
@@ -169,8 +172,7 @@ class Simulation:
         if kind == "issue_certificate":
             # CRS draws each chain seed from rng_scheme, in workload order
             anchors = self.adapter.anchors_for(payload, t)
-            add_certificate = self.ledger.add_certificate
-            for cert in make_certificates(
+            self.ledger.issue(
                 payload,
                 [f"subject-{serial}" for serial in payload],
                 anchors,
@@ -178,8 +180,7 @@ class Simulation:
                 t + self.config.cert_lifetime,
                 self.keystore,
                 self.ca_key,
-            ):
-                add_certificate(cert)
+            )
         elif kind == "revoke":
             self.ledger.revoke(payload, t)
             self.metrics.revocations_total += 1

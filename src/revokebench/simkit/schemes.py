@@ -148,15 +148,16 @@ class SchemeAdapter:
 
     def fresh_fetch(self, serial: int, now: int) -> wcr_mod.FreshFetch:
         """Authoritative status query to the CA: the certificate as issued, unless
-        revoked. Its signature is the one counted under ca_issue."""
-        cert = self.ledger.certificates[serial]
+        revoked. Its signature is the one counted under ca_issue. The reply's
+        size is fixed at issuance, so the certificate is built once, to size
+        it, and not kept."""
         nbytes = self.fresh_bytes.get(serial)
         if nbytes is None:
+            cert = self.ledger.certificates[serial]
             nbytes = self.fresh_bytes[serial] = cert.wire_size + FRESH_STATUS_BYTES
         self.metrics.note_message("client_to_ca", REQUEST_BYTES)
         self.metrics.note_message("ca_to_client", nbytes)
-        revoked = self.ledger.is_revoked(serial, now)
-        return wcr_mod.FreshFetch(revoked, None if revoked else cert, nbytes)
+        return wcr_mod.FreshFetch(self.ledger.is_revoked(serial, now), nbytes)
 
     def fresh_decision(self, client: int, serial: int, now: int) -> bool:
         """Fetch a fresh certificate, then drop it if revoked or else use it."""
@@ -442,7 +443,7 @@ class CrsAdapter(SchemeAdapter):
             return True, lapses_at
         token = self.directory_token(serial)
         self.dir_fetch(now, self.token_bytes)
-        anchor = self.ledger.certificates[serial].crs_anchor
+        anchor = self.ledger.crs_anchor(serial)
         result = crs_mod.crs_verify(token, anchor, claimed, self.sim.f_client)
         if result is crs_mod.CrsStatus.INVALID_TOKEN:
             raise AssertionError(f"genuine token failed verification for serial {serial}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Protocol
 
-from .core import Certificate, KeyStore, RevocationRecord, TIME_MAX
+from .core import KeyStore, RevocationRecord, TIME_MAX
 from .crl import CrlDocument, CrlIssuer, IssuanceSchedule
 
 
@@ -75,8 +75,11 @@ class WcrServices(Protocol):
 
 
 class FreshFetch(NamedTuple):
+    """The CA's answer to a fresh-certificate request: revoked, or the
+    certificate as issued, which the client then holds; nbytes is the
+    reply's size either way."""
+
     revoked: bool
-    certificate: Optional[Certificate]
     nbytes: int
 
 
@@ -99,8 +102,12 @@ class WcrClientConfig:
 
 
 class WcrClientState(NamedTuple):
+    """One client's cache entry for one serial. `held` is whether the client
+    holds that serial's certificate from a fresh fetch not since dropped;
+    the algorithm reads no field of the certificate, so it is not kept."""
+
     serial: int
-    certificate: Optional[Certificate] = None
+    held: bool = False
     clean_deadline: int = 0
     window_deadline: int = 0
 
@@ -114,15 +121,13 @@ ACT_DROP = "drop"
 Action = tuple[int, int, str, int]
 
 
-def _armed(
-    serial: int, certificate: Certificate, anchor: int, config: WcrClientConfig
-) -> WcrClientState:
+def _armed(serial: int, anchor: int, config: WcrClientConfig) -> WcrClientState:
     # Deadlines are anchored to the publication date of the information just
     # consulted; a zero duration therefore always reads as expired.
     window = config.window_duration
     return WcrClientState(
         serial,
-        certificate,
+        True,
         anchor + config.clean_duration,
         TIME_MAX if window is None else anchor + window,
     )
@@ -136,7 +141,7 @@ def wcr_validate(
 ) -> tuple[WcrDecision, WcrClientState, list[Action]]:
     """One pass of the verifier cache algorithm for one certificate.
 
-    Clean timer running -> use without revalidating. No certificate, or both
+    Clean timer running -> use without revalidating. No certificate held, or both
     timers expired -> fetch fresh and arm both timers. Clean expired inside
     the revocation window -> the latest CRL is still guaranteed to list
     anything missed, so consult it (cached copy if current), drop if listed,
@@ -146,18 +151,18 @@ def wcr_validate(
     change: states are immutable, so the caller still holds the state it
     passed in and can retry from the same timers.
     """
-    serial, certificate, clean_deadline, window_deadline = state
+    serial, held, clean_deadline, window_deadline = state
 
-    if certificate is not None and now < clean_deadline:
+    if held and now < clean_deadline:
         return WcrDecision.USE, state, [(now, serial, ACT_USE, 0)]
 
-    if certificate is None or now >= window_deadline:
+    if not held or now >= window_deadline:
         grid = (now // config.crl_period) * config.crl_period
-        revoked, fresh_cert, nbytes = services.fetch_fresh_certificate(serial, now)
+        revoked, nbytes = services.fetch_fresh_certificate(serial, now)
         fetch = (now, serial, ACT_FRESH, nbytes)
         if revoked:
             return WcrDecision.DROP, WcrClientState(serial), [fetch, (now, serial, ACT_DROP, 0)]
-        armed = _armed(serial, fresh_cert, grid, config)
+        armed = _armed(serial, grid, config)
         return WcrDecision.USE, armed, [fetch, (now, serial, ACT_USE, 0)]
 
     doc, nbytes = services.fetch_latest_crl(now)
@@ -166,4 +171,4 @@ def wcr_validate(
         actions.append((now, serial, ACT_DROP, 0))
         return WcrDecision.DROP, WcrClientState(serial), actions
     actions.append((now, serial, ACT_USE, 0))
-    return WcrDecision.USE, _armed(serial, certificate, doc.this_update, config), actions
+    return WcrDecision.USE, _armed(serial, doc.this_update, config), actions

@@ -172,6 +172,29 @@ class TestMalformedJson:
         assert err.startswith("error: ") and str(path) in err
 
 
+class TestLedgerValidityTimes:
+    """A ledger certificate with a validity time off the u64 clock is a usage
+    error with a message, not a struct.error traceback."""
+
+    @pytest.mark.parametrize("field, value", [("not_after", 2**64), ("not_before", -5)])
+    @pytest.mark.parametrize("command", ["crl-issue", "ocsp-query"])
+    def test_out_of_range_time_exits_2(
+        self, workdir, keystore_file, ledger_file, capsys, command, field, value
+    ):
+        ks = ["--keystore", keystore_file, "--ledger", ledger_file, "--now", 600]
+        argv = {
+            "crl-issue": ["crl-issue", *ks, "--out", workdir / "crl.bin"],
+            "ocsp-query": ["ocsp-query", *ks, "--serial", 9],
+        }[command]
+        assert invoke(*argv) == 0  # the genuine ledger passes
+        ledger = json.loads(ledger_file.read_text())
+        ledger_file.write_text(json.dumps(_with_first(ledger, "certificates", **{field: value})))
+        capsys.readouterr()
+        assert invoke(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"simulated time {value} outside" in err
+
+
 class TestCrlCommands:
     def test_issue_then_check(self, workdir, keystore_file, ledger_file, capsys):
         out = workdir / "crl.bin"

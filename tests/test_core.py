@@ -20,9 +20,10 @@ from revokebench.core import (
     UnknownKeyError,
     WidthError,
     SERIAL_MAX,
+    SERIAL_MIN,
+    TIME_MAX,
     check_time,
     make_certificate,
-    make_certificates,
 )
 
 
@@ -417,7 +418,7 @@ class TestCertificateRecord:
         assert plain == Certificate(7, "bob", 1, 2, plain.issuer_signature)
 
 
-class TestMakeCertificates:
+class TestLedgerIssue:
     """One signed batch equals one make_certificate per input, and is counted once."""
 
     SERIALS = [5, 1, SERIAL_MAX, 0, 9]
@@ -438,25 +439,29 @@ class TestMakeCertificates:
     @pytest.mark.parametrize("segment_id", [None, "seg-ü3"])
     def test_equals_one_make_certificate_per_input(self, keystore, with_anchors, segment_id):
         anchors = self.anchors(with_anchors)
-        batch = make_certificates(
-            self.SERIALS, self.SUBJECTS, anchors, 10, 100, keystore, "ca", segment_id
-        )
+        ledger = Ledger()
+        ledger.issue(self.SERIALS, self.SUBJECTS, anchors, 10, 100, keystore, "ca", segment_id)
+        batch = list(ledger.certificates.values())
         one_by_one = [
             make_certificate(serial, subject, 10, 100, keystore, "ca", anchor, segment_id)
             for serial, subject, anchor in zip(self.SERIALS, self.SUBJECTS, anchors)
         ]
+        assert list(ledger.certificates) == self.SERIALS
         assert [type(c) for c in batch] == [Certificate] * len(self.SERIALS)
         assert [tuple(c) for c in batch] == [tuple(c) for c in one_by_one]
         for cert in batch:
             assert cert.issuer_signature == keystore.sign(reference_certificate_payload(cert), "ca")
+            assert ledger.crs_anchor(cert.serial) == cert.crs_anchor
 
     def test_counts_the_batch_once_under_the_current_phase(self, keystore):
         keystore.phase = "issue_certificate"
-        make_certificates(self.SERIALS, self.SUBJECTS, self.anchors(True), 0, 100, keystore, "ca")
+        ledger = Ledger()
+        ledger.issue(self.SERIALS, self.SUBJECTS, self.anchors(True), 0, 100, keystore, "ca")
         assert keystore.counts == {("sign", "issue_certificate"): len(self.SERIALS)}
         keystore.phase = "setup"
-        assert make_certificates([], [], [], 0, 100, keystore, "ca") == []
+        ledger.issue([], [], [], 0, 100, keystore, "ca")
         assert keystore.counts == {("sign", "issue_certificate"): len(self.SERIALS)}
+        assert len(ledger.certificates) == len(self.SERIALS)
 
     @pytest.mark.parametrize("bad_at", [0, 2, 4])
     @BAD_FIELDS
@@ -465,19 +470,204 @@ class TestMakeCertificates:
     ):
         serials = list(self.SERIALS)
         serials[bad_at] = serial  # a good serial where the window is the bad field
+        ledger = Ledger()
         with pytest.raises(ValueError):
-            make_certificates(
+            ledger.issue(
                 serials, self.SUBJECTS, self.anchors(False), not_before, not_after, keystore, "ca"
             )
         assert keystore.counts == {}
+        assert len(ledger.certificates) == 0
 
     @pytest.mark.parametrize("short", ["serials", "subjects", "anchors"])
     def test_unequal_lengths_raise_before_signing(self, keystore, short):
         args = {"serials": self.SERIALS, "subjects": self.SUBJECTS, "anchors": self.anchors(False)}
         args[short] = args[short][:-1]
+        ledger = Ledger()
         with pytest.raises(ValueError):
-            make_certificates(args["serials"], args["subjects"], args["anchors"], 0, 100, keystore, "ca")
+            ledger.issue(args["serials"], args["subjects"], args["anchors"], 0, 100, keystore, "ca")
         assert keystore.counts == {}
+        assert len(ledger.certificates) == 0
+
+    @pytest.mark.parametrize(
+        "not_before, not_after", [(0, 2**64), (-5, 100), (2**64, 2**64 + 1), (-10, -5)]
+    )
+    def test_time_off_the_clock_signs_nothing(self, keystore, not_before, not_after):
+        """Either window end outside the u64 clock raises OverflowError, as
+        check_time does, before anything is signed or recorded."""
+        keystore.phase = "issue_certificate"
+        ledger = Ledger()
+        ledger.issue([1, 2], ["a", "b"], [None, None], 0, 100, keystore, "ca")
+        before = (list(ledger.certificates.items()), dict(keystore.counts))
+        with pytest.raises(OverflowError, match="outside unsigned 64-bit range"):
+            ledger.issue([3, 4], ["c", "d"], [None, None], not_before, not_after, keystore, "ca")
+        assert (list(ledger.certificates.items()), keystore.counts) == before
+        assert not ledger.is_issued(3) and not ledger.is_issued(4)
+
+    def test_a_serial_issued_before_or_twice_raises(self, keystore):
+        ledger = Ledger()
+        ledger.issue([1, 2], ["a", "b"], [None, None], 0, 100, keystore, "ca")
+        with pytest.raises(ValueError, match="serial 2 already issued"):
+            ledger.issue([3, 2], ["c", "b"], [None, None], 0, 100, keystore, "ca")
+        with pytest.raises(ValueError, match="serial 4 already issued"):
+            ledger.issue([4, 5, 4], ["d", "e", "d"], [None] * 3, 0, 100, keystore, "ca")
+        assert list(ledger.certificates) == [1, 2]
+        assert keystore.sign_count == 2
+
+    def test_readers_take_fields_from_the_batch(self, keystore):
+        """Lookups across batches of different windows, read without a record."""
+        anchor = CrsAnchor(y=b"\x01" * 13, n=b"\x02" * 13, lifetime_periods=3, period_length=9)
+        ledger = Ledger()
+        ledger.issue([10, 30], ["a", "c"], [None, anchor], 0, 100, keystore, "ca")
+        ledger.issue([], [], [], 50, 60, keystore, "ca")
+        ledger.issue([20], ["b"], [None], 50, 300, keystore, "ca", "seg")
+        assert ledger.crs_anchor(30) == anchor and ledger.crs_anchor(20) is None
+        assert ledger.non_expired_serials(99) == [10, 20, 30]
+        assert ledger.non_expired_serials(100) == [20]
+        assert ledger.certificates[20].segment_id == "seg"
+        assert (20 in ledger.certificates, 40 in ledger.certificates) == (True, False)
+        with pytest.raises(KeyError):
+            ledger.certificates[40]
+        with pytest.raises(ValueError):
+            ledger.revoke(20, 49)  # before the later batch's not_before
+        assert ledger.revoke(20, 200).revoked_at == 200
+        assert [r.serial for r in ledger.revoked_non_expired(250)] == [20]
+
+
+def eager_certificates(
+    serials, subjects, anchors, not_before, not_after, secret, key_id, segment_id=None
+):
+    """Oracle for Ledger.issue: every certificate built as a record at once,
+    its MAC computed with hmac.new over Certificate._payload, as issuance
+    did before batches were kept as one record."""
+    out = []
+    for serial, subject, anchor in zip(serials, subjects, anchors, strict=True):
+        unsigned = Certificate(
+            serial, subject, not_before, not_after, Signature(key_id, b""), anchor, segment_id
+        )
+        mac = hmac.new(secret, unsigned._payload(), hashlib.sha256).digest()
+        out.append(unsigned._replace(issuer_signature=Signature(key_id, mac)))
+    return out
+
+
+ORACLE_SECRET = b"issuance-oracle-key"
+
+# st.text draws non-ASCII code points as well as ASCII ones
+_subjects = st.text(max_size=12)
+_anchors = st.none() | st.builds(
+    CrsAnchor,
+    y=st.binary(min_size=1, max_size=32),
+    n=st.binary(min_size=1, max_size=32),
+    lifetime_periods=st.integers(min_value=0, max_value=2**32 - 1),
+    period_length=st.integers(min_value=0, max_value=TIME_MAX),
+)
+
+
+@st.composite
+def issue_batches(draw, min_size=0, taken=frozenset()):
+    """(serials, subjects, anchors, not_before, not_after, segment_id) of a
+    valid batch of 0-40 certificates whose serials are not in `taken`."""
+    serials = draw(
+        st.lists(
+            st.integers(min_value=SERIAL_MIN, max_value=SERIAL_MAX).filter(
+                lambda s: s not in taken
+            ),
+            unique=True,
+            min_size=min_size,
+            max_size=40,
+        )
+    )
+    n = len(serials)
+    subjects = draw(st.lists(_subjects, min_size=n, max_size=n))
+    anchors = draw(st.lists(_anchors, min_size=n, max_size=n))
+    not_before = draw(st.integers(min_value=0, max_value=TIME_MAX - 1))
+    not_after = draw(st.integers(min_value=not_before + 1, max_value=TIME_MAX))
+    segment_id = draw(st.none() | _subjects)
+    return serials, subjects, anchors, not_before, not_after, segment_id
+
+
+def oracle_keystore():
+    ks = KeyStore()
+    ks.register("ca", ORACLE_SECRET)
+    ks.phase = "issue_certificate"
+    return ks
+
+
+class TestIssueAgainstEagerOracle:
+    """Every record the ledger builds equals the eagerly built and signed
+    certificate, and a bad input anywhere in a batch changes nothing."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_built_records_equal_the_oracle(self, data):
+        keystore = oracle_keystore()
+        ledger = Ledger()
+        issued, taken = [], set()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+            batch = data.draw(issue_batches(taken=frozenset(taken)))
+            signed = keystore.sign_count
+            ledger.issue(*batch[:5], keystore, "ca", batch[5])
+            assert keystore.sign_count - signed == len(batch[0])
+            issued.append(batch)
+            taken.update(batch[0])
+        assert list(ledger.certificates) == [s for batch in issued for s in batch[0]]
+        for serials, subjects, anchors, not_before, not_after, segment_id in issued:
+            expected = eager_certificates(
+                serials, subjects, anchors, not_before, not_after, ORACLE_SECRET, "ca", segment_id
+            )
+            for want in expected:
+                # the oracle's encoder against the field-by-field reference
+                assert want.signed_payload() == reference_certificate_payload(want)
+                got = ledger.certificates[want.serial]
+                assert type(got) is Certificate
+                assert tuple(got) == tuple(want)
+                assert got.to_bytes() == want.to_bytes()
+                assert got.verify(keystore, "ca")
+                assert ledger.crs_anchor(want.serial) == want.crs_anchor
+
+    FAULTS = [
+        "bad serial", "empty window", "time off the clock", "repeated serial", "issued before"
+    ]
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), fault=st.sampled_from(FAULTS))
+    def test_a_bad_input_anywhere_changes_nothing(self, data, fault):
+        keystore = oracle_keystore()
+        ledger = Ledger()
+        first = data.draw(issue_batches(min_size=1))
+        ledger.issue(*first[:5], keystore, "ca", first[5])
+        serials, subjects, anchors, not_before, not_after, segment_id = data.draw(
+            issue_batches(min_size=1, taken=frozenset(first[0]))
+        )
+        at = data.draw(st.integers(min_value=0, max_value=len(serials) - 1))
+        error, match = ValueError, None
+        if fault == "bad serial":
+            serials[at] = data.draw(st.sampled_from([-1, SERIAL_MAX + 1, -(2**70), 2**80]))
+        elif fault == "empty window":
+            not_after = data.draw(st.integers(min_value=0, max_value=not_before))
+        elif fault == "time off the clock":
+            off = data.draw(st.integers(min_value=1, max_value=2**70))
+            if data.draw(st.booleans()):
+                not_before = -off
+            else:
+                not_after = TIME_MAX + off
+            error, match = OverflowError, "outside unsigned 64-bit range"
+        elif fault == "repeated serial":
+            where = data.draw(st.integers(min_value=0, max_value=len(serials)))
+            serials.insert(where, serials[at])
+            subjects.insert(where, subjects[at])
+            anchors.insert(where, anchors[at])
+            match = "already issued"
+        else:
+            serials[at] = data.draw(st.sampled_from(first[0]))
+            match = "already issued"
+        before = (list(ledger.certificates.items()), dict(keystore.counts))
+        with pytest.raises(error, match=match):
+            ledger.issue(
+                serials, subjects, anchors, not_before, not_after, keystore, "ca", segment_id
+            )
+        assert (list(ledger.certificates.items()), keystore.counts) == before
+        assert ledger.non_expired_serials(first[3]) == sorted(first[0])
+        assert not any(ledger.is_issued(s) for s in serials if s not in first[0])
 
 
 class TestRevocationIndex:
@@ -504,9 +694,7 @@ class TestRevocationIndex:
         for serial in serials:
             not_before = data.draw(st.integers(min_value=0, max_value=500))
             lifetime = data.draw(st.integers(min_value=1, max_value=500))
-            ledger.add_certificate(
-                make_certificate(serial, "s", not_before, not_before + lifetime, ks, "ca")
-            )
+            ledger.issue([serial], ["s"], [None], not_before, not_before + lifetime, ks, "ca")
         # revocations arrive in a drawn order, not in serial order
         for serial in data.draw(st.permutations(serials)):
             if not data.draw(st.booleans()):
@@ -527,7 +715,7 @@ class TestRevocationIndex:
 class TestLedger:
     def test_revocation_window_enforced(self, keystore):
         ledger = Ledger()
-        ledger.add_certificate(make_certificate(1, "a", 10, 100, keystore, "ca"))
+        ledger.issue([1], ["a"], [None], 10, 100, keystore, "ca")
         with pytest.raises(ValueError):
             ledger.revoke(1, 5)  # before not_before
         with pytest.raises(ValueError):
@@ -546,8 +734,8 @@ class TestLedger:
 
     def test_non_expired_filter(self, keystore):
         ledger = Ledger()
-        ledger.add_certificate(make_certificate(1, "a", 0, 100, keystore, "ca"))
-        ledger.add_certificate(make_certificate(2, "b", 0, 300, keystore, "ca"))
+        ledger.issue([1], ["a"], [None], 0, 100, keystore, "ca")
+        ledger.issue([2], ["b"], [None], 0, 300, keystore, "ca")
         ledger.revoke(1, 50)
         ledger.revoke(2, 50)
         assert [r.serial for r in ledger.revoked_non_expired(200)] == [2]

@@ -16,7 +16,6 @@ from revokebench.core import (
     RevocationRecord,
     Signature,
     Signed,
-    make_certificate,
 )
 from revokebench.crl import (
     CrlDocument,
@@ -58,13 +57,13 @@ def genuine_records(keystore, rng) -> dict:
     """Type name -> (a record built by signing, the key it verifies under,
     a different valid value for each of its fields)."""
     anchor = CrsAnchor(b"y" * 13, b"n" * 13, 365, DAY)
-    cert = make_certificate(5, "alice", 0, DAY, keystore, "ca", anchor, "s1")
+    ledger = Ledger()
+    ledger.issue([5], ["alice"], [anchor], 0, DAY, keystore, "ca", "s1")
+    cert = ledger.certificates[5]
     table = make_redirect_table(1, [(0, 99, "A"), (100, 999, "B")], keystore, "ca")
     issuer = CrlIssuer(keystore, "ca", IssuanceSchedule(base_period=DAY))
     doc = issuer.segment([RevocationRecord(5, 10), RevocationRecord(150, 20)], table, 100)[0]
     root = crt_build([5, 11], 0, DAY, keystore, "ca").signed_root
-    ledger = Ledger()
-    ledger.add_certificate(cert)
     chain = make_key_chain([ResponderKey("resp-a", 0, DAY)], keystore, "ca", rng)
     response = OcspResponder(keystore, chain, ledger).respond(make_request(5, 600, rng))
     statement = publish_statements(ledger, 7, 600, keystore, "ca")[0]

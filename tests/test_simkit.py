@@ -2,7 +2,9 @@
 and the closed-form byte accounting the comparisons rest on."""
 
 import dataclasses
+import gc
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -15,11 +17,12 @@ from revokebench.core import (
     DAY,
     HOUR,
     Certificate,
+    KeyStore,
+    Ledger,
     OneWayFunction,
     RevocationRecord,
     Signature,
     make_certificate,
-    make_certificates,
 )
 from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
 from revokebench.crs import CrsToken, CrsTokenKind, token_wire_size
@@ -56,6 +59,7 @@ from revokebench.simkit.schemes import (
 )
 from revokebench.simkit.workload import Workload, substream
 
+from test_core import ORACLE_SECRET, eager_certificates
 from test_golden import CONFIGS as GOLDEN
 
 
@@ -136,12 +140,13 @@ class TestConservationAndTruth:
         without a CRS anchor in the certificate, one batch per issue instant:
         the t = 0 population and each later new user."""
         batches = []
+        issue = Ledger.issue
 
-        def counting(serials, *args, **kwargs):
+        def counting(ledger, serials, *args, **kwargs):
             batches.append(list(serials))
-            return make_certificates(serials, *args, **kwargs)
+            return issue(ledger, serials, *args, **kwargs)
 
-        monkeypatch.setattr(engine, "make_certificates", counting)
+        monkeypatch.setattr(Ledger, "issue", counting)
         sim = Simulation(cfg(scheme=scheme, crs_lifetime_periods=30, annual_new_user_fraction=2.0))
         report = sim.run()
         issues = sim.workload.issues
@@ -189,6 +194,62 @@ class TestConservationAndTruth:
         assert report.validations == 0
         assert report.peak_request_rate == 0
         assert all(v == 0 for v in report.bytes_sent.values())
+
+
+def live_certificates() -> set[int]:
+    return {id(o) for o in gc.get_objects() if isinstance(o, Certificate)}
+
+
+class TestIssuanceMemory:
+    """The ledger keeps each issuance batch as one record and builds a
+    Certificate only when one is read, so nothing a run keeps is one."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            pytest.param(cfg(), id="full_crl"),
+            pytest.param(
+                cfg(scheme=Scheme.WCR, wcr_window_size=3, wcr_clean_duration=6 * HOUR), id="wcr"
+            ),
+        ],
+    )
+    def test_a_run_leaves_no_certificate_alive(self, config):
+        # Certificate is a tuple subclass, which the collector never
+        # untracks, so gc.get_objects() lists every one alive
+        gc.collect()
+        before = live_certificates()
+        sim = Simulation(config)
+        report = sim.run()
+        gc.collect()
+        assert live_certificates() - before == set()
+        assert len(sim.ledger.certificates) == report.signature_ops["ca_issue"] >= 300
+        if config.scheme is Scheme.WCR:  # the run did size fresh certificates
+            assert sim.adapter.fresh_bytes
+
+    def test_a_batch_takes_at_most_half_the_memory_of_its_records(self):
+        n = 3_000
+        serials = list(range(10_000, 10_000 + n))
+        subjects = [f"subject-{serial}" for serial in serials]
+        anchors = [None] * n
+        keystore = KeyStore()
+        keystore.register("ca", ORACLE_SECRET)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            ledger = Ledger()
+            ledger.issue(serials, subjects, anchors, 0, 30 * DAY, keystore, "ca")
+            batched = tracemalloc.get_traced_memory()[0] - start
+            start = tracemalloc.get_traced_memory()[0]
+            # what the ledger kept before batches: serial -> built record
+            records = dict(
+                zip(serials, eager_certificates(serials, subjects, anchors, 0, 30 * DAY,
+                                                ORACLE_SECRET, "ca"))
+            )
+            eager = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert list(ledger.certificates.values()) == list(records.values())
+        assert batched / n <= eager / n / 2, (batched / n, eager / n)
 
 
 class OrderRecording(FullCrlAdapter):
@@ -352,8 +413,9 @@ class TestComparisons:
         and the signed root as SignedRoot.to_bytes encodes it."""
         sim = Simulation(cfg(scheme=Scheme.CRT))
         for serial in range(1, 9):
-            cert = make_certificate(serial, f"s{serial}", 0, 30 * DAY, sim.keystore, sim.ca_key)
-            sim.ledger.add_certificate(cert)
+            sim.ledger.issue(
+                [serial], [f"s{serial}"], [None], 0, 30 * DAY, sim.keystore, sim.ca_key
+            )
         for serial in (2, 3, 7):
             sim.ledger.revoke(serial, 0)
         sim.adapter.on_publish(HOUR, "base")
@@ -1015,8 +1077,9 @@ class TestHashCounts:
         under ca_tree nor pushed to the directory."""
         sim = Simulation(cfg(scheme=Scheme.CRT, population=0))
         for serial in range(1, n_revoked + 1):
-            cert = make_certificate(serial, f"s{serial}", 0, 30 * DAY, sim.keystore, sim.ca_key)
-            sim.ledger.add_certificate(cert)
+            sim.ledger.issue(
+                [serial], [f"s{serial}"], [None], 0, 30 * DAY, sim.keystore, sim.ca_key
+            )
             sim.ledger.revoke(serial, 0)
         done = count_tree_hashes(monkeypatch, sim.keystore)
         sim.keystore.phase = "publish"
@@ -1079,8 +1142,8 @@ class TestCrtProofSharing:
         sim = Simulation(cfg(scheme=Scheme.CRT, population=0))
         adapter = sim.adapter
         for serial in (10, 20, 30, 40):
-            sim.ledger.add_certificate(
-                make_certificate(serial, f"s{serial}", 0, 100 * DAY, sim.keystore, sim.ca_key)
+            sim.ledger.issue(
+                [serial], [f"s{serial}"], [None], 0, 100 * DAY, sim.keystore, sim.ca_key
             )
         sim.ledger.revoke(10, 0)
         sim.ledger.revoke(40, 0)
@@ -1129,8 +1192,7 @@ class TestOcspMaxAge:
     def test_one_request_and_one_verification_until_max_age(self):
         max_age = 6 * HOUR
         sim = Simulation(cfg(scheme=Scheme.OCSP, population=0, ocsp_max_age=max_age))
-        cert = make_certificate(20, "s20", 0, 100 * DAY, sim.keystore, sim.ca_key)
-        sim.ledger.add_certificate(cert)
+        sim.ledger.issue([20], ["s20"], [None], 0, 100 * DAY, sim.keystore, sim.ca_key)
         sim.keystore.phase = "validate"
 
         def asked():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from revokebench.core import RevocationRecord, make_certificate
+from revokebench.core import RevocationRecord
 from revokebench.crl import CrlIssuer, IssuanceSchedule
 from revokebench.wcr import (
     ACT_CRL,
@@ -80,7 +80,6 @@ class StubServices:
         self.keystore = keystore
         self.revoked_at = revoked_at
         self.issuer = make_wcr_issuer(keystore, window)
-        self.cert = make_certificate(9, "nine", 0, 10_000_000, keystore, "ca")
         self.cached = None
         self.fail_fresh = False
         self.fail_crl = False
@@ -97,7 +96,7 @@ class StubServices:
             raise WcrFetchError("fresh endpoint down")
         self.fresh_calls += 1
         revoked = self.revoked_at is not None and self.revoked_at <= now
-        return FreshFetch(revoked=revoked, certificate=None if revoked else self.cert, nbytes=120)
+        return FreshFetch(revoked=revoked, nbytes=120)
 
     def fetch_latest_crl(self, now):
         if self.fail_crl:
@@ -121,7 +120,7 @@ class TestValidate:
         decision, state, actions = wcr_validate(state, 1500, services, config(PERIOD, 4))
         assert decision is WcrDecision.USE
         assert [a[2] for a in actions] == [ACT_FRESH, ACT_USE]
-        assert state.certificate is not None
+        assert state.held is True
         assert state.clean_deadline == 1000 + PERIOD  # grid-anchored
         assert state.window_deadline == 1000 + 3 * PERIOD
 
@@ -145,7 +144,7 @@ class TestValidate:
         assert truth_revoked
         assert decision is WcrDecision.DROP
         assert [a[2] for a in actions] == [ACT_CRL, ACT_DROP]
-        assert state.certificate is None
+        assert state.held is False
 
     def test_window_expiry_forces_fresh_fetch(self, keystore):
         services = StubServices(keystore)
@@ -182,7 +181,7 @@ class TestValidate:
         # frozen states: the caller still holds the pre-failure state unchanged
         assert armed.clean_deadline == PERIOD
         assert armed.window_deadline == 9 * PERIOD
-        assert armed.certificate is not None
+        assert armed.held is True
 
 
 
@@ -191,9 +190,8 @@ class TestRecords:
 
     @staticmethod
     def records(keystore):
-        cert = make_certificate(9, "nine", 0, 10_000, keystore, "ca")
         doc = make_wcr_issuer(keystore, 3).issue([], 0, 0)
-        return [WcrClientState(9, cert, 5, 7), FreshFetch(False, cert, 120), CrlFetch(doc, 0)]
+        return [WcrClientState(9, True, 5, 7), FreshFetch(False, 120), CrlFetch(doc, 0)]
 
     def test_fields_cannot_be_set(self, keystore):
         for record in self.records(keystore):
@@ -212,8 +210,8 @@ class TestRecords:
 
     def test_a_new_state_holds_nothing(self):
         state = WcrClientState(serial=9)
-        assert state == WcrClientState(9, None, 0, 0)
-        assert (state.certificate, state.clean_deadline, state.window_deadline) == (None, 0, 0)
+        assert state == WcrClientState(9, False, 0, 0)
+        assert (state.held, state.clean_deadline, state.window_deadline) == (False, 0, 0)
 
 
 class TestSafetyWindow:
