@@ -146,6 +146,9 @@ class KeyStore:
     The MAC is HMAC-SHA256 (RFC 2104). register hashes the padded key's
     inner and outer blocks once, and each MAC continues copies of those two
     SHA-256 states, so the bytes equal hmac.new(secret, message, sha256).
+    It stays SHA-256 while the one-way function and the CRT hashes run on
+    BLAKE2s: a MAC also covers whole CRLs, and on kilobytes SHA-256 with the
+    CPU's SHA instructions is the faster of the two.
     """
 
     def __init__(self) -> None:
@@ -230,9 +233,10 @@ class KeyStore:
 _BYTES = tuple(bytes((b,)) for b in range(256))
 
 # A batch of fewer one-way-function applications than this is walked in the
-# calling process alone. A fork round trip (fork, pipe, waitpid) takes about
-# 2 ms on a 2-vCPU Xeon VM with a 30-45 MB heap, the time of 2k-3k
-# applications, so from 64k on the half walked beside it saves far more.
+# calling process alone. A fork round trip (fork, pipe, waitpid) takes
+# 1.8-2.9 ms on a 2-vCPU Xeon VM with a 40 MB heap, the time of 3.5k-5k
+# applications at 0.5-0.8 us each, so from 64k on the half walked beside it
+# saves far more.
 _SPLIT_APPLICATIONS = 1 << 16
 
 
@@ -246,23 +250,26 @@ def _second_cpu() -> bool:
 
 
 class OneWayFunction:
-    """Fixed-width one-way function, realized as a domain-separated hash
-    truncated (and bit-masked) to the configured width.
+    """Fixed-width one-way function: BLAKE2s (RFC 7693) with a digest of
+    ceil(width/8) bytes, personalised with the width in bits, and the excess
+    high bits of its first byte masked.
 
-    Values are big-endian byte strings of ceil(width/8) bytes whose excess
-    high bits are zero, so the function's range is exactly its domain and
+    The personalisation b"owf-<width>" separates it from the CRT's tree
+    hashes and gives each width its own function, and the digest is exactly
+    the value's size, so no output byte is thrown away. Values are big-endian
+    byte strings of ceil(width/8) bytes whose excess high bits are zero, so
+    the function's range is exactly its domain and
     iterate(x, a + b) == iterate(iterate(x, b), a) holds by construction.
     """
-
-    _PREFIX = b"owf:"
-    # SHA-256 state after the prefix; each application continues a copy.
-    _STATE = hashlib.sha256(_PREFIX)
 
     def __init__(self, width_bits: int = 100) -> None:
         if width_bits < 8 or width_bits > 256:
             raise ValueError("width must be between 8 and 256 bits")
         self.width_bits = width_bits
         self.width_bytes = (width_bits + 7) // 8
+        # The BLAKE2s state before any input; each application continues a
+        # copy, which costs about half a SHA-256 state copy at these sizes.
+        self._state = hashlib.blake2s(digest_size=self.width_bytes, person=b"owf-%d" % width_bits)
         excess = self.width_bytes * 8 - width_bits
         self._mask = 0xFF >> excess
         # First output byte by first digest byte, excess high bits cleared.
@@ -361,15 +368,14 @@ class OneWayFunction:
     def _walk(self, x: bytes, n: int):
         """Yield F^1(x) .. F^n(x) from one tight loop; the callers check the
         inputs and count the applications."""
-        state = self._STATE
+        state = self._state
         first = self._first
-        nbytes = self.width_bytes
         cur = x
         for _ in range(n):
             h = state.copy()
             h.update(cur)
             digest = h.digest()
-            cur = first[digest[0]] + digest[1:nbytes]
+            cur = first[digest[0]] + digest[1:]
             yield cur
 
 
@@ -561,6 +567,7 @@ class RevocationRecord:
 
 
 _MAC_BYTES = hashlib.sha256().digest_size  # one KeyStore MAC
+_ISSUE_CHUNK = 4096  # certificates encoded and MACed together by Ledger.issue
 
 
 class _Batch(NamedTuple):
@@ -666,8 +673,10 @@ class Ledger:
         the batch or issued before. So a bad input anywhere signs nothing
         and leaves the ledger as it was. The payloads are then encoded with
         the bytes the batch shares joined once (`_certificate_payloads`),
-        and `KeyStore.mac_batch` MACs them all under the one key, counted
-        once under the keystore's phase.
+        and `KeyStore.mac_batch` MACs them under the one key, counted under
+        the keystore's phase. Both go _ISSUE_CHUNK certificates at a time,
+        and the chunks' MACs are joined once at the end, so the whole
+        batch's payloads and MAC objects are never held at once.
         """
         n = len(serials)
         if not n == len(subjects) == len(crs_anchors):
@@ -684,11 +693,16 @@ class Ledger:
                     raise ValueError(f"serial {serial} already issued")
                 seen.add(serial)
 
-        payloads = _certificate_payloads(
-            serials, subjects, crs_anchors, not_before, not_after, segment_id
-        )
-        macs = b"".join(keystore.mac_batch(payloads, key_id))
-        del payloads  # freed before the lists and the index are kept, to lower the peak
+        chunks = []
+        for lo in range(0, n or 1, _ISSUE_CHUNK):  # an empty batch still looks the key up
+            hi = lo + _ISSUE_CHUNK
+            payloads = _certificate_payloads(
+                serials[lo:hi], subjects[lo:hi], crs_anchors[lo:hi],
+                not_before, not_after, segment_id,
+            )
+            chunks.append(b"".join(keystore.mac_batch(payloads, key_id)))
+        macs = b"".join(chunks)
+        del payloads, chunks  # freed before the lists and the index are kept, to lower the peak
         start = len(where)
         self._batches.append(
             _Batch(

@@ -34,11 +34,11 @@ from .core import (
 SENTINEL_LO = 0
 SENTINEL_HI = 2**64 - 1
 
-_LEAF_TAG = b"\x00crt-leaf"
-_NODE_TAG = b"\x01crt-node"
-# SHA-256 states after each domain tag; every hash continues a copy.
-_LEAF_STATE = hashlib.sha256(_LEAF_TAG)
-_NODE_STATE = hashlib.sha256(_NODE_TAG)
+# Leaf and node hashes are 32-byte BLAKE2s, kept apart from each other and
+# from the one-way function by their personalisation. Every hash continues a
+# copy of its state before any input.
+_LEAF_STATE = hashlib.blake2s(person=b"crt-leaf")
+_NODE_STATE = hashlib.blake2s(person=b"crt-node")
 _pack_leaf = struct.Struct(">QQ").pack
 
 SIDE_LEFT = 0  # sibling sits to the left of the running hash

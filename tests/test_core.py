@@ -4,11 +4,13 @@ import hashlib
 import hmac
 import random
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from revokebench import core
 from revokebench.core import (
     Certificate,
     CrsAnchor,
@@ -19,6 +21,7 @@ from revokebench.core import (
     Signature,
     UnknownKeyError,
     WidthError,
+    DAY,
     SERIAL_MAX,
     SERIAL_MIN,
     TIME_MAX,
@@ -33,7 +36,7 @@ def naive_F(x: bytes, n: int, width_bits: int = 100) -> bytes:
     mask = 0xFF >> (width_bytes * 8 - width_bits)
     cur = x
     for _ in range(n):
-        digest = hashlib.sha256(b"owf:" + cur).digest()[:width_bytes]
+        digest = hashlib.blake2s(cur, digest_size=width_bytes, person=b"owf-%d" % width_bits).digest()
         cur = bytes([digest[0] & mask]) + digest[1:]
     return cur
 
@@ -223,15 +226,15 @@ class TestChain:
 
 
 def reference_F(x: bytes, width_bits: int) -> bytes:
-    """One application, from a fresh hashlib call over the prefixed input."""
+    """One application, from a fresh one-shot hashlib call."""
     width_bytes = (width_bits + 7) // 8
-    digest = hashlib.sha256(b"owf:" + x).digest()
-    return bytes([digest[0] & (0xFF >> (width_bytes * 8 - width_bits))]) + digest[1:width_bytes]
+    digest = hashlib.blake2s(x, digest_size=width_bytes, person=b"owf-%d" % width_bits).digest()
+    return bytes([digest[0] & (0xFF >> (width_bytes * 8 - width_bits))]) + digest[1:]
 
 
 class TestOwfReference:
-    """apply, tails and iterate continue a copy of a prefix-seeded SHA-256
-    state; each must equal a fresh hashlib.sha256(b"owf:" + x) per step."""
+    """apply, tails and iterate continue a copy of a personalised BLAKE2s
+    state; each must equal a one-shot hashlib.blake2s call per step."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -255,6 +258,16 @@ class TestOwfReference:
         # the first steps are walked, not kept, and counted per seed
         assert f.tails([x, x], n, n // 3) == [b"".join(expected[n // 3 :])] * 2
         assert f.apply_count == 1 + 4 * n
+
+    def test_widths_with_one_byte_size_are_different_functions(self, rng):
+        """Widths 97..104, 100 and 104 among them, all take 13 bytes. Each is
+        its own function, not a masking of another: their outputs differ even
+        in the 97 bits every one of them keeps."""
+        functions = [OneWayFunction(width) for width in range(97, 105)]
+        for _ in range(20):
+            x = functions[0].random_value(rng)  # in the domain of every width
+            kept = {bytes([y[0] & 0x01]) + y[1:] for y in (f.apply(x) for f in functions)}
+            assert len(kept) == len(functions)
 
     def test_iterate_rejects_before_counting(self):
         f = OneWayFunction()
@@ -623,6 +636,34 @@ class TestIssueAgainstEagerOracle:
                 assert got.to_bytes() == want.to_bytes()
                 assert got.verify(keystore, "ca")
                 assert ledger.crs_anchor(want.serial) == want.crs_anchor
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=issue_batches(), chunk=st.integers(min_value=1, max_value=6))
+    def test_chunks_of_any_size_give_the_oracle_records(self, batch, chunk):
+        """Issuance encodes and MACs a batch a chunk at a time; the chunk
+        edges fall anywhere in a batch, and every record still equals the
+        oracle's and is counted once."""
+        keystore = oracle_keystore()
+        ledger = Ledger()
+        with mock.patch.object(core, "_ISSUE_CHUNK", chunk):
+            ledger.issue(*batch[:5], keystore, "ca", batch[5])
+        assert keystore.sign_count == len(batch[0])
+        expected = eager_certificates(*batch[:5], ORACLE_SECRET, "ca", batch[5])
+        assert [tuple(c) for c in ledger.certificates.values()] == [tuple(c) for c in expected]
+
+    def test_a_batch_of_several_chunks_equals_the_oracle(self):
+        n = 2 * core._ISSUE_CHUNK + 5
+        serials = list(range(1, n + 1))
+        subjects = [f"subject-{s}" for s in serials]
+        anchors = [None if s % 3 else CrsAnchor(b"y", b"n", 365, DAY) for s in serials]
+        keystore = oracle_keystore()
+        ledger = Ledger()
+        ledger.issue(serials, subjects, anchors, 0, 30 * DAY, keystore, "ca", "seg")
+        assert keystore.counts == {("sign", "issue_certificate"): n}
+        expected = eager_certificates(
+            serials, subjects, anchors, 0, 30 * DAY, ORACLE_SECRET, "ca", "seg"
+        )
+        assert [tuple(c) for c in ledger.certificates.values()] == [tuple(c) for c in expected]
 
     FAULTS = [
         "bad serial", "empty window", "time off the clock", "repeated serial", "issued before"

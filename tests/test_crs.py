@@ -32,7 +32,7 @@ def naive_chain(seed: bytes, length: int, width_bits: int = 100) -> list[bytes]:
     out = [seed]
     cur = seed
     for _ in range(length):
-        digest = hashlib.sha256(b"owf:" + cur).digest()[:width_bytes]
+        digest = hashlib.blake2s(cur, digest_size=width_bytes, person=b"owf-%d" % width_bits).digest()
         cur = bytes([digest[0] & mask]) + digest[1:]
         out.append(cur)
     return out

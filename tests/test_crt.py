@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revokebench.core import KeyStore
+from revokebench.core import KeyStore, OneWayFunction
 from revokebench.crt import (
     SENTINEL_HI,
     SENTINEL_LO,
@@ -279,15 +279,15 @@ class TestLeafFor:
 
 
 def reference_leaf_hash(lo: int, hi: int) -> bytes:
-    return hashlib.sha256(b"\x00crt-leaf" + struct.pack(">Q", lo) + struct.pack(">Q", hi)).digest()
+    return hashlib.blake2s(struct.pack(">Q", lo) + struct.pack(">Q", hi), person=b"crt-leaf").digest()
 
 
 def reference_node_hash(left: bytes, right: bytes) -> bytes:
-    return hashlib.sha256(b"\x01crt-node" + left + right).digest()
+    return hashlib.blake2s(left + right, person=b"crt-node").digest()
 
 
 class TestHashReference:
-    """The tag-seeded hash states against a from-scratch hashlib call."""
+    """The personalised hash states against a one-shot hashlib call."""
 
     @settings(max_examples=200)
     @given(
@@ -307,6 +307,23 @@ class TestHashReference:
         assert node_hash(left, right) == reference_node_hash(left, right)
         # repeated calls do not disturb the shared seeded state
         assert node_hash(left, right) == reference_node_hash(left, right)
+
+    @settings(max_examples=100)
+    @given(
+        lo=st.integers(SENTINEL_LO, SENTINEL_HI - 1),
+        gap=st.integers(1, SENTINEL_HI),
+        tail=st.binary(min_size=16, max_size=16),
+    )
+    def test_owf_leaf_and_node_hashes_differ_on_the_same_bytes(self, lo, gap, tail):
+        """The personalisation keeps the three hashes apart: the same input
+        bytes give a different output under each."""
+        hi = min(lo + gap, SENTINEL_HI)
+        leaf_bytes = struct.pack(">QQ", lo, hi)
+        leaf = leaf_hash(CrtLeaf(lo, hi))
+        assert leaf != node_hash(leaf_bytes[:8], leaf_bytes[8:])
+        assert leaf[:16] != OneWayFunction(128).apply(leaf_bytes)
+        data = leaf_bytes + tail
+        assert node_hash(data[:16], data[16:]) != OneWayFunction(256).apply(data)
 
     def test_verify_path_equals_reference_fold(self, keystore, rng):
         tree = build(keystore, sorted(rng.sample(range(1, 10_000), 300)))
