@@ -5,6 +5,14 @@ commands read and write the modules' file formats, `sim` drives the
 simulator. Human-readable summaries go to stdout; machine-readable artifacts
 go only to files named by flags. Exit codes: 0 success, 1 semantic failure
 (verification failed or information stale), 2 usage or malformed input.
+
+Each file has one format. What a command writes for another party (a CRL,
+a CRS anchor or token, a CRT tree file or proof) is the record's wire
+bytes, and the command that takes it reads exactly those bytes back through
+the record's strict decoder (`_read_wire`). Files written
+by hand (keystore, ledger, revoked-serial list, simulator configs) are
+JSON, and so is the CA's private CRS state, which only the crs commands
+read.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ from . import crt as crt_mod
 from . import responder as resp_mod
 from . import simkit
 from .core import (
-    DAY, HOUR, TIME_MAX, KeyStore, Ledger, OneWayFunction, ReasonCode, json_int, json_str
+    DAY, HOUR, TIME_MAX, DecodeError, KeyStore, Ledger, OneWayFunction, ReasonCode, json_int,
+    json_str, parse_anchor,
 )
-from .crl import CrlDocument, CrlIssuer, CrlStatus, IssuanceSchedule, check_status
+from .crl import CrlIssuer, CrlStatus, IssuanceSchedule, check_status, parse_crl
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -38,13 +47,6 @@ class InputError(ValueError):
 # File helpers
 # ---------------------------------------------------------------------------
 
-def _read_json(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
 @contextmanager
 def _reading(path: str):
     """The JSON in path, for the block that builds its module objects. A
@@ -55,9 +57,22 @@ def _reading(path: str):
     as they are read, since a float or bool passes the modules' own range
     checks."""
     try:
-        yield _read_json(path)
+        data = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        yield data
     except (TypeError, AttributeError, KeyError) as exc:
         raise InputError(f"malformed {path}: {exc}") from exc
+
+
+def _read_wire(path: str, parse):
+    """The record `parse` decodes from the bytes in path. Bytes that are
+    not its exact encoding raise an InputError naming the file."""
+    try:
+        return parse(Path(path).read_bytes())
+    except DecodeError as exc:
+        raise InputError(f"{exc} (in {path})") from exc
 
 
 def _rng(seed):
@@ -128,7 +143,6 @@ def cmd_crl_issue(args) -> int:
     else:
         doc = issuer.issue_sliding_delta(ledger.revoked_non_expired(args.now), args.now)
     Path(args.out).write_bytes(doc.to_bytes())
-    _write_json(args.out + ".json", doc.to_json_dict())
     print(
         f"issued {doc.kind.value} crl: {len(doc.entries)} entries, "
         f"valid [{doc.this_update}, {doc.next_update}) -> {args.out}"
@@ -138,10 +152,7 @@ def cmd_crl_issue(args) -> int:
 
 def cmd_crl_check(args) -> int:
     ks = load_keystore(args.keystore)
-    docs = []
-    for path in args.doc:
-        with _reading(path) as data:
-            docs.append(CrlDocument.from_json_dict(data))
+    docs = [_read_wire(path, parse_crl) for path in args.doc]
     status = check_status(args.serial, docs, args.now, ks, args.key)
     print(status.value)
     return EXIT_OK if status is not CrlStatus.STALE_INFORMATION else EXIT_FAIL
@@ -188,15 +199,7 @@ def cmd_crs_setup(args) -> int:
     }
     data["width_bits"] = f.width_bits
     _write_json(args.state, data)
-    _write_json(
-        args.anchor_out,
-        {
-            "y": anchor.y.hex(),
-            "n": anchor.n.hex(),
-            "lifetime_periods": anchor.lifetime_periods,
-            "period_length": anchor.period_length,
-        },
-    )
+    Path(args.anchor_out).write_bytes(anchor.to_bytes())
     print(f"serial {args.serial}: anchor written to {args.anchor_out}")
     return EXIT_OK
 
@@ -221,17 +224,9 @@ def cmd_crs_token(args) -> int:
 
 
 def cmd_crs_verify(args) -> int:
-    from .core import CrsAnchor
-
-    with _reading(args.anchor) as data:
-        anchor = CrsAnchor(
-            y=bytes.fromhex(json_str(data["y"])),
-            n=bytes.fromhex(json_str(data["n"])),
-            lifetime_periods=json_int(data["lifetime_periods"]),
-            period_length=json_int(data["period_length"]),
-        )
+    anchor = _read_wire(args.anchor, parse_anchor)
     f = OneWayFunction(args.width)
-    token = crs_mod.parse_token(Path(args.token).read_bytes(), f)
+    token = _read_wire(args.token, lambda data: crs_mod.parse_token(data, f))
     status = crs_mod.crs_verify(token, anchor, args.period, f)
     print(status.value)
     return EXIT_OK if status is not crs_mod.CrsStatus.INVALID_TOKEN else EXIT_FAIL
@@ -243,48 +238,13 @@ def cmd_crt_build(args) -> int:
         if not isinstance(revoked, list):
             raise InputError("revoked file must be a JSON list of serials")
         tree = crt_mod.crt_build(map(json_int, revoked), args.now, args.validity, ks, args.key)
-    _write_json(
-        args.out,
-        {
-            "serials": list(tree.serials),
-            "issued_at": tree.signed_root.issued_at,
-            "next_update": tree.signed_root.next_update,
-            "root": tree.root.hex(),
-            "signature": {
-                "key_id": tree.signed_root.signature.key_id,
-                "mac": tree.signed_root.signature.mac.hex(),
-            },
-        },
-    )
+    Path(args.out).write_bytes(tree.to_bytes())
     print(f"built tree over {len(tree.serials)} revoked serials ({len(tree.leaves)} leaves) -> {args.out}")
     return EXIT_OK
 
 
-def _load_tree(path: str, keystore: KeyStore, key_id: str) -> crt_mod.CrtTree:
-    from .core import Signature
-
-    with _reading(path) as data:
-        issued_at = json_int(data["issued_at"])
-        next_update = json_int(data["next_update"])
-        rebuilt = crt_mod.crt_build(map(json_int, data["serials"]), issued_at,
-                                    next_update - issued_at, keystore, key_id)
-        if rebuilt.root.hex() != data["root"]:
-            raise InputError("tree file root does not match its serial set")
-        signature = data["signature"]
-        signed = crt_mod.SignedRoot(
-            root=bytes.fromhex(data["root"]),
-            issued_at=issued_at,
-            next_update=next_update,
-            signature=Signature(json_str(signature["key_id"]), bytes.fromhex(signature["mac"])),
-        )
-    return crt_mod.CrtTree(
-        serials=rebuilt.serials, leaves=rebuilt.leaves, levels=rebuilt.levels, signed_root=signed
-    )
-
-
 def cmd_crt_prove(args) -> int:
-    ks = load_keystore(args.keystore)
-    tree = _load_tree(args.tree, ks, args.key)
+    tree = _read_wire(args.tree, crt_mod.parse_tree)
     proof = crt_mod.crt_prove(tree, args.serial)
     Path(args.out).write_bytes(proof.to_bytes())
     print(
@@ -296,7 +256,7 @@ def cmd_crt_prove(args) -> int:
 
 def cmd_crt_verify(args) -> int:
     ks = load_keystore(args.keystore)
-    proof = crt_mod.parse_proof(Path(args.proof).read_bytes())
+    proof = _read_wire(args.proof, crt_mod.parse_proof)
     verdict = crt_mod.crt_verify(proof, args.serial, ks, args.key, args.now)
     print(verdict.value)
     ok = verdict in (crt_mod.CrtVerdict.VALID, crt_mod.CrtVerdict.REVOKED)
@@ -461,7 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("crl-check", cmd_crl_check, "client-side status check over cached documents",
                 signer, serial, now)
-    p.add_argument("--doc", action="append", required=True, help="CRL .json file (repeatable)")
+    p.add_argument("--doc", action="append", required=True,
+                   help="CRL file written by crl-issue (repeatable)")
 
     p = command("crs-setup", cmd_crs_setup, "create chain secrets and the public anchor",
                 state, serial, seed)
@@ -486,8 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--revoked", required=True, help="JSON list of revoked serials")
     p.add_argument("--validity", type=positive_u64, default=DAY)
 
-    p = command("crt-prove", cmd_crt_prove, "produce a proof for one serial", signer, serial, out)
-    p.add_argument("--tree", required=True)
+    p = command("crt-prove", cmd_crt_prove, "produce a proof for one serial", serial, out)
+    p.add_argument("--tree", required=True, help="tree file written by crt-build")
 
     p = command("crt-verify", cmd_crt_verify, "verify a proof and classify the serial",
                 signer, serial, now)

@@ -3,7 +3,8 @@
 Serial numbers, simulated time, certificates, revocation records, the keyed
 signature primitive, and the one-way function used by hash-chain tokens.
 Every byte that gets signed or hashed anywhere in the workbench flows through
-the canonical serialization helpers defined here.
+the canonical serialization helpers defined here, and every decoder reads
+wire bytes back through their strict inverse, `Reader`.
 
 Every signed record (a certificate, CRL, redirect table, CRT root, OCSP
 response, signed statement or responder key chain) inherits `Signed`: it
@@ -52,6 +53,10 @@ class UnknownKeyError(KeyError):
 
 class WidthError(ValueError):
     """Input to the one-way function has the wrong bit width."""
+
+
+class DecodeError(ValueError):
+    """Bytes that are not the canonical encoding of the record asked for."""
 
 
 def check_serial(serial: int) -> int:
@@ -128,6 +133,56 @@ class Signature(NamedTuple):
     def wire_size(self) -> int:
         # two u32 length prefixes, then the key id and the mac
         return 8 + len(self.key_id.encode("utf-8")) + len(self.mac)
+
+
+@dataclass
+class Reader:
+    """Strict cursor over the wire bytes of one record, the inverse of the
+    pack helpers. Every decoder reads through one: a read past the end, a
+    0-or-1 byte of any other value, text that is not UTF-8 and, at `done()`,
+    any byte left over raise DecodeError, whose message starts with `what`.
+    So a decoder accepts exactly the encodings its encoder writes."""
+
+    data: bytes
+    what: str
+    pos: int = 0
+
+    def error(self, problem: str) -> DecodeError:
+        return DecodeError(f"{self.what} {problem}")
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise self.error(f"truncated: needs {end} bytes, has {len(self.data)}")
+        self.pos = end
+        return self.data[end - n : end]
+
+    def uint(self, size: int) -> int:
+        """A big-endian unsigned integer of size bytes."""
+        return int.from_bytes(self.take(size), "big")
+
+    def bit(self) -> int:
+        """A byte that is 0 or 1: an option's presence flag (pack_opt_u64,
+        pack_opt_str) or a proof sibling's side."""
+        value = self.uint(1)
+        if value > 1:
+            raise self.error(f"has {value} at byte {self.pos - 1}, where 0 or 1 belongs")
+        return value
+
+    def blob(self) -> bytes:
+        """pack_bytes: a u32 length, then that many bytes."""
+        return self.take(self.uint(4))
+
+    def text(self) -> str:
+        """pack_str; strict UTF-8, so the text encodes back to its bytes."""
+        try:
+            return self.blob().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.error(f"text is not UTF-8: {exc}") from exc
+
+    def done(self) -> None:
+        if self.pos != len(self.data):
+            raise self.error(f"has {len(self.data) - self.pos} trailing bytes")
 
 
 _HMAC_BLOCK = 64  # SHA-256 block size in bytes
@@ -389,11 +444,11 @@ class Signed:
 
     A type gives only `_payload()`, the encoder of its signed fields; the
     bytes, the size and the signature check are defined here once. A record
-    built by signing holds the bytes just signed (`keep_payload`), so sizing
-    or verifying it does not encode its fields again. Any other record, a
-    `_replace` or `dataclasses.replace` copy included, starts without them
-    and encodes its own fields, so a copy with any field altered fails
-    `verify`.
+    built by signing holds the bytes just signed (`keep_payload`), and one
+    built by a strict decoder the bytes received, so sizing or verifying it
+    does not encode its fields again. Any other record, a `_replace` or
+    `dataclasses.replace` copy included, starts without them and encodes its
+    own fields, so a copy with any field altered fails `verify`.
     """
 
     __slots__ = ()
@@ -416,10 +471,10 @@ class Signed:
 
 
 def keep_payload(record, payload: bytes):
-    """Have `record`, just built with a signature over `payload`, hold those
-    bytes, and return it. Only records with an instance dict can hold them;
-    the slotted tuples built by the thousand (certificates, statements) do
-    not, and encode their fields when asked."""
+    """Have `record`, just built with a signature over `payload` or decoded
+    from it, hold those bytes, and return it. Only records with an instance
+    dict can hold them; the slotted tuples built by the thousand
+    (certificates, statements) do not, and encode their fields when asked."""
     record.__dict__["_held"] = payload
     return record
 
@@ -468,6 +523,14 @@ class CrsAnchor:
             + pack_u32(self.lifetime_periods)
             + pack_u64(self.period_length)
         )
+
+
+def parse_anchor(data: bytes) -> CrsAnchor:
+    """Decode CrsAnchor.to_bytes(); anything else raises DecodeError."""
+    r = Reader(data, "anchor")
+    anchor = CrsAnchor(r.blob(), r.blob(), r.uint(4), r.uint(8))
+    r.done()
+    return anchor
 
 
 def _check_window(not_before: int, not_after: int) -> None:

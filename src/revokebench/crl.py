@@ -3,7 +3,10 @@ schedules, segmented lists with redirect tables, and the client-side status
 check over a document cache.
 
 CRLs and redirect tables are `core.Signed` records; the issuer's documents
-and `make_redirect_table`'s tables hold the bytes they were signed over.
+and `make_redirect_table`'s tables hold the bytes they were signed over. A
+CRL travels as its wire bytes, `to_bytes()`, and only as those: `parse_crl`
+reads them back strictly, and the document it returns holds the bytes
+received, so its signature is checked over exactly them.
 """
 
 from __future__ import annotations
@@ -19,12 +22,11 @@ from typing import Iterable, Optional, Sequence
 
 from .core import (
     KeyStore,
+    Reader,
     RevocationRecord,
     Signature,
     Signed,
     check_time,
-    json_int,
-    json_str,
     keep_payload,
     pack_opt_str,
     pack_opt_u64,
@@ -121,37 +123,35 @@ class CrlDocument(Signed):
     def lists(self, serial: int) -> bool:
         return serial in self._listed
 
-    def to_json_dict(self) -> dict:
-        return {
-            "issuer": self.issuer,
-            "kind": self.kind.value,
-            "this_update": self.this_update,
-            "next_update": self.next_update,
-            "window_start": self.window_start,
-            "segment_id": self.segment_id,
-            "entries": [[s, t] for s, t in self.entries],
-            "signature": {"key_id": self.signature.key_id, "mac": self.signature.mac.hex()},
-        }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "CrlDocument":
-        """The document to_json_dict wrote. A field of the wrong JSON type
-        raises TypeError here, once, rather than in __post_init__, which
-        every simulated publication runs."""
-        window_start = d.get("window_start")
-        segment_id = d.get("segment_id")
-        return CrlDocument(
-            issuer=json_str(d["issuer"]),
-            kind=CrlKind(d["kind"]),
-            this_update=json_int(d["this_update"]),
-            next_update=json_int(d["next_update"]),
-            window_start=None if window_start is None else json_int(window_start),
-            segment_id=None if segment_id is None else json_str(segment_id),
-            entries=tuple((json_int(s), json_int(t)) for s, t in d["entries"]),
-            signature=Signature(
-                json_str(d["signature"]["key_id"]), bytes.fromhex(d["signature"]["mac"])
-            ),
+def parse_crl(data: bytes) -> CrlDocument:
+    """Decode CrlDocument.to_bytes() strictly: any other bytes, or fields
+    that no document may hold, raise DecodeError. The document holds the
+    payload bytes it was read from, which its signature must cover."""
+    r = Reader(data, "crl")
+    issuer, kind = r.text(), r.text()
+    this_update, next_update = r.uint(8), r.uint(8)
+    window_start = r.uint(8) if r.bit() else None
+    segment_id = r.text() if r.bit() else None
+    count = r.uint(4)
+    flat = struct.unpack(f">{2 * count}Q", r.take(16 * count))
+    payload = r.data[: r.pos]
+    signature = Signature(r.text(), r.blob())
+    r.done()
+    try:
+        doc = CrlDocument(
+            issuer=issuer,
+            kind=CrlKind(kind),
+            this_update=this_update,
+            next_update=next_update,
+            entries=tuple(zip(flat[0::2], flat[1::2])),
+            signature=signature,
+            window_start=window_start,
+            segment_id=segment_id,
         )
+    except ValueError as exc:  # an unknown kind, or fields out of order
+        raise r.error(f"is not a valid document: {exc}") from exc
+    return keep_payload(doc, payload)
 
 
 @dataclass(frozen=True)

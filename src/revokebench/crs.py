@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
-from .core import CrsAnchor, OneWayFunction, pack_u8, pack_u32, pack_u64
+from .core import CrsAnchor, OneWayFunction, Reader, pack_u8, pack_u32, pack_u64
 
 
 class CrsTokenKind(Enum):
@@ -62,15 +62,18 @@ def token_wire_size(f: OneWayFunction) -> int:
 
 
 def parse_token(data: bytes, f: OneWayFunction) -> CrsToken:
-    expected = token_wire_size(f)
-    if len(data) != expected:
-        raise ValueError(f"token must be exactly {expected} bytes")
-    serial = int.from_bytes(data[0:8], "big")
-    kind = _KIND_BY_TAG.get(data[8])
+    """Decode CrsToken.to_bytes() for values of f's width strictly; any
+    other bytes, or a revoked token with a period, raise DecodeError."""
+    r = Reader(data, "token")
+    serial, tag, period = r.uint(8), r.uint(1), r.uint(4)
+    value = r.take(f.width_bytes)
+    r.done()
+    kind = _KIND_BY_TAG.get(tag)
     if kind is None:
-        raise ValueError(f"unknown token kind byte {data[8]}")
-    period = int.from_bytes(data[9:13], "big")
-    return CrsToken(serial=serial, kind=kind, period=period, value=data[13:])
+        raise r.error(f"has an unknown token kind byte {tag}")
+    if kind is CrsTokenKind.REVOKED and period != 0:
+        raise r.error(f"is revoked but has period {period}, not 0")
+    return CrsToken(serial=serial, kind=kind, period=period, value=value)
 
 
 class CrsAuthority:

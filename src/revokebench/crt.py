@@ -14,6 +14,14 @@ the end serials of its strictly increasing input once, making every gap
 between them strictly increasing too. The signed root is a `core.Signed`
 record; a root made by signing holds its signed bytes, which every client
 of the tree verifies.
+
+Proofs and tree files travel as wire bytes, read through `core.Reader`.
+`read_signed_root` is the one root decoder, and the root it returns holds
+the bytes received: `parse_proof` reads it at a proof's end, and
+`parse_tree` at a tree file's start, before the serials. `parse_tree`
+rebuilds the levels over those serials with `_hash_levels`, the same
+levels `crt_build` signs, and takes them only if they give the signed root,
+so a prover needs the tree file and no key.
 """
 
 from __future__ import annotations
@@ -25,10 +33,11 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
-    Checked, KeyStore, Signature, Signed, check_time, keep_payload, pack_u8, pack_u32, pack_u64
+    Checked, KeyStore, Reader, Signature, Signed, check_time, keep_payload, pack_u8, pack_u32,
+    pack_u64,
 )
 
 SENTINEL_LO = 0
@@ -118,37 +127,28 @@ class CrtProof:
         return 16 + 4 + 1 + siblings + self.signed_root.wire_size
 
 
+def read_signed_root(r: Reader) -> SignedRoot:
+    """Read SignedRoot.to_bytes() at the reader's position. The root holds
+    the payload bytes it was read from, which its signature must cover."""
+    start = r.pos
+    root, issued_at, next_update = r.take(32), r.uint(8), r.uint(8)
+    payload = r.data[start : r.pos]
+    signature = Signature(r.text(), r.blob())
+    return keep_payload(SignedRoot(root, issued_at, next_update, signature), payload)
+
+
 def parse_proof(data: bytes) -> CrtProof:
-    """Decode CrtProof.to_bytes(); a truncated or over-long proof raises ValueError."""
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise ValueError(f"proof truncated: needs {pos + n} bytes, has {len(data)}")
-        pos += n
-        return data[pos - n : pos]
-
-    lo = int.from_bytes(take(8), "big")
-    hi = int.from_bytes(take(8), "big")
-    leaf_index = int.from_bytes(take(4), "big")
-    count = take(1)[0]
-    siblings = []
-    for _ in range(count):
-        siblings.append((take(32), take(1)[0]))
-    root = take(32)
-    issued_at = int.from_bytes(take(8), "big")
-    next_update = int.from_bytes(take(8), "big")
-    key_id = take(int.from_bytes(take(4), "big")).decode("utf-8")
-    mac = take(int.from_bytes(take(4), "big"))
-    if pos != len(data):
-        raise ValueError(f"proof has {len(data) - pos} trailing bytes")
-    return CrtProof(
-        leaf=CrtLeaf(lo, hi),
-        leaf_index=leaf_index,
-        siblings=tuple(siblings),
-        signed_root=SignedRoot(root, issued_at, next_update, Signature(key_id, mac)),
-    )
+    """Decode CrtProof.to_bytes() strictly; any other bytes raise DecodeError."""
+    r = Reader(data, "proof")
+    lo, hi, leaf_index = r.uint(8), r.uint(8), r.uint(4)
+    siblings = tuple((r.take(32), r.bit()) for _ in range(r.uint(1)))  # sides are 0 or 1
+    signed_root = read_signed_root(r)
+    r.done()
+    try:
+        leaf = CrtLeaf(lo, hi)
+    except ValueError as exc:
+        raise r.error(f"leaf is invalid: {exc}") from exc
+    return CrtProof(leaf, leaf_index, siblings, signed_root)
 
 
 @dataclass(frozen=True)
@@ -182,6 +182,32 @@ class CrtTree:
         # leaf is the first whose hi exceeds serial.
         return bisect_right(self.serials, serial)
 
+    def to_bytes(self) -> bytes:
+        """The tree file: the signed root's wire bytes, then a u32 count and
+        the revoked serials as u64s, ascending."""
+        n = len(self.serials)
+        return self.signed_root.to_bytes() + pack_u32(n) + struct.pack(f">{n}Q", *self.serials)
+
+
+def parse_tree(data: bytes) -> CrtTree:
+    """Decode CrtTree.to_bytes() strictly and rebuild the levels over its
+    serials. Serials out of order, or a root they do not hash to, raise
+    DecodeError. Nothing is signed or verified here: the root keeps the
+    signature made when the tree was built, and each proof carries it to a
+    verifier."""
+    r = Reader(data, "tree file")
+    signed_root = read_signed_root(r)
+    count = r.uint(4)
+    serials = struct.unpack(f">{count}Q", r.take(8 * count))
+    r.done()
+    bounds = (SENTINEL_LO, *serials, SENTINEL_HI)
+    if any(a >= b for a, b in zip(bounds, bounds[1:])):
+        raise r.error("serials are not strictly ascending between the sentinels")
+    leaves, levels = _hash_levels(serials)
+    if levels[-1][0] != signed_root.root:
+        raise r.error("root does not match its serials")
+    return CrtTree(serials, leaves, levels, signed_root)
+
 
 def _build_levels(
     leaf_hashes: list[bytes], node_memo: dict[bytes, bytes]
@@ -208,7 +234,7 @@ def _build_levels(
     return levels, hashed
 
 
-def _leaves_for(serials: list[int]) -> list[CrtLeaf]:
+def _leaves_for(serials: Sequence[int]) -> list[CrtLeaf]:
     """Gap leaves over sorted unique serials, each strictly between the
     sentinels.
 
@@ -221,6 +247,17 @@ def _leaves_for(serials: list[int]) -> list[CrtLeaf]:
             raise ValueError(f"serial {s} collides with a sentinel endpoint")
     bounds = [SENTINEL_LO, *serials, SENTINEL_HI]
     return list(map(tuple.__new__, repeat(CrtLeaf), zip(bounds, bounds[1:])))
+
+
+def _hash_levels(
+    serials: Sequence[int],
+) -> tuple[tuple[CrtLeaf, ...], tuple[tuple[bytes, ...], ...]]:
+    """The leaves and every hash level of the tree over sorted unique
+    serials, all hashed afresh; the root is levels[-1][0], to be signed by
+    crt_build or checked against a root signed before (parse_tree)."""
+    leaves = _leaves_for(serials)
+    levels, _ = _build_levels([leaf_hash(lf) for lf in leaves], {})
+    return tuple(leaves), tuple(levels)
 
 
 def _sign_root(root: bytes, now: int, validity: int, keystore: KeyStore, key_id: str) -> SignedRoot:
@@ -237,15 +274,10 @@ def crt_build(
     key_id: str,
 ) -> CrtTree:
     """Tree over the sentinel-bounded gaps between consecutive revoked serials."""
-    serials = sorted(set(revoked))
-    leaves = _leaves_for(serials)
-    levels, _ = _build_levels([leaf_hash(lf) for lf in leaves], {})
-    return CrtTree(
-        serials=tuple(serials),
-        leaves=tuple(leaves),
-        levels=tuple(levels),
-        signed_root=_sign_root(levels[-1][0], now, validity, keystore, key_id),
-    )
+    serials = tuple(sorted(set(revoked)))
+    leaves, levels = _hash_levels(serials)
+    signed_root = _sign_root(levels[-1][0], now, validity, keystore, key_id)
+    return CrtTree(serials, leaves, levels, signed_root)
 
 
 @dataclass(frozen=True)

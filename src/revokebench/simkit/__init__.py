@@ -6,9 +6,8 @@ import csv
 import io
 
 from .config import ConfigError, Scheme, SimConfig, WORKLOAD_FIELDS
-from .engine import Simulation, run, run_with_logs, schedule_staggered_fetch
+from .engine import Simulation, run, schedule_staggered_fetch
 from .metrics import MetricsReport
-from .schemes import AlwaysFreshAdapter, PlainCrlBaselineAdapter
 from .workload import Workload, generate_workload, substream
 
 __all__ = [
@@ -19,16 +18,12 @@ __all__ = [
     "Simulation",
     "Workload",
     "run",
-    "run_with_logs",
     "compare",
     "comparison_csv",
     "interval_csv",
     "generate_workload",
     "schedule_staggered_fetch",
     "substream",
-    "wcr_equivalence_logs",
-    "AlwaysFreshAdapter",
-    "PlainCrlBaselineAdapter",
 ]
 
 
@@ -70,18 +65,3 @@ def interval_csv(report: MetricsReport) -> str:
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def wcr_equivalence_logs(config: SimConfig) -> dict[str, tuple[list[str], list[str]]]:
-    """Action and decision logs for a WCR config and its two baselines on the
-    identical workload: the always-fresh policy and the plain-CRL verifier."""
-    if config.scheme is not Scheme.WCR:
-        raise ConfigError("expected a wcr config")
-    out = {}
-    _, actions, decisions = run_with_logs(config)
-    out["wcr"] = (actions, decisions)
-    _, actions, decisions = run_with_logs(config, adapter_factory=AlwaysFreshAdapter)
-    out["always_fresh"] = (actions, decisions)
-    _, actions, decisions = run_with_logs(config, adapter_factory=PlainCrlBaselineAdapter)
-    out["plain_crl"] = (actions, decisions)
-    return out

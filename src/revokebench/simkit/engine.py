@@ -271,12 +271,3 @@ class Simulation:
 
 def run(config: SimConfig) -> MetricsReport:
     return Simulation(config).run()
-
-
-def run_with_logs(
-    config: SimConfig,
-    adapter_factory: Optional[Callable[[Simulation], SchemeAdapter]] = None,
-) -> tuple[MetricsReport, list[str], list[str]]:
-    sim = Simulation(config, adapter_factory=adapter_factory, keep_logs=True)
-    report = sim.run()
-    return report, list(sim.action_log), list(sim.decision_log)

@@ -159,15 +159,6 @@ class SchemeAdapter:
         self.metrics.note_message("ca_to_client", nbytes)
         return wcr_mod.FreshFetch(self.ledger.is_revoked(serial, now), nbytes)
 
-    def fresh_decision(self, client: int, serial: int, now: int) -> bool:
-        """Fetch a fresh certificate, then drop it if revoked or else use it."""
-        fresh = self.fresh_fetch(serial, now)
-        verdict = wcr_mod.ACT_DROP if fresh.revoked else wcr_mod.ACT_USE
-        self.log_actions(
-            client, [(now, serial, wcr_mod.ACT_FRESH, fresh.nbytes), (now, serial, verdict, 0)]
-        )
-        return not fresh.revoked
-
     def log_actions(self, client: int, actions) -> None:
         if self.sim.action_log is not None:
             for t, serial, action, nbytes in actions:
@@ -500,7 +491,7 @@ class CrtAdapter(SchemeAdapter):
 
 
 # ---------------------------------------------------------------------------
-# WCR and its comparison baselines
+# WCR
 # ---------------------------------------------------------------------------
 
 class _WcrServices:
@@ -556,50 +547,6 @@ class WcrAdapter(SchemeAdapter):
         )
         self.log_actions(client, actions)
         return decision is wcr_mod.WcrDecision.USE
-
-
-class AlwaysFreshAdapter(SchemeAdapter):
-    """Baseline: only fresh certificates are ever used; nothing is published."""
-
-    name = "always_fresh"
-
-    def validate(self, client: int, serial: int, now: int) -> bool:
-        return self.fresh_decision(client, serial, now)
-
-
-class PlainCrlBaselineAdapter(SchemeAdapter):
-    """Baseline plain-CRL verifier: acquire the certificate once, then check
-    every use against the current CRL (cached while its validity lasts)."""
-
-    name = "plain_crl"
-
-    def __init__(self, sim) -> None:
-        super().__init__(sim)
-        self.issuer = CrlIssuer(self.keystore, self.ca_key, self.config.schedule)
-        self.current: Optional[CrlDocument] = None
-        self.acquired: set[tuple[int, int]] = set()
-
-    def publish_events(self) -> list[tuple[int, str]]:
-        return _base_grid(self.config.horizon, self.config.base_period)
-
-    def on_publish(self, now: int, tag: str) -> None:
-        self.current = self.issuer.issue_full(self.ledger.revoked_non_expired(now), now)
-        self.ca_push("full_crl", self.current.wire_size)
-
-    def validate(self, client: int, serial: int, now: int) -> bool:
-        if (client, serial) not in self.acquired:
-            used = self.fresh_decision(client, serial, now)
-            if used:
-                self.acquired.add((client, serial))
-            return used
-        doc, nbytes = self.current_crl(client, now)
-        actions = [(now, serial, wcr_mod.ACT_CRL, nbytes)] if nbytes else []
-        revoked = doc.lists(serial)
-        if revoked:
-            self.acquired.discard((client, serial))
-        actions.append((now, serial, wcr_mod.ACT_DROP if revoked else wcr_mod.ACT_USE, 0))
-        self.log_actions(client, actions)
-        return not revoked
 
 
 # ---------------------------------------------------------------------------

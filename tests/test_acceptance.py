@@ -16,7 +16,9 @@ from revokebench.core import DAY, HOUR, KeyStore, OneWayFunction
 from revokebench.crs import CrsAuthority, CrsStatus, crs_verify
 from revokebench.crt import SIDE_LEFT, SIDE_RIGHT, crt_build, crt_prove, crt_verify, CrtVerdict
 from revokebench.depender import build_graph, propagate, PropagationMessage, MessageKind
-from revokebench.simkit import Scheme, SimConfig, compare, run, wcr_equivalence_logs
+from revokebench.simkit import Scheme, SimConfig, compare, run
+
+from wcr_baselines import wcr_equivalence_logs
 
 MINUTES = 60
 

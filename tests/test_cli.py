@@ -7,6 +7,7 @@ import pytest
 
 from revokebench.cli import main
 from revokebench.core import DAY
+from revokebench.crt import parse_proof
 
 
 @pytest.fixture
@@ -72,19 +73,6 @@ def _with_first(ledger, listed, **changes):
 # command, the flag naming the file made malformed, and how the genuine
 # file's JSON is altered
 MALFORMED_JSON = {
-    "crl entries not pairs": ("crl-check", "--doc", lambda d: {**d, "entries": [1]}),
-    "crl entries null": ("crl-check", "--doc", lambda d: {**d, "entries": None}),
-    "crl signature null": ("crl-check", "--doc", lambda d: {**d, "signature": None}),
-    "crl mac a number": (
-        "crl-check", "--doc", lambda d: {**d, "signature": {**d["signature"], "mac": 5}}
-    ),
-    "crl this_update a string": ("crl-check", "--doc", lambda d: {**d, "this_update": "x"}),
-    "crl issuer a number": ("crl-check", "--doc", lambda d: {**d, "issuer": 5}),
-    "crl update times strings": (
-        "crl-check", "--doc", lambda d: {**d, "this_update": "a", "next_update": "b"}
-    ),
-    "crl entries of strings": ("crl-check", "--doc", lambda d: {**d, "entries": [["a", "b"]]}),
-    "crl a list": ("crl-check", "--doc", lambda d: [d]),
     "ledger certificate a number": ("crl-issue", "--ledger", lambda d: {"certificates": [5]}),
     "ledger serial a string": (
         "crl-issue", "--ledger", lambda d: _with_first(d, "certificates", serial="3")
@@ -103,12 +91,6 @@ MALFORMED_JSON = {
     "revoked holds a string": ("crt-build", "--revoked", lambda d: [5, "a"]),
     "revoked holds a float": ("crt-build", "--revoked", lambda d: [5, 5.5]),
     "revoked holds a bool": ("crt-build", "--revoked", lambda d: [5, True]),
-    "tree serials null": ("crt-prove", "--tree", lambda d: {**d, "serials": None}),
-    "tree issued_at a float": ("crt-prove", "--tree", lambda d: {**d, "issued_at": 0.5}),
-    "anchor lifetime a bool, period length a float": (
-        "crs-verify", "--anchor", lambda d: {**d, "lifetime_periods": True, "period_length": 0.5}
-    ),
-    "anchor y a number": ("crs-verify", "--anchor", lambda d: {**d, "y": 5}),
     "crs state width a float": ("crs-token", "--state", lambda d: {**d, "width_bits": 100.0}),
     "crs state lifetime a bool": (
         "crs-token",
@@ -127,28 +109,17 @@ class TestMalformedJson:
         command, flag, alter = MALFORMED_JSON[case]
         revoked = workdir / "revoked.json"
         revoked.write_text(json.dumps([5, 11]))
-        tree = workdir / "tree.json"
-        doc = workdir / "crl.bin.json"
         ks = ["--keystore", keystore_file]
-        assert invoke("crl-issue", *ks, "--ledger", ledger_file, "--now", 1000,
-                      "--out", workdir / "crl.bin") == 0
-        assert invoke("crt-build", *ks, "--revoked", revoked, "--now", 0, "--out", tree) == 0
-        state, anchor, token = workdir / "crs.json", workdir / "anchor.json", workdir / "token.bin"
+        state = workdir / "crs.json"
         assert invoke("crs-setup", "--state", state, "--serial", 7, "--periods", 5,
-                      "--anchor-out", anchor, "--seed", 1) == 0
-        assert invoke("crs-token", "--state", state, "--serial", 7, "--period", 1,
-                      "--out", token) == 0
+                      "--anchor-out", workdir / "anchor.bin", "--seed", 1) == 0
         argv = {
-            "crl-check": ["crl-check", *ks, "--serial", 7, "--now", 2000, "--doc", doc],
             "crl-issue": ["crl-issue", *ks, "--ledger", ledger_file, "--now", 1000,
-                          "--out", workdir / "again.bin"],
+                          "--out", workdir / "crl.bin"],
             "crt-build": ["crt-build", *ks, "--revoked", revoked, "--now", 0,
-                          "--out", workdir / "again.json"],
-            "crt-prove": ["crt-prove", *ks, "--tree", tree, "--serial", 9,
-                          "--out", workdir / "proof.bin"],
+                          "--out", workdir / "tree.bin"],
             "crs-token": ["crs-token", "--state", state, "--serial", 7, "--period", 1,
-                          "--out", workdir / "again.bin"],
-            "crs-verify": ["crs-verify", "--anchor", anchor, "--token", token, "--period", 1],
+                          "--out", workdir / "token.bin"],
         }[command]
         assert invoke(*argv) == 0  # the genuine files pass
         path = argv[argv.index(flag) + 1]
@@ -170,6 +141,71 @@ class TestMalformedJson:
         assert invoke(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+
+def _crl_fields_end(data: bytes) -> int:
+    """Where a CRL's issuer and kind texts end: its two update times and
+    then the window_start option flag follow."""
+    issuer_end = 4 + int.from_bytes(data[:4], "big")
+    return issuer_end + 4 + int.from_bytes(data[issuer_end : issuer_end + 4], "big")
+
+
+def _with_byte(data: bytes, at: int, value: int) -> bytes:
+    return data[:at] + bytes([value]) + data[at + 1 :]
+
+
+# command, the flag naming the wire file made malformed, and how the genuine
+# file's bytes are altered
+MALFORMED_WIRE = {
+    "crl truncated": ("crl-check", "--doc", lambda b: b[:-1]),
+    "crl with a trailing byte": ("crl-check", "--doc", lambda b: b + b"\x00"),
+    "crl of an unknown kind": (  # kind "full" becomes "fuzz", its length prefix kept
+        "crl-check", "--doc", lambda b: b.replace(b"\x04full", b"\x04fuzz", 1)
+    ),
+    "crl option flag 2": (
+        "crl-check", "--doc", lambda b: _with_byte(b, _crl_fields_end(b) + 16, 2)
+    ),
+    "tree truncated": ("crt-prove", "--tree", lambda b: b[:-1]),
+    "tree with a trailing byte": ("crt-prove", "--tree", lambda b: b + b"\x00"),
+    "tree serials out of order": ("crt-prove", "--tree", lambda b: b[:-16] + b[-8:] + b[-16:-8]),
+    "tree root of other serials": ("crt-prove", "--tree", lambda b: b[:-1] + bytes([b[-1] ^ 1])),
+    "anchor truncated": ("crs-verify", "--anchor", lambda b: b[:-1]),
+    "anchor with a trailing byte": ("crs-verify", "--anchor", lambda b: b + b"\x00"),
+}
+
+
+class TestMalformedWire:
+    """A wire file that is not exactly the bytes its writer makes is a usage
+    error that names the file, not a traceback."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_WIRE))
+    def test_malformed_bytes_exit_2(self, workdir, keystore_file, ledger_file, capsys, case):
+        command, flag, alter = MALFORMED_WIRE[case]
+        ks = ["--keystore", keystore_file]
+        revoked = workdir / "revoked.json"
+        revoked.write_text(json.dumps([5, 11]))
+        doc, tree = workdir / "crl.bin", workdir / "tree.bin"
+        state, anchor, token = workdir / "crs.json", workdir / "anchor.bin", workdir / "token.bin"
+        assert invoke("crl-issue", *ks, "--ledger", ledger_file, "--now", 1000,
+                      "--out", doc) == 0
+        assert invoke("crt-build", *ks, "--revoked", revoked, "--now", 0, "--out", tree) == 0
+        assert invoke("crs-setup", "--state", state, "--serial", 7, "--periods", 5,
+                      "--anchor-out", anchor, "--seed", 1) == 0
+        assert invoke("crs-token", "--state", state, "--serial", 7, "--period", 1,
+                      "--out", token) == 0
+        argv = {
+            "crl-check": ["crl-check", *ks, "--serial", 7, "--now", 2000, "--doc", doc],
+            "crt-prove": ["crt-prove", "--tree", tree, "--serial", 9,
+                          "--out", workdir / "proof.bin"],
+            "crs-verify": ["crs-verify", "--anchor", anchor, "--token", token, "--period", 1],
+        }[command]
+        assert invoke(*argv) == 0  # the genuine files pass
+        path = argv[argv.index(flag) + 1]
+        path.write_bytes(alter(path.read_bytes()))
+        capsys.readouterr()
+        assert invoke(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
 
 
 class TestLedgerValidityTimes:
@@ -208,13 +244,13 @@ class TestCrlCommands:
             )
             == 0
         )
-        assert out.exists() and (workdir / "crl.bin.json").exists()
+        assert out.exists() and not (workdir / "crl.bin.json").exists()  # no JSON twin
         code = invoke(
             "crl-check",
             "--keystore", keystore_file,
             "--serial", 7,
             "--now", 2000,
-            "--doc", workdir / "crl.bin.json",
+            "--doc", out,
         )
         assert code == 0
         assert capsys.readouterr().out.strip().endswith("revoked")
@@ -224,7 +260,7 @@ class TestCrlCommands:
             "--keystore", keystore_file,
             "--serial", 7,
             "--now", 1000 + DAY,
-            "--doc", workdir / "crl.bin.json",
+            "--doc", out,
         )
         assert code == 1
 
@@ -236,7 +272,7 @@ class TestCrtCommands:
         revoked = sorted(rng.sample(range(1, 500), 25))
         revoked_file = workdir / "revoked.json"
         revoked_file.write_text(json.dumps(revoked))
-        tree = workdir / "tree.json"
+        tree = workdir / "tree.bin"
         assert (
             invoke(
                 "crt-build",
@@ -252,7 +288,6 @@ class TestCrtCommands:
             assert (
                 invoke(
                     "crt-prove",
-                    "--keystore", keystore_file,
                     "--tree", tree,
                     "--serial", serial,
                     "--out", proof,
@@ -274,7 +309,7 @@ class TestCrtCommands:
     def test_expired_proof_fails(self, workdir, keystore_file, capsys):
         revoked_file = workdir / "revoked.json"
         revoked_file.write_text(json.dumps([5]))
-        tree = workdir / "tree.json"
+        tree = workdir / "tree.bin"
         invoke(
             "crt-build",
             "--keystore", keystore_file,
@@ -285,8 +320,7 @@ class TestCrtCommands:
         )
         proof = workdir / "proof.bin"
         invoke(
-            "crt-prove", "--keystore", keystore_file, "--tree", tree,
-            "--serial", 9, "--out", proof,
+            "crt-prove", "--tree", tree, "--serial", 9, "--out", proof,
         )
         code = invoke(
             "crt-verify", "--keystore", keystore_file, "--proof", proof,
@@ -294,15 +328,30 @@ class TestCrtCommands:
         )
         assert code == 1
 
+    def test_prove_reads_the_tree_file_alone(self, workdir, keystore_file, capsys):
+        """crt-prove takes no keystore and signs nothing: its proof carries
+        the root crt-build signed, whose wire bytes open the tree file."""
+        revoked_file = workdir / "revoked.json"
+        revoked_file.write_text(json.dumps([5, 11, 20]))
+        tree, proof = workdir / "tree.bin", workdir / "proof.bin"
+        assert invoke("crt-build", "--keystore", keystore_file, "--revoked", revoked_file,
+                      "--now", 0, "--out", tree) == 0
+        assert invoke("crt-prove", "--tree", tree, "--serial", 14, "--out", proof) == 0
+        root = parse_proof(proof.read_bytes()).signed_root.to_bytes()
+        assert tree.read_bytes().startswith(root)
+        for flag in (["--keystore", keystore_file], ["--key", "ca"]):
+            with pytest.raises(SystemExit) as exc:
+                invoke("crt-prove", *flag, "--tree", tree, "--serial", 14, "--out", proof)
+            assert exc.value.code == 2
+
     def test_truncated_proof_is_usage_error(self, workdir, keystore_file, capsys):
         revoked_file = workdir / "revoked.json"
         revoked_file.write_text(json.dumps([5, 11]))
-        tree = workdir / "tree.json"
+        tree = workdir / "tree.bin"
         invoke("crt-build", "--keystore", keystore_file, "--revoked", revoked_file,
                "--now", 0, "--out", tree)
         proof = workdir / "proof.bin"
-        invoke("crt-prove", "--keystore", keystore_file, "--tree", tree,
-               "--serial", 9, "--out", proof)
+        invoke("crt-prove", "--tree", tree, "--serial", 9, "--out", proof)
         data = proof.read_bytes()
         for bad in (data[:30], data[:-1], data + b"\x00"):
             proof.write_bytes(bad)
@@ -315,7 +364,7 @@ class TestCrtCommands:
 class TestCrsCommands:
     def test_token_lifecycle_and_stale_rejection(self, workdir, capsys):
         state = workdir / "crs.json"
-        anchor = workdir / "anchor.json"
+        anchor = workdir / "anchor.bin"
         token = workdir / "token.bin"
         assert (
             invoke(
@@ -349,7 +398,7 @@ class TestCrsCommands:
 
     def test_unknown_kind_byte_is_usage_error(self, workdir, capsys):
         state = workdir / "crs.json"
-        anchor = workdir / "anchor.json"
+        anchor = workdir / "anchor.bin"
         token = workdir / "token.bin"
         invoke("crs-setup", "--state", state, "--serial", 7, "--periods", 10,
                "--period-length", DAY, "--anchor-out", anchor, "--seed", 3)
@@ -504,15 +553,14 @@ U64_FLAGS = {
     "crl-issue": ["--keystore", "ks.json", "--ledger", "ledger.json", "--now", "{now}",
                   "--out", "crl.bin"],
     "crl-check": ["--keystore", "ks.json", "--serial", "{serial}", "--now", "{now}",
-                  "--doc", "crl.bin.json"],
-    "crs-setup": ["--state", "crs.json", "--serial", "{serial}", "--anchor-out", "anchor.json"],
+                  "--doc", "crl.bin"],
+    "crs-setup": ["--state", "crs.json", "--serial", "{serial}", "--anchor-out", "anchor.bin"],
     "crs-revoke": ["--state", "crs.json", "--serial", "{serial}"],
     "crs-token": ["--state", "crs.json", "--serial", "{serial}", "--period", 4,
                   "--out", "token.bin"],
     "crt-build": ["--keystore", "ks.json", "--revoked", "revoked.json", "--now", "{now}",
-                  "--out", "tree.json"],
-    "crt-prove": ["--keystore", "ks.json", "--tree", "tree.json", "--serial", "{serial}",
-                  "--out", "proof.bin"],
+                  "--out", "tree.bin"],
+    "crt-prove": ["--tree", "tree.bin", "--serial", "{serial}", "--out", "proof.bin"],
     "crt-verify": ["--keystore", "ks.json", "--proof", "proof.bin", "--serial", "{serial}",
                    "--now", "{now}"],
     "ocsp-query": ["--keystore", "ks.json", "--ledger", "ledger.json", "--serial", "{serial}",
@@ -559,7 +607,7 @@ INT_FLAGS = {
                                            "--window": 3 * DAY}),
     "crs-setup": (U64_FLAGS["crs-setup"], {"--periods": 30, "--period-length": DAY}),
     "crs-token": (["--state", "crs.json", "--serial", 7, "--out", "token.bin"], {"--period": 4}),
-    "crs-verify": (["--anchor", "anchor.json", "--token", "token.bin"],
+    "crs-verify": (["--anchor", "anchor.bin", "--token", "token.bin"],
                    {"--period": 4, "--width": 100}),
     "crt-build": (U64_FLAGS["crt-build"], {"--validity": DAY}),
 }

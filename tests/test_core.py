@@ -14,10 +14,12 @@ from revokebench import core
 from revokebench.core import (
     Certificate,
     CrsAnchor,
+    DecodeError,
     KeyStore,
     Ledger,
     OneWayFunction,
     ReasonCode,
+    Reader,
     Signature,
     UnknownKeyError,
     WidthError,
@@ -27,6 +29,12 @@ from revokebench.core import (
     TIME_MAX,
     check_time,
     make_certificate,
+    pack_opt_str,
+    pack_opt_u64,
+    pack_str,
+    pack_u32,
+    pack_u64,
+    parse_anchor,
 )
 
 
@@ -337,6 +345,79 @@ BAD_FIELDS = pytest.mark.parametrize(
     "serial,not_before,not_after",
     [(-1, 0, 100), (2**64, 0, 100), (5, 100, 100), (5, 100, 50)],
 )
+
+
+class TestReader:
+    """The one cursor every decoder reads through, against the pack helpers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n32=st.integers(0, 2**32 - 1),
+        n64=st.integers(0, 2**64 - 1),
+        text=st.text(max_size=6),
+        opt=st.one_of(st.none(), st.integers(0, 2**64 - 1)),
+        opt_text=st.one_of(st.none(), st.text(max_size=6)),
+    )
+    def test_reads_back_what_the_pack_helpers_write(self, n32, n64, text, opt, opt_text):
+        data = (
+            pack_u32(n32) + pack_u64(n64) + pack_str(text)
+            + pack_opt_u64(opt) + pack_opt_str(opt_text)
+        )
+        r = Reader(data, "record")
+        assert (r.uint(4), r.uint(8), r.text()) == (n32, n64, text)
+        assert (r.uint(8) if r.bit() else None) == opt
+        assert (r.text() if r.bit() else None) == opt_text
+        r.done()
+        assert r.pos == len(data)
+
+    def test_done_rejects_every_byte_left(self):
+        r = Reader(b"\x00\x00\x00\x07\xff", "record")
+        assert r.uint(4) == 7
+        with pytest.raises(DecodeError, match="record has 1 trailing bytes"):
+            r.done()
+        r.uint(1)
+        r.done()
+
+    def test_a_read_past_the_end_raises(self):
+        r = Reader(b"\x00\x00\x00\x05abc", "record")
+        with pytest.raises(DecodeError, match="record truncated: needs 9 bytes, has 7"):
+            r.blob()
+        with pytest.raises(DecodeError, match="truncated"):
+            Reader(b"", "record").uint(1)
+
+    @pytest.mark.parametrize("value", [2, 3, 0x80, 0xFF])
+    def test_a_bit_is_0_or_1(self, value):
+        assert Reader(b"\x00\x01", "record").bit() == 0
+        with pytest.raises(DecodeError, match=f"record has {value} at byte 0"):
+            Reader(bytes([value]), "record").bit()
+
+    def test_text_must_be_utf8(self):
+        with pytest.raises(DecodeError, match="record text is not UTF-8"):
+            Reader(pack_u32(2) + b"\xc3\x28", "record").text()
+
+    def test_an_error_is_a_value_error(self):
+        """So the CLI, which exits 2 on a ValueError, exits 2 on it."""
+        assert issubclass(DecodeError, ValueError)
+
+
+class TestAnchorWire:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        y=st.binary(max_size=40),
+        n=st.binary(max_size=40),
+        lifetime=st.integers(0, 2**32 - 1),
+        period=st.integers(0, 2**64 - 1),
+    )
+    def test_round_trip_and_every_truncation_and_extension(self, y, n, lifetime, period):
+        anchor = CrsAnchor(y=y, n=n, lifetime_periods=lifetime, period_length=period)
+        data = anchor.to_bytes()
+        assert parse_anchor(data) == anchor
+        for cut in range(len(data)):
+            with pytest.raises(DecodeError, match="anchor truncated"):
+                parse_anchor(data[:cut])
+        for extra in (0, 1, 255):
+            with pytest.raises(DecodeError, match="anchor has 1 trailing bytes"):
+                parse_anchor(data + bytes([extra]))
 
 
 class TestCertificateEncoding:

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revokebench.core import DAY, HOUR, SERIAL_MAX, KeyStore, RevocationRecord, Signature
+from revokebench.core import (
+    DAY, HOUR, SERIAL_MAX, DecodeError, KeyStore, RevocationRecord, Signature
+)
 from revokebench.crl import (
     CrlDocument,
     CrlIssuer,
@@ -20,6 +22,7 @@ from revokebench.crl import (
     check_status,
     decide_status,
     make_redirect_table,
+    parse_crl,
     resolve_segment,
 )
 
@@ -396,13 +399,6 @@ class TestProperties:
             )
             assert not mutated.verify(keystore, "ca")
 
-    def test_json_round_trip(self, keystore):
-        issuer = make_issuer(keystore, delta_period=HOUR, window_length=DAY)
-        doc = issuer.issue_sliding_delta(records_of((5, 3000)), 3600)
-        again = CrlDocument.from_json_dict(doc.to_json_dict())
-        assert again == doc
-        assert again.to_bytes() == doc.to_bytes()
-
 
 def reference_crl_payload(doc: CrlDocument) -> bytes:
     """Per-entry encoding of the signed CRL fields, spelled out."""
@@ -443,6 +439,108 @@ class TestCrlEncoding:
         )
         assert doc.signed_payload() == reference_crl_payload(doc)
         assert doc.wire_size == len(reference_crl_payload(doc)) + doc.signature.wire_size
+
+
+WIRE_KEYS = KeyStore()
+WIRE_KEYS.generate("ca", random.Random(2))
+KINDS = ["full", "delta", "sliding", "segment"]
+
+
+def wire_crls(kind, records, now):
+    """The documents of one kind the issuer makes over records at now,
+    signed under WIRE_KEYS' "ca": one, or for segments one per segment."""
+    issuer = make_issuer(WIRE_KEYS, delta_period=HOUR, window_length=DAY)
+    if kind == "full":
+        return [issuer.issue_full(records, now)]
+    if kind == "delta":
+        base = issuer.issue_full([r for r in records if r.revoked_at <= 2000], 2000)
+        return [issuer.issue_delta([r for r in records if r.revoked_at > 2000], base, now)]
+    if kind == "sliding":
+        return [issuer.issue_sliding_delta(records, now)]
+    table = make_redirect_table(
+        1, [(0, 2**63, "seg-a"), (2**63 + 1, SERIAL_MAX, "seg-\u00fc")], WIRE_KEYS, "ca"
+    )
+    return issuer.segment(records, table, now)
+
+
+@st.composite
+def issued_crls(draw):
+    """A document of any kind the issuer makes, over a few revocations."""
+    serials = st.integers(1, SERIAL_MAX - 1)
+    revoked = draw(st.dictionaries(serials, st.integers(1, 5000), max_size=6))
+    now = draw(st.integers(5000, 10_000))
+    kind = draw(st.sampled_from(KINDS))
+    return draw(st.sampled_from(wire_crls(kind, records_of(*revoked.items()), now)))
+
+
+class TestWire:
+    """parse_crl reads back exactly the bytes to_bytes writes, and nothing else."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=issued_crls())
+    def test_round_trip_holds_the_bytes_received(self, doc):
+        data = doc.to_bytes()
+        parsed = parse_crl(data)
+        assert parsed == doc
+        assert parsed.to_bytes() == data
+        # it holds the payload received, and that is what its fields encode to
+        assert vars(parsed)["_held"] == parsed._payload() == doc.signed_payload()
+        assert parsed.verify(WIRE_KEYS, "ca")
+
+    @settings(max_examples=30, deadline=None)
+    @given(doc=issued_crls())
+    def test_every_truncation_and_extension_is_rejected(self, doc):
+        data = doc.to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(DecodeError, match="crl truncated"):
+                parse_crl(data[:cut])
+        for extra in range(256):
+            with pytest.raises(DecodeError, match="crl has 1 trailing bytes"):
+                parse_crl(data + bytes([extra]))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_single_byte_change_is_rejected_or_fails_verify(self, kind):
+        [doc, *_] = wire_crls(kind, records_of((3, 1500), (2**63 + 9, 2500)), 6000)
+        data = doc.to_bytes()
+        for i in range(len(data)):
+            for value in range(256):
+                if value == data[i]:
+                    continue
+                try:
+                    changed = parse_crl(data[:i] + bytes([value]) + data[i + 1 :])
+                except DecodeError:
+                    continue
+                assert not changed.verify(WIRE_KEYS, "ca"), (i, value)
+
+    @pytest.mark.parametrize("flag", [2, 3, 255])
+    @pytest.mark.parametrize("which", ["window_start", "segment_id"])
+    def test_an_option_flag_other_than_0_or_1_is_rejected(self, keystore, flag, which):
+        doc = make_issuer(keystore).issue_full(records_of((5, 30)), 100)
+        at = 4 + 2 + 4 + 4 + 16  # issuer "ca", kind "full", the two update times
+        if which == "segment_id":
+            at += 1  # past the absent window_start's flag
+        data = doc.to_bytes()
+        assert data[at] == 0
+        with pytest.raises(DecodeError, match=f"has {flag} at byte {at}"):
+            parse_crl(data[:at] + bytes([flag]) + data[at + 1 :])
+
+    def test_an_unknown_kind_is_rejected(self, keystore):
+        data = make_issuer(keystore).issue_full([], 100).to_bytes()
+        assert data[6:14] == b"\x00\x00\x00\x04full"
+        with pytest.raises(DecodeError, match="'fuzz' is not a valid CrlKind"):
+            parse_crl(data[:10] + b"fuzz" + data[14:])
+
+    def test_fields_no_document_holds_are_rejected(self, keystore):
+        """Bytes that frame well but break a document's own rule."""
+        doc = make_issuer(keystore).issue_full(records_of((5, 30), (9, 40)), 100)
+        swapped = dataclasses.replace(doc, entries=((5, 30), (9, 40)))
+        data = swapped.to_bytes()
+        entries_at = data.index(struct.pack(">QQ", 5, 30))
+        out_of_order = (
+            data[:entries_at] + struct.pack(">QQQQ", 9, 40, 5, 30) + data[entries_at + 32 :]
+        )
+        with pytest.raises(DecodeError, match="strictly ascending"):
+            parse_crl(out_of_order)
 
 
 class TestDecideStatus:

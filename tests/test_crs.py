@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revokebench import core
-from revokebench.core import DAY, OneWayFunction
+from revokebench.core import DAY, DecodeError, OneWayFunction
 from revokebench.crs import (
     CrsAuthority,
     CrsStatus,
@@ -250,11 +250,35 @@ class TestWire:
         authority.setup([1], 10, 86400, rng)
         data = bytearray(authority.issue_token(1, 3).to_bytes())
         data[8] = 0
+        data[9:13] = bytes(4)  # a revoked token's period is 0
         assert parse_token(bytes(data), f).kind is CrsTokenKind.REVOKED
         for junk in (2, 0x80, 0xFF):
             data[8] = junk
             with pytest.raises(ValueError):
                 parse_token(bytes(data), f)
+
+    @pytest.mark.parametrize("period", [1, 5, 2**32 - 1])
+    def test_a_revoked_token_with_a_period_is_rejected(self, authority, f, rng, period):
+        """crs_verify ignores a revoked token's period, so a decoder that took
+        any period would give one revoked token 2**32 encodings."""
+        authority.setup([1], 10, 86400, rng)
+        authority.revoke(1)
+        token = authority.issue_token(1, 5)
+        assert token.kind is CrsTokenKind.REVOKED and token.period == 0
+        data = bytearray(token.to_bytes())
+        assert parse_token(bytes(data), f) == token
+        data[9:13] = period.to_bytes(4, "big")
+        with pytest.raises(DecodeError, match=f"token is revoked but has period {period}"):
+            parse_token(bytes(data), f)
+
+    def test_every_truncation_and_extension_is_rejected(self, authority, f, rng):
+        authority.setup([1], 10, 86400, rng)
+        data = authority.issue_token(1, 3).to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(DecodeError, match="token truncated"):
+                parse_token(data[:cut], f)
+        with pytest.raises(DecodeError, match="token has 1 trailing bytes"):
+            parse_token(data + b"\x00", f)
 
 
 def test_verification_is_pure(authority, f, rng):

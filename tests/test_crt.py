@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from revokebench.core import KeyStore, OneWayFunction
+from revokebench.core import DecodeError, KeyStore, OneWayFunction, Reader
 from revokebench.crt import (
     SENTINEL_HI,
     SENTINEL_LO,
@@ -27,6 +27,9 @@ from revokebench.crt import (
     leaf_hash,
     node_hash,
     parse_proof,
+    parse_tree,
+    read_signed_root,
+    _sign_root,
 )
 
 
@@ -212,6 +215,125 @@ class TestWire:
                 parse_proof(data[:cut])
         with pytest.raises(ValueError):
             parse_proof(data + b"\x00")
+
+    @pytest.mark.parametrize("side", [2, 7, 255])
+    def test_a_side_byte_other_than_0_or_1_is_rejected(self, keystore, side):
+        """crt_verify reads any side but 0 as right, so a proof whose side
+        bytes could be anything but 0 or 1 would have many encodings."""
+        proof = crt_prove(build(keystore, [5, 11, 20]), 14)
+        data = proof.to_bytes()
+        assert crt_verify(parse_proof(data), 14, keystore, "ca", 0) is CrtVerdict.VALID
+        for i in range(len(proof.siblings)):
+            at = 16 + 4 + 1 + 33 * i + 32  # leaf, index, count, then (hash, side) pairs
+            assert data[at] == proof.siblings[i][1]
+            with pytest.raises(DecodeError, match=f"proof has {side} at byte {at}"):
+                parse_proof(data[:at] + bytes([side]) + data[at + 1 :])
+
+
+serial_sets = st.sets(st.integers(SENTINEL_LO + 1, SENTINEL_HI - 1), max_size=12)
+
+
+class TestTreeFile:
+    """parse_tree reads back exactly the bytes CrtTree.to_bytes writes, with
+    the levels rebuilt and the signed root as it was signed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(revoked=serial_sets)
+    def test_round_trip(self, revoked):
+        keystore = KeyStore()
+        keystore.generate("ca", random.Random(3))
+        tree = crt_build(revoked, 7, 100, keystore, "ca")
+        data = tree.to_bytes()
+        parsed = parse_tree(data)
+        assert parsed == tree and parsed.to_bytes() == data
+        assert keystore.sign_count == 1  # nothing was signed again
+        root = parsed.signed_root
+        assert vars(root)["_held"] == root._payload() and root.verify(keystore, "ca")
+
+    @settings(max_examples=20, deadline=None)
+    @given(revoked=serial_sets)
+    def test_every_truncation_and_extension_is_rejected(self, revoked):
+        keystore = KeyStore()
+        keystore.generate("ca", random.Random(3))
+        data = crt_build(revoked, 7, 100, keystore, "ca").to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(DecodeError, match="tree file truncated"):
+                parse_tree(data[:cut])
+        for extra in (0, 1, 255):
+            with pytest.raises(DecodeError, match="tree file has 1 trailing bytes"):
+                parse_tree(data + bytes([extra]))
+
+    def test_every_single_byte_change_is_rejected_or_fails_verify(self, keystore):
+        data = build(keystore, [5, 11, 20]).to_bytes()
+        for i in range(len(data)):
+            for value in range(256):
+                if value == data[i]:
+                    continue
+                try:
+                    changed = parse_tree(data[:i] + bytes([value]) + data[i + 1 :])
+                except DecodeError:
+                    continue
+                assert not changed.signed_root.verify(keystore, "ca"), (i, value)
+
+    @pytest.mark.parametrize(
+        "serials, problem",
+        [
+            ((11, 5), "not strictly ascending"),
+            ((5, 5), "not strictly ascending"),
+            ((SENTINEL_LO, 5), "not strictly ascending"),
+            ((5, SENTINEL_HI), "not strictly ascending"),
+            ((5, 12), "root does not match its serials"),
+        ],
+    )
+    def test_serials_that_are_not_the_trees_are_rejected(self, keystore, serials, problem):
+        tree = build(keystore, [5, 11])
+        data = tree.signed_root.to_bytes() + struct.pack(">IQQ", 2, *serials)
+        with pytest.raises(DecodeError, match=problem):
+            parse_tree(data)
+
+
+class TestSignedRootWire:
+    """read_signed_root, the one root decoder of proofs and tree files."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        root=st.binary(min_size=32, max_size=32),
+        issued_at=st.integers(0, 2**63),
+        validity=st.integers(1, 2**63 - 1),
+        key_id=st.text(max_size=8),
+    )
+    def test_round_trip(self, root, issued_at, validity, key_id):
+        keystore = KeyStore()
+        keystore.register(key_id, b"secret")
+        signed = _sign_root(root, issued_at, validity, keystore, key_id)
+        reader = Reader(signed.to_bytes(), "root")
+        parsed = read_signed_root(reader)
+        reader.done()
+        assert parsed == signed and vars(parsed)["_held"] == parsed._payload()
+        assert parsed.verify(keystore, key_id)
+
+    def test_every_truncation_extension_and_byte_change(self, keystore):
+        data = build(keystore, [5]).signed_root.to_bytes()
+
+        def parse(data):
+            reader = Reader(data, "root")
+            root = read_signed_root(reader)
+            reader.done()
+            return root
+
+        for cut in range(len(data)):
+            with pytest.raises(DecodeError):
+                parse(data[:cut])
+        with pytest.raises(DecodeError):
+            parse(data + b"\x00")
+        for i in range(len(data)):
+            for value in range(256):
+                if value != data[i]:
+                    try:
+                        changed = parse(data[:i] + bytes([value]) + data[i + 1 :])
+                    except DecodeError:
+                        continue
+                    assert not changed.verify(keystore, "ca"), (i, value)
 
 
 

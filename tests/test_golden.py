@@ -24,7 +24,9 @@ import pytest
 from revokebench import core
 from revokebench import crs as crs_mod
 from revokebench.core import DAY, HOUR
-from revokebench.simkit import Scheme, SimConfig, run, run_with_logs, wcr_equivalence_logs
+from revokebench.simkit import Scheme, SimConfig, run
+
+from wcr_baselines import run_with_logs, wcr_equivalence_logs
 
 
 def _base(seed: int) -> dict:

@@ -38,19 +38,16 @@ from revokebench.simkit import (
     comparison_csv,
     generate_workload,
     run,
-    run_with_logs,
     schedule_staggered_fetch,
     Simulation,
 )
 from revokebench.simkit.metrics import CHANNELS, Metrics
 from revokebench.simkit.schemes import (
-    AlwaysFreshAdapter,
     CrsAdapter,
     CrtAdapter,
     DeltaCrlAdapter,
     FullCrlAdapter,
     NaiveStatusAdapter,
-    PlainCrlBaselineAdapter,
     SchemeAdapter,
     SegmentedAdapter,
     SlidingDeltaAdapter,
@@ -61,6 +58,7 @@ from revokebench.simkit.workload import Workload, substream
 
 from test_core import ORACLE_SECRET, eager_certificates
 from test_golden import CONFIGS as GOLDEN
+from wcr_baselines import AlwaysFreshAdapter, PlainCrlBaselineAdapter, run_with_logs
 
 
 def cfg(**kwargs):

@@ -23,7 +23,6 @@ ALLOWED = {
     "MetricsReport.conservation_delta": "perfbench checks byte conservation with it",
     "CrsAuthority.publish_update": "perfbench wraps it as the crs.publish_update span",
     "OcspResponder.handle_raw": "the responder's byte entry; ROADMAP item 7 gives it a caller",
-    "wcr_equivalence_logs": "runs the two WCR baselines as the oracle for acceptance criterion 6",
 }
 
 
