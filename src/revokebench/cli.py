@@ -96,10 +96,8 @@ def load_ledger(path: str, keystore: KeyStore, key_id: str) -> Ledger:
     ledger = Ledger()
     with _reading(path) as data:
         for c in data.get("certificates", []):
-            serial = json_int(c["serial"])
             ledger.issue(
-                [serial],
-                [json_str(c.get("subject", f"subject-{serial}"))],
+                [json_int(c["serial"])],
                 [None],
                 json_int(c["not_before"]),
                 json_int(c["not_after"]),

@@ -546,7 +546,6 @@ _pack_window = struct.Struct(">QQ").pack
 
 def _certificate_payloads(
     serials: Sequence[int],
-    subjects: Sequence[str],
     crs_anchors: Sequence[Optional[CrsAnchor]],
     not_before: int,
     not_after: int,
@@ -555,21 +554,21 @@ def _certificate_payloads(
     """The bytes each certificate's issuer signature covers, in field order,
     for certificates that share a validity window and segment id. The bytes
     they share (the window, the anchor flag of those without an anchor, the
-    segment id) are encoded once."""
+    segment id) are encoded once. Certificate s has subject `subject-<s>`:
+    no record carries it, it is derived here."""
     window = _pack_window(not_before, not_after)
     segment = pack_opt_str(segment_id)
     plain = window + b"\x00" + segment  # the tail of every certificate without an anchor
     return [
-        _pack_head(serial, len(name))
+        _pack_head(serial, len(name := b"subject-%d" % serial))
         + name
         + (plain if anchor is None else window + b"\x01" + anchor.to_bytes() + segment)
-        for serial, name, anchor in zip(serials, map(str.encode, subjects), crs_anchors)
+        for serial, anchor in zip(serials, crs_anchors)
     ]
 
 
 class _CertificateFields(NamedTuple):
     serial: int
-    subject: str
     not_before: int
     not_after: int
     issuer_signature: Signature
@@ -596,15 +595,12 @@ class Certificate(Checked, Signed, _CertificateFields):
         _check_window(self.not_before, self.not_after)
 
     def _payload(self) -> bytes:
-        serial, subject, not_before, not_after, _, anchor, segment_id = self
-        return _certificate_payloads(
-            [serial], [subject], [anchor], not_before, not_after, segment_id
-        )[0]
+        serial, not_before, not_after, _, anchor, segment_id = self
+        return _certificate_payloads([serial], [anchor], not_before, not_after, segment_id)[0]
 
 
 def make_certificate(
     serial: int,
-    subject: str,
     not_before: int,
     not_after: int,
     keystore: KeyStore,
@@ -616,9 +612,7 @@ def make_certificate(
     fields): the one-certificate batch of `Ledger.issue`, on a ledger of its
     own."""
     ledger = Ledger()
-    ledger.issue(
-        [serial], [subject], [crs_anchor], not_before, not_after, keystore, key_id, segment_id
-    )
+    ledger.issue([serial], [crs_anchor], not_before, not_after, keystore, key_id, segment_id)
     return ledger.certificates[serial]
 
 
@@ -643,7 +637,6 @@ class _Batch(NamedTuple):
     key_id: str
     segment_id: Optional[str]
     serials: list[int]
-    subjects: list[str]
     crs_anchors: list[Optional[CrsAnchor]]
     macs: bytes  # the issuer MACs, _MAC_BYTES each
 
@@ -670,7 +663,6 @@ class _IssuedCertificates(Mapping):
             Certificate,
             (
                 batch.serials[i],
-                batch.subjects[i],
                 batch.not_before,
                 batch.not_after,
                 signature,
@@ -696,9 +688,9 @@ class Ledger:
     and the simulator checks client decisions against it.
 
     Certificates are issued by batch (`issue`), and each batch is kept as one
-    record: its window, key id and segment id once, its serials, subjects
-    and anchors as lists, its MACs as one bytes of 32 per certificate, with a
-    serial -> ordinal index over all batches. `certificates` builds a
+    record: its window, key id and segment id once, its serials and anchors
+    as lists, its MACs as one bytes of 32 per certificate, with a serial ->
+    ordinal index over all batches. `certificates` builds a
     Certificate only when one is read. The readers of a single field read it
     from the batch: `revoke` the window, `non_expired_serials` the expiry
     and `crs_anchor` the anchor.
@@ -719,7 +711,6 @@ class Ledger:
     def issue(
         self,
         serials: Sequence[int],
-        subjects: Sequence[str],
         crs_anchors: Sequence[Optional[CrsAnchor]],
         not_before: int,
         not_after: int,
@@ -727,23 +718,23 @@ class Ledger:
         key_id: str,
         segment_id: Optional[str] = None,
     ) -> None:
-        """Sign and record one certificate per (serial, subject, anchor), all
-        with the one validity window, key and segment id.
+        """Sign and record one certificate per (serial, anchor), all with
+        the one validity window, key and segment id.
 
-        Every input is checked before anything is signed: one subject and
-        one anchor per serial, both window ends on the u64 clock and the
-        window not empty, every serial in range, and no serial repeated in
-        the batch or issued before. So a bad input anywhere signs nothing
-        and leaves the ledger as it was. The payloads are then encoded with
-        the bytes the batch shares joined once (`_certificate_payloads`),
-        and `KeyStore.mac_batch` MACs them under the one key, counted under
-        the keystore's phase. Both go _ISSUE_CHUNK certificates at a time,
-        and the chunks' MACs are joined once at the end, so the whole
-        batch's payloads and MAC objects are never held at once.
+        Every input is checked before anything is signed: one anchor per
+        serial, both window ends on the u64 clock and the window not empty,
+        every serial in range, and no serial repeated in the batch or issued
+        before. So a bad input anywhere signs nothing and leaves the ledger
+        as it was. The payloads are then encoded with the bytes the batch
+        shares joined once (`_certificate_payloads`), and
+        `KeyStore.mac_batch` MACs them under the one key, counted under the
+        keystore's phase. Both go _ISSUE_CHUNK certificates at a time, and
+        the chunks' MACs are joined once at the end, so the whole batch's
+        payloads and MAC objects are never held at once.
         """
         n = len(serials)
-        if not n == len(subjects) == len(crs_anchors):
-            raise ValueError("a batch needs one subject and one anchor per serial")
+        if n != len(crs_anchors):
+            raise ValueError("a batch needs one anchor per serial")
         _check_window(not_before, not_after)
         if n:  # checking the least and the greatest checks every serial
             check_serial(min(serials))
@@ -760,8 +751,7 @@ class Ledger:
         for lo in range(0, n or 1, _ISSUE_CHUNK):  # an empty batch still looks the key up
             hi = lo + _ISSUE_CHUNK
             payloads = _certificate_payloads(
-                serials[lo:hi], subjects[lo:hi], crs_anchors[lo:hi],
-                not_before, not_after, segment_id,
+                serials[lo:hi], crs_anchors[lo:hi], not_before, not_after, segment_id
             )
             chunks.append(b"".join(keystore.mac_batch(payloads, key_id)))
         macs = b"".join(chunks)
@@ -775,7 +765,6 @@ class Ledger:
                 key_id,
                 segment_id,
                 list(serials),
-                list(subjects),
                 list(crs_anchors),
                 macs,
             )

@@ -19,8 +19,8 @@ Proofs and tree files travel as wire bytes, read through `core.Reader`.
 `read_signed_root` is the one root decoder, and the root it returns holds
 the bytes received: `parse_proof` reads it at a proof's end, and
 `parse_tree` at a tree file's start, before the serials. `parse_tree`
-rebuilds the levels over those serials with `_hash_levels`, the same
-levels `crt_build` signs, and takes them only if they give the signed root,
+rebuilds the levels over those serials with `_build_levels`, the level
+builder of every tree, and takes them only if they give the signed root,
 so a prover needs the tree file and no key.
 """
 
@@ -203,10 +203,11 @@ def parse_tree(data: bytes) -> CrtTree:
     bounds = (SENTINEL_LO, *serials, SENTINEL_HI)
     if any(a >= b for a, b in zip(bounds, bounds[1:])):
         raise r.error("serials are not strictly ascending between the sentinels")
-    leaves, levels = _hash_levels(serials)
+    leaves = _leaves_for(serials)
+    levels, _ = _build_levels([leaf_hash(lf) for lf in leaves], {})
     if levels[-1][0] != signed_root.root:
         raise r.error("root does not match its serials")
-    return CrtTree(serials, leaves, levels, signed_root)
+    return CrtTree(serials, tuple(leaves), tuple(levels), signed_root)
 
 
 def _build_levels(
@@ -249,23 +250,6 @@ def _leaves_for(serials: Sequence[int]) -> list[CrtLeaf]:
     return list(map(tuple.__new__, repeat(CrtLeaf), zip(bounds, bounds[1:])))
 
 
-def _hash_levels(
-    serials: Sequence[int],
-) -> tuple[tuple[CrtLeaf, ...], tuple[tuple[bytes, ...], ...]]:
-    """The leaves and every hash level of the tree over sorted unique
-    serials, all hashed afresh; the root is levels[-1][0], to be signed by
-    crt_build or checked against a root signed before (parse_tree)."""
-    leaves = _leaves_for(serials)
-    levels, _ = _build_levels([leaf_hash(lf) for lf in leaves], {})
-    return tuple(leaves), tuple(levels)
-
-
-def _sign_root(root: bytes, now: int, validity: int, keystore: KeyStore, key_id: str) -> SignedRoot:
-    next_update = check_time(now + validity)
-    payload = _root_payload(root, now, next_update)
-    return keep_payload(SignedRoot(root, now, next_update, keystore.sign(payload, key_id)), payload)
-
-
 def crt_build(
     revoked: Iterable[int],
     now: int,
@@ -273,11 +257,9 @@ def crt_build(
     keystore: KeyStore,
     key_id: str,
 ) -> CrtTree:
-    """Tree over the sentinel-bounded gaps between consecutive revoked serials."""
-    serials = tuple(sorted(set(revoked)))
-    leaves, levels = _hash_levels(serials)
-    signed_root = _sign_root(levels[-1][0], now, validity, keystore, key_id)
-    return CrtTree(serials, leaves, levels, signed_root)
+    """Tree over the sentinel-bounded gaps between consecutive revoked
+    serials: the update of the empty tree that adds them all."""
+    return crt_update(None, revoked, (), now, validity, keystore, key_id)[0]
 
 
 @dataclass(frozen=True)
@@ -299,8 +281,9 @@ def crt_update(
 ) -> tuple[CrtTree, CrtUpdateStats]:
     """New snapshot after adding fresh revocations and dropping expired ones.
 
-    The result is structurally identical to crt_build over the final set.
-    tree=None stands for the empty set, so a first build is an update too.
+    The result is structurally identical to a tree hashed afresh over the
+    final set. tree=None stands for the empty set, so a first build is an
+    update too.
     Every old leaf hash is reused, and so is every internal node whose child
     pair also occurs in the old tree; the rest is recomputed and counted (the
     counts are what the simulator compares across schemes). Leaf positions
@@ -338,11 +321,15 @@ def crt_update(
         new_leaf_hashes.append(h)
 
     levels, hashed = _build_levels(new_leaf_hashes, node_memo)
+    root = levels[-1][0]
+    next_update = check_time(now + validity)
+    payload = _root_payload(root, now, next_update)
+    signed_root = SignedRoot(root, now, next_update, keystore.sign(payload, key_id))
     new_tree = CrtTree(
         serials=tuple(serials),
         leaves=tuple(leaves),
         levels=tuple(levels),
-        signed_root=_sign_root(levels[-1][0], now, validity, keystore, key_id),
+        signed_root=keep_payload(signed_root, payload),
     )
     return new_tree, CrtUpdateStats(recomputed_internal=hashed, recomputed_leaves=leaf_count)
 

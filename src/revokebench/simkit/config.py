@@ -157,6 +157,9 @@ class SimConfig:
             raise ConfigError("extra_delta_times applies only to delta schemes")
         if self.ocsp_key_lifetime <= 0:
             raise ConfigError("ocsp_key_lifetime must be positive")
+        for name in ("wcr_clean_duration", "ocsp_max_age", "depender_nodes"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         if self.depender_nodes > 0 and self.depender_k < 1:
             raise ConfigError("an overlay needs depender_k >= 1")
         # Node 0 is the overlay's root, which never fails.

@@ -173,13 +173,7 @@ class Simulation:
             # CRS draws each chain seed from rng_scheme, in workload order
             anchors = self.adapter.anchors_for(payload, t)
             self.ledger.issue(
-                payload,
-                [f"subject-{serial}" for serial in payload],
-                anchors,
-                t,
-                t + self.config.cert_lifetime,
-                self.keystore,
-                self.ca_key,
+                payload, anchors, t, t + self.config.cert_lifetime, self.keystore, self.ca_key
             )
         elif kind == "revoke":
             self.ledger.revoke(payload, t)

@@ -265,6 +265,21 @@ class TestCrlCommands:
         assert code == 1
 
 
+    def test_a_subject_key_in_the_ledger_is_ignored(self, workdir, keystore_file, ledger_file):
+        """A certificate's subject is derived from its serial, so a ledger
+        entry's "subject" key is ignored like any other unknown key."""
+        ledger = json.loads(ledger_file.read_text())
+        named = workdir / "named.json"
+        named.write_text(json.dumps(_with_first(ledger, "certificates", subject="alice")))
+        written = []
+        for path in (ledger_file, named):
+            out = workdir / f"{path.stem}.bin"
+            argv = ["--keystore", keystore_file, "--ledger", path, "--now", 1000, "--out", out]
+            assert invoke("crl-issue", *argv) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
+
+
 class TestCrtCommands:
     def test_prove_verify_round_trip_matches_membership(self, workdir, keystore_file, capsys):
         """Oracle: membership scan over a random revoked set."""

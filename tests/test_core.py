@@ -297,11 +297,10 @@ class TestOwfReference:
 
 class TestCertificates:
     def test_signature_covers_all_fields(self, keystore):
-        cert = make_certificate(5, "alice", 0, 100, keystore, "ca")
+        cert = make_certificate(5, 0, 100, keystore, "ca")
         assert cert.verify(keystore, "ca")
         forged = Certificate(
             serial=6,
-            subject=cert.subject,
             not_before=cert.not_before,
             not_after=cert.not_after,
             issuer_signature=cert.issuer_signature,
@@ -310,11 +309,11 @@ class TestCertificates:
 
     def test_empty_validity_rejected(self, keystore):
         with pytest.raises(ValueError):
-            make_certificate(5, "alice", 100, 100, keystore, "ca")
+            make_certificate(5, 100, 100, keystore, "ca")
 
     def test_serialization_is_stable(self, keystore):
-        a = make_certificate(5, "alice", 0, 100, keystore, "ca")
-        b = make_certificate(5, "alice", 0, 100, keystore, "ca")
+        a = make_certificate(5, 0, 100, keystore, "ca")
+        b = make_certificate(5, 0, 100, keystore, "ca")
         assert a.to_bytes() == b.to_bytes()
 
 
@@ -331,7 +330,8 @@ def reference_certificate_payload(cert: Certificate) -> bytes:
         b = s.encode("utf-8")
         return u32(len(b)) + b
 
-    out = u64(cert.serial) + text(cert.subject) + u64(cert.not_before) + u64(cert.not_after)
+    subject = text(f"subject-{cert.serial}")
+    out = u64(cert.serial) + subject + u64(cert.not_before) + u64(cert.not_after)
     a = cert.crs_anchor
     if a is None:
         out += b"\x00"
@@ -427,7 +427,6 @@ class TestCertificateEncoding:
         anchor = CrsAnchor(y=b"\x01" * 13, n=b"\x02" * 13, lifetime_periods=365, period_length=86_400)
         cert = make_certificate(
             SERIAL_MAX,
-            "subject-ü",
             2**40,
             2**64 - 1,
             keystore,
@@ -441,21 +440,21 @@ class TestCertificateEncoding:
 
     @pytest.mark.parametrize("anchor_bytes", [None, (13, 13), (1, 32)])
     @pytest.mark.parametrize("segment_id", [None, "", "seg-ü3"])
-    @pytest.mark.parametrize("subject", ["", "alice", "subject-ü", "証明書-🔑"])
-    def test_wire_size_is_the_encoding_length(self, keystore, anchor_bytes, segment_id, subject):
+    @pytest.mark.parametrize("serial", [0, 7, 10**9, SERIAL_MAX])
+    def test_wire_size_is_the_encoding_length(self, keystore, anchor_bytes, segment_id, serial):
         anchor = None
         if anchor_bytes is not None:
             y_len, n_len = anchor_bytes
             anchor = CrsAnchor(y=b"\x01" * y_len, n=b"\x02" * n_len, lifetime_periods=3, period_length=9)
         cert = make_certificate(
-            7, subject, 0, 100, keystore, "ca", crs_anchor=anchor, segment_id=segment_id
+            serial, 0, 100, keystore, "ca", crs_anchor=anchor, segment_id=segment_id
         )
         assert cert.wire_size == len(cert.to_bytes())
 
     @BAD_FIELDS
     def test_bad_fields_raise_before_signing(self, keystore, serial, not_before, not_after):
         with pytest.raises(ValueError):
-            make_certificate(serial, "alice", not_before, not_after, keystore, "ca")
+            make_certificate(serial, not_before, not_after, keystore, "ca")
         assert keystore.sign_count == 0
 
 
@@ -466,7 +465,7 @@ class TestCertificateRecord:
     @pytest.fixture
     def cert(self, keystore):
         anchor = CrsAnchor(y=b"\x01" * 13, n=b"\x02" * 13, lifetime_periods=3, period_length=9)
-        return make_certificate(5, "alice", 0, 100, keystore, "ca", crs_anchor=anchor, segment_id="s")
+        return make_certificate(5, 0, 100, keystore, "ca", crs_anchor=anchor, segment_id="s")
 
     def test_fields_cannot_be_set(self, cert):
         with pytest.raises(AttributeError):
@@ -479,16 +478,16 @@ class TestCertificateRecord:
     @BAD_FIELDS
     def test_direct_construction_checks_fields(self, cert, serial, not_before, not_after):
         with pytest.raises(ValueError):
-            Certificate(serial, "alice", not_before, not_after, cert.issuer_signature)
+            Certificate(serial, not_before, not_after, cert.issuer_signature)
         with pytest.raises(ValueError):
             cert._replace(serial=serial, not_before=not_before, not_after=not_after)
 
     def test_equal_and_hashable_by_value(self, keystore, cert):
         twin = make_certificate(
-            5, "alice", 0, 100, keystore, "ca", crs_anchor=cert.crs_anchor, segment_id="s"
+            5, 0, 100, keystore, "ca", crs_anchor=cert.crs_anchor, segment_id="s"
         )
         assert twin == cert and hash(twin) == hash(cert)
-        assert len({cert, twin, cert._replace(subject="bob")}) == 2
+        assert len({cert, twin, cert._replace(serial=6)}) == 2
         sig = cert.issuer_signature
         assert Signature(sig.key_id, bytes(sig.mac)) == sig
         assert hash(Signature(sig.key_id, bytes(sig.mac))) == hash(sig)
@@ -497,7 +496,6 @@ class TestCertificateRecord:
     def test_make_certificate_builds_what_the_constructor_builds(self, keystore, cert):
         direct = Certificate(
             serial=cert.serial,
-            subject=cert.subject,
             not_before=cert.not_before,
             not_after=cert.not_after,
             issuer_signature=cert.issuer_signature,
@@ -507,16 +505,15 @@ class TestCertificateRecord:
         assert type(cert) is type(direct) is Certificate
         assert tuple(cert) == tuple(direct) and cert == direct
         assert direct.verify(keystore, "ca")
-        plain = make_certificate(7, "bob", 1, 2, keystore, "ca")
+        plain = make_certificate(7, 1, 2, keystore, "ca")
         assert (plain.crs_anchor, plain.segment_id) == (None, None)
-        assert plain == Certificate(7, "bob", 1, 2, plain.issuer_signature)
+        assert plain == Certificate(7, 1, 2, plain.issuer_signature)
 
 
 class TestLedgerIssue:
     """One signed batch equals one make_certificate per input, and is counted once."""
 
     SERIALS = [5, 1, SERIAL_MAX, 0, 9]
-    SUBJECTS = ["alice", "", "subject-ü", "証明書-🔑", "alice"]
 
     @classmethod
     def anchors(cls, with_anchors):
@@ -534,11 +531,11 @@ class TestLedgerIssue:
     def test_equals_one_make_certificate_per_input(self, keystore, with_anchors, segment_id):
         anchors = self.anchors(with_anchors)
         ledger = Ledger()
-        ledger.issue(self.SERIALS, self.SUBJECTS, anchors, 10, 100, keystore, "ca", segment_id)
+        ledger.issue(self.SERIALS, anchors, 10, 100, keystore, "ca", segment_id)
         batch = list(ledger.certificates.values())
         one_by_one = [
-            make_certificate(serial, subject, 10, 100, keystore, "ca", anchor, segment_id)
-            for serial, subject, anchor in zip(self.SERIALS, self.SUBJECTS, anchors)
+            make_certificate(serial, 10, 100, keystore, "ca", anchor, segment_id)
+            for serial, anchor in zip(self.SERIALS, anchors)
         ]
         assert list(ledger.certificates) == self.SERIALS
         assert [type(c) for c in batch] == [Certificate] * len(self.SERIALS)
@@ -550,10 +547,10 @@ class TestLedgerIssue:
     def test_counts_the_batch_once_under_the_current_phase(self, keystore):
         keystore.phase = "issue_certificate"
         ledger = Ledger()
-        ledger.issue(self.SERIALS, self.SUBJECTS, self.anchors(True), 0, 100, keystore, "ca")
+        ledger.issue(self.SERIALS, self.anchors(True), 0, 100, keystore, "ca")
         assert keystore.counts == {("sign", "issue_certificate"): len(self.SERIALS)}
         keystore.phase = "setup"
-        ledger.issue([], [], [], 0, 100, keystore, "ca")
+        ledger.issue([], [], 0, 100, keystore, "ca")
         assert keystore.counts == {("sign", "issue_certificate"): len(self.SERIALS)}
         assert len(ledger.certificates) == len(self.SERIALS)
 
@@ -566,19 +563,17 @@ class TestLedgerIssue:
         serials[bad_at] = serial  # a good serial where the window is the bad field
         ledger = Ledger()
         with pytest.raises(ValueError):
-            ledger.issue(
-                serials, self.SUBJECTS, self.anchors(False), not_before, not_after, keystore, "ca"
-            )
+            ledger.issue(serials, self.anchors(False), not_before, not_after, keystore, "ca")
         assert keystore.counts == {}
         assert len(ledger.certificates) == 0
 
-    @pytest.mark.parametrize("short", ["serials", "subjects", "anchors"])
+    @pytest.mark.parametrize("short", ["serials", "anchors"])
     def test_unequal_lengths_raise_before_signing(self, keystore, short):
-        args = {"serials": self.SERIALS, "subjects": self.SUBJECTS, "anchors": self.anchors(False)}
+        args = {"serials": self.SERIALS, "anchors": self.anchors(False)}
         args[short] = args[short][:-1]
         ledger = Ledger()
         with pytest.raises(ValueError):
-            ledger.issue(args["serials"], args["subjects"], args["anchors"], 0, 100, keystore, "ca")
+            ledger.issue(args["serials"], args["anchors"], 0, 100, keystore, "ca")
         assert keystore.counts == {}
         assert len(ledger.certificates) == 0
 
@@ -590,20 +585,20 @@ class TestLedgerIssue:
         check_time does, before anything is signed or recorded."""
         keystore.phase = "issue_certificate"
         ledger = Ledger()
-        ledger.issue([1, 2], ["a", "b"], [None, None], 0, 100, keystore, "ca")
+        ledger.issue([1, 2], [None, None], 0, 100, keystore, "ca")
         before = (list(ledger.certificates.items()), dict(keystore.counts))
         with pytest.raises(OverflowError, match="outside unsigned 64-bit range"):
-            ledger.issue([3, 4], ["c", "d"], [None, None], not_before, not_after, keystore, "ca")
+            ledger.issue([3, 4], [None, None], not_before, not_after, keystore, "ca")
         assert (list(ledger.certificates.items()), keystore.counts) == before
         assert not ledger.is_issued(3) and not ledger.is_issued(4)
 
     def test_a_serial_issued_before_or_twice_raises(self, keystore):
         ledger = Ledger()
-        ledger.issue([1, 2], ["a", "b"], [None, None], 0, 100, keystore, "ca")
+        ledger.issue([1, 2], [None, None], 0, 100, keystore, "ca")
         with pytest.raises(ValueError, match="serial 2 already issued"):
-            ledger.issue([3, 2], ["c", "b"], [None, None], 0, 100, keystore, "ca")
+            ledger.issue([3, 2], [None, None], 0, 100, keystore, "ca")
         with pytest.raises(ValueError, match="serial 4 already issued"):
-            ledger.issue([4, 5, 4], ["d", "e", "d"], [None] * 3, 0, 100, keystore, "ca")
+            ledger.issue([4, 5, 4], [None] * 3, 0, 100, keystore, "ca")
         assert list(ledger.certificates) == [1, 2]
         assert keystore.sign_count == 2
 
@@ -611,9 +606,9 @@ class TestLedgerIssue:
         """Lookups across batches of different windows, read without a record."""
         anchor = CrsAnchor(y=b"\x01" * 13, n=b"\x02" * 13, lifetime_periods=3, period_length=9)
         ledger = Ledger()
-        ledger.issue([10, 30], ["a", "c"], [None, anchor], 0, 100, keystore, "ca")
-        ledger.issue([], [], [], 50, 60, keystore, "ca")
-        ledger.issue([20], ["b"], [None], 50, 300, keystore, "ca", "seg")
+        ledger.issue([10, 30], [None, anchor], 0, 100, keystore, "ca")
+        ledger.issue([], [], 50, 60, keystore, "ca")
+        ledger.issue([20], [None], 50, 300, keystore, "ca", "seg")
         assert ledger.crs_anchor(30) == anchor and ledger.crs_anchor(20) is None
         assert ledger.non_expired_serials(99) == [10, 20, 30]
         assert ledger.non_expired_serials(100) == [20]
@@ -627,16 +622,14 @@ class TestLedgerIssue:
         assert [r.serial for r in ledger.revoked_non_expired(250)] == [20]
 
 
-def eager_certificates(
-    serials, subjects, anchors, not_before, not_after, secret, key_id, segment_id=None
-):
+def eager_certificates(serials, anchors, not_before, not_after, secret, key_id, segment_id=None):
     """Oracle for Ledger.issue: every certificate built as a record at once,
     its MAC computed with hmac.new over Certificate._payload, as issuance
     did before batches were kept as one record."""
     out = []
-    for serial, subject, anchor in zip(serials, subjects, anchors, strict=True):
+    for serial, anchor in zip(serials, anchors, strict=True):
         unsigned = Certificate(
-            serial, subject, not_before, not_after, Signature(key_id, b""), anchor, segment_id
+            serial, not_before, not_after, Signature(key_id, b""), anchor, segment_id
         )
         mac = hmac.new(secret, unsigned._payload(), hashlib.sha256).digest()
         out.append(unsigned._replace(issuer_signature=Signature(key_id, mac)))
@@ -646,7 +639,7 @@ def eager_certificates(
 ORACLE_SECRET = b"issuance-oracle-key"
 
 # st.text draws non-ASCII code points as well as ASCII ones
-_subjects = st.text(max_size=12)
+_segment_ids = st.text(max_size=12)
 _anchors = st.none() | st.builds(
     CrsAnchor,
     y=st.binary(min_size=1, max_size=32),
@@ -658,7 +651,7 @@ _anchors = st.none() | st.builds(
 
 @st.composite
 def issue_batches(draw, min_size=0, taken=frozenset()):
-    """(serials, subjects, anchors, not_before, not_after, segment_id) of a
+    """(serials, anchors, not_before, not_after, segment_id) of a
     valid batch of 0-40 certificates whose serials are not in `taken`."""
     serials = draw(
         st.lists(
@@ -671,12 +664,11 @@ def issue_batches(draw, min_size=0, taken=frozenset()):
         )
     )
     n = len(serials)
-    subjects = draw(st.lists(_subjects, min_size=n, max_size=n))
     anchors = draw(st.lists(_anchors, min_size=n, max_size=n))
     not_before = draw(st.integers(min_value=0, max_value=TIME_MAX - 1))
     not_after = draw(st.integers(min_value=not_before + 1, max_value=TIME_MAX))
-    segment_id = draw(st.none() | _subjects)
-    return serials, subjects, anchors, not_before, not_after, segment_id
+    segment_id = draw(st.none() | _segment_ids)
+    return serials, anchors, not_before, not_after, segment_id
 
 
 def oracle_keystore():
@@ -699,14 +691,14 @@ class TestIssueAgainstEagerOracle:
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             batch = data.draw(issue_batches(taken=frozenset(taken)))
             signed = keystore.sign_count
-            ledger.issue(*batch[:5], keystore, "ca", batch[5])
+            ledger.issue(*batch[:4], keystore, "ca", batch[4])
             assert keystore.sign_count - signed == len(batch[0])
             issued.append(batch)
             taken.update(batch[0])
         assert list(ledger.certificates) == [s for batch in issued for s in batch[0]]
-        for serials, subjects, anchors, not_before, not_after, segment_id in issued:
+        for serials, anchors, not_before, not_after, segment_id in issued:
             expected = eager_certificates(
-                serials, subjects, anchors, not_before, not_after, ORACLE_SECRET, "ca", segment_id
+                serials, anchors, not_before, not_after, ORACLE_SECRET, "ca", segment_id
             )
             for want in expected:
                 # the oracle's encoder against the field-by-field reference
@@ -727,23 +719,20 @@ class TestIssueAgainstEagerOracle:
         keystore = oracle_keystore()
         ledger = Ledger()
         with mock.patch.object(core, "_ISSUE_CHUNK", chunk):
-            ledger.issue(*batch[:5], keystore, "ca", batch[5])
+            ledger.issue(*batch[:4], keystore, "ca", batch[4])
         assert keystore.sign_count == len(batch[0])
-        expected = eager_certificates(*batch[:5], ORACLE_SECRET, "ca", batch[5])
+        expected = eager_certificates(*batch[:4], ORACLE_SECRET, "ca", batch[4])
         assert [tuple(c) for c in ledger.certificates.values()] == [tuple(c) for c in expected]
 
     def test_a_batch_of_several_chunks_equals_the_oracle(self):
         n = 2 * core._ISSUE_CHUNK + 5
         serials = list(range(1, n + 1))
-        subjects = [f"subject-{s}" for s in serials]
         anchors = [None if s % 3 else CrsAnchor(b"y", b"n", 365, DAY) for s in serials]
         keystore = oracle_keystore()
         ledger = Ledger()
-        ledger.issue(serials, subjects, anchors, 0, 30 * DAY, keystore, "ca", "seg")
+        ledger.issue(serials, anchors, 0, 30 * DAY, keystore, "ca", "seg")
         assert keystore.counts == {("sign", "issue_certificate"): n}
-        expected = eager_certificates(
-            serials, subjects, anchors, 0, 30 * DAY, ORACLE_SECRET, "ca", "seg"
-        )
+        expected = eager_certificates(serials, anchors, 0, 30 * DAY, ORACLE_SECRET, "ca", "seg")
         assert [tuple(c) for c in ledger.certificates.values()] == [tuple(c) for c in expected]
 
     FAULTS = [
@@ -756,8 +745,8 @@ class TestIssueAgainstEagerOracle:
         keystore = oracle_keystore()
         ledger = Ledger()
         first = data.draw(issue_batches(min_size=1))
-        ledger.issue(*first[:5], keystore, "ca", first[5])
-        serials, subjects, anchors, not_before, not_after, segment_id = data.draw(
+        ledger.issue(*first[:4], keystore, "ca", first[4])
+        serials, anchors, not_before, not_after, segment_id = data.draw(
             issue_batches(min_size=1, taken=frozenset(first[0]))
         )
         at = data.draw(st.integers(min_value=0, max_value=len(serials) - 1))
@@ -776,7 +765,6 @@ class TestIssueAgainstEagerOracle:
         elif fault == "repeated serial":
             where = data.draw(st.integers(min_value=0, max_value=len(serials)))
             serials.insert(where, serials[at])
-            subjects.insert(where, subjects[at])
             anchors.insert(where, anchors[at])
             match = "already issued"
         else:
@@ -784,11 +772,9 @@ class TestIssueAgainstEagerOracle:
             match = "already issued"
         before = (list(ledger.certificates.items()), dict(keystore.counts))
         with pytest.raises(error, match=match):
-            ledger.issue(
-                serials, subjects, anchors, not_before, not_after, keystore, "ca", segment_id
-            )
+            ledger.issue(serials, anchors, not_before, not_after, keystore, "ca", segment_id)
         assert (list(ledger.certificates.items()), keystore.counts) == before
-        assert ledger.non_expired_serials(first[3]) == sorted(first[0])
+        assert ledger.non_expired_serials(first[2]) == sorted(first[0])
         assert not any(ledger.is_issued(s) for s in serials if s not in first[0])
 
 
@@ -816,7 +802,7 @@ class TestRevocationIndex:
         for serial in serials:
             not_before = data.draw(st.integers(min_value=0, max_value=500))
             lifetime = data.draw(st.integers(min_value=1, max_value=500))
-            ledger.issue([serial], ["s"], [None], not_before, not_before + lifetime, ks, "ca")
+            ledger.issue([serial], [None], not_before, not_before + lifetime, ks, "ca")
         # revocations arrive in a drawn order, not in serial order
         for serial in data.draw(st.permutations(serials)):
             if not data.draw(st.booleans()):
@@ -837,7 +823,7 @@ class TestRevocationIndex:
 class TestLedger:
     def test_revocation_window_enforced(self, keystore):
         ledger = Ledger()
-        ledger.issue([1], ["a"], [None], 10, 100, keystore, "ca")
+        ledger.issue([1], [None], 10, 100, keystore, "ca")
         with pytest.raises(ValueError):
             ledger.revoke(1, 5)  # before not_before
         with pytest.raises(ValueError):
@@ -856,8 +842,8 @@ class TestLedger:
 
     def test_non_expired_filter(self, keystore):
         ledger = Ledger()
-        ledger.issue([1], ["a"], [None], 0, 100, keystore, "ca")
-        ledger.issue([2], ["b"], [None], 0, 300, keystore, "ca")
+        ledger.issue([1], [None], 0, 100, keystore, "ca")
+        ledger.issue([2], [None], 0, 300, keystore, "ca")
         ledger.revoke(1, 50)
         ledger.revoke(2, 50)
         assert [r.serial for r in ledger.revoked_non_expired(200)] == [2]

@@ -29,7 +29,6 @@ from revokebench.crt import (
     parse_proof,
     parse_tree,
     read_signed_root,
-    _sign_root,
 )
 
 
@@ -297,15 +296,15 @@ class TestSignedRootWire:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        root=st.binary(min_size=32, max_size=32),
+        revoked=serial_sets,
         issued_at=st.integers(0, 2**63),
         validity=st.integers(1, 2**63 - 1),
         key_id=st.text(max_size=8),
     )
-    def test_round_trip(self, root, issued_at, validity, key_id):
+    def test_round_trip(self, revoked, issued_at, validity, key_id):
         keystore = KeyStore()
         keystore.register(key_id, b"secret")
-        signed = _sign_root(root, issued_at, validity, keystore, key_id)
+        signed = crt_build(revoked, issued_at, validity, keystore, key_id).signed_root
         reader = Reader(signed.to_bytes(), "root")
         parsed = read_signed_root(reader)
         reader.done()

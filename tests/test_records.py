@@ -58,7 +58,7 @@ def genuine_records(keystore, rng) -> dict:
     a different valid value for each of its fields)."""
     anchor = CrsAnchor(b"y" * 13, b"n" * 13, 365, DAY)
     ledger = Ledger()
-    ledger.issue([5], ["alice"], [anchor], 0, DAY, keystore, "ca", "s1")
+    ledger.issue([5], [anchor], 0, DAY, keystore, "ca", "s1")
     cert = ledger.certificates[5]
     table = make_redirect_table(1, [(0, 99, "A"), (100, 999, "B")], keystore, "ca")
     issuer = CrlIssuer(keystore, "ca", IssuanceSchedule(base_period=DAY))
@@ -69,7 +69,7 @@ def genuine_records(keystore, rng) -> dict:
     statement = publish_statements(ledger, 7, 600, keystore, "ca")[0]
     return {
         "Certificate": (cert, "ca", dict(
-            serial=6, subject="mallory", not_before=1, not_after=2 * DAY,
+            serial=6, not_before=1, not_after=2 * DAY,
             issuer_signature=forged(cert.signature), crs_anchor=None, segment_id="s2",
         )),
         "CrlDocument": (doc, "ca", dict(

@@ -29,7 +29,7 @@ from revokebench.responder import (
 def ledger(keystore):
     lg = Ledger()
     for serial in range(1, 6):
-        lg.issue([serial], [f"s{serial}"], [None], 0, 1_000_000, keystore, "ca")
+        lg.issue([serial], [None], 0, 1_000_000, keystore, "ca")
     lg.revoke(2, 500)
     return lg
 
@@ -320,8 +320,8 @@ class TestStatements:
 
     def test_expired_certificates_excluded(self, keystore):
         lg = Ledger()
-        lg.issue([1], ["a"], [None], 0, 500, keystore, "ca")
-        lg.issue([2], ["b"], [None], 0, 5000, keystore, "ca")
+        lg.issue([1], [None], 0, 500, keystore, "ca")
+        lg.issue([2], [None], 0, 5000, keystore, "ca")
         statements = publish_statements(lg, 1, 1000, keystore, "ca")
         assert [s.serial for s in statements] == [2]
 

@@ -157,7 +157,7 @@ class TestConservationAndTruth:
         assert all(c.verify(sim.keystore, sim.ca_key) for c in certs)
         for c in certs:
             rebuilt = make_certificate(
-                c.serial, c.subject, c.not_before, c.not_after, sim.keystore, sim.ca_key, c.crs_anchor
+                c.serial, c.not_before, c.not_after, sim.keystore, sim.ca_key, c.crs_anchor
             )
             assert rebuilt == c
 
@@ -227,7 +227,6 @@ class TestIssuanceMemory:
     def test_a_batch_takes_at_most_half_the_memory_of_its_records(self):
         n = 3_000
         serials = list(range(10_000, 10_000 + n))
-        subjects = [f"subject-{serial}" for serial in serials]
         anchors = [None] * n
         keystore = KeyStore()
         keystore.register("ca", ORACLE_SECRET)
@@ -235,19 +234,39 @@ class TestIssuanceMemory:
         try:
             start = tracemalloc.get_traced_memory()[0]
             ledger = Ledger()
-            ledger.issue(serials, subjects, anchors, 0, 30 * DAY, keystore, "ca")
+            ledger.issue(serials, anchors, 0, 30 * DAY, keystore, "ca")
             batched = tracemalloc.get_traced_memory()[0] - start
             start = tracemalloc.get_traced_memory()[0]
             # what the ledger kept before batches: serial -> built record
             records = dict(
-                zip(serials, eager_certificates(serials, subjects, anchors, 0, 30 * DAY,
-                                                ORACLE_SECRET, "ca"))
+                zip(serials, eager_certificates(serials, anchors, 0, 30 * DAY, ORACLE_SECRET, "ca"))
             )
             eager = tracemalloc.get_traced_memory()[0] - start
         finally:
             tracemalloc.stop()
         assert list(ledger.certificates.values()) == list(records.values())
         assert batched / n <= eager / n / 2, (batched / n, eager / n)
+
+    def test_issuance_keeps_no_per_certificate_string(self):
+        """A 30,000-certificate batch keeps, its inputs included, the serial,
+        the anchor slots, the MAC and the index entry of each certificate:
+        under 200 bytes, where a subject string per certificate took it to
+        about 250."""
+        n = 30_000
+        keystore = KeyStore()
+        keystore.register("ca", ORACLE_SECRET)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            serials = list(range(10_000, 10_000 + n))
+            anchors = [None] * n
+            ledger = Ledger()
+            ledger.issue(serials, anchors, 0, 30 * DAY, keystore, "ca")
+            kept = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        assert len(ledger.certificates) == n
+        assert kept / n < 200, kept / n
 
 
 class OrderRecording(FullCrlAdapter):
@@ -411,9 +430,7 @@ class TestComparisons:
         and the signed root as SignedRoot.to_bytes encodes it."""
         sim = Simulation(cfg(scheme=Scheme.CRT))
         for serial in range(1, 9):
-            sim.ledger.issue(
-                [serial], [f"s{serial}"], [None], 0, 30 * DAY, sim.keystore, sim.ca_key
-            )
+            sim.ledger.issue([serial], [None], 0, 30 * DAY, sim.keystore, sim.ca_key)
         for serial in (2, 3, 7):
             sim.ledger.revoke(serial, 0)
         sim.adapter.on_publish(HOUR, "base")
@@ -754,6 +771,50 @@ class TestCrsDirectory:
         assert {token.kind for _, token, _ in served} == set(CrsTokenKind)
 
 
+class PreviousTokenAdapter(CrsAdapter):
+    """A directory that serves each serial's genuine token of the period
+    before the last published one. A certificate's first period has none
+    before it but the anchor, so its genuine token is served there."""
+
+    def directory_token(self, serial):
+        grid, cutoff = self.snapshot
+        period = max(1, grid - 1 - self.issue_grid[serial])
+        return self.authority.issue_token(serial, period, as_of=cutoff)
+
+
+class PreviousStatementsAdapter(NaiveStatusAdapter):
+    """A directory that serves the genuine statements of the publication
+    before the last one."""
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.latest = {}
+
+    def on_publish(self, now, tag):
+        previous = self.latest
+        super().on_publish(now, tag)
+        self.latest, self.statements = self.statements, previous
+
+
+class TestClientsCheckTheirOwnPeriod:
+    """A genuine document of the previous period fails, because the client
+    checks it for the period of its own clock, not the one it carries."""
+
+    @pytest.mark.parametrize(
+        "config, factory",
+        [
+            (crs_cfg(), PreviousTokenAdapter),
+            (cfg(scheme=Scheme.NAIVE_SIGNED_STATUS), PreviousStatementsAdapter),
+        ],
+        ids=["crs", "naive_signed_status"],
+    )
+    def test_previous_period_document_fails_verification(self, config, factory):
+        sim = Simulation(config, adapter_factory=factory)
+        with pytest.raises(AssertionError, match="genuine .* failed verification") as excinfo:
+            sim.run()
+        assert excinfo.traceback[-1].name == "fetch_verdict"
+
+
 class TestCrsChainCoverage:
     """A chain of n periods serves validations up to period n; the anchor is period 0."""
 
@@ -859,6 +920,13 @@ OVERLAY = {"scheme": Scheme.CRT, "depender_nodes": 8}
         pytest.param({"scheme": Scheme.OCSP, "ocsp_key_lifetime": -1}, id="ocsp_key_lifetime_neg"),
         # a negative warm-up would make peak/mean cover only the last intervals
         pytest.param({"stat_warmup": -1}, id="stat_warmup_neg"),
+        # each of these ran as if it were 0
+        pytest.param({"scheme": Scheme.CRT, "depender_nodes": -5}, id="depender_nodes_neg"),
+        pytest.param({"scheme": Scheme.OCSP, "ocsp_max_age": -10}, id="ocsp_max_age_neg"),
+        pytest.param(
+            {"scheme": Scheme.WCR, "wcr_window_size": 3, "wcr_clean_duration": -100},
+            id="wcr_clean_duration_neg",
+        ),
         pytest.param({**OVERLAY, "node_rejoins": ((2 * DAY, 99),)}, id="node_99_of_8"),
         pytest.param({**OVERLAY, "node_failures": ((2 * DAY, 0),)}, id="node_0_root"),
         pytest.param({"scheme": Scheme.CRT, "node_failures": ((2 * DAY, 1),)}, id="no_overlay"),
@@ -1075,9 +1143,7 @@ class TestHashCounts:
         under ca_tree nor pushed to the directory."""
         sim = Simulation(cfg(scheme=Scheme.CRT, population=0))
         for serial in range(1, n_revoked + 1):
-            sim.ledger.issue(
-                [serial], [f"s{serial}"], [None], 0, 30 * DAY, sim.keystore, sim.ca_key
-            )
+            sim.ledger.issue([serial], [None], 0, 30 * DAY, sim.keystore, sim.ca_key)
             sim.ledger.revoke(serial, 0)
         done = count_tree_hashes(monkeypatch, sim.keystore)
         sim.keystore.phase = "publish"
@@ -1140,9 +1206,7 @@ class TestCrtProofSharing:
         sim = Simulation(cfg(scheme=Scheme.CRT, population=0))
         adapter = sim.adapter
         for serial in (10, 20, 30, 40):
-            sim.ledger.issue(
-                [serial], [f"s{serial}"], [None], 0, 100 * DAY, sim.keystore, sim.ca_key
-            )
+            sim.ledger.issue([serial], [None], 0, 100 * DAY, sim.keystore, sim.ca_key)
         sim.ledger.revoke(10, 0)
         sim.ledger.revoke(40, 0)
         adapter.on_publish(0, "base")
@@ -1190,7 +1254,7 @@ class TestOcspMaxAge:
     def test_one_request_and_one_verification_until_max_age(self):
         max_age = 6 * HOUR
         sim = Simulation(cfg(scheme=Scheme.OCSP, population=0, ocsp_max_age=max_age))
-        sim.ledger.issue([20], ["s20"], [None], 0, 100 * DAY, sim.keystore, sim.ca_key)
+        sim.ledger.issue([20], [None], 0, 100 * DAY, sim.keystore, sim.ca_key)
         sim.keystore.phase = "validate"
 
         def asked():
