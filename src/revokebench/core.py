@@ -24,7 +24,8 @@ from bisect import bisect_right, insort
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
+from functools import partial
+from itertools import chain
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -254,16 +255,10 @@ class KeyStore:
         self.counts[key] = self.counts.get(key, 0) + 1
         return Signature(key_id, self._mac(pads, message))
 
-    def sign_batch(self, messages: list[bytes], key_id: str) -> list[Signature]:
-        """Sign each message under one key: equal to [sign(m, key_id) for m
-        in messages], with the key looked up and the count added once."""
-        new = tuple.__new__
-        return [new(Signature, (key_id, mac)) for mac in self.mac_batch(messages, key_id)]
-
     def mac_batch(self, messages: Sequence[bytes], key_id: str) -> list[bytes]:
         """The MAC of each message under one key, counted as len(messages)
-        signatures under the current phase; the bytes of the signatures
-        `sign_batch` returns."""
+        signatures under the current phase: [sign(m, key_id).mac for m in
+        messages], with the key looked up and the count added once."""
         pads = self._pads(key_id)
         if messages:  # an empty batch leaves no zero entry for reports to list
             key = ("sign", self.phase)
@@ -290,9 +285,21 @@ _BYTES = tuple(bytes((b,)) for b in range(256))
 # A batch of fewer one-way-function applications than this is walked in the
 # calling process alone. A fork round trip (fork, pipe, waitpid) takes
 # 1.8-2.9 ms on a 2-vCPU Xeon VM with a 40 MB heap, the time of 3.5k-5k
-# applications at 0.5-0.8 us each, so from 64k on the half walked beside it
+# applications at 0.5-0.8 us each, so from 64k on the part walked beside it
 # saves far more.
 _SPLIT_APPLICATIONS = 1 << 16
+
+# A split walk hands its seeds out in chunks of about this many applications,
+# 4-7 ms at 0.5-0.8 us each. Both processes take the next chunk until none is
+# left, so the one that ends first waits at most one chunk for the other; and
+# a chunk is long enough that its queue read and its record cost a few
+# microseconds of it.
+_CHUNK_APPLICATIONS = 1 << 13
+
+# At most this many chunks are queued, whatever the batch: their 4-byte
+# indices then take at most 512 bytes, the least PIPE_BUF that POSIX allows,
+# so the whole queue goes into the empty pipe in one write that never blocks.
+_QUEUE_CHUNKS = 128
 
 
 def _second_cpu() -> bool:
@@ -351,9 +358,7 @@ class OneWayFunction:
         if n < 0:
             raise ValueError("iteration count must be >= 0")
         self.check_width(x)
-        cur = x
-        for cur in self._walk(x, n):
-            pass
+        cur = self._advance(x, n)
         self.apply_count += n
         return cur
 
@@ -363,8 +368,8 @@ class OneWayFunction:
         The first `first` steps are walked but not kept. Every input is
         checked before any walk, and apply_count rises by n per seed once the
         whole batch is walked. A batch of at least _SPLIT_APPLICATIONS
-        applications, when this process may run on two CPUs, is walked half
-        here and half in a forked child (`_split_tails`).
+        applications, when this process may run on two CPUs, is walked in
+        chunks by this process and a forked child (`_split_tails`).
         """
         if not 0 <= first <= n:
             raise ValueError(f"need 0 <= first <= n, got first={first}, n={n}")
@@ -378,60 +383,104 @@ class OneWayFunction:
         return out
 
     def _split_tails(self, seeds: Sequence[bytes], n: int, first: int) -> list[bytes]:
-        """_tails, with the second half of the seeds walked by a forked child
-        that writes its tails to a pipe and always leaves by os._exit."""
-        half = len(seeds) // 2
+        """_tails, walked by this process and a forked child that take the
+        next chunk of seeds from a queue until it is empty.
+
+        The queue is a pipe holding each chunk's index as 4 bytes, written
+        whole before the fork. The child keeps its tails until the queue is
+        empty, then sends one record per chunk, its index and then its
+        tails, and always leaves by os._exit. Each record is placed by its
+        index and read for exactly the length that chunk's tails have; a
+        record that does not fit, or a chunk that no one walked, raises
+        RuntimeError.
+        """
+        count = len(seeds)
+        per_chunk = max(-(-_CHUNK_APPLICATIONS // max(n, 1)), -(-count // _QUEUE_CHUNKS))
+        chunks = -(-count // per_chunk)
         size = (n - first + 1) * self.width_bytes
+        out: list[Optional[list[bytes]]] = [None] * chunks
+
+        def walk(record: bytes) -> tuple[int, list[bytes]]:
+            index = int.from_bytes(record, "big")
+            return index, self._tails(seeds[index * per_chunk : (index + 1) * per_chunk], n, first)
+
+        queue_fd, queue_write_fd = os.pipe()
+        try:
+            os.write(queue_write_fd, b"".join(map(pack_u32, range(chunks))))
+        finally:
+            os.close(queue_write_fd)
         read_fd, write_fd = os.pipe()
-        with open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+        with open(queue_fd, "rb", buffering=0) as queue, \
+                open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+            # Unbuffered, so each read takes exactly one index from the pipe,
+            # and each index goes to one of the two processes.
+            take = partial(queue.read, 4)
             pid = os.fork()
             if pid == 0:
                 status = 1
                 try:
                     reader.close()
-                    for tail in self._tails(seeds[half:], n, first):
-                        writer.write(tail)
+                    mine = [walk(record) for record in iter(take, b"")]
+                    for index, tails in mine:
+                        writer.write(pack_u32(index))
+                        writer.write(b"".join(tails))
                     writer.close()
                     status = 0
                 finally:
                     os._exit(status)
             writer.close()
             try:
-                out = self._tails(seeds[:half], n, first)
-                theirs = [reader.read(size) for _ in range(len(seeds) - half)]
+                for record in iter(take, b""):
+                    index, tails = walk(record)
+                    out[index] = tails
+                while record := reader.read(4):
+                    index = int.from_bytes(record, "big")
+                    if len(record) != 4 or index >= chunks or out[index] is not None:
+                        raise RuntimeError(f"chain walk in child {pid} sent a malformed record")
+                    expected = (min(count, (index + 1) * per_chunk) - index * per_chunk) * size
+                    data = reader.read(expected)
+                    if len(data) != expected:
+                        raise RuntimeError(f"chain walk in child {pid} sent too few bytes")
+                    out[index] = [data[i : i + size] for i in range(0, expected, size)]
             finally:
                 reader.close()  # a child still writing to a full pipe now fails and exits
                 _, status = os.waitpid(pid, 0)
         code = os.waitstatus_to_exitcode(status)
         if code != 0:
             raise RuntimeError(f"chain walk in child {pid} failed with exit code {code}")
-        if any(len(tail) != size for tail in theirs):
-            raise RuntimeError(f"chain walk in child {pid} sent too few bytes")
-        out += theirs
-        return out
+        if any(tails is None for tails in out):
+            raise RuntimeError(f"chain walk in child {pid} sent too few chunks")
+        return list(chain.from_iterable(out))
 
     def _tails(self, seeds: Sequence[bytes], n: int, first: int) -> list[bytes]:
         """tails without its checks and count."""
+        state = self._state
+        head = self._first
         out = []
         for x in seeds:
-            walk = self._walk(x, n)
-            for x in islice(walk, first):
-                pass
-            out.append(b"".join([x, *walk]))
+            x = self._advance(x, first)
+            kept = [x]
+            keep = kept.append
+            for _ in range(n - first):
+                h = state.copy()
+                h.update(x)
+                digest = h.digest()
+                x = head[digest[0]] + digest[1:]
+                keep(x)
+            out.append(b"".join(kept))
         return out
 
-    def _walk(self, x: bytes, n: int):
-        """Yield F^1(x) .. F^n(x) from one tight loop; the callers check the
-        inputs and count the applications."""
+    def _advance(self, x: bytes, n: int) -> bytes:
+        """F^n(x) in one tight loop; the callers check the inputs and count
+        the applications."""
         state = self._state
-        first = self._first
-        cur = x
+        head = self._first
         for _ in range(n):
             h = state.copy()
-            h.update(cur)
+            h.update(x)
             digest = h.digest()
-            cur = first[digest[0]] + digest[1:]
-            yield cur
+            x = head[digest[0]] + digest[1:]
+        return x
 
 
 # ---------------------------------------------------------------------------
@@ -623,7 +672,7 @@ class RevocationRecord:
     reason: ReasonCode = ReasonCode.OTHER
 
 
-_MAC_BYTES = hashlib.sha256().digest_size  # one KeyStore MAC
+MAC_BYTES = hashlib.sha256().digest_size  # one KeyStore MAC
 _ISSUE_CHUNK = 4096  # certificates encoded and MACed together by Ledger.issue
 
 
@@ -638,7 +687,7 @@ class _Batch(NamedTuple):
     segment_id: Optional[str]
     serials: list[int]
     crs_anchors: list[Optional[CrsAnchor]]
-    macs: bytes  # the issuer MACs, _MAC_BYTES each
+    macs: bytes  # the issuer MACs, MAC_BYTES each
 
 
 _batch_start = attrgetter("start")  # batches are kept in ascending start order
@@ -656,7 +705,7 @@ class _IssuedCertificates(Mapping):
 
     def __getitem__(self, serial: int) -> Certificate:
         batch, i = self._ledger._locate(serial)
-        mac = batch.macs[i * _MAC_BYTES : (i + 1) * _MAC_BYTES]
+        mac = batch.macs[i * MAC_BYTES : (i + 1) * MAC_BYTES]
         new = tuple.__new__
         signature = new(Signature, (batch.key_id, mac))
         return new(

@@ -8,9 +8,10 @@ be trusted.
 
 The CA's cost is the chain walk: L + 1 applications per certificate. The
 authority sets up all certificates issued at one instant as one batch, whose
-chains one `OneWayFunction.tails` call walks; a large batch is split between
-this process and a forked child, so the walk uses two CPUs where there are
-two.
+chains one `OneWayFunction.tails` call walks; a large batch is walked in
+chunks by this process and a forked child, each taking the next chunk from a
+queue, so the walk uses two CPUs where there are two and neither waits long
+for the other.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class CrsAuthority:
     instant) and walks each whole forward chain F^0(Y0) .. F^L(Y0), since
     the anchor is its last value; the batch's chains are independent once
     their seeds are drawn, so one `OneWayFunction.tails` call walks them all
-    and may split them across two processes. Of each walk it keeps, as one
+    and may share them out between two processes, and a second computes
+    each anchor's F(N0). Of each walk it keeps, as one
     contiguous blob per certificate, only the values a token can still be
     built from: with setup(..., served=s), F^(L-s)(Y0) .. F^L(Y0), which
     serve periods 1..s; without a bound, the whole chain. Issuing the day-i
@@ -117,8 +119,9 @@ class CrsAuthority:
 
         Returns one (anchor, secret) per serial, in order. Every input is
         checked before anything is drawn, so a bad serial or bound sets up
-        none of the batch. The seeds are drawn y0, n0 per serial, in order,
-        and all chains are walked by one `OneWayFunction.tails` call.
+        none of the batch. The seeds are drawn y0, n0 per serial, in order;
+        all Y chains are walked by one `OneWayFunction.tails` call, and every
+        F(N0) is computed by another.
 
         served, when given, is the last period any token will be asked for
         (at most the lifetime); only the chain values serving periods
@@ -137,15 +140,16 @@ class CrsAuthority:
         seeds = [(f.random_value(rng), f.random_value(rng)) for _ in serials]
         first = 0 if served is None else lifetime_periods - served
         chains = f.tails([y0 for y0, _ in seeds], lifetime_periods, first)
+        ns = f.tails([n0 for _, n0 in seeds], 1, 1)  # each F(N0)
         out = []
-        for serial, (y0, n0), chain in zip(serials, seeds, chains):
+        for serial, (y0, n0), chain, n in zip(serials, seeds, chains, ns):
             secret = CrsSecret(serial=serial, y0=y0, n0=n0)
             self._chains[serial] = chain
             self._secrets[serial] = secret
             self._lifetimes[serial] = lifetime_periods
             anchor = CrsAnchor(
                 y=chain[-f.width_bytes :],  # F^L(Y0)
-                n=f.apply(n0),
+                n=n,
                 lifetime_periods=lifetime_periods,
                 period_length=period_length,
             )

@@ -8,7 +8,7 @@ on lives here too.
 
 Requests, responses and statements are tuples, not frozen dataclasses,
 because nonce-mode OCSP builds a request and a response on every validation
-and a period builds a statement per live certificate. A request is a
+and a naive client reads a statement on every validation. A request is a
 `core.Checked` tuple, its nonce length checked on every way of building one.
 Responses, statements and the key chain are `core.Signed` records, checked
 by their signature instead; a response from `OcspResponder.respond` holds
@@ -17,20 +17,26 @@ the fields again.
 
 The responder key chain is indexed by window start when it is built, so the
 current key at an instant is one bisection, however many keys rotate.
+
+A period of the naive baseline signs a statement per live certificate, but
+clients read few of them, so the period is kept as one `StatementBatch`: its
+serials, the revoked ones among them and the MACs as one bytes, with a
+statement built only when it is read.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .core import (
-    Checked, KeyStore, Ledger, Signature, Signed, keep_payload, pack_str, pack_u32, pack_u64
+    MAC_BYTES, Checked, KeyStore, Ledger, Signature, Signed, keep_payload, pack_str, pack_u32,
+    pack_u64,
 )
 
 
@@ -277,55 +283,76 @@ class SignedStatusStatement(Signed, _StatementFields):
         return pack_u64(self.serial) + _statement_tail(self.status, self.period_index)
 
 
+class StatementBatch(Mapping):
+    """One period's statements as a read-only serial -> SignedStatusStatement
+    mapping, in serial order.
+
+    It holds what the statements share once, the period and the key id, then
+    the ascending serials, the revoked ones among them and the MACs as one
+    bytes of 32 per statement. Each read builds the statement from them, and
+    nothing keeps it. `wire_size` is the bytes of all its statements.
+    """
+
+    __slots__ = ("period_index", "key_id", "serials", "revoked", "macs", "wire_size")
+
+    def __init__(
+        self, period_index: int, key_id: str, serials: list[int], revoked: set[int], macs: bytes
+    ) -> None:
+        self.period_index = period_index
+        self.key_id = key_id
+        self.serials = serials
+        self.revoked = revoked
+        self.macs = macs
+        # Every statement of a status has one payload size, and every
+        # signature is under the one key, so one of each sizes them all.
+        good, bad = (
+            len(pack_u64(0) + _statement_tail(status, period_index))
+            for status in (OcspStatus.GOOD, OcspStatus.REVOKED)
+        )
+        signature = Signature(key_id, macs[:MAC_BYTES]).wire_size
+        self.wire_size = (
+            good * (len(serials) - len(revoked)) + bad * len(revoked) + signature * len(serials)
+        )
+
+    def __getitem__(self, serial: int) -> SignedStatusStatement:
+        serials = self.serials
+        i = bisect_left(serials, serial)
+        if i == len(serials) or serials[i] != serial:
+            raise KeyError(serial)
+        status = OcspStatus.REVOKED if serial in self.revoked else OcspStatus.GOOD
+        new = tuple.__new__
+        signature = new(Signature, (self.key_id, self.macs[i * MAC_BYTES : (i + 1) * MAC_BYTES]))
+        return new(SignedStatusStatement, (serial, status, self.period_index, signature))
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.serials)
+
+    def __len__(self) -> int:
+        return len(self.serials)
+
+
 def publish_statements(
     ledger: Ledger,
     period_index: int,
     now: int,
     keystore: KeyStore,
     key_id: str,
-) -> list[SignedStatusStatement]:
-    """Sign one statement per non-expired certificate, in serial order.
+) -> StatementBatch:
+    """Sign one statement per non-expired certificate, as one batch.
 
-    The period is signed in one batch: every payload is encoded in one pass
-    (the status and period bytes are the same for every statement of a
-    status, so they are joined once), then `KeyStore.sign_batch` MACs them
-    all under the one key, which it looks up and counts once.
+    Every payload is encoded in one pass (the status and period bytes are
+    the same for every statement of a status, so they are joined once), then
+    `KeyStore.mac_batch` MACs them all under the one key, which it looks up
+    and counts once. The batch keeps the MACs; a statement is built only
+    when it is read.
     """
-    good, revoked = OcspStatus.GOOD, OcspStatus.REVOKED
-    good_tail = _statement_tail(good, period_index)
-    revoked_tail = _statement_tail(revoked, period_index)
+    good_tail = _statement_tail(OcspStatus.GOOD, period_index)
+    revoked_tail = _statement_tail(OcspStatus.REVOKED, period_index)
     revoked_now = {s for s, r in ledger.revocations.items() if r.revoked_at <= now}
     serials = ledger.non_expired_serials(now)
-    statuses = [revoked if s in revoked_now else good for s in serials]
-    payloads = [
-        pack_u64(s) + (good_tail if status is good else revoked_tail)
-        for s, status in zip(serials, statuses)
-    ]
-    signatures = keystore.sign_batch(payloads, key_id)
-    new = tuple.__new__
-    return [
-        new(SignedStatusStatement, (s, status, period_index, sig))
-        for s, status, sig in zip(serials, statuses, signatures)
-    ]
-
-
-def statements_wire_size(statements: list[SignedStatusStatement]) -> int:
-    """The bytes of one period's statements from `publish_statements`.
-
-    Every statement of a period carries a signature under the one key, so
-    the total is a fixed payload size per status (the serial and the
-    status's tail) plus one signature size per statement, with no
-    per-statement property call.
-    """
-    if not statements:
-        return 0
-    period_index = statements[0].period_index
-    statuses = list(map(itemgetter(1), statements))
-    heads = sum(
-        len(pack_u64(0) + _statement_tail(status, period_index)) * statuses.count(status)
-        for status in OcspStatus
-    )
-    return heads + len(statements) * statements[0].signature.wire_size
+    payloads = [pack_u64(s) + (revoked_tail if s in revoked_now else good_tail) for s in serials]
+    macs = b"".join(keystore.mac_batch(payloads, key_id))
+    return StatementBatch(period_index, key_id, serials, revoked_now.intersection(serials), macs)
 
 
 def verify_statement(

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from collections.abc import Mapping
 from typing import Optional
 
 from .. import crs as crs_mod
@@ -587,7 +588,7 @@ class NaiveStatusAdapter(SchemeAdapter):
 
     def __init__(self, sim) -> None:
         super().__init__(sim)
-        self.statements: dict[int, resp_mod.SignedStatusStatement] = {}
+        self.statements: Mapping[int, resp_mod.SignedStatusStatement] = {}
         self.period = self.config.crs_period
 
     def publish_events(self) -> list[tuple[int, str]]:
@@ -595,13 +596,10 @@ class NaiveStatusAdapter(SchemeAdapter):
 
     def on_publish(self, now: int, tag: str) -> None:
         period = now // self.period
-        statements = resp_mod.publish_statements(
+        self.statements = resp_mod.publish_statements(
             self.ledger, period, now, self.keystore, self.ca_key
         )
-        self.statements = {s.serial: s for s in statements}
-        self.ca_push(
-            "status_statements", resp_mod.statements_wire_size(statements), len(statements)
-        )
+        self.ca_push("status_statements", self.statements.wire_size, len(self.statements))
 
     def fetch_verdict(self, serial: int, now: int) -> tuple[bool, int]:
         """Fetch and verify the serial's statement; it lapses when the next period starts."""

@@ -128,26 +128,29 @@ class TestMacReference:
 
 
 class TestSignBatch:
+    """`KeyStore.mac_batch`, the batch signing of issuance and of the naive
+    statements: one MAC per message, counted as one signature each."""
+
     MESSAGES = [b"", b"a", b"m" * 200, b"a"]
 
     def test_equals_one_sign_per_message(self, keystore):
-        batch = keystore.sign_batch(self.MESSAGES, "ca")
-        assert batch == [keystore.sign(m, "ca") for m in self.MESSAGES]
-        assert all(type(sig) is Signature for sig in batch)
+        batch = keystore.mac_batch(self.MESSAGES, "ca")
+        assert batch == [keystore.sign(m, "ca").mac for m in self.MESSAGES]
+        assert all(type(mac) is bytes for mac in batch)
 
     def test_counts_the_batch_under_the_current_phase_only(self, keystore):
         keystore.phase = "publish"
-        keystore.sign_batch(self.MESSAGES, "ca")
+        keystore.mac_batch(self.MESSAGES, "ca")
         assert keystore.counts == {("sign", "publish"): len(self.MESSAGES)}
         keystore.phase = "setup"
-        assert keystore.sign_batch([], "ca") == []
+        assert keystore.mac_batch([], "ca") == []
         assert keystore.counts == {("sign", "publish"): len(self.MESSAGES)}
         assert keystore.sign_count == len(self.MESSAGES)
 
     @pytest.mark.parametrize("messages", [[], [b"x"]])
     def test_unknown_key_raises_before_counting(self, keystore, messages):
         with pytest.raises(UnknownKeyError):
-            keystore.sign_batch(messages, "nobody")
+            keystore.mac_batch(messages, "nobody")
         assert keystore.counts == {}
 
 

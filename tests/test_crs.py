@@ -5,6 +5,7 @@ import math
 import os
 import random
 import signal
+import time
 from contextlib import contextmanager
 from unittest import mock
 
@@ -307,9 +308,10 @@ def _hung(signum, frame):
 
 @contextmanager
 def chain_walk(split: bool):
-    """Every tails batch walked half in a forked child (split) or all in this
-    process, whatever the batch size and the CPUs; yields the os.fork spy.
-    A walk left hanging raises TimeoutError after 30 s."""
+    """Every tails batch walked in chunks by this process and a forked child
+    (split) or all in this process, whatever the batch size and the CPUs;
+    yields the os.fork spy. A walk left hanging raises TimeoutError after
+    30 s."""
     previous = signal.signal(signal.SIGALRM, _hung)
     signal.alarm(30)
     try:
@@ -326,11 +328,31 @@ class WalkFault(Exception):
     pass
 
 
+def _seeds(count: int, seed: int = 0) -> list[bytes]:
+    rng = random.Random(seed)
+    return [OneWayFunction(100).random_value(rng) for _ in range(count)]
+
+
+def _in_parent(walk, delay: float, calls: list):
+    """`OneWayFunction._tails` that, in this process only, records each
+    chunk and sleeps delay seconds first, so the forked child takes the
+    chunks this process is not quick enough to take."""
+    parent = os.getpid()
+
+    def slowed(self, seeds, n, first):
+        if os.getpid() == parent:
+            calls.append(len(seeds))
+            time.sleep(delay)
+        return walk(self, seeds, n, first)
+
+    return slowed
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the split walk forks a child")
 class TestSplitWalk:
-    """A batch walked across two processes equals the batch walked in one,
-    and a walk that fails in either process sets up nothing and leaves no
-    child behind."""
+    """A batch walked in chunks by two processes equals the batch walked in
+    one, and a walk that fails in either process sets up nothing and leaves
+    no child behind."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -347,24 +369,75 @@ class TestSplitWalk:
             rng = random.Random(seed)
             with chain_walk(split) as fork:
                 issued = authority.setup(range(1, batch + 1), lifetime, DAY, rng, served=served)
-            assert fork.call_count == split
+            assert fork.call_count == 2 * split  # the Y chains, then each F(N0)
             results.append((issued, _state(authority), rng.getstate()))
         assert results[0] == results[1]
         assert results[0][1][-1] == lifetime * batch + batch  # the Y chains, then each F(N0)
 
     @pytest.mark.parametrize(
+        "chunk_applications, n, batch",
+        [
+            # the real chunk of seeds of 40 applications: around one and two chunks
+            *(
+                (core._CHUNK_APPLICATIONS, 40, b)
+                for c in [-(-core._CHUNK_APPLICATIONS // 40)]
+                for b in (1, c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1)
+            ),
+            # one seed a chunk: around the most chunks the queue holds, past
+            # which chunks grow to two seeds
+            *(
+                (1, 2, b)
+                for q in [core._QUEUE_CHUNKS]
+                for b in (q - 1, q, q + 1, 2 * q, 2 * q + 1)
+            ),
+        ],
+    )
+    def test_chunk_boundaries(self, chunk_applications, n, batch):
+        seeds = _seeds(batch)
+        f = OneWayFunction(100)
+        with mock.patch.object(core, "_CHUNK_APPLICATIONS", chunk_applications):
+            with chain_walk(split=True) as fork:
+                tails = f.tails(seeds, n, 1)
+        assert fork.call_count == 1
+        assert tails == OneWayFunction(100)._tails(seeds, n, 1)
+        assert f.apply_count == n * batch
+
+    def test_slow_parent_leaves_the_child_more_chunks(self):
+        """20 chunks of 50 seeds; this process sleeps 50 ms before each
+        chunk it walks, in which the child walks several."""
+        seeds = _seeds(1000)
+        f = OneWayFunction(100)
+        calls: list[int] = []
+        slowed = _in_parent(OneWayFunction._tails, 0.05, calls)
+        with mock.patch.object(core, "_CHUNK_APPLICATIONS", 50 * 40):
+            with chain_walk(split=True) as fork, \
+                    mock.patch.object(OneWayFunction, "_tails", slowed):
+                tails = f.tails(seeds, 40, 30)
+        assert fork.call_count == 1
+        assert tails == OneWayFunction(100)._tails(seeds, 40, 30)
+        assert f.apply_count == 40 * 1000
+        assert set(calls) == {50}
+        assert len(calls) < 20 / 2  # the child walked the most chunks
+
+    @pytest.mark.parametrize(
         "where, fault",
-        [("child", "raise"), ("child", "short"), ("parent", "raise")],
+        [("child", "raise"), ("child", "short"), ("child", "long"), ("parent", "raise")],
     )
     def test_failed_walk_sets_up_nothing(self, rng, where, fault):
-        """Each half's tails are 41 values of 13 bytes for 200 serials,
-        106,600 bytes, more than a 64 KiB pipe holds, so a parent that waited
-        for the child before closing its end of the pipe would hang."""
+        """400 chains of 40 applications are two chunks, and a chunk's tails
+        are 41 values of 13 bytes for about 200 serials, over 100 KB, more
+        than a 64 KiB pipe holds; so a parent that waited for the child
+        before closing its end of the pipe would hang. Where the child is
+        at fault, this process is slowed, so the child surely takes a chunk.
+        A long record, read for the length its chunk must have, leaves
+        bytes that are no record."""
         authority = CrsAuthority(OneWayFunction(100))
         authority.setup([1], 10, DAY, rng)
         before = _state(authority)
         parent = os.getpid()
         walk = OneWayFunction._tails
+        if where == "child":
+            walk = _in_parent(walk, 0.2, [])
 
         def faulty(self, seeds, n, first):
             tails = walk(self, seeds, n, first)
@@ -372,6 +445,8 @@ class TestSplitWalk:
                 return tails
             if fault == "raise":
                 raise WalkFault
+            if fault == "long":
+                return [tail + b"\0" for tail in tails]
             return [tail[:-1] for tail in tails]
 
         expected = WalkFault if where == "parent" else RuntimeError

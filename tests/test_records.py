@@ -66,7 +66,7 @@ def genuine_records(keystore, rng) -> dict:
     root = crt_build([5, 11], 0, DAY, keystore, "ca").signed_root
     chain = make_key_chain([ResponderKey("resp-a", 0, DAY)], keystore, "ca", rng)
     response = OcspResponder(keystore, chain, ledger).respond(make_request(5, 600, rng))
-    statement = publish_statements(ledger, 7, 600, keystore, "ca")[0]
+    statement = publish_statements(ledger, 7, 600, keystore, "ca")[5]
     return {
         "Certificate": (cert, "ca", dict(
             serial=6, not_before=1, not_after=2 * DAY,

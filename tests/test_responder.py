@@ -1,25 +1,27 @@
 """Online responder: signed nonce-bound responses, cached acceptance, the
 naive per-certificate statement baseline, and key rotation."""
 
+import hashlib
+import hmac
 import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revokebench.core import Ledger, Signature, UnknownKeyError, make_certificate
+from revokebench.core import KeyStore, Ledger, Signature, UnknownKeyError, make_certificate
 from revokebench.responder import (
     OcspResponder,
     OcspStatus,
     ResponderKey,
     ResponderKeyChain,
+    SignedStatusStatement,
     StatusRequest,
     StatusResponse,
     cached_until,
     make_key_chain,
     make_request,
     publish_statements,
-    statements_wire_size,
     verify_response,
     verify_statement,
 )
@@ -303,19 +305,102 @@ class TestCachedUntil:
         assert cached_until(response, 300) == response.produced_at + 301 == 901
 
 
+def eager_statements(ledger, period_index, now, secret, key_id):
+    """Oracle for publish_statements: every statement built as a record at
+    once, in serial order, its MAC computed with hmac.new over its payload,
+    as a period was published before it was kept as one batch."""
+    out = []
+    for serial, cert in sorted(ledger.certificates.items()):
+        if now >= cert.not_after:
+            continue
+        revoked = ledger.is_revoked(serial, now)
+        status = OcspStatus.REVOKED if revoked else OcspStatus.GOOD
+        unsigned = SignedStatusStatement(serial, status, period_index, Signature(key_id, b""))
+        mac = hmac.new(secret, unsigned._payload(), hashlib.sha256).digest()
+        out.append(unsigned._replace(signature=Signature(key_id, mac)))
+    return out
+
+
+STATEMENT_SECRET = b"statement-oracle-key"
+
+
+@st.composite
+def statement_ledgers(draw):
+    """A ledger of 0-6 batches of up to 12 certificates, each batch with a
+    window of its own, some certificates revoked inside their windows; and
+    an instant that may fall before, inside or after any of the windows."""
+    keystore = KeyStore()
+    keystore.register("ca", b"issuer")
+    ledger = Ledger()
+    serials = iter(draw(st.permutations(range(1, 6 * 12 + 1))))
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        not_before = draw(st.integers(min_value=0, max_value=1000))
+        not_after = not_before + draw(st.integers(min_value=1, max_value=1000))
+        batch = [next(serials) for _ in range(draw(st.integers(min_value=0, max_value=12)))]
+        ledger.issue(batch, [None] * len(batch), not_before, not_after, keystore, "ca")
+        for serial in batch:
+            if draw(st.booleans()):
+                at = draw(st.integers(min_value=not_before, max_value=not_after - 1))
+                ledger.revoke(serial, at)
+    return ledger, draw(st.integers(min_value=0, max_value=2100))
+
+
+class TestStatementBatch:
+    """A period kept as one batch reads as the statements built at once."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        drawn=statement_ledgers(),
+        period=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_batch_equals_the_eager_statements(self, drawn, period):
+        ledger, now = drawn
+        keystore = KeyStore()
+        keystore.register("ca", STATEMENT_SECRET)
+        batch = publish_statements(ledger, period, now, keystore, "ca")
+        oracle = eager_statements(ledger, period, now, STATEMENT_SECRET, "ca")
+        assert keystore.counts == ({("sign", None): len(oracle)} if oracle else {})
+        assert len(batch) == len(oracle) == len(ledger.non_expired_serials(now))
+        assert list(batch) == [s.serial for s in oracle]
+        for expected in oracle:
+            got = batch[expected.serial]
+            assert type(got) is SignedStatusStatement
+            assert got.serial == expected.serial
+            assert got.status is expected.status
+            assert got.period_index == expected.period_index == period
+            assert got.signature == expected.signature
+            assert got.to_bytes() == expected.to_bytes()
+            assert verify_statement(got, keystore, "ca", period)
+        assert batch.wire_size == sum(len(s.to_bytes()) for s in batch.values())
+        assert keystore.sign_count == len(oracle)  # reading a statement signs nothing
+
+    def test_empty_ledger_signs_nothing(self):
+        keystore = KeyStore()
+        keystore.register("ca", STATEMENT_SECRET)
+        batch = publish_statements(Ledger(), 1, 1000, keystore, "ca")
+        assert len(batch) == batch.wire_size == 0
+        assert keystore.counts == {}  # no zero entry for reports to list
+
+    def test_unknown_serial_is_missing(self, keystore, ledger):
+        batch = publish_statements(ledger, 1, 1000, keystore, "ca")
+        assert 6 not in batch and 0 not in batch and 5 in batch
+        assert batch.get(6) is None
+        with pytest.raises(KeyError):
+            batch[6]
+
+
 class TestStatements:
     def test_empty_ledger(self, keystore):
-        assert publish_statements(Ledger(), 1, 1000, keystore, "ca") == []
+        assert publish_statements(Ledger(), 1, 1000, keystore, "ca") == {}
 
     def test_one_signed_statement_per_certificate(self, keystore, ledger):
         before = keystore.sign_count
         statements = publish_statements(ledger, 1, 1000, keystore, "ca")
         assert len(statements) == 5
         assert keystore.sign_count - before == 5
-        by_serial = {s.serial: s for s in statements}
-        assert by_serial[2].status is OcspStatus.REVOKED
-        assert by_serial[3].status is OcspStatus.GOOD
-        for s in statements:
+        assert statements[2].status is OcspStatus.REVOKED
+        assert statements[3].status is OcspStatus.GOOD
+        for s in statements.values():
             assert verify_statement(s, keystore, "ca", 1)
 
     def test_expired_certificates_excluded(self, keystore):
@@ -323,13 +408,15 @@ class TestStatements:
         lg.issue([1], [None], 0, 500, keystore, "ca")
         lg.issue([2], [None], 0, 5000, keystore, "ca")
         statements = publish_statements(lg, 1, 1000, keystore, "ca")
-        assert [s.serial for s in statements] == [2]
+        assert [s.serial for s in statements.values()] == [2]
 
     def test_withholding_directory_detected(self, keystore, ledger):
         """A directory cannot hide a revocation by dropping the statement: the
         client demands one statement per query, and absence is a failure."""
         statements = publish_statements(ledger, 1, 1000, keystore, "ca")
-        dishonest = {s.serial: s for s in statements if s.status is not OcspStatus.REVOKED}
+        dishonest = {
+            s.serial: s for s in statements.values() if s.status is not OcspStatus.REVOKED
+        }
 
         def client_checks(serial):
             statement = dishonest.get(serial)
@@ -345,16 +432,16 @@ class TestStatements:
         before = keystore.sign_count
         statements = publish_statements(ledger, 7, 1000, keystore, "ca")
         assert keystore.sign_count - before == len(statements)
-        assert {s.status for s in statements} == {OcspStatus.GOOD, OcspStatus.REVOKED}
-        for s in statements:
+        assert {s.status for s in statements.values()} == {OcspStatus.GOOD, OcspStatus.REVOKED}
+        for s in statements.values():
             assert s.wire_size == len(s.to_bytes())
             assert verify_statement(s, keystore, "ca", 7)
-        assert statements_wire_size(statements) == sum(len(s.to_bytes()) for s in statements)
-        assert statements_wire_size([]) == 0
+        assert statements.wire_size == sum(len(s.to_bytes()) for s in statements.values())
+        assert publish_statements(Ledger(), 7, 1000, keystore, "ca").wire_size == 0
 
     def test_stale_period_rejected(self, keystore, ledger):
         statements = publish_statements(ledger, 1, 1000, keystore, "ca")
-        assert not verify_statement(statements[0], keystore, "ca", expected_period=2)
+        assert not verify_statement(statements[1], keystore, "ca", expected_period=2)
 
 
 class TestStatementRecord:
@@ -363,7 +450,7 @@ class TestStatementRecord:
 
     @pytest.fixture
     def statements(self, keystore, ledger):
-        return publish_statements(ledger, 1, 1000, keystore, "ca")
+        return list(publish_statements(ledger, 1, 1000, keystore, "ca").values())
 
     def test_fields_cannot_be_set(self, statements):
         with pytest.raises(AttributeError):
@@ -372,7 +459,7 @@ class TestStatementRecord:
             statements[0].extra = 1
 
     def test_equal_and_hashable_by_value(self, keystore, ledger, statements):
-        again = publish_statements(ledger, 1, 1000, keystore, "ca")
+        again = list(publish_statements(ledger, 1, 1000, keystore, "ca").values())
         assert again == statements
         assert [hash(s) for s in again] == [hash(s) for s in statements]
         assert len(set(statements) | set(again)) == len(statements)
