@@ -12,6 +12,13 @@ gives the encoder of its signed fields, and `signed_payload`, `to_bytes`,
 `wire_size` and `verify` come from the one contract. Tuple records whose
 fields have an invariant inherit `Checked`, which checks it on every way of
 building one.
+
+A record signed on its own (a CRL, redirect table, CRT root or responder
+key chain) is made by `Signed.sign`, which builds it, and so checks it,
+before anything is signed. Certificates and naive statements are MACed in
+batches by `KeyStore.mac_batch`. An OCSP response, signed once per
+nonce-mode validation, is the one record `OcspResponder.respond` signs
+directly.
 """
 
 from __future__ import annotations
@@ -255,16 +262,17 @@ class KeyStore:
         self.counts[key] = self.counts.get(key, 0) + 1
         return Signature(key_id, self._mac(pads, message))
 
-    def mac_batch(self, messages: Sequence[bytes], key_id: str) -> list[bytes]:
-        """The MAC of each message under one key, counted as len(messages)
-        signatures under the current phase: [sign(m, key_id).mac for m in
-        messages], with the key looked up and the count added once."""
+    def mac_batch(self, messages: Sequence[bytes], key_id: str) -> bytes:
+        """The MACs of the messages under one key, joined in order, counted
+        as len(messages) signatures under the current phase:
+        b"".join(sign(m, key_id).mac for m in messages), with the key looked
+        up and the count added once."""
         pads = self._pads(key_id)
         if messages:  # an empty batch leaves no zero entry for reports to list
             key = ("sign", self.phase)
             self.counts[key] = self.counts.get(key, 0) + len(messages)
         mac = self._mac
-        return [mac(pads, m) for m in messages]
+        return b"".join([mac(pads, m) for m in messages])
 
     def verify(self, message: bytes, signature: Signature, key_id: str) -> bool:
         """True iff signature was produced over message under exactly key_id."""
@@ -493,15 +501,36 @@ class Signed:
 
     A type gives only `_payload()`, the encoder of its signed fields; the
     bytes, the size and the signature check are defined here once. A record
-    built by signing holds the bytes just signed (`keep_payload`), and one
-    built by a strict decoder the bytes received, so sizing or verifying it
-    does not encode its fields again. Any other record, a `_replace` or
-    `dataclasses.replace` copy included, starts without them and encodes its
-    own fields, so a copy with any field altered fails `verify`.
+    signed on its own is made by `sign`, which checks it before it signs.
+    A record built by signing holds the bytes just signed (`keep_payload`),
+    and one built by a strict decoder the bytes received, so sizing or
+    verifying it does not encode its fields again. Any other record, a
+    `_replace` or `dataclasses.replace` copy included, starts without them
+    and encodes its own fields, so a copy with any field altered fails
+    `verify`.
+
+    Certificates and naive statements are signed in batches through
+    `KeyStore.mac_batch`, and an OCSP response directly by
+    `OcspResponder.respond`: both are tuples, which cannot take a signature
+    after they are built.
     """
 
     __slots__ = ()
     _held: Optional[bytes] = None
+
+    @classmethod
+    def sign(cls, keystore: KeyStore, key_id: str, **fields):
+        """The frozen dataclass record of these fields, signed under key_id.
+
+        It is built with no signature first, so its own checks run before
+        anything is signed: a record they reject raises and signs nothing.
+        Then its payload is signed, the signature set, and the signed bytes
+        kept.
+        """
+        record = cls(signature=None, **fields)
+        payload = record._payload()
+        object.__setattr__(record, "signature", keystore.sign(payload, key_id))
+        return keep_payload(record, payload)
 
     def signed_payload(self) -> bytes:
         held = self._held
@@ -598,20 +627,20 @@ def _certificate_payloads(
     crs_anchors: Sequence[Optional[CrsAnchor]],
     not_before: int,
     not_after: int,
-    segment_id: Optional[str],
 ) -> list[bytes]:
     """The bytes each certificate's issuer signature covers, in field order,
-    for certificates that share a validity window and segment id. The bytes
-    they share (the window, the anchor flag of those without an anchor, the
-    segment id) are encoded once. Certificate s has subject `subject-<s>`:
-    no record carries it, it is derived here."""
+    for certificates that share a validity window. The bytes they share (the
+    window, the anchor flag of those without an anchor) are encoded once.
+    Certificate s has subject `subject-<s>`: no record carries it, it is
+    derived here. The last byte, 0x00, is the absent option of the segment
+    id that the certificate format has room for and no certificate carries:
+    clients find a serial's segment by the redirect table."""
     window = _pack_window(not_before, not_after)
-    segment = pack_opt_str(segment_id)
-    plain = window + b"\x00" + segment  # the tail of every certificate without an anchor
+    plain = window + b"\x00\x00"  # the tail of every certificate without an anchor
     return [
         _pack_head(serial, len(name := b"subject-%d" % serial))
         + name
-        + (plain if anchor is None else window + b"\x01" + anchor.to_bytes() + segment)
+        + (plain if anchor is None else window + b"\x01" + anchor.to_bytes() + b"\x00")
         for serial, anchor in zip(serials, crs_anchors)
     ]
 
@@ -622,7 +651,6 @@ class _CertificateFields(NamedTuple):
     not_after: int
     issuer_signature: Signature
     crs_anchor: Optional[CrsAnchor] = None
-    segment_id: Optional[str] = None
 
 
 class Certificate(Checked, Signed, _CertificateFields):
@@ -644,8 +672,8 @@ class Certificate(Checked, Signed, _CertificateFields):
         _check_window(self.not_before, self.not_after)
 
     def _payload(self) -> bytes:
-        serial, not_before, not_after, _, anchor, segment_id = self
-        return _certificate_payloads([serial], [anchor], not_before, not_after, segment_id)[0]
+        serial, not_before, not_after, _, anchor = self
+        return _certificate_payloads([serial], [anchor], not_before, not_after)[0]
 
 
 def make_certificate(
@@ -655,13 +683,12 @@ def make_certificate(
     keystore: KeyStore,
     key_id: str,
     crs_anchor: Optional[CrsAnchor] = None,
-    segment_id: Optional[str] = None,
 ) -> Certificate:
     """Build and sign a certificate in one step (signature covers all other
     fields): the one-certificate batch of `Ledger.issue`, on a ledger of its
     own."""
     ledger = Ledger()
-    ledger.issue([serial], [crs_anchor], not_before, not_after, keystore, key_id, segment_id)
+    ledger.issue([serial], [crs_anchor], not_before, not_after, keystore, key_id)
     return ledger.certificates[serial]
 
 
@@ -684,7 +711,6 @@ class _Batch(NamedTuple):
     not_before: int
     not_after: int
     key_id: str
-    segment_id: Optional[str]
     serials: list[int]
     crs_anchors: list[Optional[CrsAnchor]]
     macs: bytes  # the issuer MACs, MAC_BYTES each
@@ -716,7 +742,6 @@ class _IssuedCertificates(Mapping):
                 batch.not_after,
                 signature,
                 batch.crs_anchors[i],
-                batch.segment_id,
             ),
         )
 
@@ -737,10 +762,10 @@ class Ledger:
     and the simulator checks client decisions against it.
 
     Certificates are issued by batch (`issue`), and each batch is kept as one
-    record: its window, key id and segment id once, its serials and anchors
-    as lists, its MACs as one bytes of 32 per certificate, with a serial ->
-    ordinal index over all batches. `certificates` builds a
-    Certificate only when one is read. The readers of a single field read it
+    record: its window and key id once, its serials and anchors as lists,
+    its MACs as one bytes of 32 per certificate, with a serial -> ordinal
+    index over all batches. `certificates` builds a Certificate only when
+    one is read. The readers of a single field read it
     from the batch: `revoke` the window, `non_expired_serials` the expiry
     and `crs_anchor` the anchor.
     """
@@ -765,10 +790,9 @@ class Ledger:
         not_after: int,
         keystore: KeyStore,
         key_id: str,
-        segment_id: Optional[str] = None,
     ) -> None:
         """Sign and record one certificate per (serial, anchor), all with
-        the one validity window, key and segment id.
+        the one validity window and key.
 
         Every input is checked before anything is signed: one anchor per
         serial, both window ends on the u64 clock and the window not empty,
@@ -800,9 +824,9 @@ class Ledger:
         for lo in range(0, n or 1, _ISSUE_CHUNK):  # an empty batch still looks the key up
             hi = lo + _ISSUE_CHUNK
             payloads = _certificate_payloads(
-                serials[lo:hi], crs_anchors[lo:hi], not_before, not_after, segment_id
+                serials[lo:hi], crs_anchors[lo:hi], not_before, not_after
             )
-            chunks.append(b"".join(keystore.mac_batch(payloads, key_id)))
+            chunks.append(keystore.mac_batch(payloads, key_id))
         macs = b"".join(chunks)
         del payloads, chunks  # freed before the lists and the index are kept, to lower the peak
         start = len(where)
@@ -812,7 +836,6 @@ class Ledger:
                 not_before,
                 not_after,
                 key_id,
-                segment_id,
                 list(serials),
                 list(crs_anchors),
                 macs,

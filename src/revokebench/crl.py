@@ -2,11 +2,14 @@
 schedules, segmented lists with redirect tables, and the client-side status
 check over a document cache.
 
-CRLs and redirect tables are `core.Signed` records; the issuer's documents
-and `make_redirect_table`'s tables hold the bytes they were signed over. A
-CRL travels as its wire bytes, `to_bytes()`, and only as those: `parse_crl`
-reads them back strictly, and the document it returns holds the bytes
-received, so its signature is checked over exactly them.
+CRLs and redirect tables are `core.Signed` records, each signed on its own
+by `Signed.sign`: the issuer's documents and `make_redirect_table`'s tables
+are built, and so checked, before they are signed, and hold the bytes they
+were signed over. A document with a repeated serial, or a table whose
+ranges do not tile, raises and signs nothing. A CRL travels as its wire
+bytes, `to_bytes()`, and only as those: `parse_crl` reads them back
+strictly, and the document it returns holds the bytes received, so its
+signature is checked over exactly them.
 """
 
 from __future__ import annotations
@@ -56,29 +59,6 @@ class PartitionError(ValueError):
     """Redirect table ranges overlap, leave gaps, or do not cover a serial."""
 
 
-def _crl_payload(
-    issuer: str,
-    kind: CrlKind,
-    this_update: int,
-    next_update: int,
-    window_start: Optional[int],
-    segment_id: Optional[str],
-    entries: tuple[tuple[int, int], ...],
-) -> bytes:
-    """The bytes a CRL's signature covers, in field order."""
-    parts = [
-        pack_str(issuer),
-        pack_str(kind.value),
-        pack_u64(this_update),
-        pack_u64(next_update),
-        pack_opt_u64(window_start),
-        pack_opt_str(segment_id),
-        pack_u32(len(entries)),
-        struct.pack(f">{2 * len(entries)}Q", *chain.from_iterable(entries)),
-    ]
-    return b"".join(parts)
-
-
 @dataclass(frozen=True)
 class CrlDocument(Signed):
     """A signed status list. Authoritative over [this_update, next_update)."""
@@ -103,15 +83,18 @@ class CrlDocument(Signed):
                 raise ValueError("delta entry revoked before window_start")
 
     def _payload(self) -> bytes:
-        return _crl_payload(
-            self.issuer,
-            self.kind,
-            self.this_update,
-            self.next_update,
-            self.window_start,
-            self.segment_id,
-            self.entries,
-        )
+        entries = self.entries
+        parts = [
+            pack_str(self.issuer),
+            pack_str(self.kind.value),
+            pack_u64(self.this_update),
+            pack_u64(self.next_update),
+            pack_opt_u64(self.window_start),
+            pack_opt_str(self.segment_id),
+            pack_u32(len(entries)),
+            struct.pack(f">{2 * len(entries)}Q", *chain.from_iterable(entries)),
+        ]
+        return b"".join(parts)
 
     def covers(self, now: int) -> bool:
         return self.this_update <= now < self.next_update
@@ -187,28 +170,6 @@ class IssuanceSchedule:
         return self.base_period // self.overissue_factor
 
 
-def _table_payload(version: int, ranges: tuple[tuple[int, int, str], ...]) -> bytes:
-    parts = [pack_u32(version), pack_u32(len(ranges))]
-    parts.extend(pack_u64(lo) + pack_u64(hi) + pack_str(seg) for lo, hi, seg in sorted(ranges))
-    return b"".join(parts)
-
-
-def _check_partition(ranges: Sequence[tuple[int, int, str]]) -> None:
-    """The ranges are non-empty closed intervals that tile their envelope:
-    pairwise disjoint, with no gap between neighbours."""
-    if not ranges:
-        raise PartitionError("redirect table has no ranges")
-    ordered = sorted(ranges)
-    for lo, hi, _ in ordered:
-        if lo > hi:
-            raise PartitionError(f"empty range [{lo}, {hi}]")
-    for (_, hi_a, _), (lo_b, _, _) in zip(ordered, ordered[1:]):
-        if lo_b <= hi_a:
-            raise PartitionError("redirect table ranges overlap")
-        if lo_b != hi_a + 1:
-            raise PartitionError(f"gap between {hi_a} and {lo_b}")
-
-
 @dataclass(frozen=True)
 class RedirectTable(Signed):
     """Signed, versioned map from serial ranges to segment ids.
@@ -223,10 +184,26 @@ class RedirectTable(Signed):
     signature: Signature
 
     def __post_init__(self) -> None:
-        _check_partition(self.ranges)
+        """The ranges are non-empty closed intervals that tile their
+        envelope: pairwise disjoint, with no gap between neighbours."""
+        if not self.ranges:
+            raise PartitionError("redirect table has no ranges")
+        ordered = sorted(self.ranges)
+        for lo, hi, _ in ordered:
+            if lo > hi:
+                raise PartitionError(f"empty range [{lo}, {hi}]")
+        for (_, hi_a, _), (lo_b, _, _) in zip(ordered, ordered[1:]):
+            if lo_b <= hi_a:
+                raise PartitionError("redirect table ranges overlap")
+            if lo_b != hi_a + 1:
+                raise PartitionError(f"gap between {hi_a} and {lo_b}")
 
     def _payload(self) -> bytes:
-        return _table_payload(self.version, self.ranges)
+        parts = [pack_u32(self.version), pack_u32(len(self.ranges))]
+        parts.extend(
+            pack_u64(lo) + pack_u64(hi) + pack_str(seg) for lo, hi, seg in sorted(self.ranges)
+        )
+        return b"".join(parts)
 
     def segment_ids(self) -> list[str]:
         return sorted({seg for _, _, seg in self.ranges})
@@ -244,12 +221,9 @@ def make_redirect_table(
     keystore: KeyStore,
     key_id: str,
 ) -> RedirectTable:
-    """Check the partition, sign the table's encoded fields, then build it;
-    a malformed table raises PartitionError before anything is signed."""
-    ranges = tuple(ranges)
-    _check_partition(ranges)
-    payload = _table_payload(version, ranges)
-    return keep_payload(RedirectTable(version, ranges, keystore.sign(payload, key_id)), payload)
+    """The signed table; a malformed one raises PartitionError before
+    anything is signed."""
+    return RedirectTable.sign(keystore, key_id, version=version, ranges=tuple(ranges))
 
 
 def resolve_segment(serial: int, table: RedirectTable) -> str:
@@ -284,24 +258,20 @@ class CrlIssuer:
         window_start: Optional[int] = None,
         segment_id: Optional[str] = None,
     ) -> CrlDocument:
-        """Encode the fields, sign them, then build the document once, so its
-        checks run once; it holds the bytes just signed."""
+        """The document, its entries sorted by serial, checked and then
+        signed under the issuer's key."""
         check_time(next_update)
-        entries = tuple(sorted(entries))
-        payload = _crl_payload(
-            self.key_id, kind, this_update, next_update, window_start, segment_id, entries
-        )
-        doc = CrlDocument(
+        return CrlDocument.sign(
+            self.keystore,
+            self.key_id,
             issuer=self.key_id,
             kind=kind,
             this_update=this_update,
             next_update=next_update,
+            entries=tuple(sorted(entries)),
             window_start=window_start,
             segment_id=segment_id,
-            entries=entries,
-            signature=self.keystore.sign(payload, self.key_id),
         )
-        return keep_payload(doc, payload)
 
     def issue_full(self, revoked: Iterable[RevocationRecord], now: int) -> CrlDocument:
         """Full list authoritative over [now, now + base_period).

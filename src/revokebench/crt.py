@@ -12,8 +12,8 @@ memo is a plain dict of tuples. Every way of building a leaf checks lo < hi
 (so `parse_proof` of a bad leaf raises), except `_leaves_for`, which checks
 the end serials of its strictly increasing input once, making every gap
 between them strictly increasing too. The signed root is a `core.Signed`
-record; a root made by signing holds its signed bytes, which every client
-of the tree verifies.
+record, signed on its own by `Signed.sign` once its fields are built; it
+holds its signed bytes, which every client of the tree verifies.
 
 Proofs and tree files travel as wire bytes, read through `core.Reader`.
 `read_signed_root` is the one root decoder, and the root it returns holds
@@ -92,10 +92,6 @@ def node_hash(left: bytes, right: bytes) -> bytes:
     return h.digest()
 
 
-def _root_payload(root: bytes, issued_at: int, next_update: int) -> bytes:
-    return root + pack_u64(issued_at) + pack_u64(next_update)
-
-
 @dataclass(frozen=True)
 class SignedRoot(Signed):
     root: bytes
@@ -104,7 +100,7 @@ class SignedRoot(Signed):
     signature: Signature
 
     def _payload(self) -> bytes:
-        return _root_payload(self.root, self.issued_at, self.next_update)
+        return self.root + pack_u64(self.issued_at) + pack_u64(self.next_update)
 
 
 @dataclass(frozen=True)
@@ -321,15 +317,14 @@ def crt_update(
         new_leaf_hashes.append(h)
 
     levels, hashed = _build_levels(new_leaf_hashes, node_memo)
-    root = levels[-1][0]
-    next_update = check_time(now + validity)
-    payload = _root_payload(root, now, next_update)
-    signed_root = SignedRoot(root, now, next_update, keystore.sign(payload, key_id))
+    signed_root = SignedRoot.sign(
+        keystore, key_id, root=levels[-1][0], issued_at=now, next_update=check_time(now + validity)
+    )
     new_tree = CrtTree(
         serials=tuple(serials),
         leaves=tuple(leaves),
         levels=tuple(levels),
-        signed_root=keep_payload(signed_root, payload),
+        signed_root=signed_root,
     )
     return new_tree, CrtUpdateStats(recomputed_internal=hashed, recomputed_leaves=leaf_count)
 

@@ -135,15 +135,15 @@ class TestSignBatch:
 
     def test_equals_one_sign_per_message(self, keystore):
         batch = keystore.mac_batch(self.MESSAGES, "ca")
-        assert batch == [keystore.sign(m, "ca").mac for m in self.MESSAGES]
-        assert all(type(mac) is bytes for mac in batch)
+        assert batch == b"".join(keystore.sign(m, "ca").mac for m in self.MESSAGES)
+        assert type(batch) is bytes
 
     def test_counts_the_batch_under_the_current_phase_only(self, keystore):
         keystore.phase = "publish"
         keystore.mac_batch(self.MESSAGES, "ca")
         assert keystore.counts == {("sign", "publish"): len(self.MESSAGES)}
         keystore.phase = "setup"
-        assert keystore.mac_batch([], "ca") == []
+        assert keystore.mac_batch([], "ca") == b""
         assert keystore.counts == {("sign", "publish"): len(self.MESSAGES)}
         assert keystore.sign_count == len(self.MESSAGES)
 
@@ -341,7 +341,7 @@ def reference_certificate_payload(cert: Certificate) -> bytes:
     else:
         out += b"\x01" + u32(len(a.y)) + a.y + u32(len(a.n)) + a.n
         out += u32(a.lifetime_periods) + u64(a.period_length)
-    return out + (b"\x00" if cert.segment_id is None else b"\x01" + text(cert.segment_id))
+    return out + b"\x00"  # the absent segment id
 
 
 BAD_FIELDS = pytest.mark.parametrize(
@@ -425,8 +425,7 @@ class TestAnchorWire:
 
 class TestCertificateEncoding:
     @pytest.mark.parametrize("with_anchor", [False, True])
-    @pytest.mark.parametrize("segment_id", [None, "", "seg-ü3"])
-    def test_signed_payload_is_pinned(self, keystore, with_anchor, segment_id):
+    def test_signed_payload_is_pinned(self, keystore, with_anchor):
         anchor = CrsAnchor(y=b"\x01" * 13, n=b"\x02" * 13, lifetime_periods=365, period_length=86_400)
         cert = make_certificate(
             SERIAL_MAX,
@@ -435,23 +434,19 @@ class TestCertificateEncoding:
             keystore,
             "ca",
             crs_anchor=anchor if with_anchor else None,
-            segment_id=segment_id,
         )
         assert cert.signed_payload() == reference_certificate_payload(cert)
         assert cert.issuer_signature == keystore.sign(reference_certificate_payload(cert), "ca")
         assert cert.to_bytes() == cert.signed_payload() + cert.issuer_signature.to_bytes()
 
     @pytest.mark.parametrize("anchor_bytes", [None, (13, 13), (1, 32)])
-    @pytest.mark.parametrize("segment_id", [None, "", "seg-ü3"])
     @pytest.mark.parametrize("serial", [0, 7, 10**9, SERIAL_MAX])
-    def test_wire_size_is_the_encoding_length(self, keystore, anchor_bytes, segment_id, serial):
+    def test_wire_size_is_the_encoding_length(self, keystore, anchor_bytes, serial):
         anchor = None
         if anchor_bytes is not None:
             y_len, n_len = anchor_bytes
             anchor = CrsAnchor(y=b"\x01" * y_len, n=b"\x02" * n_len, lifetime_periods=3, period_length=9)
-        cert = make_certificate(
-            serial, 0, 100, keystore, "ca", crs_anchor=anchor, segment_id=segment_id
-        )
+        cert = make_certificate(serial, 0, 100, keystore, "ca", crs_anchor=anchor)
         assert cert.wire_size == len(cert.to_bytes())
 
     @BAD_FIELDS
@@ -468,7 +463,7 @@ class TestCertificateRecord:
     @pytest.fixture
     def cert(self, keystore):
         anchor = CrsAnchor(y=b"\x01" * 13, n=b"\x02" * 13, lifetime_periods=3, period_length=9)
-        return make_certificate(5, 0, 100, keystore, "ca", crs_anchor=anchor, segment_id="s")
+        return make_certificate(5, 0, 100, keystore, "ca", crs_anchor=anchor)
 
     def test_fields_cannot_be_set(self, cert):
         with pytest.raises(AttributeError):
@@ -486,9 +481,7 @@ class TestCertificateRecord:
             cert._replace(serial=serial, not_before=not_before, not_after=not_after)
 
     def test_equal_and_hashable_by_value(self, keystore, cert):
-        twin = make_certificate(
-            5, 0, 100, keystore, "ca", crs_anchor=cert.crs_anchor, segment_id="s"
-        )
+        twin = make_certificate(5, 0, 100, keystore, "ca", crs_anchor=cert.crs_anchor)
         assert twin == cert and hash(twin) == hash(cert)
         assert len({cert, twin, cert._replace(serial=6)}) == 2
         sig = cert.issuer_signature
@@ -503,13 +496,12 @@ class TestCertificateRecord:
             not_after=cert.not_after,
             issuer_signature=cert.issuer_signature,
             crs_anchor=cert.crs_anchor,
-            segment_id=cert.segment_id,
         )
         assert type(cert) is type(direct) is Certificate
         assert tuple(cert) == tuple(direct) and cert == direct
         assert direct.verify(keystore, "ca")
         plain = make_certificate(7, 1, 2, keystore, "ca")
-        assert (plain.crs_anchor, plain.segment_id) == (None, None)
+        assert plain.crs_anchor is None
         assert plain == Certificate(7, 1, 2, plain.issuer_signature)
 
 
@@ -530,14 +522,13 @@ class TestLedgerIssue:
         return anchors
 
     @pytest.mark.parametrize("with_anchors", [False, True])
-    @pytest.mark.parametrize("segment_id", [None, "seg-ü3"])
-    def test_equals_one_make_certificate_per_input(self, keystore, with_anchors, segment_id):
+    def test_equals_one_make_certificate_per_input(self, keystore, with_anchors):
         anchors = self.anchors(with_anchors)
         ledger = Ledger()
-        ledger.issue(self.SERIALS, anchors, 10, 100, keystore, "ca", segment_id)
+        ledger.issue(self.SERIALS, anchors, 10, 100, keystore, "ca")
         batch = list(ledger.certificates.values())
         one_by_one = [
-            make_certificate(serial, 10, 100, keystore, "ca", anchor, segment_id)
+            make_certificate(serial, 10, 100, keystore, "ca", anchor)
             for serial, anchor in zip(self.SERIALS, anchors)
         ]
         assert list(ledger.certificates) == self.SERIALS
@@ -611,11 +602,10 @@ class TestLedgerIssue:
         ledger = Ledger()
         ledger.issue([10, 30], [None, anchor], 0, 100, keystore, "ca")
         ledger.issue([], [], 50, 60, keystore, "ca")
-        ledger.issue([20], [None], 50, 300, keystore, "ca", "seg")
+        ledger.issue([20], [None], 50, 300, keystore, "ca")
         assert ledger.crs_anchor(30) == anchor and ledger.crs_anchor(20) is None
         assert ledger.non_expired_serials(99) == [10, 20, 30]
         assert ledger.non_expired_serials(100) == [20]
-        assert ledger.certificates[20].segment_id == "seg"
         assert (20 in ledger.certificates, 40 in ledger.certificates) == (True, False)
         with pytest.raises(KeyError):
             ledger.certificates[40]
@@ -625,15 +615,13 @@ class TestLedgerIssue:
         assert [r.serial for r in ledger.revoked_non_expired(250)] == [20]
 
 
-def eager_certificates(serials, anchors, not_before, not_after, secret, key_id, segment_id=None):
+def eager_certificates(serials, anchors, not_before, not_after, secret, key_id):
     """Oracle for Ledger.issue: every certificate built as a record at once,
     its MAC computed with hmac.new over Certificate._payload, as issuance
     did before batches were kept as one record."""
     out = []
     for serial, anchor in zip(serials, anchors, strict=True):
-        unsigned = Certificate(
-            serial, not_before, not_after, Signature(key_id, b""), anchor, segment_id
-        )
+        unsigned = Certificate(serial, not_before, not_after, Signature(key_id, b""), anchor)
         mac = hmac.new(secret, unsigned._payload(), hashlib.sha256).digest()
         out.append(unsigned._replace(issuer_signature=Signature(key_id, mac)))
     return out
@@ -641,8 +629,6 @@ def eager_certificates(serials, anchors, not_before, not_after, secret, key_id, 
 
 ORACLE_SECRET = b"issuance-oracle-key"
 
-# st.text draws non-ASCII code points as well as ASCII ones
-_segment_ids = st.text(max_size=12)
 _anchors = st.none() | st.builds(
     CrsAnchor,
     y=st.binary(min_size=1, max_size=32),
@@ -654,7 +640,7 @@ _anchors = st.none() | st.builds(
 
 @st.composite
 def issue_batches(draw, min_size=0, taken=frozenset()):
-    """(serials, anchors, not_before, not_after, segment_id) of a
+    """(serials, anchors, not_before, not_after) of a
     valid batch of 0-40 certificates whose serials are not in `taken`."""
     serials = draw(
         st.lists(
@@ -670,8 +656,7 @@ def issue_batches(draw, min_size=0, taken=frozenset()):
     anchors = draw(st.lists(_anchors, min_size=n, max_size=n))
     not_before = draw(st.integers(min_value=0, max_value=TIME_MAX - 1))
     not_after = draw(st.integers(min_value=not_before + 1, max_value=TIME_MAX))
-    segment_id = draw(st.none() | _segment_ids)
-    return serials, anchors, not_before, not_after, segment_id
+    return serials, anchors, not_before, not_after
 
 
 def oracle_keystore():
@@ -694,15 +679,13 @@ class TestIssueAgainstEagerOracle:
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             batch = data.draw(issue_batches(taken=frozenset(taken)))
             signed = keystore.sign_count
-            ledger.issue(*batch[:4], keystore, "ca", batch[4])
+            ledger.issue(*batch, keystore, "ca")
             assert keystore.sign_count - signed == len(batch[0])
             issued.append(batch)
             taken.update(batch[0])
         assert list(ledger.certificates) == [s for batch in issued for s in batch[0]]
-        for serials, anchors, not_before, not_after, segment_id in issued:
-            expected = eager_certificates(
-                serials, anchors, not_before, not_after, ORACLE_SECRET, "ca", segment_id
-            )
+        for batch in issued:
+            expected = eager_certificates(*batch, ORACLE_SECRET, "ca")
             for want in expected:
                 # the oracle's encoder against the field-by-field reference
                 assert want.signed_payload() == reference_certificate_payload(want)
@@ -722,9 +705,9 @@ class TestIssueAgainstEagerOracle:
         keystore = oracle_keystore()
         ledger = Ledger()
         with mock.patch.object(core, "_ISSUE_CHUNK", chunk):
-            ledger.issue(*batch[:4], keystore, "ca", batch[4])
+            ledger.issue(*batch, keystore, "ca")
         assert keystore.sign_count == len(batch[0])
-        expected = eager_certificates(*batch[:4], ORACLE_SECRET, "ca", batch[4])
+        expected = eager_certificates(*batch, ORACLE_SECRET, "ca")
         assert [tuple(c) for c in ledger.certificates.values()] == [tuple(c) for c in expected]
 
     def test_a_batch_of_several_chunks_equals_the_oracle(self):
@@ -733,9 +716,9 @@ class TestIssueAgainstEagerOracle:
         anchors = [None if s % 3 else CrsAnchor(b"y", b"n", 365, DAY) for s in serials]
         keystore = oracle_keystore()
         ledger = Ledger()
-        ledger.issue(serials, anchors, 0, 30 * DAY, keystore, "ca", "seg")
+        ledger.issue(serials, anchors, 0, 30 * DAY, keystore, "ca")
         assert keystore.counts == {("sign", "issue_certificate"): n}
-        expected = eager_certificates(serials, anchors, 0, 30 * DAY, ORACLE_SECRET, "ca", "seg")
+        expected = eager_certificates(serials, anchors, 0, 30 * DAY, ORACLE_SECRET, "ca")
         assert [tuple(c) for c in ledger.certificates.values()] == [tuple(c) for c in expected]
 
     FAULTS = [
@@ -748,8 +731,8 @@ class TestIssueAgainstEagerOracle:
         keystore = oracle_keystore()
         ledger = Ledger()
         first = data.draw(issue_batches(min_size=1))
-        ledger.issue(*first[:4], keystore, "ca", first[4])
-        serials, anchors, not_before, not_after, segment_id = data.draw(
+        ledger.issue(*first, keystore, "ca")
+        serials, anchors, not_before, not_after = data.draw(
             issue_batches(min_size=1, taken=frozenset(first[0]))
         )
         at = data.draw(st.integers(min_value=0, max_value=len(serials) - 1))
@@ -775,7 +758,7 @@ class TestIssueAgainstEagerOracle:
             match = "already issued"
         before = (list(ledger.certificates.items()), dict(keystore.counts))
         with pytest.raises(error, match=match):
-            ledger.issue(serials, anchors, not_before, not_after, keystore, "ca", segment_id)
+            ledger.issue(serials, anchors, not_before, not_after, keystore, "ca")
         assert (list(ledger.certificates.items()), keystore.counts) == before
         assert ledger.non_expired_serials(first[2]) == sorted(first[0])
         assert not any(ledger.is_issued(s) for s in serials if s not in first[0])

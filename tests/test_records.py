@@ -1,7 +1,9 @@
 """The signed-record contract, checked on each of the seven signed types.
 
 Every record here is built by its signing path, so the types whose signed
-records hold the bytes they were signed over are tested holding them.
+records hold the bytes they were signed over are tested holding them. The
+four records signed on their own are made by `Signed.sign`, which checks a
+record before it signs it.
 """
 
 import dataclasses
@@ -16,12 +18,14 @@ from revokebench.core import (
     RevocationRecord,
     Signature,
     Signed,
+    UnknownKeyError,
 )
 from revokebench.crl import (
     CrlDocument,
     CrlIssuer,
     CrlKind,
     IssuanceSchedule,
+    PartitionError,
     RedirectTable,
     make_redirect_table,
 )
@@ -48,6 +52,9 @@ SIGNED_TYPES = (
     ResponderKeyChain,
 )
 
+# The records signed on their own, through `Signed.sign`
+SIGNED_ALONE = (CrlDocument, RedirectTable, SignedRoot, ResponderKeyChain)
+
 
 def forged(signature: Signature) -> Signature:
     return Signature(signature.key_id, bytes(len(signature.mac)))
@@ -58,7 +65,7 @@ def genuine_records(keystore, rng) -> dict:
     a different valid value for each of its fields)."""
     anchor = CrsAnchor(b"y" * 13, b"n" * 13, 365, DAY)
     ledger = Ledger()
-    ledger.issue([5], [anchor], 0, DAY, keystore, "ca", "s1")
+    ledger.issue([5], [anchor], 0, DAY, keystore, "ca")
     cert = ledger.certificates[5]
     table = make_redirect_table(1, [(0, 99, "A"), (100, 999, "B")], keystore, "ca")
     issuer = CrlIssuer(keystore, "ca", IssuanceSchedule(base_period=DAY))
@@ -70,7 +77,7 @@ def genuine_records(keystore, rng) -> dict:
     return {
         "Certificate": (cert, "ca", dict(
             serial=6, not_before=1, not_after=2 * DAY,
-            issuer_signature=forged(cert.signature), crs_anchor=None, segment_id="s2",
+            issuer_signature=forged(cert.signature), crs_anchor=None,
         )),
         "CrlDocument": (doc, "ca", dict(
             issuer="other", kind=CrlKind.FULL, this_update=101, next_update=DAY + 101,
@@ -142,3 +149,47 @@ class TestSignedContract:
         assert issubclass(cls, Signed)
         for attr in ("signed_payload", "to_bytes", "wire_size", "verify"):
             assert getattr(cls, attr) is getattr(Signed, attr)
+        if cls in SIGNED_ALONE:
+            assert cls.sign.__func__ is Signed.sign.__func__
+
+
+def issuer(keystore):
+    return CrlIssuer(keystore, "ca", IssuanceSchedule(base_period=DAY))
+
+
+REPEATED = [RevocationRecord(5, 10), RevocationRecord(5, 10)]
+
+# name -> (an attempt to sign a record that its checks reject, the error)
+REJECTED = {
+    "issue_full repeated serial": (
+        lambda ks, rng: issuer(ks).issue_full(REPEATED, 100), ValueError,
+    ),
+    "segment repeated serial": (
+        lambda ks, rng: issuer(ks).segment(
+            REPEATED, RedirectTable(1, ((0, 999, "A"),), Signature("ca", b"")), 100
+        ),
+        ValueError,
+    ),
+    "redirect table overlapping ranges": (
+        lambda ks, rng: make_redirect_table(1, [(0, 99, "A"), (50, 999, "B")], ks, "ca"),
+        PartitionError,
+    ),
+    "key chain overlapping windows": (
+        lambda ks, rng: make_key_chain(
+            [ResponderKey("resp-a", 0, DAY), ResponderKey("resp-b", DAY - 1, 2 * DAY)],
+            ks, "ca", rng,
+        ),
+        ValueError,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED))
+def test_a_rejected_record_signs_nothing(keystore, rng, name):
+    attempt, error = REJECTED[name]
+    with pytest.raises(error):
+        attempt(keystore, rng)
+    assert keystore.counts == {}
+    for key_id in ("resp-a", "resp-b"):  # no responder key registered
+        with pytest.raises(UnknownKeyError):
+            keystore.sign(b"", key_id)
