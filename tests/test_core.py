@@ -423,30 +423,46 @@ class TestAnchorWire:
                 parse_anchor(data + bytes([extra]))
 
 
+# Issuer key ids: the empty id, and a non-ASCII one whose UTF-8 length is
+# not its length in characters
+ISSUER_KEY_IDS = ["ca", "", "ca-ü3"]
+
+
+def issuer_key(keystore, rng, key_id):
+    """Register `key_id` with the keystore (the fixture already holds "ca")."""
+    if key_id != "ca":
+        keystore.generate(key_id, rng)
+    return key_id
+
+
 class TestCertificateEncoding:
     @pytest.mark.parametrize("with_anchor", [False, True])
-    def test_signed_payload_is_pinned(self, keystore, with_anchor):
+    @pytest.mark.parametrize("key_id", ISSUER_KEY_IDS)
+    def test_signed_payload_is_pinned(self, keystore, rng, with_anchor, key_id):
         anchor = CrsAnchor(y=b"\x01" * 13, n=b"\x02" * 13, lifetime_periods=365, period_length=86_400)
         cert = make_certificate(
             SERIAL_MAX,
             2**40,
             2**64 - 1,
             keystore,
-            "ca",
+            issuer_key(keystore, rng, key_id),
             crs_anchor=anchor if with_anchor else None,
         )
         assert cert.signed_payload() == reference_certificate_payload(cert)
-        assert cert.issuer_signature == keystore.sign(reference_certificate_payload(cert), "ca")
+        assert cert.issuer_signature == keystore.sign(reference_certificate_payload(cert), key_id)
         assert cert.to_bytes() == cert.signed_payload() + cert.issuer_signature.to_bytes()
 
     @pytest.mark.parametrize("anchor_bytes", [None, (13, 13), (1, 32)])
+    @pytest.mark.parametrize("key_id", ISSUER_KEY_IDS)
     @pytest.mark.parametrize("serial", [0, 7, 10**9, SERIAL_MAX])
-    def test_wire_size_is_the_encoding_length(self, keystore, anchor_bytes, serial):
+    def test_wire_size_is_the_encoding_length(self, keystore, rng, anchor_bytes, key_id, serial):
         anchor = None
         if anchor_bytes is not None:
             y_len, n_len = anchor_bytes
             anchor = CrsAnchor(y=b"\x01" * y_len, n=b"\x02" * n_len, lifetime_periods=3, period_length=9)
-        cert = make_certificate(serial, 0, 100, keystore, "ca", crs_anchor=anchor)
+        cert = make_certificate(
+            serial, 0, 100, keystore, issuer_key(keystore, rng, key_id), crs_anchor=anchor
+        )
         assert cert.wire_size == len(cert.to_bytes())
 
     @BAD_FIELDS
@@ -522,20 +538,23 @@ class TestLedgerIssue:
         return anchors
 
     @pytest.mark.parametrize("with_anchors", [False, True])
-    def test_equals_one_make_certificate_per_input(self, keystore, with_anchors):
+    @pytest.mark.parametrize("key_id", ["ca", "ca-ü3"])
+    def test_equals_one_make_certificate_per_input(self, keystore, rng, with_anchors, key_id):
         anchors = self.anchors(with_anchors)
+        issuer_key(keystore, rng, key_id)
         ledger = Ledger()
-        ledger.issue(self.SERIALS, anchors, 10, 100, keystore, "ca")
+        ledger.issue(self.SERIALS, anchors, 10, 100, keystore, key_id)
         batch = list(ledger.certificates.values())
         one_by_one = [
-            make_certificate(serial, 10, 100, keystore, "ca", anchor)
+            make_certificate(serial, 10, 100, keystore, key_id, anchor)
             for serial, anchor in zip(self.SERIALS, anchors)
         ]
         assert list(ledger.certificates) == self.SERIALS
         assert [type(c) for c in batch] == [Certificate] * len(self.SERIALS)
         assert [tuple(c) for c in batch] == [tuple(c) for c in one_by_one]
         for cert in batch:
-            assert cert.issuer_signature == keystore.sign(reference_certificate_payload(cert), "ca")
+            assert cert.issuer_signature.key_id == key_id
+            assert cert.issuer_signature == keystore.sign(reference_certificate_payload(cert), key_id)
             assert ledger.crs_anchor(cert.serial) == cert.crs_anchor
 
     def test_counts_the_batch_once_under_the_current_phase(self, keystore):
