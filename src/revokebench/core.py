@@ -15,10 +15,14 @@ building one.
 
 A record signed on its own (a CRL, redirect table, CRT root or responder
 key chain) is made by `Signed.sign`, which builds it, and so checks it,
-before anything is signed. Certificates and naive statements are MACed in
-batches by `KeyStore.mac_batch`. An OCSP response, signed once per
+before anything is signed. Naive statements are MACed in batches by
+`KeyStore.mac_batch`, and certificates by `Ledger.issue`, which counts a
+batch once all its MACs are in. An OCSP response, signed once per
 nonce-mode validation, is the one record `OcspResponder.respond` signs
 directly.
+
+A large batch of one-way-function walks or of certificates is shared with
+a forked child by `_split`, the one fork protocol in the workbench.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from enum import Enum
 from functools import partial
 from itertools import chain
 from operator import attrgetter
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 # Serial numbers are unsigned 64-bit integers. 0 and 2**64-1 are reserved as
 # the tree sentinels; real serials live strictly between them.
@@ -267,12 +271,22 @@ class KeyStore:
         as len(messages) signatures under the current phase:
         b"".join(sign(m, key_id).mac for m in messages), with the key looked
         up and the count added once."""
+        macs = self.uncounted_macs(messages, key_id)
+        self.count_signs(len(messages))
+        return macs
+
+    def uncounted_macs(self, messages: Sequence[bytes], key_id: str) -> bytes:
+        """mac_batch without its count, for a batch MACed in parts (some in a
+        forked child) and counted once with count_signs when all are in."""
         pads = self._pads(key_id)
-        if messages:  # an empty batch leaves no zero entry for reports to list
-            key = ("sign", self.phase)
-            self.counts[key] = self.counts.get(key, 0) + len(messages)
         mac = self._mac
         return b"".join([mac(pads, m) for m in messages])
+
+    def count_signs(self, n: int) -> None:
+        """Count n signatures under the current phase."""
+        if n:  # an empty batch leaves no zero entry for reports to list
+            key = ("sign", self.phase)
+            self.counts[key] = self.counts.get(key, 0) + n
 
     def verify(self, message: bytes, signature: Signature, key_id: str) -> bool:
         """True iff signature was produced over message under exactly key_id."""
@@ -311,12 +325,87 @@ _QUEUE_CHUNKS = 128
 
 
 def _second_cpu() -> bool:
-    """A forked child can walk on a CPU of its own."""
+    """A forked child can work on a CPU of its own."""
     return (
         hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) >= 2
     )
+
+
+def _split(
+    what: str, count: int, per_chunk: int, item_bytes: int, work: Callable[[int, int], bytes]
+) -> list[bytes]:
+    """work(lo, hi), the item_bytes bytes of each of items lo..hi-1 joined,
+    for each chunk of a batch of count items, in chunk order; done by this
+    process and a forked child that take the next chunk from a queue until
+    it is empty.
+
+    A chunk has per_chunk items, or more where that would make over
+    _QUEUE_CHUNKS chunks. The queue is a pipe holding each chunk's index as
+    4 bytes, written whole before the fork. The child keeps its results
+    until the queue is empty, then sends one record per chunk, its index
+    and then its bytes, and always leaves by os._exit. Each record is placed
+    by its index and read for exactly the length that chunk must have; a
+    record that does not fit, a chunk that no one did, or a child that
+    exits nonzero raises RuntimeError naming `what`.
+    """
+    per_chunk = max(per_chunk, -(-count // _QUEUE_CHUNKS), 1)
+    chunks = -(-count // per_chunk)
+    out: list[Optional[bytes]] = [None] * chunks
+
+    def run(record: bytes) -> tuple[int, bytes]:
+        index = int.from_bytes(record, "big")
+        lo = index * per_chunk
+        return index, work(lo, min(count, lo + per_chunk))
+
+    queue_fd, queue_write_fd = os.pipe()
+    try:
+        os.write(queue_write_fd, b"".join(map(pack_u32, range(chunks))))
+    finally:
+        os.close(queue_write_fd)
+    read_fd, write_fd = os.pipe()
+    with open(queue_fd, "rb", buffering=0) as queue, \
+            open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
+        # Unbuffered, so each read takes exactly one index from the pipe,
+        # and each index goes to one of the two processes.
+        take = partial(queue.read, 4)
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                reader.close()
+                mine = [run(record) for record in iter(take, b"")]
+                for index, data in mine:
+                    writer.write(pack_u32(index))
+                    writer.write(data)
+                writer.close()
+                status = 0
+            finally:
+                os._exit(status)
+        writer.close()
+        try:
+            for record in iter(take, b""):
+                index, data = run(record)
+                out[index] = data
+            while record := reader.read(4):
+                index = int.from_bytes(record, "big")
+                if len(record) != 4 or index >= chunks or out[index] is not None:
+                    raise RuntimeError(f"{what} in child {pid} sent a malformed record")
+                expected = (min(count, (index + 1) * per_chunk) - index * per_chunk) * item_bytes
+                data = reader.read(expected)
+                if len(data) != expected:
+                    raise RuntimeError(f"{what} in child {pid} sent too few bytes")
+                out[index] = data
+        finally:
+            reader.close()  # a child still writing to a full pipe now fails and exits
+            _, status = os.waitpid(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code != 0:
+        raise RuntimeError(f"{what} in child {pid} failed with exit code {code}")
+    if any(data is None for data in out):
+        raise RuntimeError(f"{what} in child {pid} sent too few chunks")
+    return out
 
 
 class OneWayFunction:
@@ -377,88 +466,30 @@ class OneWayFunction:
         checked before any walk, and apply_count rises by n per seed once the
         whole batch is walked. A batch of at least _SPLIT_APPLICATIONS
         applications, when this process may run on two CPUs, is walked in
-        chunks by this process and a forked child (`_split_tails`).
+        chunks of about _CHUNK_APPLICATIONS by this process and a forked
+        child (`_split`).
         """
         if not 0 <= first <= n:
             raise ValueError(f"need 0 <= first <= n, got first={first}, n={n}")
         for x in seeds:
             self.check_width(x)
         if n * len(seeds) >= _SPLIT_APPLICATIONS and _second_cpu():
-            out = self._split_tails(seeds, n, first)
+            size = (n - first + 1) * self.width_bytes
+            walked = _split(
+                "chain walk",
+                len(seeds),
+                -(-_CHUNK_APPLICATIONS // max(n, 1)),
+                size,
+                lambda lo, hi: b"".join(self._tails(seeds[lo:hi], n, first)),
+            )
+            out = []
+            for index, data in enumerate(walked):
+                walked[index] = b""  # each chunk freed once cut, so the tails are not held twice
+                out.extend([data[i : i + size] for i in range(0, len(data), size)])
         else:
             out = self._tails(seeds, n, first)
         self.apply_count += n * len(seeds)
         return out
-
-    def _split_tails(self, seeds: Sequence[bytes], n: int, first: int) -> list[bytes]:
-        """_tails, walked by this process and a forked child that take the
-        next chunk of seeds from a queue until it is empty.
-
-        The queue is a pipe holding each chunk's index as 4 bytes, written
-        whole before the fork. The child keeps its tails until the queue is
-        empty, then sends one record per chunk, its index and then its
-        tails, and always leaves by os._exit. Each record is placed by its
-        index and read for exactly the length that chunk's tails have; a
-        record that does not fit, or a chunk that no one walked, raises
-        RuntimeError.
-        """
-        count = len(seeds)
-        per_chunk = max(-(-_CHUNK_APPLICATIONS // max(n, 1)), -(-count // _QUEUE_CHUNKS))
-        chunks = -(-count // per_chunk)
-        size = (n - first + 1) * self.width_bytes
-        out: list[Optional[list[bytes]]] = [None] * chunks
-
-        def walk(record: bytes) -> tuple[int, list[bytes]]:
-            index = int.from_bytes(record, "big")
-            return index, self._tails(seeds[index * per_chunk : (index + 1) * per_chunk], n, first)
-
-        queue_fd, queue_write_fd = os.pipe()
-        try:
-            os.write(queue_write_fd, b"".join(map(pack_u32, range(chunks))))
-        finally:
-            os.close(queue_write_fd)
-        read_fd, write_fd = os.pipe()
-        with open(queue_fd, "rb", buffering=0) as queue, \
-                open(read_fd, "rb") as reader, open(write_fd, "wb") as writer:
-            # Unbuffered, so each read takes exactly one index from the pipe,
-            # and each index goes to one of the two processes.
-            take = partial(queue.read, 4)
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    reader.close()
-                    mine = [walk(record) for record in iter(take, b"")]
-                    for index, tails in mine:
-                        writer.write(pack_u32(index))
-                        writer.write(b"".join(tails))
-                    writer.close()
-                    status = 0
-                finally:
-                    os._exit(status)
-            writer.close()
-            try:
-                for record in iter(take, b""):
-                    index, tails = walk(record)
-                    out[index] = tails
-                while record := reader.read(4):
-                    index = int.from_bytes(record, "big")
-                    if len(record) != 4 or index >= chunks or out[index] is not None:
-                        raise RuntimeError(f"chain walk in child {pid} sent a malformed record")
-                    expected = (min(count, (index + 1) * per_chunk) - index * per_chunk) * size
-                    data = reader.read(expected)
-                    if len(data) != expected:
-                        raise RuntimeError(f"chain walk in child {pid} sent too few bytes")
-                    out[index] = [data[i : i + size] for i in range(0, expected, size)]
-            finally:
-                reader.close()  # a child still writing to a full pipe now fails and exits
-                _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise RuntimeError(f"chain walk in child {pid} failed with exit code {code}")
-        if any(tails is None for tails in out):
-            raise RuntimeError(f"chain walk in child {pid} sent too few chunks")
-        return list(chain.from_iterable(out))
 
     def _tails(self, seeds: Sequence[bytes], n: int, first: int) -> list[bytes]:
         """tails without its checks and count."""
@@ -509,9 +540,9 @@ class Signed:
     and encodes its own fields, so a copy with any field altered fails
     `verify`.
 
-    Certificates and naive statements are signed in batches through
-    `KeyStore.mac_batch`, and an OCSP response directly by
-    `OcspResponder.respond`: both are tuples, which cannot take a signature
+    Certificates and naive statements are signed in batches (`Ledger.issue`,
+    `KeyStore.mac_batch`), and an OCSP response directly by
+    `OcspResponder.respond`: all are tuples, which cannot take a signature
     after they are built.
     """
 
@@ -700,7 +731,16 @@ class RevocationRecord:
 
 
 MAC_BYTES = hashlib.sha256().digest_size  # one KeyStore MAC
-_ISSUE_CHUNK = 4096  # certificates encoded and MACed together by Ledger.issue
+_ISSUE_CHUNK = 1024  # certificates encoded and MACed together by Ledger.issue
+
+# A batch of fewer certificates than this is issued in the calling process
+# alone. On a 2-vCPU VM with a 40 MB heap a certificate takes 1.3-1.4 us to
+# encode and MAC, and a fork round trip (fork, pipe, waitpid) 2.2-2.6 ms;
+# both processes also pay copy-on-write faults on what they touch. Of 31
+# alternating pairs, twice over, the split batch was the faster in 0-1 up
+# to 4,000 certificates, in 3-22 from 5,000 to 7,000, in 19-25 at 8,000
+# and in 31 at 30,000 (medians 45 -> 35 ms).
+_SPLIT_CERTIFICATES = 7_000
 
 
 class _Batch(NamedTuple):
@@ -799,11 +839,15 @@ class Ledger:
         every serial in range, and no serial repeated in the batch or issued
         before. So a bad input anywhere signs nothing and leaves the ledger
         as it was. The payloads are then encoded with the bytes the batch
-        shares joined once (`_certificate_payloads`), and
-        `KeyStore.mac_batch` MACs them under the one key, counted under the
-        keystore's phase. Both go _ISSUE_CHUNK certificates at a time, and
-        the chunks' MACs are joined once at the end, so the whole batch's
-        payloads and MAC objects are never held at once.
+        shares joined once (`_certificate_payloads`) and MACed under the one
+        key, _ISSUE_CHUNK certificates at a time, so the whole batch's
+        payloads and MAC objects are never held at once; the chunks' MACs
+        are joined once at the end. A batch of at least _SPLIT_CERTIFICATES,
+        when this process may run on two CPUs, is encoded and MACed by this
+        process and a forked child (`_split`). The batch is counted as n
+        signatures under the keystore's phase once every chunk is in, so a
+        failed child raises RuntimeError and changes neither the ledger nor
+        the counts.
         """
         n = len(serials)
         if n != len(crs_anchors):
@@ -820,15 +864,19 @@ class Ledger:
                     raise ValueError(f"serial {serial} already issued")
                 seen.add(serial)
 
-        chunks = []
-        for lo in range(0, n or 1, _ISSUE_CHUNK):  # an empty batch still looks the key up
-            hi = lo + _ISSUE_CHUNK
+        def macs_of(lo: int, hi: int) -> bytes:
             payloads = _certificate_payloads(
                 serials[lo:hi], crs_anchors[lo:hi], not_before, not_after
             )
-            chunks.append(keystore.mac_batch(payloads, key_id))
+            return keystore.uncounted_macs(payloads, key_id)
+
+        if n >= _SPLIT_CERTIFICATES and _second_cpu():
+            chunks = _split("issuance", n, _ISSUE_CHUNK, MAC_BYTES, macs_of)
+        else:  # an empty batch still looks the key up
+            chunks = [macs_of(lo, lo + _ISSUE_CHUNK) for lo in range(0, n or 1, _ISSUE_CHUNK)]
         macs = b"".join(chunks)
-        del payloads, chunks  # freed before the lists and the index are kept, to lower the peak
+        del chunks  # freed before the lists and the index are kept, to lower the peak
+        keystore.count_signs(n)
         start = len(where)
         self._batches.append(
             _Batch(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable, Optional, Sequence
 
 from .core import (
@@ -37,6 +37,10 @@ from .core import (
     pack_u32,
     pack_u64,
 )
+
+
+_serial = itemgetter(0)  # of a (serial, revoked_at) entry
+_revoked_at = itemgetter(1)
 
 
 class CrlKind(Enum):
@@ -75,11 +79,12 @@ class CrlDocument(Signed):
     def __post_init__(self) -> None:
         if not self.this_update < self.next_update:
             raise ValueError("this_update must precede next_update")
-        serials = [s for s, _ in self.entries]
-        if any(a >= b for a, b in zip(serials, serials[1:])):
+        entries = self.entries
+        serials = list(map(_serial, entries))
+        if not all(map(lt, serials, serials[1:])):
             raise ValueError("entries must be strictly ascending by serial")
-        if self.kind is CrlKind.DELTA and self.window_start is not None:
-            if any(t < self.window_start for _, t in self.entries):
+        if self.kind is CrlKind.DELTA and self.window_start is not None and entries:
+            if min(map(_revoked_at, entries)) < self.window_start:
                 raise ValueError("delta entry revoked before window_start")
 
     def _payload(self) -> bytes:
@@ -105,6 +110,16 @@ class CrlDocument(Signed):
 
     def lists(self, serial: int) -> bool:
         return serial in self._listed
+
+    @cached_property
+    def _by_time(self) -> list[tuple[int, int]]:
+        return sorted(self.entries, key=_revoked_at)
+
+    def revoked_after(self, t: int) -> list[tuple[int, int]]:
+        """The entries revoked after t, in the order they were revoked. The
+        time-ordered view is built on the first call and kept."""
+        by_time = self._by_time
+        return by_time[bisect_right(by_time, t, key=_revoked_at) :]
 
 
 def parse_crl(data: bytes) -> CrlDocument:
@@ -259,7 +274,9 @@ class CrlIssuer:
         segment_id: Optional[str] = None,
     ) -> CrlDocument:
         """The document, its entries sorted by serial, checked and then
-        signed under the issuer's key."""
+        signed under the issuer's key. A time off the u64 clock raises
+        OverflowError before anything is signed."""
+        check_time(this_update)
         check_time(next_update)
         return CrlDocument.sign(
             self.keystore,

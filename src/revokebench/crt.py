@@ -287,7 +287,11 @@ def crt_update(
     re-pairs the nodes to its right. A tail insert recomputes only its path,
     but 30 random inserts into 100k revoked serials recompute about two
     thirds of the 100k internal nodes (62k to 74k in four draws).
+    A `now` or `now + validity` off the u64 clock raises OverflowError
+    before any work.
     """
+    check_time(now)
+    next_update = check_time(now + validity)
     current = set(tree.serials) if tree is not None else set()
     add = set(add)
     remove = set(remove_expired)
@@ -318,7 +322,7 @@ def crt_update(
 
     levels, hashed = _build_levels(new_leaf_hashes, node_memo)
     signed_root = SignedRoot.sign(
-        keystore, key_id, root=levels[-1][0], issued_at=now, next_update=check_time(now + validity)
+        keystore, key_id, root=levels[-1][0], issued_at=now, next_update=next_update
     )
     new_tree = CrtTree(
         serials=tuple(serials),

@@ -45,7 +45,7 @@ class DependerNode:
     last_sequence: int = -1
 
     def retain(self, message: PropagationMessage) -> None:
-        if message.kind is MessageKind.FULL:
+        if message.kind is MessageKind.FULL and self.log:
             # Earlier fulls and their deltas are no longer needed for catch-up.
             self.log = [m for m in self.log if m.kind is MessageKind.OTHER]
         self.log.append(message)
@@ -128,20 +128,22 @@ def propagate(
         )
     graph.next_sequence = message.sequence + 1
 
-    received = {n: False for n in graph.nodes}
-    forwards = {n: 0 for n in graph.nodes}
+    nodes = graph.nodes
+    received = dict.fromkeys(nodes, False)
+    forwards = dict.fromkeys(nodes, 0)
     received[graph.root] = True
-    graph.nodes[graph.root].retain(message)
+    nodes[graph.root].retain(message)
     queue = [graph.root]
     while queue:
         nxt: list[int] = []
         for u in queue:
-            for child in sorted(graph.nodes[u].children):
-                forwards[u] += 1
+            children = nodes[u].children  # ascending: build_graph adds them by id
+            forwards[u] += len(children)
+            for child in children:
                 if child in down or received[child]:
                     continue
                 received[child] = True
-                graph.nodes[child].retain(message)
+                nodes[child].retain(message)
                 nxt.append(child)
         queue = nxt
     return DeliveryReport(received=received, forwards=forwards)

@@ -249,6 +249,17 @@ class _SlidingClient:
     fetch count. covered_until is the knowledge watermark; current_until is
     the furthest next_update among the base and the deltas chained onto it,
     since an older base can outlive newer short-period deltas.
+
+    A delta that moves the watermark (this_update >= covered_until) merges
+    only its entries revoked after covered_until. That is exact: after any
+    accepted chain, `known` already holds every serial revoked by
+    covered_until and not expired then, and a serial the delta lists is not
+    expired at its this_update, so not at covered_until either. A base, or a
+    delta older than the watermark, is merged whole. The premise is an
+    honest issuer: each document lists every revocation in its window among
+    the certificates not yet expired. A directory replaying old genuine
+    documents keeps it, since an old delta is merged whole; ROADMAP item 15,
+    which sets clients against a hostile directory, revisits it.
     """
 
     __slots__ = ("base_seen", "covered_until", "current_until", "known")
@@ -271,10 +282,12 @@ class _SlidingClient:
         start = doc.window_start if doc.window_start is not None else doc.this_update
         if start > self.covered_until:
             return False  # a gap: some revocation may have scrolled out of the window
-        self.known.update(doc.entries)
         if doc.this_update >= self.covered_until:
+            self.known.update(doc.revoked_after(self.covered_until))
             self.covered_until = doc.this_update
             self.current_until = max(self.current_until, doc.next_update)
+        else:
+            self.known.update(doc.entries)
         return True
 
     def status(self, serial: int, now: int) -> CrlStatus:

@@ -2,8 +2,13 @@
 
 import hashlib
 import hmac
+import math
+import os
 import random
+import signal
 import struct
+import time
+from contextlib import contextmanager
 from unittest import mock
 
 import pytest
@@ -781,6 +786,105 @@ class TestIssueAgainstEagerOracle:
         assert (list(ledger.certificates.items()), keystore.counts) == before
         assert ledger.non_expired_serials(first[2]) == sorted(first[0])
         assert not any(ledger.is_issued(s) for s in serials if s not in first[0])
+
+
+@contextmanager
+def issuance(split: bool):
+    """Every issuance batch shared with a forked child (split) or done in
+    this process, whatever the batch size and the CPUs; yields the os.fork
+    spy. An issuance left hanging raises TimeoutError after 30 s."""
+
+    def hung(signum, frame):
+        raise TimeoutError("issuance still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with mock.patch.object(core, "_SPLIT_CERTIFICATES", 0 if split else math.inf), \
+                mock.patch.object(core, "_second_cpu", lambda: split), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            yield fork
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _split_batch(n):
+    serials = list(range(1, n + 1))
+    anchors = [None if s % 3 else CrsAnchor(b"y", b"n", 365, DAY) for s in serials]
+    return serials, anchors, 0, 30 * DAY
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split issuance forks a child")
+class TestSplitIssuance:
+    """A batch encoded and MACed in chunks by this process and a forked
+    child keeps the same MACs and counts as one done in this process, and a
+    child at fault adds no batch and no count."""
+
+    @pytest.mark.parametrize(
+        "n, chunk",
+        [
+            *(
+                (n, c)
+                for c in [core._ISSUE_CHUNK]
+                for n in (1, c - 1, c, c + 1, 3 * c + 5)
+            ),
+            # one certificate a chunk: past the most chunks the queue holds,
+            # chunks grow to two certificates
+            *((n, 1) for n in (core._QUEUE_CHUNKS, core._QUEUE_CHUNKS + 1, 300)),
+        ],
+    )
+    def test_split_equals_inline(self, n, chunk):
+        results = []
+        for split in (True, False):
+            keystore = oracle_keystore()
+            ledger = Ledger()
+            with mock.patch.object(core, "_ISSUE_CHUNK", chunk), issuance(split) as fork:
+                ledger.issue(*_split_batch(n), keystore, "ca")
+            assert fork.call_count == split
+            (batch,) = ledger._batches
+            results.append((batch, dict(ledger._where), keystore.counts))
+        assert results[0] == results[1]
+        assert results[0][2] == {("sign", "issue_certificate"): n}
+        expected = eager_certificates(*_split_batch(n), ORACLE_SECRET, "ca")
+        assert results[0][0].macs == b"".join(c.issuer_signature.mac for c in expected)
+
+    @pytest.mark.parametrize("fault", ["exit", "raise", "short", "repeated"])
+    def test_a_child_at_fault_adds_nothing(self, fault):
+        """Four chunks; this process sleeps 50 ms before each chunk it
+        does, so the child surely takes one, and then exits 3, raises (and
+        so exits 1), sends one byte too few, or sends its record twice."""
+        parent = os.getpid()
+        macs = KeyStore.uncounted_macs
+        chunk = 50
+
+        def faulty(self, messages, key_id):
+            out = macs(self, messages, key_id)
+            if os.getpid() == parent:
+                time.sleep(0.05)
+                return out
+            if fault == "exit":
+                os._exit(3)
+            if fault == "raise":
+                raise ValueError("child at fault")
+            if fault == "short":
+                return out[:-1]
+            index = (int.from_bytes(messages[0][:8], "big") - 1) // chunk
+            return out + pack_u32(index) + out
+
+        keystore = oracle_keystore()
+        ledger = Ledger()
+        ledger.issue([10_000], [None], 0, DAY, keystore, "ca")
+        before = (list(ledger._batches), dict(ledger._where), dict(keystore.counts))
+        with mock.patch.object(core, "_ISSUE_CHUNK", chunk), issuance(split=True) as fork, \
+                mock.patch.object(KeyStore, "uncounted_macs", faulty):
+            with pytest.raises(RuntimeError, match="issuance in child"):
+                ledger.issue(*_split_batch(4 * chunk), keystore, "ca")
+        assert fork.call_count == 1
+        assert (ledger._batches, ledger._where, keystore.counts) == before
+        assert not ledger.is_issued(1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestRevocationIndex:

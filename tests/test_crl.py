@@ -96,6 +96,32 @@ class TestIssueFull:
         assert sorted(s for s, _ in doc.entries) == sorted(r.serial for r in survivors)
 
 
+class TestTimeOffTheClock:
+    """A `now` off the u64 clock raises OverflowError, as check_time does,
+    on every issue path and before anything is signed: a negative one
+    reached the encoder and raised struct.error there."""
+
+    @pytest.mark.parametrize("now", [-5, -1, 2**64 - 1, 2**64])
+    def test_signs_nothing(self, keystore, now):
+        other = KeyStore()
+        other.register("ca", b"base-key")
+        base = make_issuer(other).issue_full([], 0)
+        issuer = make_issuer(keystore, delta_period=HOUR, window_length=2 * DAY)
+        table = make_redirect_table(1, [(0, SERIAL_MAX, "all")], other, "ca")
+        records = records_of((3, 0))
+        calls = [
+            lambda: issuer.issue_full([], now),
+            lambda: issuer.issue_full(records, now),
+            lambda: issuer.issue_delta([], base, now),
+            lambda: issuer.issue_sliding_delta(records, now),
+            lambda: issuer.segment(records, table, now),
+        ]
+        for call in calls:
+            with pytest.raises(OverflowError, match="outside unsigned 64-bit range"):
+                call()
+        assert keystore.counts == {}
+
+
 class TestBuiltOnce:
     """Each issued document is built once, so its checks run once."""
 

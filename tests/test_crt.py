@@ -150,6 +150,26 @@ class TestProveAndVerify:
                 assert len(proof.siblings) <= bound
 
 
+class TestTimeOffTheClock:
+    @pytest.mark.parametrize(
+        "now, validity", [(-5, 10), (-1, 1), (-10, 5), (0, -1), (2**64 - 1, 1), (2**64, 0)]
+    )
+    def test_signs_nothing(self, keystore, now, validity):
+        """`now` or `now + validity` off the u64 clock raises OverflowError,
+        as check_time does, before anything is signed: a negative `now`
+        reached the encoder and raised struct.error there."""
+        other = KeyStore()
+        other.register("ca", b"tree-key")
+        tree = crt_build([5], 0, 10, other, "ca")
+        for call in (
+            lambda: crt_build([3], now, validity, keystore, "ca"),
+            lambda: crt_update(tree, [7], [5], now, validity, keystore, "ca"),
+        ):
+            with pytest.raises(OverflowError, match="outside unsigned 64-bit range"):
+                call()
+        assert keystore.counts == {}
+
+
 class TestUpdate:
     def test_noop_keeps_root(self, keystore):
         tree = build(keystore, [5, 9], now=0)

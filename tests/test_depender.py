@@ -1,6 +1,10 @@
 """Depender graphs: layered construction, k-resilient push, catch-up."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revokebench.depender import (
     CatchUpUnavailable,
@@ -55,6 +59,20 @@ class TestBuild:
                 }
                 assert set(node.parents) == shallower
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=80),
+        k=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32),
+    )
+    def test_children_are_listed_in_ascending_id_order(self, n, k, seed):
+        """propagate pushes to a node's children in list order, which is
+        ascending by id (the order it pushed in when it sorted them)
+        because build_graph adds each node to its parents as it places it."""
+        graph = build_graph(n, k, random.Random(seed))
+        for node in graph.nodes.values():
+            assert node.children == sorted(set(node.children))
+
     def test_invalid_args(self, rng):
         with pytest.raises(ValueError):
             build_graph(0, 3, rng)
@@ -105,6 +123,57 @@ class TestPropagate:
         propagate(graph, msg(5))
         with pytest.raises(ValueError):
             propagate(graph, msg(5))
+
+
+def reference_propagate(graph, message, failed):
+    """Oracle: the push written out plainly, one forward counted per child
+    in sorted order, every node's log pruned on a full message."""
+    received = {n: False for n in graph.nodes}
+    forwards = {n: 0 for n in graph.nodes}
+    logs = {n: list(node.log) for n, node in graph.nodes.items()}
+
+    def retain(n):
+        if message.kind is MessageKind.FULL:
+            logs[n] = [m for m in logs[n] if m.kind is MessageKind.OTHER]
+        logs[n].append(message)
+
+    received[graph.root] = True
+    retain(graph.root)
+    queue = [graph.root]
+    while queue:
+        nxt = []
+        for u in queue:
+            for child in sorted(graph.nodes[u].children):
+                forwards[u] += 1
+                if child in failed or received[child]:
+                    continue
+                received[child] = True
+                retain(child)
+                nxt.append(child)
+        queue = nxt
+    return received, forwards, logs
+
+
+class TestPropagateAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=60),
+        k=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=2**32),
+        data=st.data(),
+    )
+    def test_reports_and_logs_equal_the_reference(self, n, k, seed, data):
+        graph = build_graph(n, k, random.Random(seed))
+        kinds = st.sampled_from(list(MessageKind))
+        for sequence in range(data.draw(st.integers(min_value=1, max_value=6))):
+            failed = set(data.draw(st.lists(st.integers(min_value=1, max_value=max(1, n - 1)))))
+            failed &= set(graph.nodes) - {graph.root}
+            message = msg(sequence, data.draw(kinds))
+            want = reference_propagate(graph, message, failed)
+            report = propagate(graph, message, failed)
+            assert (report.received, report.forwards) == want[:2]
+            assert list(report.received) == list(report.forwards) == list(graph.nodes)
+            assert {i: node.log for i, node in graph.nodes.items()} == want[2]
 
 
 class TestRejoin:

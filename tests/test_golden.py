@@ -208,13 +208,17 @@ def test_report_and_logs_match_golden(name):
     assert got == GOLDEN[name]
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split walk forks a child")
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the split work forks a child")
+@pytest.mark.parametrize(
+    "threshold", ["_SPLIT_APPLICATIONS", "_SPLIT_CERTIFICATES"], ids=["chain_walk", "issuance"]
+)
 @pytest.mark.parametrize("split", [True, False], ids=["split", "inline"])
 @pytest.mark.parametrize("name", sorted(n for n, c in CONFIGS.items() if c.scheme is Scheme.CRS))
-def test_crs_chain_walk_split_or_inline_matches_golden(name, split, monkeypatch):
-    """Every CRS chain batch walked half in a forked child, or every batch
-    walked in this process, whatever the CPUs: the report is the pinned one."""
-    monkeypatch.setattr(core, "_SPLIT_APPLICATIONS", 0 if split else math.inf)
+def test_crs_chain_walk_split_or_inline_matches_golden(name, split, threshold, monkeypatch):
+    """Every CRS chain batch, or every issuance batch (its certificates
+    carrying CRS anchors), shared with a forked child, or every batch done
+    in this process, whatever the CPUs: the report is the pinned one."""
+    monkeypatch.setattr(core, threshold, 0 if split else math.inf)
     monkeypatch.setattr(core, "_second_cpu", lambda: split)
     assert _sha(run(CONFIGS[name]).to_json()) == GOLDEN[name][0]
 

@@ -24,7 +24,7 @@ from revokebench.core import (
     Signature,
     make_certificate,
 )
-from revokebench.crl import CrlIssuer, IssuanceSchedule, check_status
+from revokebench.crl import CrlIssuer, CrlKind, IssuanceSchedule, check_status
 from revokebench.crs import CrsToken, CrsTokenKind, token_wire_size
 from revokebench.crt import CrtLeaf, CrtVerdict, crt_build, crt_prove, crt_verify
 from revokebench.responder import OcspStatus, SignedStatusStatement, publish_statements
@@ -558,11 +558,48 @@ class TestFetchPolicies:
         assert a == b
 
 
+class _FullMergeClient:
+    """Reference for _SlidingClient: the same rules, but every accepted
+    document is merged whole."""
+
+    def __init__(self) -> None:
+        self.base_seen = False
+        self.covered_until = 0
+        self.current_until = 0
+        self.known: dict[int, int] = {}
+
+    def accept(self, doc) -> bool:
+        if doc.kind is CrlKind.FULL:
+            self.known.update(doc.entries)
+            self.base_seen = True
+            self.covered_until = max(self.covered_until, doc.this_update)
+            self.current_until = max(self.current_until, doc.next_update)
+            return True
+        if not self.base_seen:
+            return False
+        start = doc.window_start if doc.window_start is not None else doc.this_update
+        if start > self.covered_until:
+            return False
+        self.known.update(doc.entries)
+        if doc.this_update >= self.covered_until:
+            self.covered_until = doc.this_update
+            self.current_until = max(self.current_until, doc.next_update)
+        return True
+
+
 class TestSlidingClientEquivalence:
-    def test_matches_check_status_over_document_cache(self, keystore):
-        """Dual route: the simulator's accumulated-knowledge client must agree
-        with crl.check_status over the full set of fetched documents."""
-        rng = random.Random(99)
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**32))
+    def test_matches_check_status_over_document_cache(self, seed):
+        """Dual route: the simulator's accumulated-knowledge client holds
+        exactly what a client merging every document whole holds, after
+        every accept, and agrees with crl.check_status over the full set of
+        fetched documents on every certificate not yet expired. Certificates
+        expire, and each document gets only the records not expired at its
+        time, as Ledger.revoked_non_expired gives them."""
+        rng = random.Random(seed)
+        keystore = KeyStore()
+        keystore.generate("ca", rng)
         issuer = CrlIssuer(
             keystore,
             "ca",
@@ -572,11 +609,13 @@ class TestSlidingClientEquivalence:
             RevocationRecord(serial=s, revoked_at=rng.randrange(1, 20_000))
             for s in rng.sample(range(1, 300), 120)
         ]
+        expiry = {r.serial: r.revoked_at + rng.randrange(1, 4000) for r in records}
+        expiry.update((s, 10**9) for s in range(1, 300) if s not in expiry)
 
         def upto(t):
-            return [r for r in records if r.revoked_at <= t]
+            return [r for r in records if r.revoked_at <= t < expiry[r.serial]]
 
-        client = _SlidingClient()
+        client, reference = _SlidingClient(), _FullMergeClient()
         docs = []
         pending = []
         t = 0
@@ -596,10 +635,18 @@ class TestSlidingClientEquivalence:
             while progress:
                 progress = False
                 for queued in list(pending):
-                    if client.accept(queued):
+                    accepted = client.accept(queued)
+                    assert reference.accept(queued) == accepted
+                    assert client.known == reference.known, (step, queued.this_update)
+                    assert (client.covered_until, client.current_until) == (
+                        reference.covered_until,
+                        reference.current_until,
+                    )
+                    if accepted:
                         pending.remove(queued)
                         progress = True
-            for serial in rng.sample(range(1, 300), 10):
+            live = [s for s in range(1, 300) if t < expiry[s]]
+            for serial in rng.sample(live, min(10, len(live))):
                 via_docs = check_status(serial, docs, t, keystore, "ca")
                 assert client.status(serial, t) == via_docs, (step, serial, t)
 
