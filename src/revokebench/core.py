@@ -264,7 +264,9 @@ class KeyStore:
         pads = self._pads(key_id)
         key = ("sign", self.phase)
         self.counts[key] = self.counts.get(key, 0) + 1
-        return Signature(key_id, self._mac(pads, message))
+        # built as the ledger builds its signatures, past the NamedTuple's
+        # Python-level __new__: an OCSP response signs one per validation
+        return tuple.__new__(Signature, (key_id, self._mac(pads, message)))
 
     def mac_batch(self, messages: Sequence[bytes], key_id: str) -> bytes:
         """The MACs of the messages under one key, joined in order, counted

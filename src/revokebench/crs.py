@@ -34,6 +34,13 @@ class CrsStatus(Enum):
     INVALID_TOKEN = "invalid_token"
 
 
+# read per verification through module names, not the class (see crl._FULL)
+_VALID_AT_PERIOD, _REVOKED, _INVALID_TOKEN = (
+    CrsStatus.VALID_AT_PERIOD, CrsStatus.REVOKED, CrsStatus.INVALID_TOKEN
+)
+_REVOKED_TOKEN = CrsTokenKind.REVOKED
+
+
 @dataclass(frozen=True, slots=True)
 class CrsSecret:
     """CA-private chain seeds; never serialized into any public document."""
@@ -241,17 +248,17 @@ def crs_verify(
     """
     # Expiry cut-off before any chain work: past the last period nothing stands.
     if not 1 <= claimed_period <= anchor.lifetime_periods:
-        return CrsStatus.INVALID_TOKEN
+        return _INVALID_TOKEN
     try:
         f.check_width(token.value)
     except ValueError:
-        return CrsStatus.INVALID_TOKEN
-    if token.kind is CrsTokenKind.REVOKED:
+        return _INVALID_TOKEN
+    if token.kind is _REVOKED_TOKEN:
         if f.apply(token.value) == anchor.n:
-            return CrsStatus.REVOKED
-        return CrsStatus.INVALID_TOKEN
+            return _REVOKED
+        return _INVALID_TOKEN
     if token.period != claimed_period:
-        return CrsStatus.INVALID_TOKEN
+        return _INVALID_TOKEN
     if f.iterate(token.value, claimed_period) == anchor.y:
-        return CrsStatus.VALID_AT_PERIOD
-    return CrsStatus.INVALID_TOKEN
+        return _VALID_AT_PERIOD
+    return _INVALID_TOKEN

@@ -61,6 +61,11 @@ class CrtVerdict(Enum):
     PROOF_EXPIRED = "proof_expired"
 
 
+# read per verification through module names, not the class (see crl._FULL)
+_REVOKED, _VALID = CrtVerdict.REVOKED, CrtVerdict.VALID
+_INVALID, _EXPIRED = CrtVerdict.PROOF_INVALID, CrtVerdict.PROOF_EXPIRED
+
+
 class _CrtLeafFields(NamedTuple):
     lo: int
     hi: int
@@ -364,18 +369,18 @@ def crt_verify(
     is proof_invalid; a genuine proof past its next_update is proof_expired.
     """
     if not SENTINEL_LO < serial < SENTINEL_HI:
-        return CrtVerdict.PROOF_INVALID
+        return _INVALID
     cur = leaf_hash(proof.leaf)
     for sib, side in proof.siblings:
         cur = node_hash(sib, cur) if side == SIDE_LEFT else node_hash(cur, sib)
     if cur != proof.signed_root.root:
-        return CrtVerdict.PROOF_INVALID
+        return _INVALID
     if not proof.signed_root.verify(keystore, key_id):
-        return CrtVerdict.PROOF_INVALID
+        return _INVALID
     if not proof.leaf.covers(serial):
-        return CrtVerdict.PROOF_INVALID
+        return _INVALID
     if now >= proof.signed_root.next_update:
-        return CrtVerdict.PROOF_EXPIRED
+        return _EXPIRED
     if serial == proof.leaf.lo or serial == proof.leaf.hi:
-        return CrtVerdict.REVOKED
-    return CrtVerdict.VALID
+        return _REVOKED
+    return _VALID

@@ -19,6 +19,10 @@ class MessageKind(Enum):
     OTHER = "other"
 
 
+# read per retain through module names, not the class (see crl._FULL)
+_FULL, _OTHER = MessageKind.FULL, MessageKind.OTHER
+
+
 @dataclass(frozen=True)
 class PropagationMessage:
     sequence: int
@@ -43,11 +47,16 @@ class DependerNode:
     children: list[int] = field(default_factory=list)
     log: list[PropagationMessage] = field(default_factory=list)
     last_sequence: int = -1
+    others: int = 0  # the OTHER messages in the log, which a full does not prune
 
     def retain(self, message: PropagationMessage) -> None:
-        if message.kind is MessageKind.FULL and self.log:
-            # Earlier fulls and their deltas are no longer needed for catch-up.
-            self.log = [m for m in self.log if m.kind is MessageKind.OTHER]
+        kind = message.kind
+        if kind is _FULL and self.log:
+            # Earlier fulls and their deltas are no longer needed for catch-up;
+            # with no OTHER message among them, nothing is left to keep.
+            self.log = [m for m in self.log if m.kind is _OTHER] if self.others else []
+        elif kind is _OTHER:
+            self.others += 1
         self.log.append(message)
         self.last_sequence = message.sequence
 

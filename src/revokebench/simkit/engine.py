@@ -14,6 +14,15 @@ loop pops and runs every one whose (time, kind order) is below
 (t, validate), that is, an earlier one, or an issuance, revocation or
 publication at t. What is left after the last validation runs at the end.
 
+A validation pays for its own work and little else: the loop books
+validations in sums (see simkit.metrics). It counts them, books apart the
+directory->client bytes of each prefetch event, and marks once where the
+late validations begin, right after the events that took revocations_total
+past the threshold. That is exact because directory->client bytes move only
+in validations and prefetches, and because the revocation count only grows
+and only events move it. For the same reason the signing phase is set back
+to "validate" only after some event ran.
+
 Issuance is one event per instant: its payload is the serials issued then,
 in workload order, and `Ledger.issue` signs them as one batch and keeps
 them as one record. No Certificate is built at issuance; the ledger builds
@@ -183,7 +192,11 @@ class Simulation:
             if self.ledger.certificates:  # a CA with nothing issued stays quiet
                 self.adapter.on_publish(t, payload)
         elif kind == "fetch":
+            # a prefetch's bytes are no validation's (see simkit.metrics)
+            received = self.metrics.bytes_received
+            before = received["directory_to_client"]
             self.adapter.on_fetch(payload, t)
+            self.metrics.d2c_bytes_prefetched += received["directory_to_client"] - before
         elif kind == "node_fail":
             self.overlay_failed.add(payload)
         elif kind == "node_rejoin":
@@ -228,33 +241,43 @@ class Simulation:
         events.sort(reverse=True)
         run_event = self._run_event
         keystore = self.keystore
+        metrics = self.metrics
         # bound here, after any tracer has wrapped the class attributes
         validate = self.adapter.validate
-        note_validation = self.metrics.note_validation
+        note_validation = metrics.note_validation
         revoked_at = self.ledger.revoked_at
-        received = self.metrics.bytes_received
         decision_log = self.decision_log
+        threshold = metrics.late_revoked_threshold
+        validations = self.workload.validations
 
-        # validations are time-sorted, so walking them in order and running
-        # every event that sorts before each one keeps the (time, kind order)
+        # Validations are time-sorted, so walking them in order and running
+        # every event that sorts before each one keeps the (time, kind order).
+        # Only events change the phase and revocations_total, so both are
+        # looked at only after some event ran.
         validate_order = EVENT_ORDER["validate"]
-        for t, client, serial in self.workload.validations:
+        keystore.phase = "validate"
+        late = metrics.revocations_total > threshold  # from the start, for a negative threshold
+        if late:
+            metrics.mark_late(0)
+        for i, (t, client, serial) in enumerate(validations):
             bound = (t, validate_order)
-            while events and events[-1] < bound:
+            if events and events[-1] < bound:
                 run_event(*events.pop())
-            keystore.phase = "validate"
-            # a validation's bytes are what the transport moved during it
-            before = received["directory_to_client"]
+                while events and events[-1] < bound:
+                    run_event(*events.pop())
+                keystore.phase = "validate"
+                if not late and metrics.revocations_total > threshold:
+                    late = True
+                    metrics.mark_late(i)
             used = validate(client, serial, t)
-            d2c = received["directory_to_client"] - before
-            note_validation(t, used, revoked_at(serial), d2c)
+            note_validation(t, used, revoked_at(serial))
             if decision_log is not None:
                 verdict = "use" if used else "drop"
                 decision_log.append(f"{t},{client},{serial},{verdict}")
         while events:
             run_event(*events.pop())
 
-        metrics = self.metrics
+        metrics.validations = len(validations)
         for pair, n in keystore.counts.items():
             key = SIGNATURE_KEYS[pair]  # a pair missing from the table raises
             metrics.signature_ops[key] = metrics.signature_ops.get(key, 0) + n

@@ -12,9 +12,17 @@ request count plus two note_message calls. Today both sides are recorded
 with the same number, so conservation holds by construction; it becomes a
 real check once the encoder's side and the decoder's side are measured
 apart.
-Publications are noted by the transport's CA push, and a validation's
-directory->client bytes are the change the engine reads off bytes_received
-around the adapter's call.
+Publications are noted by the transport's CA push.
+
+Validations are booked in sums, not one by one. Directory->client bytes move
+only in validations and in prefetch events, and the engine books the bytes
+each prefetch moves into `d2c_bytes_prefetched`; so the validations' bytes
+are the channel's total less those, exactly. The revocation count only
+grows, so the validations that are late (made once `revocations_total`
+exceeds `late_revoked_threshold`) are all those from the first one on: the
+engine marks that point once, with `mark_late`, and the late sums are the
+totals less what it held then. `note_validation` is left with the one check
+that is per validation, the decision against the ground truth.
 Signatures are not noted here: at the end of a run the engine fills
 signature_ops from the KeyStore's own per-phase counts.
 Request rates are bucketed per interval; peak/mean statistics can exclude a
@@ -121,8 +129,9 @@ class Metrics(MetricsReport):
     so __post_init__ sizes it."""
 
     late_revoked_threshold: int = 0
-    d2c_bytes_at_validation: int = 0
-    d2c_bytes_at_validation_late: int = 0
+    d2c_bytes_prefetched: int = 0
+    # (validations, their directory->client bytes) before the first late one
+    late_from: Optional[tuple[int, int]] = None
 
     def __post_init__(self) -> None:
         self.requests_per_interval = [0] * -(-self.horizon // self.interval)
@@ -159,32 +168,27 @@ class Metrics(MetricsReport):
 
     # -- ground truth ------------------------------------------------------
 
-    def note_validation(
-        self,
-        now: int,
-        used: bool,
-        truth_revoked_at: Optional[int],
-        d2c_bytes: int,
-    ) -> None:
+    def validation_d2c_bytes(self) -> int:
+        """The directory->client bytes moved by validations so far."""
+        return self.bytes_received["directory_to_client"] - self.d2c_bytes_prefetched
+
+    def mark_late(self, validations: int) -> None:
+        """Record that the validations after the first `validations` are late."""
+        self.late_from = (validations, self.validation_d2c_bytes())
+
+    def note_validation(self, now: int, used: bool, truth_revoked_at: Optional[int]) -> None:
         """Compare a client decision against the ledger at the same instant.
 
         A drop of a never-revoked certificate is a false revocation (must
         never happen in any scheme); a use of a revoked one is a false valid,
         recorded with the age of the missed revocation.
         """
-        self.validations += 1
-        self.d2c_bytes_at_validation += d2c_bytes
-        late = self.revocations_total > self.late_revoked_threshold
-        if late:
-            self.validations_late += 1
-            self.d2c_bytes_at_validation_late += d2c_bytes
-        truth_revoked = truth_revoked_at is not None and truth_revoked_at <= now
-        if used and truth_revoked:
-            self.false_valid += 1
-            age_hours = (now - truth_revoked_at) // 3600
-            bucket = f"h{age_hours:06d}"
-            self.staleness_hist[bucket] = self.staleness_hist.get(bucket, 0) + 1
-        elif not used and not truth_revoked:
+        if used:
+            if truth_revoked_at is not None and truth_revoked_at <= now:
+                self.false_valid += 1
+                bucket = f"h{(now - truth_revoked_at) // 3600:06d}"
+                self.staleness_hist[bucket] = self.staleness_hist.get(bucket, 0) + 1
+        elif truth_revoked_at is None or truth_revoked_at > now:
             self.false_revocation += 1
 
     # -- finalize ----------------------------------------------------------
@@ -194,10 +198,12 @@ class Metrics(MetricsReport):
         window = self.requests_per_interval[first:] or [0]
         self.peak_request_rate = max(window)
         self.mean_request_rate = sum(window) / len(window)
+        d2c = self.validation_d2c_bytes()
         if self.validations:
-            self.per_validation_d2c_bytes = self.d2c_bytes_at_validation / self.validations
-        if self.validations_late:
-            self.per_validation_d2c_bytes_late = (
-                self.d2c_bytes_at_validation_late / self.validations_late
-            )
+            self.per_validation_d2c_bytes = d2c / self.validations
+        if self.late_from is not None:
+            early, early_d2c = self.late_from
+            self.validations_late = self.validations - early
+            if self.validations_late:
+                self.per_validation_d2c_bytes_late = (d2c - early_d2c) / self.validations_late
         return MetricsReport(**{f.name: copy(getattr(self, f.name)) for f in fields(MetricsReport)})

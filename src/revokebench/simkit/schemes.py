@@ -2,13 +2,12 @@
 
 Each adapter owns the CA-side publishing schedule and the directory's stored
 artifacts for one scheme. All status logic is delegated to the scheme
-modules' public operations. Bytes move between actors through the transport
-helpers only: `ca_push` books a publication and its one message with
-`Metrics.note_message`, `fresh_fetch` books its request and reply with two,
-and `dir_fetch` books a directory request and reply with the fused
-`Metrics.note_fetch`. The engine reads a validation's directory->client
-bytes off the metrics, and signatures are counted by the KeyStore under the
-phase the engine names.
+modules' public operations. Bytes move between actors through the metrics'
+two booking calls only: `ca_push` books a publication and its one message
+with `Metrics.note_message`, `fresh_fetch` books its request and reply with
+two, and every directory request and reply is booked by the fused
+`Metrics.note_fetch`. Signatures are counted by the KeyStore under the phase
+the engine names.
 
 Adapters still count two things themselves: `fetch_doc` counts
 `base_crl_fetches`, and `CrtAdapter` notes the `ca_tree` hashes and
@@ -47,7 +46,20 @@ from ..crl import (
 # over what it holds. The name check_status is the per-validation decision
 # that perfbench/spans.py times as crl.check_status.
 from ..crl import decide_status as check_status
+from ..crt import CrtVerdict
+from ..wcr import FreshFetch, WcrDecision
 from .config import Scheme, SimConfig
+
+# Enum members a validation reads, bound to module names: on CPython 3.10
+# and 3.11 a read through the enum class is ten times slower (see crl._FULL).
+_STALE, _REVOKED, _NOT_REVOKED = (
+    CrlStatus.STALE_INFORMATION, CrlStatus.REVOKED, CrlStatus.NOT_REVOKED
+)
+_FULL = CrlKind.FULL
+_CRS_VALID, _CRS_INVALID = crs_mod.CrsStatus.VALID_AT_PERIOD, crs_mod.CrsStatus.INVALID_TOKEN
+_CRT_VALID, _CRT_REVOKED = CrtVerdict.VALID, CrtVerdict.REVOKED
+_USE = WcrDecision.USE
+_OCSP_REVOKED = resp_mod.OcspStatus.REVOKED
 
 REQUEST_BYTES = 16  # serial + timestamp framing for any directory/CA query
 FRESH_STATUS_BYTES = 9  # status tag + framing around a fresh certificate
@@ -63,8 +75,9 @@ class SchemeAdapter:
         self.keystore = sim.keystore
         self.metrics = sim.metrics
         self.ca_key = sim.ca_key
-        # client -> slot -> verified document (document_decision, current_crl)
-        self.held: defaultdict[int, dict[str, CrlDocument]] = defaultdict(dict)
+        # holder -> slot -> verified document (document_decision, current_crl):
+        # the holder is the client, or a (client, segment) pair
+        self.held: defaultdict[object, dict[str, CrlDocument]] = defaultdict(dict)
         # (client, serial) -> (use, lapses_at) (validate)
         self.verdicts: dict[tuple[int, int], tuple[bool, int]] = {}
         self.fresh_bytes: dict[int, int] = {}  # serial -> fresh reply size (fresh_fetch)
@@ -97,20 +110,26 @@ class SchemeAdapter:
             verdict = self.verdicts[key] = self.fetch_verdict(serial, now)
         return verdict[0]
 
-    def document_decision(self, client: int, serial: int, now: int, offers, table=None) -> bool:
-        """Decide over the documents the client holds in the slots of `offers`
-        (slot -> the directory's document). While the answer is stale, fetch
-        and verify the next offered document, hold it and decide again."""
-        held = self.held[client]
-        status = check_status(serial, filter(None, map(held.get, offers)), now, table)
-        for slot, doc in offers.items():
-            if status is not CrlStatus.STALE_INFORMATION:
-                break
-            if doc is not None:  # e.g. no delta since the last base
+    def document_decision(
+        self, holder, serial: int, now: int, slots, offered, segment=None
+    ) -> bool:
+        """Decide over every document the holder holds, which are only ever
+        in `slots`; `offered` is the directory's document for each slot, in
+        the same order, and `segment` the serial's segment, if documents are
+        segmented. While the answer is stale, fetch and verify the next
+        offered document, hold it and decide again."""
+        held = self.held[holder]
+        status = check_status(serial, held.values(), now, segment=segment)
+        if status is _STALE:
+            for slot, doc in zip(slots, offered):
+                if doc is None:  # e.g. no delta since the last base
+                    continue
                 self.fetch_doc(now, doc)
                 held[slot] = doc
-                status = check_status(serial, filter(None, map(held.get, offers)), now, table)
-        return status is not CrlStatus.REVOKED
+                status = check_status(serial, held.values(), now, segment=segment)
+                if status is not _STALE:
+                    break
+        return status is not _REVOKED
 
     # -- transport helpers ----------------------------------------------------
 
@@ -120,18 +139,13 @@ class SchemeAdapter:
         self.metrics.note_message("ca_to_directory", nbytes)
         self.sim.overlay_push()
 
-    def dir_fetch(self, now: int, nbytes: int, request: int = REQUEST_BYTES) -> None:
-        """One client request of `request` bytes answered by the directory
-        with nbytes, booked in one step."""
-        self.metrics.note_fetch(now, request, nbytes)
-
     def fetch_doc(self, now: int, doc: CrlDocument | RedirectTable) -> None:
         """Fetch one signed document from the directory and verify it under
         the CA key. A client caches only what passed here."""
-        self.dir_fetch(now, doc.wire_size)
+        self.metrics.note_fetch(now, REQUEST_BYTES, doc.wire_size)
         if not doc.verify(self.keystore, self.ca_key):
             raise AssertionError("genuine document failed verification")
-        if isinstance(doc, CrlDocument) and doc.kind is CrlKind.FULL:
+        if isinstance(doc, CrlDocument) and doc.kind is _FULL:
             self.metrics.base_crl_fetches += 1
 
     def current_crl(self, client: int, now: int) -> tuple[CrlDocument, int]:
@@ -158,7 +172,7 @@ class SchemeAdapter:
             nbytes = self.fresh_bytes[serial] = cert.wire_size + FRESH_STATUS_BYTES
         self.metrics.note_message("client_to_ca", REQUEST_BYTES)
         self.metrics.note_message("ca_to_client", nbytes)
-        return wcr_mod.FreshFetch(self.ledger.is_revoked(serial, now), nbytes)
+        return FreshFetch(self.ledger.is_revoked(serial, now), nbytes)
 
     def log_actions(self, client: int, actions) -> None:
         if self.sim.action_log is not None:
@@ -206,7 +220,7 @@ class FullCrlAdapter(SchemeAdapter):
             self.held[client]["crl"] = self.current
 
     def validate(self, client: int, serial: int, now: int) -> bool:
-        return self.document_decision(client, serial, now, {"crl": self.current})
+        return self.document_decision(client, serial, now, ("crl",), (self.current,))
 
 
 class DeltaCrlAdapter(SchemeAdapter):
@@ -236,8 +250,8 @@ class DeltaCrlAdapter(SchemeAdapter):
             self.ca_push("delta_crl", self.delta.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> bool:
-        offers = {"delta": self.delta, "base": self.base}
-        return self.document_decision(client, serial, now, offers)
+        offered = (self.delta, self.base)
+        return self.document_decision(client, serial, now, ("delta", "base"), offered)
 
 
 class _SlidingClient:
@@ -271,7 +285,7 @@ class _SlidingClient:
         self.known: dict[int, int] = {}
 
     def accept(self, doc: CrlDocument) -> bool:
-        if doc.kind is CrlKind.FULL:
+        if doc.kind is _FULL:
             self.known.update(doc.entries)
             self.base_seen = True
             self.covered_until = max(self.covered_until, doc.this_update)
@@ -292,8 +306,8 @@ class _SlidingClient:
 
     def status(self, serial: int, now: int) -> CrlStatus:
         if not self.base_seen or not now < self.current_until:
-            return CrlStatus.STALE_INFORMATION
-        return CrlStatus.REVOKED if serial in self.known else CrlStatus.NOT_REVOKED
+            return _STALE
+        return _REVOKED if serial in self.known else _NOT_REVOKED
 
 
 class SlidingDeltaAdapter(SchemeAdapter):
@@ -323,19 +337,19 @@ class SlidingDeltaAdapter(SchemeAdapter):
     def validate(self, client: int, serial: int, now: int) -> bool:
         state = self.clients.setdefault(client, _SlidingClient())
         status = state.status(serial, now)
-        if status is CrlStatus.STALE_INFORMATION:
+        if status is _STALE:
             delta = self.delta if self.delta is not None and self.delta.covers(now) else None
             if delta is not None:
                 self.fetch_doc(now, delta)
                 state.accept(delta)
             status = state.status(serial, now)
-            if status is CrlStatus.STALE_INFORMATION:
+            if status is _STALE:
                 self.fetch_doc(now, self.base)
                 state.accept(self.base)
                 if delta is not None:
                     state.accept(delta)  # fetched above; chains onto the new base
                 status = state.status(serial, now)
-        return status is not CrlStatus.REVOKED
+        return status is not _REVOKED
 
 
 class SegmentedAdapter(SchemeAdapter):
@@ -348,6 +362,7 @@ class SegmentedAdapter(SchemeAdapter):
             1, self._ranges(), self.keystore, self.ca_key
         )
         self.segdocs: dict[str, CrlDocument] = {}
+        self.with_table: set[int] = set()  # clients that hold the table
 
     def _ranges(self) -> list[tuple[int, int, str]]:
         n = self.config.segments
@@ -373,11 +388,12 @@ class SegmentedAdapter(SchemeAdapter):
             self.ca_push("redirect_table", self.table.wire_size)
 
     def validate(self, client: int, serial: int, now: int) -> bool:
-        if client not in self.held:  # a client's first validation fetches the table
+        if client not in self.with_table:  # a client's first validation fetches the table
             self.fetch_doc(now, self.table)
+            self.with_table.add(client)
         seg = resolve_segment(serial, self.table)
-        offers = {seg: self.segdocs.get(seg)}
-        return self.document_decision(client, serial, now, offers, table=self.table)
+        offered = (self.segdocs.get(seg),)
+        return self.document_decision((client, seg), serial, now, ("seg",), offered, segment=seg)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +463,12 @@ class CrsAdapter(SchemeAdapter):
             # The anchor inside the certificate is the period-0 statement.
             return True, lapses_at
         token = self.directory_token(serial)
-        self.dir_fetch(now, self.token_bytes)
+        self.metrics.note_fetch(now, REQUEST_BYTES, self.token_bytes)
         anchor = self.ledger.crs_anchor(serial)
         result = crs_mod.crs_verify(token, anchor, claimed, self.sim.f_client)
-        if result is crs_mod.CrsStatus.INVALID_TOKEN:
+        if result is _CRS_INVALID:
             raise AssertionError(f"genuine token failed verification for serial {serial}")
-        return result is crs_mod.CrsStatus.VALID_AT_PERIOD, lapses_at
+        return result is _CRS_VALID, lapses_at
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +512,13 @@ class CrtAdapter(SchemeAdapter):
         proof = self.proofs.get(index)
         if proof is None:
             proof = self.proofs[index] = crt_mod.crt_prove(self.tree, serial)
-        self.dir_fetch(now, proof.wire_size)
+        metrics = self.metrics
+        metrics.note_fetch(now, REQUEST_BYTES, proof.wire_size)
         verdict = crt_mod.crt_verify(proof, serial, self.keystore, self.ca_key, now)
-        self.metrics.note_hash("client_tree", len(proof.siblings) + 1)
-        if verdict not in (crt_mod.CrtVerdict.REVOKED, crt_mod.CrtVerdict.VALID):
+        metrics.note_hash("client_tree", len(proof.siblings) + 1)
+        if verdict is not _CRT_VALID and verdict is not _CRT_REVOKED:
             raise AssertionError(f"genuine proof failed verification for serial {serial}")
-        return verdict is crt_mod.CrtVerdict.VALID, proof.signed_root.next_update
+        return verdict is _CRT_VALID, proof.signed_root.next_update
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +526,14 @@ class CrtAdapter(SchemeAdapter):
 # ---------------------------------------------------------------------------
 
 class _WcrServices:
-    """One client's service endpoints backed by the simulated directory and CA."""
+    """One client's service endpoints backed by the simulated directory and
+    CA. A fresh fetch is the same for every client, so the adapter's own
+    `fresh_fetch` serves it."""
 
     def __init__(self, adapter: "WcrAdapter", client: int) -> None:
         self.adapter = adapter
         self.client = client
-
-    def fetch_fresh_certificate(self, serial: int, now: int) -> wcr_mod.FreshFetch:
-        return self.adapter.fresh_fetch(serial, now)
+        self.fetch_fresh_certificate = adapter.fresh_fetch
 
     def fetch_latest_crl(self, now: int) -> wcr_mod.CrlFetch:
         return wcr_mod.CrlFetch(*self.adapter.current_crl(self.client, now))
@@ -559,8 +576,9 @@ class WcrAdapter(SchemeAdapter):
         decision, self.states[key], actions = wcr_mod.wcr_validate(
             state, now, services, self.client_config
         )
-        self.log_actions(client, actions)
-        return decision is wcr_mod.WcrDecision.USE
+        if self.sim.action_log is not None:
+            self.log_actions(client, actions)
+        return decision is _USE
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +607,10 @@ class OcspAdapter(SchemeAdapter):
         """Ask the responder and verify its answer; it lapses past ocsp_max_age."""
         request = resp_mod.make_request(serial, now, self.sim.rng_nonce)
         response = self.responder.respond(request)
-        self.dir_fetch(now, response.wire_size, request=request.wire_size)
+        self.metrics.note_fetch(now, request.wire_size, response.wire_size)
         if not resp_mod.verify_response(response, request, self.keystore, self.chain):
             raise AssertionError("genuine responder answer failed verification")
-        use = response.status is not resp_mod.OcspStatus.REVOKED
+        use = response.status is not _OCSP_REVOKED
         return use, resp_mod.cached_until(response, self.config.ocsp_max_age)
 
 
@@ -621,10 +639,10 @@ class NaiveStatusAdapter(SchemeAdapter):
         statement = self.statements.get(serial)
         if statement is None:
             return True, lapses_at  # none published since issuance: issuance is the statement
-        self.dir_fetch(now, statement.wire_size)
+        self.metrics.note_fetch(now, REQUEST_BYTES, statement.wire_size)
         if not resp_mod.verify_statement(statement, self.keystore, self.ca_key, period):
             raise AssertionError("genuine statement failed verification")
-        return statement.status is not resp_mod.OcspStatus.REVOKED, lapses_at
+        return statement.status is not _OCSP_REVOKED, lapses_at
 
 
 ADAPTERS = {

@@ -28,6 +28,10 @@ class WcrDecision(Enum):
     DROP = "drop"
 
 
+# read per validation through module names, not the class (see crl._FULL)
+_USE, _DROP = WcrDecision.USE, WcrDecision.DROP
+
+
 class WcrIssuer:
     """Publishes the windowed CRL on a fixed period.
 
@@ -154,21 +158,21 @@ def wcr_validate(
     serial, held, clean_deadline, window_deadline = state
 
     if held and now < clean_deadline:
-        return WcrDecision.USE, state, [(now, serial, ACT_USE, 0)]
+        return _USE, state, [(now, serial, ACT_USE, 0)]
 
     if not held or now >= window_deadline:
         grid = (now // config.crl_period) * config.crl_period
         revoked, nbytes = services.fetch_fresh_certificate(serial, now)
         fetch = (now, serial, ACT_FRESH, nbytes)
         if revoked:
-            return WcrDecision.DROP, WcrClientState(serial), [fetch, (now, serial, ACT_DROP, 0)]
+            return _DROP, WcrClientState(serial), [fetch, (now, serial, ACT_DROP, 0)]
         armed = _armed(serial, grid, config)
-        return WcrDecision.USE, armed, [fetch, (now, serial, ACT_USE, 0)]
+        return _USE, armed, [fetch, (now, serial, ACT_USE, 0)]
 
     doc, nbytes = services.fetch_latest_crl(now)
     actions: list[Action] = [(now, serial, ACT_CRL, nbytes)] if nbytes else []
     if doc.lists(serial):
         actions.append((now, serial, ACT_DROP, 0))
-        return WcrDecision.DROP, WcrClientState(serial), actions
+        return _DROP, WcrClientState(serial), actions
     actions.append((now, serial, ACT_USE, 0))
-    return WcrDecision.USE, _armed(serial, doc.this_update, config), actions
+    return _USE, _armed(serial, doc.this_update, config), actions

@@ -224,8 +224,9 @@ def test_node_state_is_local_only(rng):
     propagate(graph, msg(0))
     for node in graph.nodes.values():
         assert set(vars(node)) == {
-            "node_id", "layer", "parents", "children", "log", "last_sequence"
+            "node_id", "layer", "parents", "children", "log", "last_sequence", "others"
         }
         assert all(isinstance(p, int) for p in node.parents)
         assert all(isinstance(c, int) for c in node.children)
         assert all(isinstance(m, PropagationMessage) for m in node.log)
+        assert node.others == sum(m.kind is MessageKind.OTHER for m in node.log)

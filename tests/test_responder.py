@@ -270,6 +270,39 @@ class TestKeyChainLookup:
                     k.key_id == key_id and k.valid_from <= at < k.valid_to for k in keys
                 )
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        start=st.integers(0, 3),
+        windows=st.lists(
+            st.tuples(st.integers(0, 4), st.integers(1, 5), st.sampled_from("abc")), max_size=10
+        ),
+        data=st.data(),
+    )
+    def test_remembered_window_matches_the_linear_scan_in_any_order(self, start, windows, data):
+        """The chain remembers the last window it found, a key's or a gap's.
+        Asked in a drawn order, repeats and jumps back included, about every
+        window edge, the gaps, before the first key and after the last, it
+        answers as the scan does whatever it was asked before."""
+        keys, t = [], start
+        for gap, length, key_id in windows:
+            t += gap
+            keys.append(ResponderKey(key_id, t, t + length))
+            t += length
+        edges = {-1, start - 1, start, t, t + 1}
+        for k in keys:
+            edges.update((k.valid_from - 1, k.valid_from, k.valid_to - 1, k.valid_to))
+        instants = data.draw(st.lists(st.sampled_from(sorted(edges)), min_size=1, max_size=40))
+        chain = ResponderKeyChain(tuple(keys), Signature("ca", b""))
+        for at in instants:
+            expected = scanned_key(keys, at)
+            if expected is None:
+                with pytest.raises(LookupError):
+                    chain.current_key(at)
+            else:
+                assert chain.current_key(at) == expected
+            key_id = data.draw(st.sampled_from("abcd"))
+            assert chain.is_current(key_id, at) == (expected == key_id)
+
     @pytest.mark.parametrize(
         "keys,match",
         [

@@ -8,7 +8,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revokebench import crt as crt_mod
@@ -1360,3 +1360,108 @@ class TestOcspMaxAge:
         assert asked() == (2, 2)
         assert sim.adapter.validate(0, 20, HOUR + max_age + 1) is True
         assert asked() == (3, 3)
+
+
+# name -> config fields: every scheme, both OCSP modes, and full_crl with
+# the prefetch policy, the only one whose fetch events move bytes
+BOOKED = {
+    **CRL_FAMILY,
+    "crs": {"scheme": Scheme.CRS, "crs_lifetime_periods": 30},
+    "crt": {"scheme": Scheme.CRT},
+    "ocsp_nonce": {"scheme": Scheme.OCSP},
+    "ocsp_cached": {"scheme": Scheme.OCSP, "ocsp_max_age": 12 * HOUR},
+    "naive_signed_status": {"scheme": Scheme.NAIVE_SIGNED_STATUS},
+}
+
+
+def per_validation_report(config, workload):
+    """Oracle: the run booked one validation at a time. Every event,
+    validations too, is queued in one list and run in (time, kind order,
+    insertion order); each validation's directory->client bytes are read
+    off the metrics around its call, and whether it is late is checked at
+    each one."""
+    sim = Simulation(config, workload=workload)
+    calls = []
+
+    def push(t, kind, payload):
+        calls.append((t, engine.EVENT_ORDER[kind], len(calls), kind, payload))
+
+    for t, serial in workload.issues:  # one issuance event per instant
+        if calls and calls[-1][0] == t:
+            calls[-1][4].append(serial)
+        else:
+            push(t, "issue_certificate", [serial])
+    for t, serial in workload.revocations:
+        push(t, "revoke", serial)
+    publishes = sim.adapter.publish_events()
+    for t, tag in publishes:
+        push(t, "publish", tag)
+    fetches = schedule_staggered_fetch(
+        range(config.n_clients),
+        config.fetch_policy,
+        [t for t, _ in publishes],
+        config.fetch_window,
+        config.horizon,
+        sim.rng_fetch,
+    )
+    for t, client in fetches:
+        push(t, "fetch", client)
+    for t, client, serial in workload.validations:
+        push(t, "validate", (client, serial))
+    calls.sort()
+
+    metrics = sim.metrics
+    received = metrics.bytes_received
+    count = late = d2c = d2c_late = 0
+    for t, order, seq, kind, payload in calls:
+        if kind != "validate":
+            sim._run_event(t, order, seq, kind, payload)
+            continue
+        client, serial = payload
+        sim.keystore.phase = "validate"
+        before = received["directory_to_client"]
+        used = sim.adapter.validate(client, serial, t)
+        nbytes = received["directory_to_client"] - before
+        metrics.note_validation(t, used, sim.ledger.revoked_at(serial))
+        count += 1
+        d2c += nbytes
+        if metrics.revocations_total > metrics.late_revoked_threshold:
+            late += 1
+            d2c_late += nbytes
+    for pair, n in sim.keystore.counts.items():
+        key = engine.SIGNATURE_KEYS[pair]
+        metrics.signature_ops[key] = metrics.signature_ops.get(key, 0) + n
+    metrics.note_hash("ca_chain", sim.f_ca.apply_count)
+    metrics.note_hash("client_chain", sim.f_client.apply_count)
+    return dataclasses.replace(
+        metrics.finalize(),
+        validations=count,
+        validations_late=late,
+        per_validation_d2c_bytes=d2c / count if count else 0.0,
+        per_validation_d2c_bytes_late=d2c_late / late if late else 0.0,
+    )
+
+
+class TestValidationBooking:
+    """The engine books validations in sums: the prefetched bytes apart,
+    and the late ones from one mark on. That equals booking each one."""
+
+    @settings(max_examples=60, deadline=None)
+    @example(name="full_crl_prefetch", seed=11, threshold="middle")
+    @given(
+        name=st.sampled_from(sorted(BOOKED)),
+        seed=st.integers(0, 2**16),
+        threshold=st.sampled_from(["zero", "middle", "above"]),
+    )
+    def test_every_field_equals_the_per_validation_oracle(self, name, seed, threshold):
+        config = cfg(seed=seed, population=120, annual_revocation_fraction=8.0, **BOOKED[name])
+        workload = generate_workload(config)
+        revocations = len(workload.revocations)
+        late_revoked_threshold = {
+            "zero": 0, "middle": revocations // 2, "above": revocations + 1
+        }[threshold]
+        config = dataclasses.replace(config, late_revoked_threshold=late_revoked_threshold)
+        got = Simulation(config, workload=workload).run()
+        want = per_validation_report(config, workload)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert got.validations == len(workload.validations)
